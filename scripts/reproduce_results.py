@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate every headline result table into results/.
+"""Regenerate every headline result table into results/ (or a given directory).
 
 Runs the CLI end to end: the unknown-vs-known bound table under both
 amplitude conventions, the bound-vs-looks and bound-vs-sampling sweeps,
@@ -28,11 +28,12 @@ RUNS = [
 ]
 
 
-def run_all() -> int:
-    RESULTS.mkdir(exist_ok=True)
+def run_all(out_dir: pathlib.Path = RESULTS) -> int:
+    out_dir = pathlib.Path(out_dir)
+    out_dir.mkdir(exist_ok=True)
     for name, args in RUNS:
         for fmt in ("csv", "json"):
-            out = RESULTS / f"{name}.{fmt}"
+            out = out_dir / f"{name}.{fmt}"
             code = main([*args, "--format", fmt, "--out", str(out)])
             if code != 0:
                 print(f"FAILED ({code}): {name} [{fmt}]", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fim import BoundPair, FimMatrix
+from .fim import Border, BoundPair, FimMatrix
 from .signals import SampledSignal, Scenario, eta
 
 TWO_PI2 = 8.0 * np.pi ** 2
@@ -73,33 +73,33 @@ def unknown_signal_labels(m: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def unknown_signal_blocks(sig: SampledSignal, sc: Scenario):
-    """A, B, C blocks of the unknown-signal FIM (reflected scale a = 1)."""
-    p, l = sc.looks_reflected, sc.looks_direct
-    s2 = sc.sigma_w2
-    a_block = fim_known_signal(sig, sc).entries * p
-    w = sig.times + sc.tau0
-    b_block = np.empty((2, 2 * sig.m))
-    b_block[0, 0::2] = -(2.0 * p / s2) * sig.deriv.real
-    b_block[0, 1::2] = -(2.0 * p / s2) * sig.deriv.imag
-    b_block[1, 0::2] = -(4.0 * np.pi * p / s2) * w * sig.samples.imag
-    b_block[1, 1::2] = (4.0 * np.pi * p / s2) * w * sig.samples.real
-    c_block = np.eye(2 * sig.m) * (2.0 * l + 2.0 * p) / s2
-    return a_block, b_block, c_block
+def bordered_fim(known: FimMatrix, sig: SampledSignal, sc: Scenario,
+                 labels: tuple[str, ...], basis=None, meta=None) -> FimMatrix:
+    """Bordered FIM of (tau0, f0[, a]) and N complex nuisance coefficients.
+
+    known: the single-look known-signal FIM, 2x2 or 3x3 with a; A = P known.
+    labels: those of the FIM without a; known.labels replace the first two.
+    basis: (h, wt, u, v, gram), the derivative, time-weighted (wt u) and
+    plain signal couplings with each basis vector and K (a scalar g for
+    K = g I); None means the raw samples (s', t + tau0, s, s, 1). Border rows
+    -(2a^2 P/s2) h, (4 pi a^2 P/s2) j wt u, (2aP/s2) v in (real, imaginary)
+    columns; C = (2L + 2a^2 P)/s2 (K kron I_2).
+    """
+    p, l, a, s2 = sc.looks_reflected, sc.looks_direct, sc.scale, sc.sigma_w2
+    k_tau, k_f, k_a = -(2.0 * a * a * p / s2), 4.0 * np.pi * a * a * p / s2, 2.0 * a * p / s2
+    h, wt, u, v, gram = basis or (sig.deriv, sig.times + sc.tau0, sig.samples, sig.samples, 1.0)
+    rows = [k_tau * h, (k_f * wt) * (1j * u), k_a * v]
+    # a complex row viewed as floats interleaves (real, imaginary) columns
+    b_block = np.array(rows[:known.dim]).view(float)
+    border = Border(known.entries * p, b_block, (2.0 * l + 2.0 * a * a * p) / s2, gram)
+    return FimMatrix(None, known.labels + tuple(labels[2:]), meta or {}, border)
 
 
 def fim_unknown_signal(sig: SampledSignal, sc: Scenario) -> FimMatrix:
     """(2+2M)x(2+2M) FIM for (tau0, f0, sR_0, sI_0, ..., sI_{M-1})."""
     if sc.scale != 1.0:
         raise ValueError("reflected-path scale must be 1 here; see ddcrb.scaled")
-    a_block, b_block, c_block = unknown_signal_blocks(sig, sc)
-    m2 = 2 * sig.m
-    entries = np.zeros((2 + m2, 2 + m2))
-    entries[:2, :2] = a_block
-    entries[:2, 2:] = b_block
-    entries[2:, :2] = b_block.T
-    entries[2:, 2:] = c_block
-    return FimMatrix(entries, unknown_signal_labels(sig.m))
+    return bordered_fim(fim_known_signal(sig, sc), sig, sc, unknown_signal_labels(sig.m))
 
 
 def jcrb_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:

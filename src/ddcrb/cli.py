@@ -55,6 +55,8 @@ DEFAULTS = {
 }
 
 SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
+# the scenario field each single-field sweep axis sets (n0 sets tau0 = n0 delta)
+_SWEEP_FIELDS = {"P": "looks_reflected", "n0": "tau0", "a": "scale", "sigma_w2": "sigma_w2"}
 
 
 @dataclass
@@ -131,11 +133,16 @@ def build_signal(cfg: RunConfig, delta: float,
     return _load_signal_file(kind), None
 
 
-def _pair_columns(tau_key: str, f_key: str, pair) -> tuple[dict, list[str]]:
-    """Columns for a BoundPair; singular values become None plus flags."""
-    if pair.singular:
-        return {tau_key: None, f_key: None}, [tau_key, f_key]
-    return {tau_key: pair.tau0, f_key: pair.f0}, []
+def _pair_columns(pairs) -> tuple[dict, list[str]]:
+    """Columns for (tau_key, f_key, BoundPair) triples; singular pairs flagged, None."""
+    row, flagged = {}, []
+    for tau_key, f_key, pair in pairs:
+        if pair.singular:
+            row.update({tau_key: None, f_key: None})
+            flagged += [tau_key, f_key]
+        else:
+            row.update({tau_key: pair.tau0, f_key: pair.f0})
+    return row, flagged
 
 
 def write_rows(rows: list[dict], methods: list[dict], cfg: RunConfig,
@@ -252,25 +259,8 @@ def cmd_crb(config_path, **flags):
         row = {"amp_convention": convention if pt is not None else None,
                "L": sc.looks_direct, "P": sc.looks_reflected, "a": sc.scale,
                "sigma_w2": sc.sigma_w2, "tau0": sc.tau0, "f0": sc.f0}
-        flagged = []
-        # single-look known-signal baseline at the scenario's reflected scale
-        known = jcrb_known(sig, sc).scaled(1.0 / sc.scale ** 2)
-        cols, bad = _pair_columns("jcrb_tau0", "jcrb_f0", known)
+        cols, flagged = _pair_columns(_bound_pairs(sig, pt, sc))
         row.update(cols)
-        flagged += bad
-        joint, separate = jcrb_scaled_known_a(sig, sc)
-        cols, bad = _pair_columns("jcrb_tau0_s", "jcrb_f0_s", joint)
-        row.update(cols)
-        flagged += bad
-        cols, bad = _pair_columns("crb_tau0_s", "crb_f0_s", separate)
-        row.update(cols)
-        flagged += bad
-        if pt is not None:
-            structured = jcrb_structure_known_a(pt, sc)
-            row["jcrb_tau0_b"] = None if structured.singular else structured.tau0
-            row["jcrb_f0_b"] = None if structured.singular else structured.f0
-            if structured.singular:
-                flagged += ["jcrb_tau0_b", "jcrb_f0_b"]
         row["singular"] = ";".join(flagged)
         rows.append(row)
         methods.append({k: METHOD_CLOSED_FORM for k in row
@@ -280,7 +270,7 @@ def cmd_crb(config_path, **flags):
 
 def _schur_pair(sig: SampledSignal, sc: Scenario):
     fim = fim_unknown_signal(sig, sc)
-    scale = float(np.max(np.abs(fim.entries[:2, :2])))
+    scale = float(np.max(np.abs(fim.submatrix(("tau0", "f0")))))
     inv = invert_bound_matrix(schur_complement_2x2(fim), scale)
     if inv is None:
         return None, None
@@ -322,13 +312,9 @@ def cmd_table1(config_path, **flags):
                 "ratio_tau0": unknown.tau0 / known.tau0,
                 "ratio_f0": unknown.f0 / known.f0,
             })
-            methods.append({
-                "jcrb_tau0_s": METHOD_CLOSED_FORM, "jcrb_tau0": METHOD_CLOSED_FORM,
-                "jcrb_f0_s": METHOD_CLOSED_FORM, "jcrb_f0": METHOD_CLOSED_FORM,
-                "jcrb_tau0_s_schur": METHOD_SCHUR_NUMERIC,
-                "jcrb_f0_s_schur": METHOD_SCHUR_NUMERIC,
-                "ratio_tau0": METHOD_CLOSED_FORM, "ratio_f0": METHOD_CLOSED_FORM,
-            })
+            methods.append({k: METHOD_SCHUR_NUMERIC if k.endswith("_schur")
+                            else METHOD_CLOSED_FORM for k in rows[-1]
+                            if k.startswith(("jcrb", "ratio"))})
     write_rows(rows, methods, cfg, cfg["format"], cfg["out"], cfg["seed"])
 
 
@@ -351,30 +337,26 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     return axis, values
 
 
-def _bound_triplet(sig, pt, sc) -> tuple[dict, list[str]]:
-    """Known, unknown-signal, and known-structure bound columns.
-
-    The known-signal reference is the single-look bound at the scenario's
-    reflected scale, so the unknown/known ratio is the look factor exactly.
-    """
-    row, flagged = {}, []
+def _bound_pairs(sig, pt, sc) -> list:
+    """(tau_key, f_key, BoundPair) for the known-signal, unknown-signal
+    joint and separate, and known-structure bounds. The known-signal
+    reference is the single-look bound at the scenario's reflected scale,
+    so the unknown/known ratio is the look factor exactly."""
     known = jcrb_known(sig, sc).scaled(1.0 / sc.scale ** 2)
-    row["jcrb_tau0"] = None if known.singular else known.tau0
-    row["jcrb_f0"] = None if known.singular else known.f0
-    joint, _ = jcrb_scaled_known_a(sig, sc)
-    row["jcrb_tau0_s"] = None if joint.singular else joint.tau0
-    row["jcrb_f0_s"] = None if joint.singular else joint.f0
-    if joint.singular:
-        flagged += ["jcrb_tau0_s", "jcrb_f0_s"]
+    joint, separate = jcrb_scaled_known_a(sig, sc)
+    pairs = [("jcrb_tau0", "jcrb_f0", known), ("jcrb_tau0_s", "jcrb_f0_s", joint),
+             ("crb_tau0_s", "crb_f0_s", separate)]
     if pt is not None:
-        structured = jcrb_structure_known_a(pt, sc)
-        row["jcrb_tau0_b"] = None if structured.singular else structured.tau0
-        row["jcrb_f0_b"] = None if structured.singular else structured.f0
-        if structured.singular:
-            flagged += ["jcrb_tau0_b", "jcrb_f0_b"]
-    else:
-        row["jcrb_tau0_b"] = None
-        row["jcrb_f0_b"] = None
+        pairs.append(("jcrb_tau0_b", "jcrb_f0_b", jcrb_structure_known_a(pt, sc)))
+    return pairs
+
+
+def _bound_triplet(sig, pt, sc) -> tuple[dict, list[str]]:
+    """Known, unknown-signal, and known-structure bound columns."""
+    row, flagged = _pair_columns(p for p in _bound_pairs(sig, pt, sc)
+                                 if p[0] != "crb_tau0_s")
+    if pt is None:
+        row.update(jcrb_tau0_b=None, jcrb_f0_b=None)
     return row, flagged
 
 
@@ -414,26 +396,18 @@ def cmd_sweep(config_path, sweep, **flags):
                     sc = cfg.scenario(looks_direct=looks, looks_reflected=p_val)
                     sub, bad = _bound_triplet(sig, pt, sc)
                     if tag == "p1":
-                        cols["jcrb_tau0"] = sub["jcrb_tau0"]
-                        cols["jcrb_f0"] = sub["jcrb_f0"]
+                        # the known-signal pair does not depend on the looks
+                        cols.update(jcrb_tau0=sub["jcrb_tau0"], jcrb_f0=sub["jcrb_f0"])
+                        flagged += [k for k in bad if k in cols]
                     for key in ("jcrb_tau0_s", "jcrb_f0_s", "jcrb_tau0_b", "jcrb_f0_b"):
                         cols[f"{key}_{tag}"] = sub[key]
-                    flagged += [f"{k}_{tag}" for k in bad]
-            elif axis == "P":
-                sc = cfg.scenario(looks_reflected=int(value))
-                row = {"P": int(value)}
-                cols, flagged = _bound_triplet(sig, pt, sc)
-            elif axis == "n0":
-                sc = cfg.scenario(tau0=int(value) * delta)
-                row = {"n0": int(value), "tau0": sc.tau0}
-                cols, flagged = _bound_triplet(sig, pt, sc)
-            elif axis == "a":
-                sc = cfg.scenario(scale=float(value))
-                row = {"a": float(value)}
-                cols, flagged = _bound_triplet(sig, pt, sc)
+                    flagged += [f"{k}_{tag}" for k in bad if k not in ("jcrb_tau0", "jcrb_f0")]
             else:
-                sc = cfg.scenario(sigma_w2=float(value))
-                row = {"sigma_w2": float(value)}
+                point = value.item()
+                row = {axis: point}
+                if axis == "n0":
+                    row["tau0"] = point = point * delta
+                sc = cfg.scenario(**{_SWEEP_FIELDS[axis]: point})
                 cols, flagged = _bound_triplet(sig, pt, sc)
         row.update(cols)
         row["singular"] = ";".join(flagged)

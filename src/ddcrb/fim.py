@@ -30,16 +30,96 @@ class SingularFimError(np.linalg.LinAlgError):
 
 
 @dataclass(frozen=True)
-class FimMatrix:
-    """Real symmetric PSD Fisher information matrix with parameter labels."""
+class Border:
+    """Blocks of a bordered FIM [[A, B], [B^T, C]] with C = c (K kron I_2).
 
-    entries: np.ndarray
+    a is the k x k block of the parameters of interest, b the k x 2N border
+    over (real, imaginary) pairs of N nuisance coefficients, and gram is K:
+    a scalar g for K = g I, or the N x N Gram matrix of overlapping pulses.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: float
+    gram: float | np.ndarray = 1.0
+
+    def dense(self) -> np.ndarray:
+        k, n = len(self.a), self.b.shape[1] // 2
+        ck = self.c * (np.eye(n) * self.gram if np.ndim(self.gram) == 0 else self.gram)
+        out = np.zeros((k + 2 * n, k + 2 * n))
+        out[:k, :k] = self.a
+        out[:k, k:] = self.b
+        out[k:, :k] = self.b.T
+        out[k::2, k::2] = out[k + 1::2, k + 1::2] = ck
+        out.setflags(write=False)
+        return out
+
+    def schur(self) -> np.ndarray | None:
+        """A - B C^{-1} B^T, or None when C is not positive definite."""
+        if np.ndim(self.gram) == 0:
+            ck = self.c * self.gram
+            if not ck > 0.0:
+                return None
+            # the reciprocal scaling is what the LDL^T solve of the dense
+            # path does with a diagonal C, so both paths agree bit for bit
+            out = self.a - self.b @ (self.b.T * (1.0 / ck))
+        else:
+            try:
+                chol = np.linalg.cholesky(self.c * self.gram)
+            except np.linalg.LinAlgError:
+                return None
+            k = len(self.a)
+            y = scipy.linalg.solve_triangular(
+                chol, np.hstack([self.b[:, 0::2].T, self.b[:, 1::2].T]), lower=True)
+            out = self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
+        return 0.5 * (out + out.T)
+
+    def validate(self) -> bool:
+        """Symmetry and PSD checks; False (nothing decided) if C is not PD.
+
+        Haynsworth inertia additivity: the matrix is PSD iff C is PD and
+        A - B C^{-1} B^T is PSD. Tolerances scale with |A|_F + |B|_F + |C|_inf,
+        an upper bound on the full spectral norm within a small factor.
+        """
+        kmat = np.atleast_2d(self.gram)
+        spec = max(np.linalg.norm(self.a) + np.linalg.norm(self.b)
+                   + abs(self.c) * np.linalg.norm(kmat, np.inf), 1e-300)
+        asym = max(np.max(np.abs(self.a - self.a.T)),
+                   abs(self.c) * np.max(np.abs(kmat - kmat.T)))
+        if asym > SYMMETRY_RTOL * spec:
+            raise ValueError(f"FIM not symmetric: |A - A^T| = {asym:.3e}")
+        reduced = self.schur()
+        if reduced is None:
+            return False
+        eigmin = float(np.linalg.eigvalsh(reduced)[0])
+        if eigmin < -PSD_RTOL * spec:
+            raise ValueError(f"FIM not positive semidefinite: Schur lambda_min = {eigmin:.3e}")
+        return True
+
+
+@dataclass(frozen=True)
+class FimMatrix:
+    """Real symmetric PSD Fisher information matrix with parameter labels.
+
+    A bordered one (entries None) builds its read-only entries on first use.
+    """
+
+    entries: np.ndarray | None
     labels: tuple[str, ...]
     meta: dict = field(default_factory=dict, compare=False)
+    border: Border | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
         labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if self.border is not None:
+            object.__delattr__(self, "entries")  # built by __getattr__ on demand
+            # a label mismatch or a C that is not positive definite falls
+            # through to the checks on the dense matrix
+            if (len(labels) == len(self.border.a) + self.border.b.shape[1]
+                    and self.border.validate()):
+                return
+        entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("FIM must be square")
         if len(labels) != entries.shape[0]:
@@ -55,17 +135,26 @@ class FimMatrix:
             raise ValueError(f"FIM not positive semidefinite: lambda_min = {eigmin:.3e}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", labels)
+
+    def __getattr__(self, name):
+        # reached only for the entries of a bordered FIM before first use
+        if name != "entries" or self.border is None:
+            raise AttributeError(name)
+        entries = self.border.dense()
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return len(self.labels)
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
     def submatrix(self, labels) -> np.ndarray:
         idx = [self.index(lbl) for lbl in labels]
+        if self.border is not None and max(idx) < len(self.border.a):
+            return self.border.a[np.ix_(idx, idx)]
         return self.entries[np.ix_(idx, idx)]
 
     def drop(self, label: str) -> "FimMatrix":
@@ -75,28 +164,41 @@ class FimMatrix:
                          tuple(self.labels[i] for i in keep), dict(self.meta))
 
 
+def _eliminate(e: np.ndarray, keep: int, outer: float = 0.0) -> np.ndarray:
+    """Dense A - B C^{-1} B^T of e; outer joins C's eigenvalue range."""
+    a = e[:keep, :keep]
+    if keep == e.shape[0]:
+        return a.copy()
+    b = e[:keep, keep:]
+    c = e[keep:, keep:]
+    c_eigs = np.linalg.eigvalsh(c)
+    if c_eigs[0] <= max(abs(c_eigs[-1]), outer) / SINGULAR_COND:
+        raise SingularFimError("nuisance block is singular")
+    x = scipy.linalg.solve(c, b.T, assume_a="sym")
+    out = a - b @ x
+    return 0.5 * (out + out.T)
+
+
 def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
     """Eliminate the trailing nuisance block: A - B C^{-1} B^T.
 
     keep is the size of the leading parameter block that survives. Raises
     SingularFimError when the nuisance block C is not invertible
     (condition estimate above 1e12); a singular *result* is legitimate
-    and left to the caller to detect.
+    and left to the caller to detect. A bordered FIM with keep <= k and C
+    positive definite eliminates C from its blocks, then k - keep rows densely.
     """
-    e = fim.entries
     if keep < 1 or keep > fim.dim:
         raise ValueError("keep must be between 1 and the FIM dimension")
-    a = e[:keep, :keep]
-    if keep == fim.dim:
-        return a.copy()
-    b = e[:keep, keep:]
-    c = e[keep:, keep:]
-    c_eigs = np.linalg.eigvalsh(c)
-    if c_eigs[0] <= abs(c_eigs[-1]) / SINGULAR_COND:
-        raise SingularFimError("nuisance block is singular")
-    x = scipy.linalg.solve(c, b.T, assume_a="sym")
-    out = a - b @ x
-    return 0.5 * (out + out.T)
+    border = fim.border
+    if border is not None and keep <= len(border.a):
+        reduced = border.schur()
+        if reduced is not None:
+            k_eigs = np.linalg.eigvalsh(np.atleast_2d(border.gram))  # C's range over c
+            if k_eigs[0] <= k_eigs[-1] / SINGULAR_COND:
+                raise SingularFimError("nuisance block is singular")
+            return _eliminate(reduced, keep, border.c * k_eigs[-1])
+    return _eliminate(fim.entries, keep)
 
 
 def schur_complement_2x2(fim: FimMatrix) -> np.ndarray:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import TWO_PI2, jcrb_known, unknown_signal_labels, weighted_sums
+from .bounds import (TWO_PI2, bordered_fim, jcrb_known, unknown_signal_labels,
+                     weighted_sums)
 from .fim import Bound, BoundPair, FimMatrix
 from .signals import PulseTrain, SampledSignal, Scenario, synthesize_pulse_train
-from .structure import (shifted_pulse_matrix, pulse_moment2, structure_labels,
-                        structure_quantities, support_assumption_holds)
+from .structure import (pulse_basis, pulse_moment2, structure_labels,
+                        structure_quantities)
 
 
 def scale_look_factor(sc: Scenario) -> float | None:
@@ -73,10 +74,6 @@ def jcrb_scaled_known_a(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, Bo
     return joint, sep
 
 
-def _scaled_labels(n_params: tuple[str, ...]) -> tuple[str, ...]:
-    return ("tau0", "f0", "a") + n_params[2:]
-
-
 def fim_unknown_a(source: SampledSignal | PulseTrain, sc: Scenario,
                   structure: bool = False) -> FimMatrix:
     """FIM with the scale a prepended to the unknowns, evaluated at sc.scale.
@@ -87,69 +84,12 @@ def fim_unknown_a(source: SampledSignal | PulseTrain, sc: Scenario,
     """
     if sc.looks_reflected < 1:
         raise ValueError("need at least one reflected-path look")
-    p, l = sc.looks_reflected, sc.looks_direct
-    a = sc.scale
-    s2 = sc.sigma_w2
-
-    if structure:
-        pt = source
-        sig = synthesize_pulse_train(pt)
-    else:
-        sig = source
-
-    a_block = fim_known_signal_scale(sig, sc).entries * p
-    c_diag = (2.0 * l + 2.0 * a * a * p) / s2
-
     if not structure:
-        m = sig.m
-        w = sig.times + sc.tau0
-        b_block = np.empty((3, 2 * m))
-        b_block[0, 0::2] = -(2.0 * a * a * p / s2) * sig.deriv.real
-        b_block[0, 1::2] = -(2.0 * a * a * p / s2) * sig.deriv.imag
-        b_block[1, 0::2] = -(4.0 * np.pi * a * a * p / s2) * w * sig.samples.imag
-        b_block[1, 1::2] = (4.0 * np.pi * a * a * p / s2) * w * sig.samples.real
-        b_block[2, 0::2] = (2.0 * a * p / s2) * sig.samples.real
-        b_block[2, 1::2] = (2.0 * a * p / s2) * sig.samples.imag
-        c_block = np.eye(2 * m) * c_diag
-        labels = _scaled_labels(unknown_signal_labels(m))
-        meta = {}
-    else:
-        q_n = pt.n_pulses
-        sq = structure_quantities(pt, sc.tau0)
-        simplified = support_assumption_holds(pt)
-        b_block = np.empty((3, 2 * q_n))
-        c_block = np.zeros((2 * q_n, 2 * q_n))
-        if simplified:
-            b_block[0, 0::2] = -(2.0 * p * a * a / s2) * sq.rho * pt.b.real
-            b_block[0, 1::2] = -(2.0 * p * a * a / s2) * sq.rho * pt.b.imag
-            b_block[1, 0::2] = -(4.0 * np.pi * p * a * a / s2) * sq.gamma * pt.b.imag
-            b_block[1, 1::2] = (4.0 * np.pi * p * a * a / s2) * sq.gamma * pt.b.real
-            b_block[2, 0::2] = (2.0 * p * a / s2) * sq.e_g * pt.b.real
-            b_block[2, 1::2] = (2.0 * p * a / s2) * sq.e_g * pt.b.imag
-            np.fill_diagonal(c_block, c_diag * sq.e_g)
-        else:
-            # exact couplings for arbitrary pulse overlap: the a-row pairs the
-            # synthesized signal itself against each shifted pulse copy
-            shifted = shifted_pulse_matrix(pt)
-            w_sig = shifted @ sig.samples
-            b_block[0, 0::2] = -(2.0 * p * a * a / s2) * sq.h.real
-            b_block[0, 1::2] = -(2.0 * p * a * a / s2) * sq.h.imag
-            b_block[1, 0::2] = -(4.0 * np.pi * p * a * a / s2) * sq.u.imag
-            b_block[1, 1::2] = (4.0 * np.pi * p * a * a / s2) * sq.u.real
-            b_block[2, 0::2] = (2.0 * p * a / s2) * w_sig.real
-            b_block[2, 1::2] = (2.0 * p * a / s2) * w_sig.imag
-            c_block[0::2, 0::2] = c_diag * sq.c
-            c_block[1::2, 1::2] = c_diag * sq.c
-        labels = _scaled_labels(structure_labels(q_n))
-        meta = {"blocks": "simplified" if simplified else "general"}
-
-    dim = 3 + b_block.shape[1]
-    entries = np.zeros((dim, dim))
-    entries[:3, :3] = a_block
-    entries[:3, 3:] = b_block
-    entries[3:, :3] = b_block.T
-    entries[3:, 3:] = c_block
-    return FimMatrix(entries, labels, meta=meta)
+        return bordered_fim(fim_known_signal_scale(source, sc), source, sc,
+                            unknown_signal_labels(source.m))
+    sig = synthesize_pulse_train(source)
+    return bordered_fim(fim_known_signal_scale(sig, sc), sig, sc,
+                        structure_labels(source.n_pulses), *pulse_basis(source, sc.tau0))
 
 
 def jcrb_structure_known_a(pt: PulseTrain, sc: Scenario) -> BoundPair:

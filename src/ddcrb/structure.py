@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import TWO_PI2, fim_known_signal
+from .bounds import TWO_PI2, bordered_fim, fim_known_signal
 from .fim import BoundPair, FimMatrix
 from .signals import PulseTrain, Scenario, synthesize_pulse_train
 
@@ -29,8 +29,8 @@ class StructureQuantities:
     rho    = sum_n g'(n*delta) g(n*delta)                (n = 0..n_p)
     gamma  = gamma_q = sum_n (n*delta + tau0 + (q-1)*t_p) g(n*delta)^2
     e_g    = sum_n g(n*delta)^2
-    h, u   = couplings of the synthesized signal (derivative / time-weighted)
-             against each shifted pulse copy
+    h, u, v = couplings of the synthesized signal (derivative / time-weighted
+             / itself) against each shifted pulse copy
     c      = Gram matrix of the shifted pulse copies
     """
 
@@ -39,6 +39,7 @@ class StructureQuantities:
     e_g: float
     h: np.ndarray
     u: np.ndarray
+    v: np.ndarray
     c: np.ndarray
 
 
@@ -75,7 +76,8 @@ def structure_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
     h = shifted @ sig.deriv
     u = shifted @ (w * sig.samples)
     c = shifted @ shifted.T
-    return StructureQuantities(rho=rho, gamma=gamma, e_g=e_g, h=h, u=u, c=c)
+    return StructureQuantities(rho=rho, gamma=gamma, e_g=e_g, h=h, u=u,
+                               v=shifted @ sig.samples, c=c)
 
 
 def support_assumption_holds(pt: PulseTrain, rtol: float = SUPPORT_RTOL) -> bool:
@@ -102,50 +104,30 @@ def structure_labels(n_pulses: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, dict]:
+    """Pulse-amplitude basis and meta for bordered_fim: the simplified
+    (rho, gamma, E_g) forms with K = E_g I for a pulse contained in its
+    period, else the exact (h, u, v) couplings and Gram matrix."""
+    sq, b = structure_quantities(pt, tau0), pt.b
+    if support_assumption_holds(pt):
+        return (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, sq.e_g), {"blocks": "simplified"}
+    return (sq.h, 1.0, sq.u, sq.v, sq.c), {"blocks": "general"}
+
+
 def fim_known_structure(pt: PulseTrain, sc: Scenario) -> FimMatrix:
     """(2+2Q) FIM for (tau0, f0, b_1R, b_1I, ..., b_QR, b_QI).
 
     The delay/Doppler block is the known-signal FIM of the synthesized
-    train scaled by P. The amplitude couplings use the simplified
-    (rho, gamma, E_g) forms when the pulse is contained in its period and
-    the exact (h, u, c) forms otherwise; meta records the dispatch.
+    train scaled by P; the amplitude couplings come from pulse_basis and
+    meta records its block form.
     """
     if sc.scale != 1.0:
         raise ValueError("reflected-path scale must be 1 here; see ddcrb.scaled")
     if sc.looks_reflected < 1:
         raise ValueError("need at least one reflected-path look")
-    p, l = sc.looks_reflected, sc.looks_direct
-    s2 = sc.sigma_w2
     sig = synthesize_pulse_train(pt)
-    a_block = fim_known_signal(sig, sc).entries * p
-    q_n = pt.n_pulses
-    sq = structure_quantities(pt, sc.tau0)
-    simplified = support_assumption_holds(pt)
-
-    b_block = np.empty((2, 2 * q_n))
-    c_block = np.zeros((2 * q_n, 2 * q_n))
-    if simplified:
-        b_block[0, 0::2] = -(2.0 * p / s2) * sq.rho * pt.b.real
-        b_block[0, 1::2] = -(2.0 * p / s2) * sq.rho * pt.b.imag
-        b_block[1, 0::2] = -(4.0 * np.pi * p / s2) * sq.gamma * pt.b.imag
-        b_block[1, 1::2] = (4.0 * np.pi * p / s2) * sq.gamma * pt.b.real
-        np.fill_diagonal(c_block, (2.0 * l + 2.0 * p) * sq.e_g / s2)
-    else:
-        b_block[0, 0::2] = -(2.0 * p / s2) * sq.h.real
-        b_block[0, 1::2] = -(2.0 * p / s2) * sq.h.imag
-        b_block[1, 0::2] = -(4.0 * np.pi * p / s2) * sq.u.imag
-        b_block[1, 1::2] = (4.0 * np.pi * p / s2) * sq.u.real
-        c_block[0::2, 0::2] = (2.0 * (l + p) / s2) * sq.c
-        c_block[1::2, 1::2] = (2.0 * (l + p) / s2) * sq.c
-
-    dim = 2 + 2 * q_n
-    entries = np.zeros((dim, dim))
-    entries[:2, :2] = a_block
-    entries[:2, 2:] = b_block
-    entries[2:, :2] = b_block.T
-    entries[2:, 2:] = c_block
-    return FimMatrix(entries, structure_labels(q_n),
-                     meta={"blocks": "simplified" if simplified else "general"})
+    return bordered_fim(fim_known_signal(sig, sc), sig, sc, structure_labels(pt.n_pulses),
+                        *pulse_basis(pt, sc.tau0))
 
 
 def _v_terms(pt: PulseTrain, sc: Scenario):

@@ -1,0 +1,111 @@
+"""Bordered FIMs: structured validation and elimination match the dense path.
+
+Every unknown-signal builder returns a FIM kept as blocks A, B and
+C = c (K kron I_2). The reference here is today's dense code: the same
+matrix rebuilt from `.entries` as a dense FimMatrix, validated with a full
+eigendecomposition and eliminated with a dense solve.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ddcrb as d
+from ddcrb.fim import (Border, FimMatrix, SingularFimError, invert_bound_matrix,
+                       schur_complement)
+
+from conftest import make_contained_train
+
+KINDS = ("samples", "contained", "truncated")
+
+
+def build_fim(kind, with_a, l, p, a, sigma_w2, seed):
+    rng = np.random.default_rng(seed)
+    sc = d.Scenario(tau0=0.5, f0=0.7, looks_direct=l, looks_reflected=p,
+                    sigma_w2=sigma_w2, scale=a if with_a else 1.0)
+    if kind == "samples":
+        m = int(rng.integers(2, 12))
+        sig = d.SampledSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), 0.25,
+                              rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        return d.fim_unknown_a(sig, sc) if with_a else d.fim_unknown_signal(sig, sc)
+    q = int(rng.integers(1, 4))
+    b = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    if kind == "contained":
+        pt, _, _ = make_contained_train(n_p=12, delta=0.4, b=tuple(b))
+    else:
+        # centred near the period edge and wide: adjacent copies overlap
+        pt = d.gaussian_pulse_train(16, 0.25, 3.0, 1.5, b)
+    fim = d.fim_unknown_a(pt, sc, structure=True) if with_a else d.fim_known_structure(pt, sc)
+    assert fim.meta["blocks"] == ("simplified" if kind == "contained" else "general")
+    return fim
+
+
+def eliminate(fim, keep):
+    try:
+        return schur_complement(fim, keep)
+    except SingularFimError:
+        return "singular"
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS), with_a=st.booleans(), keep=st.sampled_from((2, 3)),
+       l=st.integers(0, 4), p=st.integers(0, 4), a=st.floats(0.5, 2.0),
+       sigma_w2=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_structured_elimination_matches_dense(kind, with_a, keep, l, p, a, sigma_w2, seed):
+    if p == 0 and (with_a or kind != "samples"):
+        with pytest.raises(ValueError):
+            build_fim(kind, with_a, l, p, a, sigma_w2, seed)
+        return
+    fim = build_fim(kind, with_a, l, p, a, sigma_w2, seed)
+    assert fim.border is not None
+    dense = FimMatrix(fim.entries, fim.labels)
+    structured, reference = eliminate(fim, keep), eliminate(dense, keep)
+    if isinstance(reference, str):
+        assert structured == reference
+        return
+    assert not isinstance(structured, str)
+    # absolute floor: with L = 0 or P = 0 both results are rounding noise
+    floor = 1e-12 * np.max(np.abs(fim.entries[:keep, :keep]))
+    np.testing.assert_allclose(structured, reference, rtol=1e-12, atol=floor)
+    scale = float(np.max(np.abs(fim.submatrix(fim.labels[:2]))))
+    assert (invert_bound_matrix(structured, scale) is None) == \
+        (invert_bound_matrix(reference, scale) is None)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("with_a", (False, True))
+def test_validation_errors_match_dense(kind, with_a):
+    fim = build_fim(kind, with_a, 2, 1, 1.3, 0.5, seed=7)
+    border = fim.border
+    shift = 2.0 * np.max(np.abs(np.linalg.eigvalsh(border.a))) * np.eye(len(border.a))
+    skew = np.zeros_like(border.a)
+    skew[0, 1] = 1e-6 * np.max(np.abs(border.a))
+    for a_block, message in ((border.a - shift, "semidefinite"),
+                             (border.a + skew, "symmetric")):
+        bad = Border(a_block, border.b, border.c, border.gram)
+        with pytest.raises(ValueError, match=message):
+            FimMatrix(None, fim.labels, border=bad)
+        with pytest.raises(ValueError, match=message):
+            FimMatrix(bad.dense(), fim.labels)
+
+
+def test_entries_built_lazily_and_read_only():
+    sig = d.triangle_wave(8, delta=0.4)
+    fim = d.fim_unknown_signal(sig, d.Scenario(tau0=0.4, f0=0.1, looks_direct=1,
+                                               looks_reflected=1, sigma_w2=1.0))
+    assert "entries" not in vars(fim)
+    assert fim.submatrix(("tau0", "f0")).shape == (2, 2)
+    assert "entries" not in vars(fim)
+    entries = fim.entries
+    assert entries is fim.entries and not entries.flags.writeable
+    assert entries.shape == (fim.dim, fim.dim)
+
+
+def test_no_look_nuisance_block_falls_back_to_dense():
+    sig = d.triangle_wave(8, delta=0.4)
+    sc = d.Scenario(tau0=0.4, f0=0.1, looks_direct=0, looks_reflected=0, sigma_w2=1.0)
+    fim = d.fim_unknown_signal(sig, sc)
+    assert fim.border.schur() is None
+    with pytest.raises(SingularFimError):
+        schur_complement(fim)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.bounds import unknown_signal_blocks, weighted_sums
+from ddcrb.bounds import weighted_sums
 from ddcrb.fim import invert_bound_matrix, schur_complement, schur_complement_2x2
 
 from conftest import make_contained_train
@@ -89,10 +89,14 @@ class TestUnknownSignalFim:
         sig = small_signal()
         sc = scenario(l=2, p=3)
         fim = d.fim_unknown_signal(sig, sc)
-        a, b, c = unknown_signal_blocks(sig, sc)
-        np.testing.assert_allclose(fim.entries[:2, :2], a, rtol=1e-14)
-        np.testing.assert_allclose(fim.entries[:2, 2:], b, rtol=1e-14)
-        np.testing.assert_allclose(fim.entries[2:, 2:], c, rtol=1e-14)
+        border = fim.border
+        np.testing.assert_allclose(fim.entries[:2, :2], border.a, rtol=1e-14)
+        np.testing.assert_allclose(fim.entries[:2, 2:], border.b, rtol=1e-14)
+        np.testing.assert_allclose(fim.entries[2:, :2], border.b.T, rtol=1e-14)
+        np.testing.assert_allclose(fim.entries[2:, 2:], border.c * np.eye(2 * sig.m),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(border.a, 3 * d.fim_known_signal(sig, sc).entries,
+                                   rtol=1e-14)
         assert fim.labels[:4] == ("tau0", "f0", "sR_0", "sI_0")
 
     def test_c_block_value(self):

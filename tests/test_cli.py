@@ -124,6 +124,19 @@ class TestSweep:
         vals = [float(r["jcrb_tau0_s"]) for r in rows]
         assert np.all(np.diff(vals) < 0)
 
+    def test_singular_known_pair_is_flagged(self, tmp_path):
+        # constant samples: zero derivative energy, no finite known-signal bound
+        sig_path = tmp_path / "const.json"
+        sig_path.write_text(json.dumps({"delta": 0.5, "samples_real": [1.0] * 8}))
+        code, out = run_cli(["sweep", "--sweep", "P=1:2", "--signal", str(sig_path),
+                             "--tau0", "1.0"])
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["P"] for r in rows] == ["1", "2"]
+        for row in rows:
+            assert row["jcrb_tau0"] == row["jcrb_f0"] == ""
+            assert {"jcrb_tau0", "jcrb_f0"} <= set(row["singular"].split(";"))
+
     def test_missing_axis_is_usage_error(self):
         code, _ = run_cli(["sweep", *BASE])
         assert code == 1
