@@ -11,10 +11,11 @@ from .fim import (Bound, BoundPair, CrbReport, FimMatrix, SingularFimError,
 from .bounds import (crb_separate_unknown, fim_known_signal, fim_unknown_signal,
                      jcrb_known, jcrb_unknown)
 from .structure import (StructureQuantities, fim_known_structure,
-                        jcrb_known_signal_pulse, jcrb_known_structure,
-                        structure_quantities, support_assumption_holds, v_matrix)
-from .scaled import (crb_separate_unknown_a, fim_known_signal_scale,
-                     fim_unknown_a, jcrb_scaled_known_a, jcrb_unknown_a_structure)
+                        jcrb_known_signal_pulse, structure_quantities,
+                        support_assumption_holds)
+from .scaled import (crb_separate_unknown_a, fim_known_signal_scale, fim_unknown_a,
+                     jcrb_scaled_known_a, jcrb_structure_known_a,
+                     jcrb_unknown_a_structure)
 from .covariance import (StackedModel, build_stacked, crb_correlated, dc_dtheta,
                          dc_list, fim_kron_form, fim_trace_form, j_factors)
 from .overlap import OverlapFim, crb_overlap, fim_overlap, triangle_overlap_curve

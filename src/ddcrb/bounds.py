@@ -4,7 +4,8 @@ The known-signal case reduces to a 2x2 information matrix in (tau0, f0).
 When the transmitted signal is unknown, its real and imaginary samples are
 appended as 2M nuisance parameters estimated from L direct-path and P
 reflected-path looks; eliminating them multiplies both known-signal bounds
-by the look-count factor (L+P)/(L*P).
+by the look-count factor (L+P)/(L*P), or by (L + a^2 P)/(L P) / a^2 when
+the reflected path carries an amplitude scale a.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ def weighted_sums(sig: SampledSignal, tau0: float) -> tuple[float, float, float]
 
 
 def look_factor(sc: Scenario) -> float | None:
-    """(L+P)/(L*P), or None when either look count is zero."""
+    """(L + a^2 P)/(L P), or None when either look count is zero."""
     l, p = sc.looks_direct, sc.looks_reflected
     if l == 0 or p == 0:
         return None
-    return (l + p) / (l * p)
+    return (l + sc.scale ** 2 * p) / (l * p)
 
 
 def fim_known_signal(sig: SampledSignal, sc: Scenario) -> FimMatrix:
@@ -103,7 +104,8 @@ def fim_unknown_signal(sig: SampledSignal, sc: Scenario) -> FimMatrix:
 
 
 def jcrb_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:
-    """Joint bounds with the signal unknown: (L+P)/(L*P) times jcrb_known.
+    """Joint bounds with the signal unknown: (L + a^2 P)/(L P) times
+    jcrb_known divided by a^2 (at a = 1, (L+P)/(L*P) times jcrb_known).
 
     L = 0 or P = 0 leaves the delay/Doppler block of the FIM with no
     invertible Schur complement, so no unbiased joint estimator exists and
@@ -112,20 +114,21 @@ def jcrb_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:
     factor = look_factor(sc)
     if factor is None:
         return BoundPair.singular_pair("L = 0 or P = 0: no unbiased joint estimator")
-    return jcrb_known(sig, sc).scaled(factor)
+    return jcrb_known(sig, sc).scaled(factor / sc.scale ** 2)
 
 
 def crb_separate_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:
     """Bounds when tau0 and f0 are estimated separately, signal unknown.
 
-    tau0: (L+P)/(L*P) * sigma_w2 / (2 sum|s'|^2);
-    f0:   (L+P)/(L*P) * sigma_w2 / (8 pi^2 sum (t+tau0)^2 |s|^2).
+    tau0: (L + a^2 P)/(L P) * sigma_w2 / (2 a^2 sum|s'|^2);
+    f0:   (L + a^2 P)/(L P) * sigma_w2 / (8 pi^2 a^2 sum (t+tau0)^2 |s|^2).
     """
     factor = look_factor(sc)
     if factor is None:
         return BoundPair.singular_pair("L = 0 or P = 0: no unbiased estimator")
+    a2 = sc.scale ** 2
     s_dd, s_ww, _ = weighted_sums(sig, sc.tau0)
     if s_dd <= 0.0 or s_ww <= 0.0:
         return BoundPair.singular_pair("degenerate signal: zero information")
-    return BoundPair(tau0=factor * sc.sigma_w2 / (2.0 * s_dd),
-                     f0=factor * sc.sigma_w2 / (TWO_PI2 * s_ww))
+    return BoundPair(tau0=factor * sc.sigma_w2 / (2.0 * a2 * s_dd),
+                     f0=factor * sc.sigma_w2 / (TWO_PI2 * a2 * s_ww))

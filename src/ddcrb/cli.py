@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .bounds import fim_unknown_signal, jcrb_known
+from .bounds import fim_unknown_signal, jcrb_known, jcrb_unknown
 from .fim import (METHOD_CLOSED_FORM, METHOD_MONTE_CARLO, METHOD_SCHUR_NUMERIC,
                   invert_bound_matrix, schur_complement_2x2)
 from .overlap import triangle_overlap_curve
@@ -298,7 +298,7 @@ def cmd_table1(config_path, **flags):
         for looks in (1, 2, 100):
             sc = cfg.scenario(looks_direct=looks, looks_reflected=1, scale=1.0)
             known = jcrb_known(sig, sc)
-            unknown = jcrb_known(sig, sc).scaled((looks + 1) / looks)
+            unknown = jcrb_unknown(sig, sc)
             schur_tau, schur_f = _schur_pair(sig, sc)
             rows.append({
                 "amp_convention": convention,
@@ -334,6 +334,11 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     values = np.arange(start, stop + step / 2, step)
     if axis in ("L", "P", "n_p", "n0"):
         values = values.astype(int)
+    # the counts have a least value; a and sigma_w2 must be positive
+    low = {"n_p": 1, "L": 0, "P": 0, "n0": 0}.get(axis)
+    if (values[0] < low) if low is not None else (values[0] <= 0):
+        need = f"at least {low}" if low is not None else "positive"
+        raise click.UsageError(f"sweep axis {axis} must be {need}; got {values[0]}")
     return axis, values
 
 
@@ -443,6 +448,8 @@ def cmd_overlap(config_path, **flags):
 def cmd_montecarlo(config_path, **flags):
     """Empirical estimator MSE against the bounds (deterministic by seed)."""
     cfg, explicit = merge_config(config_path, **flags)
+    if cfg["a"] != 1.0:
+        raise click.UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
     delta = _resolve_delta(cfg, explicit)
     sig, _ = build_signal(cfg, delta)
     n0 = int(round(cfg["tau0"] / delta))

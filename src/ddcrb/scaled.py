@@ -14,20 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import (TWO_PI2, bordered_fim, jcrb_known, unknown_signal_labels,
-                     weighted_sums)
+from .bounds import (DEGENERACY_RTOL, TWO_PI2, bordered_fim, crb_separate_unknown,
+                     jcrb_unknown, unknown_signal_labels, weighted_sums)
 from .fim import Bound, BoundPair, FimMatrix
 from .signals import PulseTrain, SampledSignal, Scenario, synthesize_pulse_train
-from .structure import (pulse_basis, pulse_moment2, structure_labels,
-                        structure_quantities)
-
-
-def scale_look_factor(sc: Scenario) -> float | None:
-    """(L + a^2 P)/(L P), or None when either look count is zero."""
-    l, p = sc.looks_direct, sc.looks_reflected
-    if l == 0 or p == 0:
-        return None
-    return (l + sc.scale ** 2 * p) / (l * p)
+from .structure import pulse_basis, structure_labels, structure_quantities
 
 
 def energy_sums(sig: SampledSignal) -> tuple[float, float]:
@@ -59,19 +50,7 @@ def jcrb_scaled_known_a(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, Bo
     the joint baseline is jcrb_known divided by a^2, the separate one is
     sigma_w2/(2 a^2 sum|s'|^2) and sigma_w2/(8 pi^2 a^2 sum (t+tau0)^2|s|^2).
     """
-    factor = scale_look_factor(sc)
-    if factor is None:
-        sing = BoundPair.singular_pair("L = 0 or P = 0: no unbiased estimator")
-        return sing, sing
-    a2 = sc.scale ** 2
-    joint = jcrb_known(sig, sc).scaled(factor / a2)
-    s_dd, s_ww, _ = weighted_sums(sig, sc.tau0)
-    if s_dd <= 0.0 or s_ww <= 0.0:
-        sep = BoundPair.singular_pair("degenerate signal: zero information")
-    else:
-        sep = BoundPair(tau0=factor * sc.sigma_w2 / (2.0 * a2 * s_dd),
-                        f0=factor * sc.sigma_w2 / (TWO_PI2 * a2 * s_ww))
-    return joint, sep
+    return jcrb_unknown(sig, sc), crb_separate_unknown(sig, sc)
 
 
 def fim_unknown_a(source: SampledSignal | PulseTrain, sc: Scenario,
@@ -89,67 +68,61 @@ def fim_unknown_a(source: SampledSignal | PulseTrain, sc: Scenario,
                             unknown_signal_labels(source.m))
     sig = synthesize_pulse_train(source)
     return bordered_fim(fim_known_signal_scale(sig, sc), sig, sc,
-                        structure_labels(source.n_pulses), *pulse_basis(source, sc.tau0))
+                        structure_labels(source.n_pulses), *pulse_basis(source, sig, sc.tau0))
+
+
+def _structure_pair(pt: PulseTrain, sc: Scenario, scale_known: bool) -> BoundPair:
+    """1/V11 and 1/V22 of the eliminated structured block:
+
+    V11 = (2 a^2 P/s2) sum|b|^2 (sum g'^2 - k rho^2/E_g),
+    V22 = (8 pi^2 a^2 P/s2) (sum_q w_q |b_q|^2 - pfrac sum_q gamma_q^2 |b_q|^2/E_g),
+    pfrac = a^2 P/(L + a^2 P); k = pfrac for a known scale, 1 for an unknown one.
+    Flagged singular when a difference falls to DEGENERACY_RTOL of its lead.
+    """
+    l, p = sc.looks_direct, sc.looks_reflected
+    sq = structure_quantities(pt, sc.tau0)
+    if p == 0 or sq.e_g <= 0.0:
+        return BoundPair.singular_pair("P = 0 or zero pulse: no delay/Doppler information")
+    a2 = sc.scale ** 2
+    pfrac = a2 * p / (l + a2 * p)
+    b2 = np.abs(pt.b) ** 2
+    lead22 = float(np.sum(sq.w * b2))
+    d11 = sq.dg2 - (pfrac if scale_known else 1.0) * sq.rho ** 2 / sq.e_g
+    d22 = lead22 - pfrac * float(np.sum(sq.gamma ** 2 * b2)) / sq.e_g
+    if d11 <= DEGENERACY_RTOL * sq.dg2 or d22 <= DEGENERACY_RTOL * lead22:
+        return BoundPair.singular_pair(
+            "degenerate pulse: amplitude block absorbs all delay/Doppler information")
+    v11 = (2.0 * a2 * p / sc.sigma_w2) * pt.amp_energy * d11
+    v22 = (TWO_PI2 * a2 * p / sc.sigma_w2) * d22
+    return BoundPair(tau0=1.0 / v11, f0=1.0 / v22)
 
 
 def jcrb_structure_known_a(pt: PulseTrain, sc: Scenario) -> BoundPair:
-    """Structured joint bounds with a known reflected-path scale.
+    """Structured joint bounds (known pulse shape, unknown amplitudes) with a
+    known reflected-path scale.
 
-    The eliminated delay/Doppler block keeps its diagonal form with
-    P/(L+P) replaced by a^2 P/(L + a^2 P) and an overall a^2; reduces to the
-    unscaled structured bounds at a = 1. Joint equals separate here too.
+    The eliminated delay/Doppler block is diagonal under the containment
+    assumption, with amplitude weight a^2 P/(L + a^2 P) and an overall a^2;
+    a = 1 gives the unscaled structured bounds, weight P/(L+P). Joint equals
+    separate. Flagged singular for P = 0 and when the amplitude block
+    absorbs all information (pulse proportional to its derivative).
     """
-    if sc.looks_reflected < 1:
-        raise ValueError("need at least one reflected-path look")
-    p, l = sc.looks_reflected, sc.looks_direct
-    a2 = sc.scale ** 2
-    s2 = sc.sigma_w2
-    sq = structure_quantities(pt, sc.tau0)
-    sum_b2 = pt.amp_energy
-    sum_dg2 = float(np.sum(pt.g_deriv ** 2))
-    b2 = np.abs(pt.b) ** 2
-    w_q = pulse_moment2(pt, sc.tau0)
-    pfrac = a2 * p / (l + a2 * p)
-    v11 = (2.0 * a2 * p / s2) * sum_b2 * (sum_dg2 - pfrac * sq.rho ** 2 / sq.e_g)
-    v22 = (TWO_PI2 * a2 * p / s2) * (float(np.sum(w_q * b2))
-                                     - pfrac * float(np.sum(sq.gamma ** 2 * b2)) / sq.e_g)
-    if v11 <= 0.0 or v22 <= 0.0:
-        return BoundPair.singular_pair("degenerate pulse: amplitude block absorbs all information")
-    return BoundPair(tau0=1.0 / v11, f0=1.0 / v22)
+    return _structure_pair(pt, sc, scale_known=True)
 
 
 def jcrb_unknown_a_structure(pt: PulseTrain, sc: Scenario) -> tuple[BoundPair, BoundPair]:
     """(joint, separate) structured bounds when the scale a is also unknown.
 
-    tau0: sigma_w2 E_g / (2 a^2 P sum|b|^2 (E_g sum g'^2 - rho^2));
-    f0:   sigma_w2/(8 pi^2 a^2 P) over the gamma-corrected second moment with
-    the a^2 P/(L + a^2 P) weight. The delay/Doppler block of the eliminated
-    FIM stays diagonal, so separate equals joint for both coordinates.
+    tau0: the known-a form at weight 1, sigma_w2 E_g / (2 a^2 P sum|b|^2
+    (E_g sum g'^2 - rho^2)), which no longer depends on L; f0: the known-a
+    form. The delay/Doppler block of the eliminated FIM stays diagonal, so
+    separate equals joint for both coordinates.
     """
-    l, p = sc.looks_direct, sc.looks_reflected
-    if l == 0 or p == 0:
+    if sc.looks_direct == 0 or sc.looks_reflected == 0:
         sing = BoundPair.singular_pair(
             "L = 0 or P = 0: scale and amplitudes are not jointly identifiable")
         return sing, sing
-    a2 = sc.scale ** 2
-    s2 = sc.sigma_w2
-    sq = structure_quantities(pt, sc.tau0)
-    sum_b2 = pt.amp_energy
-    sum_dg2 = float(np.sum(pt.g_deriv ** 2))
-    b2 = np.abs(pt.b) ** 2
-    w_q = pulse_moment2(pt, sc.tau0)
-    schwartz = sq.e_g * sum_dg2 - sq.rho ** 2
-    if schwartz <= 1e-12 * sq.e_g * sum_dg2 or sum_dg2 <= 0.0:
-        sing = BoundPair.singular_pair("pulse proportional to its derivative (Schwartz equality)")
-        return sing, sing
-    tau = s2 * sq.e_g / (2.0 * a2 * p * sum_b2 * schwartz)
-    den_f = (float(np.sum(w_q * b2))
-             - a2 * p / (l + a2 * p) * float(np.sum(sq.gamma ** 2 * b2)) / sq.e_g)
-    if den_f <= 0.0:
-        sing = BoundPair.singular_pair("degenerate pulse second moment")
-        return sing, sing
-    f = s2 / (TWO_PI2 * a2 * p * den_f)
-    joint = BoundPair(tau0=tau, f0=f)
+    joint = _structure_pair(pt, sc, scale_known=False)
     return joint, joint
 
 
@@ -163,6 +136,6 @@ def crb_separate_unknown_a(sig: SampledSignal, sc: Scenario) -> Bound:
     s_dd, _, _ = weighted_sums(sig, sc.tau0)
     s_e, s_x = energy_sums(sig)
     den = s_dd * s_e - s_x ** 2
-    if den <= 1e-12 * s_dd * s_e or s_e <= 0.0:
+    if den <= DEGENERACY_RTOL * s_dd * s_e or s_e <= 0.0:
         return Bound.singular_bound("signal proportional to its derivative (Schwartz equality)")
     return Bound(value=sc.sigma_w2 * s_e / (2.0 * sc.scale ** 2 * den))

@@ -219,6 +219,37 @@ class TestJcrbUnknown:
             assert pair.singular and not np.isfinite(pair.tau0)
 
 
+class TestScaledSampleBounds:
+    """The sample-form bounds at a reflected-path scale a != 1 against
+    numeric elimination of the scaled FIM with a known (its row dropped)."""
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 3.3])
+    def test_joint_matches_numeric_elimination(self, a):
+        sig = small_signal()
+        sc = scenario(l=2, p=3, scale=a)
+        pair = d.jcrb_unknown(sig, sc)
+        inv = invert_bound_matrix(schur_complement_2x2(d.fim_unknown_a(sig, sc).drop("a")))
+        assert pair.tau0 == pytest.approx(inv[0, 0], rel=1e-9)
+        assert pair.f0 == pytest.approx(inv[1, 1], rel=1e-9)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 3.3])
+    def test_separate_matches_numeric_elimination(self, a):
+        sig = small_signal(beta=1.2)
+        sc = scenario(l=2, p=3, scale=a)
+        sep = d.crb_separate_unknown(sig, sc)
+        fim = d.fim_unknown_a(sig, sc).drop("a")
+        # separate estimation: the other coordinate is known, not eliminated
+        for value, other in ((sep.tau0, "f0"), (sep.f0, "tau0")):
+            reduced = schur_complement(fim.drop(other), keep=1)
+            assert value == pytest.approx(1.0 / reduced[0, 0], rel=1e-9)
+
+    def test_scaled_known_a_is_the_sample_bounds(self):
+        sig = small_signal()
+        sc = scenario(l=1, p=2, scale=2.0)
+        assert d.jcrb_scaled_known_a(sig, sc) == (d.jcrb_unknown(sig, sc),
+                                                  d.crb_separate_unknown(sig, sc))
+
+
 class TestSeparateUnknown:
     def test_zero_eta_separate_equals_joint(self):
         sig = d.triangle_wave(16, delta=0.3)

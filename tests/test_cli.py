@@ -137,6 +137,20 @@ class TestSweep:
             assert row["jcrb_tau0"] == row["jcrb_f0"] == ""
             assert {"jcrb_tau0", "jcrb_f0"} <= set(row["singular"].split(";"))
 
+    def test_p_zero_row_is_flagged(self):
+        code, out = run_cli(["sweep", "--sweep", "P=0:2", *BASE])
+        assert code == 0
+        rows = parse_csv(out)
+        assert "jcrb_tau0_b;jcrb_f0_b" in rows[0]["singular"]
+        assert rows[0]["jcrb_tau0_b"] == rows[0]["jcrb_f0_b"] == ""
+        assert rows[1]["singular"] == rows[2]["singular"] == ""
+
+    @pytest.mark.parametrize("spec", ["np=0:2", "L=-1:2", "P=-1:2", "n0=-1:2",
+                                      "a=0:2", "sigma_w2=0:1"])
+    def test_out_of_range_axis_is_usage_error(self, spec):
+        code, _ = run_cli(["sweep", "--sweep", spec, *BASE])
+        assert code == 1
+
     def test_missing_axis_is_usage_error(self):
         code, _ = run_cli(["sweep", *BASE])
         assert code == 1
@@ -181,6 +195,10 @@ class TestMonteCarloCommand:
         rows = parse_csv(out)
         assert all(r["singular"] == "True" for r in rows)
 
+    def test_scale_other_than_one_is_usage_error(self):
+        code, _ = run_cli([*self.ARGS, "--a", "2"])
+        assert code == 1
+
     def test_ratio_columns_present(self):
         code, out = run_cli(self.ARGS)
         rows = parse_csv(out)
@@ -213,6 +231,13 @@ class TestCrbCommand:
         row = parse_csv(out)[0]
         assert "jcrb_tau0_s" in row["singular"]
         assert row["jcrb_tau0_s"] == ""
+
+    def test_p_zero_flagged_not_crash(self):
+        code, out = run_cli(["crb", *BASE, "--P", "0"])
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert "jcrb_tau0_b;jcrb_f0_b" in row["singular"]
+        assert row["jcrb_tau0_b"] == ""
 
 
 class TestConfigAndErrors:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.fim import schur_complement
+from ddcrb.fim import invert_bound_matrix, schur_complement
 from ddcrb.scaled import energy_sums, fim_known_signal_scale, jcrb_structure_known_a
 from ddcrb.bounds import weighted_sums
 
@@ -145,7 +145,7 @@ class TestUnknownAStructure:
         pt, _, _ = make_contained_train()
         sc = scenario(l=4, p=2, a=1.0)
         unknown_a, _ = d.jcrb_unknown_a_structure(pt, sc)
-        known_a = d.jcrb_known_structure(pt, sc)
+        known_a = d.jcrb_structure_known_a(pt, sc)
         assert unknown_a.tau0 == pytest.approx(known_a.tau0, rel=1e-9)
 
     def test_zero_looks_singular(self):
@@ -176,6 +176,53 @@ class TestUnknownAStructure:
         unknown_a, _ = d.jcrb_unknown_a_structure(pt, sc)
         assert unknown_a.tau0 >= known_a.tau0 * (1 - 1e-12)
         assert unknown_a.f0 >= known_a.f0 * (1 - 1e-12)
+
+
+class TestMergedStructuredForms:
+    """The structured closed forms against exact elimination of the
+    structured FIM over contained pulses, scales, and look counts."""
+
+    @staticmethod
+    def _case(n_p, center_frac, b_seed, q, tau0, a, l, p):
+        rng = np.random.default_rng(b_seed)
+        b = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        # boundary samples ~exp(-(0.45/0.07)^2) ~ 1e-18: contained
+        pt, _, _ = make_contained_train(n_p=n_p, b=tuple(b), center_frac=center_frac,
+                                        width_frac=0.07)
+        assert d.support_assumption_holds(pt)
+        return pt, scenario(l=l, p=p, a=a, tau0=tau0)
+
+    CASES = dict(n_p=st.integers(24, 40), center_frac=st.floats(0.45, 0.55),
+                 b_seed=st.integers(0, 2 ** 31 - 1), q=st.integers(1, 4),
+                 tau0=st.floats(0.0, 2.0), a=st.floats(0.5, 4.0),
+                 l=st.integers(0, 8), p=st.integers(1, 8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**CASES)
+    def test_known_a_equals_exact_elimination(self, **case):
+        pt, sc = self._case(**case)
+        pair = jcrb_structure_known_a(pt, sc)
+        fim = d.fim_unknown_a(pt, sc, structure=True).drop("a")
+        inv = invert_bound_matrix(schur_complement(fim, keep=2))
+        assert not pair.singular
+        assert pair.tau0 == pytest.approx(inv[0, 0], rel=1e-9)
+        assert pair.f0 == pytest.approx(inv[1, 1], rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**CASES)
+    def test_unknown_a_equals_exact_elimination(self, **case):
+        pt, sc = self._case(**case)
+        joint, sep = d.jcrb_unknown_a_structure(pt, sc)
+        fim = d.fim_unknown_a(pt, sc, structure=True)
+        scale = float(np.max(np.abs(fim.submatrix(("tau0", "f0", "a")))))
+        inv = invert_bound_matrix(schur_complement(fim, keep=3), scale)
+        if sc.looks_direct == 0:
+            # scale and amplitudes trade off exactly: no finite bound
+            assert joint.singular and sep.singular and inv is None
+            return
+        assert sep == joint and not joint.singular
+        assert joint.tau0 == pytest.approx(inv[0, 0], rel=1e-9)
+        assert joint.f0 == pytest.approx(inv[1, 1], rel=1e-9)
 
 
 class TestSeparateUnknownA:

@@ -38,6 +38,18 @@ class TestStructureQuantities:
         np.testing.assert_allclose(sq.gamma, [0.7 + q * 0.5 for q in range(3)],
                                    rtol=1e-14)
 
+    def test_time_moments_match_per_pulse_loop(self):
+        # same arithmetic as one sum per pulse, so the results are equal
+        pt, _, _ = make_contained_train(b=(1.0, 0.5j, -2.0, 1.0 + 1.0j))
+        tau0 = 0.3
+        sq = d.structure_quantities(pt, tau0)
+        t = np.arange(pt.n_p + 1) * pt.delta
+        g2 = pt.g ** 2
+        for q in range(pt.n_pulses):
+            assert sq.gamma[q] == float(np.sum((t + tau0 + q * pt.t_p) * g2))
+            assert sq.w[q] == float(np.sum((t + tau0 + q * pt.t_p) ** 2 * g2))
+        assert sq.dg2 == float(np.sum(pt.g_deriv ** 2))
+
     def test_rho_dual_method_agreement(self):
         g, g_deriv = d.gaussian_pulse(500, 0.01, center=4.0, width2=9.0)
         rho_analytic = float(np.sum(g_deriv * g))
@@ -48,10 +60,12 @@ class TestStructureQuantities:
         g, g_deriv = d.gaussian_pulse(500, 0.01, center=4.0, width2=9.0)
         pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=5.0, n_pulses=2,
                           b=[1.0, 1.0], delta=0.01)
-        sq = d.structure_quantities(pt, 0.05)
-        np.testing.assert_allclose(sq.c, sq.c.T, atol=0)
+        fim = d.fim_known_structure(pt, scenario(tau0=0.05))
+        assert fim.meta["blocks"] == "general"
+        gram = fim.border.gram
+        np.testing.assert_allclose(gram, gram.T, atol=0)
         # adjacent pulses share exactly the boundary sample
-        assert sq.c[0, 1] == pytest.approx(g[0] * g[-1], rel=1e-12)
+        assert gram[0, 1] == pytest.approx(g[0] * g[-1], rel=1e-12)
 
     def test_support_dispatch(self):
         contained, _, _ = make_contained_train()
@@ -94,11 +108,17 @@ class TestFimKnownStructure:
         assert fim.dim == 2 + 2 * pt.n_pulses < 2 + 2 * sig.m
 
 
+def v_closed(pt, sc):
+    """Eliminated delay/Doppler block of the a-general closed form."""
+    pair = d.jcrb_structure_known_a(pt, sc)
+    return np.diag([1.0 / pair.tau0, 1.0 / pair.f0])
+
+
 class TestVMatrix:
     def test_closed_form_matches_numeric_elimination(self, contained_train):
         pt, _, _ = contained_train
         sc = scenario(l=1, p=1)
-        v = d.v_matrix(pt, sc)
+        v = v_closed(pt, sc)
         v_num = schur_complement_2x2(d.fim_known_structure(pt, sc))
         assert rel_err(v, v_num) <= 1e-10
 
@@ -110,7 +130,7 @@ class TestVMatrix:
     def test_large_l_limit(self, contained_train):
         pt, _, _ = contained_train
         sc = scenario(l=10 ** 12, p=2)
-        v = d.v_matrix(pt, sc)
+        v = v_closed(pt, sc)
         expected = (2 * 2 / sc.sigma_w2) * pt.amp_energy * np.sum(pt.g_deriv ** 2)
         assert v[0, 0] == pytest.approx(expected, rel=1e-9)
 
@@ -120,20 +140,20 @@ class TestJcrbKnownStructure:
         pt, _, _ = make_contained_train(b=(0.6 - 0.8j, 1.1 + 0.3j))
         single = d.jcrb_known_signal_pulse(pt, scenario())
         for k in (1, 2, 8):
-            pair = d.jcrb_known_structure(pt, scenario(l=k, p=k))
+            pair = d.jcrb_structure_known_a(pt, scenario(l=k, p=k))
             assert pair.tau0 == pytest.approx(single.tau0 / k, rel=1e-9)
 
     def test_strictly_below_unknown_signal_bounds(self):
         pt, _, _ = make_contained_train(center_frac=0.45)  # asymmetric: rho != 0
         sig = d.synthesize_pulse_train(pt)
         sc = scenario(l=2, p=3)
-        structured = d.jcrb_known_structure(pt, sc)
+        structured = d.jcrb_structure_known_a(pt, sc)
         unknown = d.jcrb_unknown(sig, sc)
         assert structured.tau0 < unknown.tau0
         assert structured.f0 < unknown.f0
 
     def test_impulse_pulse_is_singular_equality_path(self):
-        pair = d.jcrb_known_structure(impulse_train(), scenario())
+        pair = d.jcrb_structure_known_a(impulse_train(), scenario())
         assert pair.singular
 
     def test_monotone_in_coupling_term(self, contained_train):
@@ -152,14 +172,18 @@ class TestJcrbKnownStructure:
         assert np.all(np.diff(values) > 0)
 
     def test_inverse_v_diagonal_joint_equals_separate(self, contained_train):
+        # V is diagonal, so the joint bounds (inverse of V) equal the
+        # separate ones (reciprocal diagonal)
         pt, _, _ = contained_train
         sc = scenario(l=2, p=2)
-        v = d.v_matrix(pt, sc)
+        v = schur_complement_2x2(d.fim_known_structure(pt, sc))
         inv = np.linalg.inv(v)
-        pair = d.jcrb_known_structure(pt, sc)
-        assert inv[0, 1] == 0.0
-        assert pair.tau0 == pytest.approx(1.0 / v[0, 0], rel=1e-14)
-        assert pair.f0 == pytest.approx(inv[1, 1], rel=1e-12)
+        pair = d.jcrb_structure_known_a(pt, sc)
+        assert abs(inv[0, 1]) <= 1e-10 * abs(inv[0, 0])
+        assert pair.tau0 == pytest.approx(1.0 / v[0, 0], rel=1e-10)
+        assert pair.tau0 == pytest.approx(inv[0, 0], rel=1e-10)
+        assert pair.f0 == pytest.approx(1.0 / v[1, 1], rel=1e-10)
+        assert pair.f0 == pytest.approx(inv[1, 1], rel=1e-10)
 
 
 class TestGeneralBlocksOracle:
@@ -300,7 +324,7 @@ class TestOrderingChain:
                                         width_frac=0.08)
         sig = d.synthesize_pulse_train(pt)
         sc = scenario(l=l, p=p)
-        structured = d.jcrb_known_structure(pt, sc)
+        structured = d.jcrb_structure_known_a(pt, sc)
         unknown = d.jcrb_unknown(sig, sc)
         margin_tau = unknown.tau0 - structured.tau0
         margin_f = unknown.f0 - structured.f0
