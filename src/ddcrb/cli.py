@@ -9,6 +9,7 @@ errors), 1 usage error, 2 I/O error.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -59,6 +60,15 @@ SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
 _SWEEP_FIELDS = {"P": "looks_reflected", "n0": "tau0", "a": "scale", "sigma_w2": "sigma_w2"}
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a model constructor's ValueError (bad flag value) as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 @dataclass
 class RunConfig:
     """Merged defaults, config-file values and explicit flags for one run."""
@@ -75,7 +85,8 @@ class RunConfig:
             "sigma_w2": self["sigma2"], "scale": self["a"],
         }
         params.update(overrides)
-        return Scenario(**params)
+        with _usage_errors():
+            return Scenario(**params)
 
 
 def _amp_values(convention: str, q_pulses: int) -> np.ndarray:
@@ -124,13 +135,14 @@ def build_signal(cfg: RunConfig, delta: float,
                  convention: str | None = None) -> tuple[SampledSignal, PulseTrain | None]:
     """Signal selected by the config: pulse train, triangle, or file."""
     kind = cfg["signal"]
-    if kind == "gaussian_pulse_train":
-        b = _amp_values(convention or cfg["amp_convention"], int(cfg["Q"]))
-        pt = gaussian_pulse_train(int(cfg["np"]), delta, cfg["center"], cfg["width2"], b)
-        return synthesize_pulse_train(pt), pt
-    if kind == "triangle":
-        return triangle_wave(int(cfg["M"]), delta), None
-    return _load_signal_file(kind), None
+    with _usage_errors():
+        if kind == "gaussian_pulse_train":
+            b = _amp_values(convention or cfg["amp_convention"], int(cfg["Q"]))
+            pt = gaussian_pulse_train(int(cfg["np"]), delta, cfg["center"], cfg["width2"], b)
+            return synthesize_pulse_train(pt), pt
+        if kind == "triangle":
+            return triangle_wave(int(cfg["M"]), delta), None
+        return _load_signal_file(kind), None
 
 
 def _pair_columns(pairs) -> tuple[dict, list[str]]:
@@ -380,6 +392,10 @@ def cmd_sweep(config_path, sweep, **flags):
     if not cfg["sweep"]:
         raise click.UsageError("sweep requires --sweep axis=start:stop[:step]")
     axis, values = _parse_sweep(cfg["sweep"])
+    if axis != "n_p":
+        # only the n_p axis changes the signal
+        delta = _resolve_delta(cfg, explicit)
+        sig, pt = build_signal(cfg, delta)
     rows, methods = [], []
     for value in values:
         if axis == "n_p":
@@ -390,30 +406,27 @@ def cmd_sweep(config_path, sweep, **flags):
             sc = local.scenario()
             row = {"n_p": n_p, "delta": delta}
             cols, flagged = _bound_triplet(sig, pt, sc)
+        elif axis == "L":
+            looks = int(value)
+            row = {"L": looks}
+            cols, flagged = {}, []
+            for tag, p_val in (("p1", 1), ("pl", max(looks, 1))):
+                sc = cfg.scenario(looks_direct=looks, looks_reflected=p_val)
+                sub, bad = _bound_triplet(sig, pt, sc)
+                if tag == "p1":
+                    # the known-signal pair does not depend on the looks
+                    cols.update(jcrb_tau0=sub["jcrb_tau0"], jcrb_f0=sub["jcrb_f0"])
+                    flagged += [k for k in bad if k in cols]
+                for key in ("jcrb_tau0_s", "jcrb_f0_s", "jcrb_tau0_b", "jcrb_f0_b"):
+                    cols[f"{key}_{tag}"] = sub[key]
+                flagged += [f"{k}_{tag}" for k in bad if k not in ("jcrb_tau0", "jcrb_f0")]
         else:
-            delta = _resolve_delta(cfg, explicit)
-            sig, pt = build_signal(cfg, delta)
-            if axis == "L":
-                looks = int(value)
-                row = {"L": looks}
-                cols, flagged = {}, []
-                for tag, p_val in (("p1", 1), ("pl", max(looks, 1))):
-                    sc = cfg.scenario(looks_direct=looks, looks_reflected=p_val)
-                    sub, bad = _bound_triplet(sig, pt, sc)
-                    if tag == "p1":
-                        # the known-signal pair does not depend on the looks
-                        cols.update(jcrb_tau0=sub["jcrb_tau0"], jcrb_f0=sub["jcrb_f0"])
-                        flagged += [k for k in bad if k in cols]
-                    for key in ("jcrb_tau0_s", "jcrb_f0_s", "jcrb_tau0_b", "jcrb_f0_b"):
-                        cols[f"{key}_{tag}"] = sub[key]
-                    flagged += [f"{k}_{tag}" for k in bad if k not in ("jcrb_tau0", "jcrb_f0")]
-            else:
-                point = value.item()
-                row = {axis: point}
-                if axis == "n0":
-                    row["tau0"] = point = point * delta
-                sc = cfg.scenario(**{_SWEEP_FIELDS[axis]: point})
-                cols, flagged = _bound_triplet(sig, pt, sc)
+            point = value.item()
+            row = {axis: point}
+            if axis == "n0":
+                row["tau0"] = point = point * delta
+            sc = cfg.scenario(**{_SWEEP_FIELDS[axis]: point})
+            cols, flagged = _bound_triplet(sig, pt, sc)
         row.update(cols)
         row["singular"] = ";".join(flagged)
         rows.append(row)
@@ -427,10 +440,10 @@ def cmd_overlap(config_path, **flags):
     """Delay bound versus overlap offset for the triangle wave."""
     cfg, _ = merge_config(config_path, **flags)
     m = int(cfg["M"])
-    if m % 2 != 0:
-        raise click.UsageError("--M must be even for the triangle wave")
     sc = cfg.scenario()
-    rows = triangle_overlap_curve(m, sc)
+    # triangle_overlap_curve raises ValueError only for bad input, such as an odd M
+    with _usage_errors():
+        rows = triangle_overlap_curve(m, sc)
     out_rows, methods = [], []
     for row in rows:
         out_rows.append({"M": m, "n0": row["n0"], "crb_tau0": row["crb_tau0"],
@@ -452,15 +465,17 @@ def cmd_montecarlo(config_path, **flags):
         raise click.UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
     delta = _resolve_delta(cfg, explicit)
     sig, _ = build_signal(cfg, delta)
-    n0 = int(round(cfg["tau0"] / delta))
-    span = int(cfg["tauspan"])
-    tau_lo = max(0, n0 - span)
-    sc = cfg.scenario(tau0=n0 * delta, record_length=n0 + span + sig.m)
-    f_grid = np.linspace(cfg["f0"] - cfg["fspan"], cfg["f0"] + cfg["fspan"],
-                         int(cfg["fpoints"]))
-    mc = McConfig(trials=int(cfg["trials"]), seed=int(cfg["seed"]),
-                  tau_grid=tuple(range(tau_lo, n0 + span + 1)),
-                  f_grid=tuple(f_grid))
+    with _usage_errors():
+        # an off-grid --tau0 is an error, not snapped to the sample grid
+        n0 = cfg.scenario().delay_samples(delta)
+        span = int(cfg["tauspan"])
+        tau_lo = max(0, n0 - span)
+        sc = cfg.scenario(tau0=n0 * delta, record_length=n0 + span + sig.m)
+        f_grid = np.linspace(cfg["f0"] - cfg["fspan"], cfg["f0"] + cfg["fspan"],
+                             int(cfg["fpoints"]))
+        mc = McConfig(trials=int(cfg["trials"]), seed=int(cfg["seed"]),
+                      tau_grid=tuple(range(tau_lo, n0 + span + 1)),
+                      f_grid=tuple(f_grid))
     report = monte_carlo_report(sig, sc, mc)
     rows, methods = [], []
     for row in report.rows:

@@ -21,6 +21,7 @@ import numpy as np
 from . import bounds
 from .fim import FimMatrix
 from .signals import PulseTrain, SampledSignal, Scenario, mean_vector
+from .structure import structure_labels
 
 FD_STEP_F = 1e-5
 FD_STEP_SAMPLE = 1e-6
@@ -107,14 +108,30 @@ def _refine_2d(stat: np.ndarray, i0: int, j0: int,
     return tau, f
 
 
-def _search_grids(obs: Observations, cfg: McConfig):
+def _grid_search(obs: Observations, cfg: McConfig,
+                 stat_row: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """Maximize a statistic over the (delay, Doppler) grid, refined if asked.
+
+    stat_row(v, ft) gets v, the sum of the reflected looks over the window
+    at one delay candidate, and ft, the Doppler candidates times the window
+    sample times (F x M); it returns the statistic at each Doppler
+    candidate. Returns (tau_hat, f_hat) in physical units.
+    """
+    m = obs.m
+    if any(n0 < 0 or n0 + m > obs.record_length for n0 in cfg.tau_grid):
+        raise ValueError("tau_grid candidates must keep the delayed window inside the record")
     tau_vals = np.asarray(cfg.tau_grid, dtype=float)
     f_vals = np.asarray(cfg.f_grid, dtype=float)
-    n = obs.record_length
-    valid = [n0 for n0 in cfg.tau_grid if 0 <= n0 and n0 + obs.m <= n]
-    if len(valid) != len(cfg.tau_grid):
-        raise ValueError("tau_grid candidates must keep the delayed window inside the record")
-    return tau_vals, f_vals
+    stat = np.empty((len(tau_vals), len(f_vals)))
+    for i, n0c in enumerate(cfg.tau_grid):
+        v = obs.reflected[:, n0c:n0c + m].sum(axis=0)
+        stat[i] = stat_row(v, np.outer(f_vals, (np.arange(m) + n0c) * obs.delta))
+    i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
+    if cfg.refine:
+        n0_hat, f_hat = _refine_2d(stat, i0, j0, tau_vals, f_vals)
+    else:
+        n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
+    return n0_hat * obs.delta, f_hat
 
 
 def profile_ml_estimate(obs: Observations, sc: Scenario, cfg: McConfig) -> tuple[float, float]:
@@ -130,22 +147,9 @@ def profile_ml_estimate(obs: Observations, sc: Scenario, cfg: McConfig) -> tuple
                          "and reflected looks (matches the singular bound)")
     if sc.scale != 1.0:
         raise ValueError("profiling assumes unit reflected-path scale")
-    tau_vals, f_vals = _search_grids(obs, cfg)
-    m = obs.m
-    u = obs.direct[:, :m].sum(axis=0)
-    stat = np.empty((len(cfg.tau_grid), len(cfg.f_grid)))
-    for i, n0c in enumerate(cfg.tau_grid):
-        v = obs.reflected[:, n0c:n0c + m].sum(axis=0)
-        t_window = (np.arange(m) + n0c) * obs.delta
-        derotate = np.exp(-2j * np.pi * np.outer(f_vals, t_window))
-        combined = u[None, :] + derotate * v[None, :]
-        stat[i] = np.sum(np.abs(combined) ** 2, axis=1)
-    i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
-    if cfg.refine:
-        n0_hat, f_hat = _refine_2d(stat, i0, j0, tau_vals, f_vals)
-    else:
-        n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
-    return n0_hat * obs.delta, f_hat
+    u = obs.direct[:, :obs.m].sum(axis=0)
+    return _grid_search(obs, cfg, lambda v, ft: np.sum(
+        np.abs(u + np.exp(-2j * np.pi * ft) * v) ** 2, axis=1))
 
 
 def ml_estimate_known(obs: Observations, sig: SampledSignal,
@@ -155,20 +159,10 @@ def ml_estimate_known(obs: Observations, sig: SampledSignal,
     Maximizes Re sum_m conj(sum_p x_rp[m+n0]) s[m] e^{j 2 pi f (m+n0) delta}
     over the grid; the direct looks carry no delay/Doppler information.
     """
-    tau_vals, f_vals = _search_grids(obs, cfg)
-    m = obs.m
-    stat = np.empty((len(cfg.tau_grid), len(cfg.f_grid)))
-    for i, n0c in enumerate(cfg.tau_grid):
-        v = obs.reflected[:, n0c:n0c + m].sum(axis=0)
-        t_window = (np.arange(m) + n0c) * obs.delta
-        rotate = np.exp(2j * np.pi * np.outer(f_vals, t_window))
-        stat[i] = np.real(rotate @ (v.conj() * sig.samples))
-    i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
-    if cfg.refine:
-        n0_hat, f_hat = _refine_2d(stat, i0, j0, tau_vals, f_vals)
-    else:
-        n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
-    return n0_hat * obs.delta, f_hat
+    # its own e^{+j...} phase, not the conjugate of the profiled derotation,
+    # so the statistic rounds as it always has
+    return _grid_search(obs, cfg, lambda v, ft: np.real(
+        np.exp(2j * np.pi * ft) @ (v.conj() * sig.samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +188,7 @@ def oracle_fim_mean(sc: Scenario, *, params: str,
                     signal_fn: Callable | None = None,
                     delta: float | None = None, m: int | None = None,
                     pt: PulseTrain | None = None,
-                    g_fn: Callable | None = None,
-                    h_tau: float | None = None, h_f: float = FD_STEP_F,
-                    h_s: float = FD_STEP_SAMPLE, h_a: float = FD_STEP_SCALE) -> FimMatrix:
+                    g_fn: Callable | None = None) -> FimMatrix:
     """Finite-difference FIM of the stacked-mean Gaussian model.
 
     params selects the parameter vector: "known" (tau0, f0; single reflected
@@ -206,102 +198,67 @@ def oracle_fim_mean(sc: Scenario, *, params: str,
     structure families need the pulse train and a smooth pulse g_fn. The
     continuous models must be negligible outside their nominal support.
     """
-    if params in ("known", "unknown", "unknown_a"):
-        if signal_fn is None or delta is None or m is None:
-            raise ValueError(f"params={params!r} needs signal_fn, delta and m")
-        return _oracle_signal(sc, params, signal_fn, delta, m, h_tau, h_f, h_s, h_a)
     if params in ("structure", "structure_a"):
         if pt is None or g_fn is None:
             raise ValueError(f"params={params!r} needs pt and g_fn")
-        return _oracle_structure(sc, params, pt, g_fn, h_tau, h_f, h_s, h_a)
-    raise ValueError(f"unknown params spec {params!r}")
-
-
-def _oracle_signal(sc, params, signal_fn, delta, m, h_tau, h_f, h_s, h_a) -> FimMatrix:
+        delta, m = pt.delta, pt.m
+    elif params not in ("known", "unknown", "unknown_a"):
+        raise ValueError(f"unknown params spec {params!r}")
+    elif signal_fn is None or delta is None or m is None:
+        raise ValueError(f"params={params!r} needs signal_fn, delta and m")
     n0 = sc.delay_samples(delta)
-    n = max(n0 + m, sc.record_length or 0)
-    grid = np.arange(m) * delta
-    t_all = np.arange(n) * delta
-    base = np.asarray(signal_fn(grid), dtype=complex)
-    with_a = params == "unknown_a"
-    with_samples = params != "known"
-    looks_d = 0 if params == "known" else sc.looks_direct
-    looks_r = 1 if params == "known" else sc.looks_reflected
+    t_all = np.arange(max(n0 + m, sc.record_length or 0)) * delta
+    looks = (sc.looks_direct, sc.looks_reflected)
+    if pt is not None:
+        def synth(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return sum(b[q] * g_fn(t - q * pt.t_p) for q in range(pt.n_pulses))
 
-    labels = ["tau0", "f0"]
-    theta0 = [sc.tau0, sc.f0]
-    steps = [h_tau if h_tau is not None else delta * 1e-3, h_f]
-    if with_a:
-        labels.append("a")
-        theta0.append(sc.scale)
-        steps.append(h_a)
-    if with_samples:
-        for k in range(m):
-            labels += [f"sR_{k}", f"sI_{k}"]
-            theta0 += [base[k].real, base[k].imag]
-            steps += [h_s, h_s]
-    off = 3 if with_a else 2
+        def paths(tau, f, a, b):
+            return synth(t_all, b), a * synth(t_all - tau, b) * np.exp(2j * np.pi * f * t_all)
+        coeffs, labels = pt.b, structure_labels(pt.n_pulses)
+    else:
+        base = np.asarray(signal_fn(np.arange(m) * delta), dtype=complex)
+        idx = np.arange(n0, n0 + m)
 
-    def build(theta: np.ndarray) -> np.ndarray:
-        tau, f = theta[0], theta[1]
-        a = theta[2] if with_a else sc.scale
-        s_vals = (theta[off::2] + 1j * theta[off + 1::2]) if with_samples else base
-        direct = np.zeros(n, dtype=complex)
-        direct[:m] = s_vals
-        reflected = np.zeros(n, dtype=complex)
-        if tau == sc.tau0:
-            idx = np.arange(n0, n0 + m)
+        def paths(tau, f, a, s_vals):
+            s_vals = s_vals if s_vals.size else base  # "known": no sample unknowns
+            direct = np.zeros(t_all.size, dtype=complex)
+            direct[:m] = s_vals
+            if tau != sc.tau0:
+                # off-grid delay only happens on the tau0 column, where the
+                # samples sit at their base values: evaluate the smooth model
+                return direct, a * np.asarray(signal_fn(t_all - tau), dtype=complex) \
+                    * np.exp(2j * np.pi * f * t_all)
+            reflected = np.zeros(t_all.size, dtype=complex)
             reflected[idx] = a * s_vals * np.exp(2j * np.pi * f * idx * delta)
-        else:
-            # off-grid delay only happens on the tau0 column, where the
-            # samples sit at their base values: evaluate the smooth model
-            reflected = a * np.asarray(signal_fn(t_all - tau), dtype=complex) \
-                * np.exp(2j * np.pi * f * t_all)
-        return np.concatenate([direct] * looks_d + [reflected] * looks_r)
-
-    return _fd_fim(build, np.asarray(theta0, float), np.asarray(steps, float),
-                   tuple(labels), sc.sigma_w2)
+            return direct, reflected
+        coeffs = base
+        if params == "known":  # the samples are given; one reflected look
+            coeffs, looks = base[:0], (0, 1)
+        labels = bounds.unknown_signal_labels(coeffs.size)
+    return _fd_oracle(sc, params.endswith("_a"), paths, coeffs, labels, looks, delta)
 
 
-def _oracle_structure(sc, params, pt, g_fn, h_tau, h_f, h_s, h_a) -> FimMatrix:
-    delta = pt.delta
-    m = pt.m
-    n0 = sc.delay_samples(delta)
-    n = max(n0 + m, sc.record_length or 0)
-    t_all = np.arange(n) * delta
-    with_a = params == "structure_a"
-    q_n = pt.n_pulses
+def _fd_oracle(sc: Scenario, with_a: bool, paths: Callable, coeffs: np.ndarray,
+               labels: tuple[str, ...], looks: tuple[int, int], delta: float) -> FimMatrix:
+    """FD FIM over (tau0, f0[, a], Re/Im of each coefficient) at the scenario.
 
-    labels = ["tau0", "f0"]
-    theta0 = [sc.tau0, sc.f0]
-    steps = [h_tau if h_tau is not None else delta * 1e-3, h_f]
-    if with_a:
-        labels.append("a")
-        theta0.append(sc.scale)
-        steps.append(h_a)
-    for q in range(1, q_n + 1):
-        labels += [f"b{q}R", f"b{q}I"]
-        theta0 += [pt.b[q - 1].real, pt.b[q - 1].imag]
-        steps += [h_s, h_s]
-    off = 3 if with_a else 2
-
-    def synth(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(t.shape, dtype=complex)
-        for q in range(q_n):
-            out += b[q] * g_fn(t - q * pt.t_p)
-        return out
+    paths(tau, f, a, coeffs) returns the (direct, reflected) look means, of
+    which looks = (L, P) copies are stacked; with_a puts the scale after f0.
+    """
+    head = [sc.tau0, sc.f0] + [sc.scale] * with_a
+    theta0 = np.concatenate([head, np.asarray(coeffs, complex).view(float)])
+    steps = np.array([delta * 1e-3, FD_STEP_F] + [FD_STEP_SCALE] * with_a
+                     + [FD_STEP_SAMPLE] * (2 * len(coeffs)))
+    off = len(head)
 
     def build(theta: np.ndarray) -> np.ndarray:
-        tau, f = theta[0], theta[1]
         a = theta[2] if with_a else sc.scale
-        b = theta[off::2] + 1j * theta[off + 1::2]
-        direct = synth(t_all, b)
-        reflected = a * synth(t_all - tau, b) * np.exp(2j * np.pi * f * t_all)
-        return np.concatenate([direct] * sc.looks_direct
-                              + [reflected] * sc.looks_reflected)
+        direct, reflected = paths(theta[0], theta[1], a, theta[off::2] + 1j * theta[off + 1::2])
+        return np.concatenate([direct] * looks[0] + [reflected] * looks[1])
 
-    return _fd_fim(build, np.asarray(theta0, float), np.asarray(steps, float),
-                   tuple(labels), sc.sigma_w2)
+    return _fd_fim(build, theta0, steps, labels[:2] + ("a",) * with_a + labels[2:],
+                   sc.sigma_w2)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,11 @@ class TestMonteCarloCommand:
         rows = parse_csv(out)
         assert all(r["singular"] == "True" for r in rows)
 
+    def test_off_grid_delay_is_usage_error(self):
+        # tau0 = 1.1 is 4.4 samples at delta = 0.25; it must not be snapped to 1.0
+        code, _ = run_cli([*self.ARGS, "--tau0", "1.1"])
+        assert code == 1
+
     def test_scale_other_than_one_is_usage_error(self):
         code, _ = run_cli([*self.ARGS, "--a", "2"])
         assert code == 1
@@ -265,6 +270,26 @@ class TestConfigAndErrors:
     def test_unwritable_out_is_io_error(self):
         code, _ = run_cli(["crb", *BASE, "--out", "/nonexistent/dir/out.csv"])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["crb", "--np", "0"], ["crb", "--P", "-1"], ["crb", "--sigma2", "0"],
+        ["crb", "--delta", "0"], ["crb", "--Q", "0"], ["crb", "--tau0", "-1"],
+        ["table1", "--np", "0"], ["overlap", "--M", "0"],
+        ["montecarlo", "--trials", "0"], ["montecarlo", "--fpoints", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_usage_error(self, args):
+        # main must return the usage-error code, not raise the model's ValueError
+        code, _ = run_cli(args)
+        assert code == 1
+
+    def test_numerical_fault_is_not_a_usage_error(self, monkeypatch):
+        import ddcrb.cli
+
+        def broken(sig, sc):
+            raise ValueError("FIM not positive semidefinite")
+        monkeypatch.setattr(ddcrb.cli, "jcrb_known", broken)
+        with pytest.raises(ValueError, match="semidefinite"):
+            run_cli(["crb", *BASE])
 
     def test_conflicting_delta_and_tp(self):
         code, _ = run_cli(["crb", *BASE, "--Tp", "7.0"])

@@ -20,6 +20,13 @@ def mc_setup(sigma_w2=1e-3, l=1, p=1, n0=4, f0=0.3, trials=20, seed=11,
     return sig, sc, cfg
 
 
+# both grid-search estimators under one call shape
+ESTIMATORS = {
+    "profiled": lambda obs, sig, sc, cfg: d.profile_ml_estimate(obs, sc, cfg),
+    "known": lambda obs, sig, sc, cfg: d.ml_estimate_known(obs, sig, cfg),
+}
+
+
 class TestOracleAgreement:
     def test_known_signal_fim(self, contained_signal):
         sig, s_fn, _ = contained_signal
@@ -41,14 +48,17 @@ class TestOracleAgreement:
         assert oracle.labels == analytic.labels
         assert rel_err(analytic.entries, oracle.entries) <= 1e-4
 
-    def test_structure_fim_q4(self):
+    @pytest.mark.parametrize("params", ["structure", "structure_a"])
+    def test_structure_fim_q4(self, params):
         pt, g_fn, _ = make_contained_train(n_p=20, delta=0.25,
                                            b=(0.8 + 0.5j, -0.3 + 1.1j,
                                               1.2 - 0.2j, 0.5 + 0.9j))
+        with_a = params == "structure_a"
         sc = d.Scenario(tau0=0.5, f0=0.4, looks_direct=2, looks_reflected=3,
-                        sigma_w2=0.8)
-        analytic = d.fim_known_structure(pt, sc)
-        oracle = d.oracle_fim_mean(sc, params="structure", pt=pt, g_fn=g_fn)
+                        sigma_w2=0.8, scale=1.3 if with_a else 1.0)
+        analytic = d.fim_unknown_a(pt, sc, structure=True) if with_a \
+            else d.fim_known_structure(pt, sc)
+        oracle = d.oracle_fim_mean(sc, params=params, pt=pt, g_fn=g_fn)
         assert oracle.labels == analytic.labels
         assert rel_err(analytic.entries, oracle.entries) <= 1e-4
 
@@ -111,15 +121,25 @@ class TestProfileMl:
         with pytest.raises(ValueError, match="identifiable"):
             d.profile_ml_estimate(obs, sc0, cfg)
 
-    def test_refine_off_stays_on_grid(self):
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_refine_off_stays_on_grid(self, estimator):
         sig, sc, cfg = mc_setup(sigma_w2=1e-4)
         cfg_raw = d.McConfig(trials=cfg.trials, seed=cfg.seed,
                              tau_grid=cfg.tau_grid, f_grid=cfg.f_grid,
                              refine=False)
         obs = d.simulate_observations(sig, sc, 7)
-        tau_hat, f_hat = d.profile_ml_estimate(obs, sc, cfg_raw)
+        tau_hat, f_hat = ESTIMATORS[estimator](obs, sig, sc, cfg_raw)
         assert tau_hat in [n0 * sig.delta for n0 in cfg.tau_grid]
         assert f_hat in cfg.f_grid
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_window_leaving_the_record_rejected(self, estimator):
+        sig, sc, cfg = mc_setup(n0=4)
+        # the record ends at n0 + 4 + M, so a delay of n0 + 5 samples overruns it
+        long = d.McConfig(trials=1, seed=1, tau_grid=cfg.tau_grid + (9,), f_grid=cfg.f_grid)
+        obs = d.simulate_observations(sig, sc, 3)
+        with pytest.raises(ValueError, match="inside the record"):
+            ESTIMATORS[estimator](obs, sig, sc, long)
 
 
 class TestMonteCarloReport:
