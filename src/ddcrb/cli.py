@@ -476,6 +476,7 @@ def cmd_montecarlo(config_path, **flags):
         mc = McConfig(trials=int(cfg["trials"]), seed=int(cfg["seed"]),
                       tau_grid=tuple(range(tau_lo, n0 + span + 1)),
                       f_grid=tuple(f_grid))
+        mc.check_covers(n0, sc.f0)
     report = monte_carlo_report(sig, sc, mc)
     rows, methods = [], []
     for row in report.rows:

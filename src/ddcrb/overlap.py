@@ -145,16 +145,17 @@ def triangle_overlap_curve(m: int, sc: Scenario) -> list[dict]:
     disjoint-support reference value (sigma_w2/P) * 2/M.
     """
     sig = triangle_wave(m)
-    reference = 2.0 * sc.sigma_w2 / (sc.looks_reflected * m)
     rows = []
     for n0 in range(m + 1):
-        report = crb_overlap(fim_overlap(sig, n0, sc))
+        # fim_overlap validates P >= 1 before the reference divides by it
+        of = fim_overlap(sig, n0, sc)
+        report = crb_overlap(of)
         rows.append({
             "n0": n0,
             "crb_tau0": None if report.singular else report.values["tau0"],
             "singular": report.singular,
             "method": report.method,
             "regime": report.details["regime"],
-            "crb_non": reference,
+            "crb_non": 2.0 * of.sigma_w2 / (of.looks * m),
         })
     return rows

@@ -13,6 +13,7 @@ bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,10 +47,19 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if len(self.tau_grid) == 0 or len(self.f_grid) == 0:
-            raise ValueError("search grids must be nonempty")
         object.__setattr__(self, "tau_grid", tuple(int(v) for v in self.tau_grid))
         object.__setattr__(self, "f_grid", tuple(float(v) for v in self.f_grid))
+        # a one-point axis never estimates its parameter (zero error, ratio 0)
+        for name, grid in (("tau_grid", self.tau_grid), ("f_grid", self.f_grid)):
+            if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ValueError(f"{name} needs at least 2 strictly increasing points")
+
+    def check_covers(self, n0: int, f0: float) -> None:
+        """Raise ValueError unless the grids span the true delay n0 and Doppler f0."""
+        if not self.tau_grid[0] <= n0 <= self.tau_grid[-1]:
+            raise ValueError("true delay outside tau_grid hull")
+        if not self.f_grid[0] <= f0 <= self.f_grid[-1]:
+            raise ValueError("true Doppler outside f_grid hull")
 
 
 @dataclass(frozen=True)
@@ -108,27 +118,40 @@ def _refine_2d(stat: np.ndarray, i0: int, j0: int,
     return tau, f
 
 
+@functools.lru_cache(maxsize=4)
+def _phase_table(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
+                 delta: float) -> np.ndarray:
+    """Read-only (delay x Doppler x sample) table exp(-2j pi f (m + n0) delta).
+
+    It depends on the grids and the window only, never on the data, so one
+    table serves every trial of a Monte Carlo run.
+    """
+    t = (np.arange(m) + np.asarray(tau_grid)[:, None]) * delta
+    table = np.exp(-2j * np.pi * (np.asarray(f_grid)[None, :, None] * t[:, None, :]))
+    table.flags.writeable = False
+    return table
+
+
 def _grid_search(obs: Observations, cfg: McConfig,
-                 stat_row: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float, float]:
+                 stat: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float, float]:
     """Maximize a statistic over the (delay, Doppler) grid, refined if asked.
 
-    stat_row(v, ft) gets v, the sum of the reflected looks over the window
-    at one delay candidate, and ft, the Doppler candidates times the window
-    sample times (F x M); it returns the statistic at each Doppler
-    candidate. Returns (tau_hat, f_hat) in physical units.
+    stat(v, table) gets v, the sums of the reflected looks over the window at
+    every delay candidate (I x M), and the phase table of _phase_table
+    (I x F x M); it returns the statistic on the grid (I x F). Returns
+    (tau_hat, f_hat) in physical units.
     """
     m = obs.m
     if any(n0 < 0 or n0 + m > obs.record_length for n0 in cfg.tau_grid):
         raise ValueError("tau_grid candidates must keep the delayed window inside the record")
     tau_vals = np.asarray(cfg.tau_grid, dtype=float)
     f_vals = np.asarray(cfg.f_grid, dtype=float)
-    stat = np.empty((len(tau_vals), len(f_vals)))
-    for i, n0c in enumerate(cfg.tau_grid):
-        v = obs.reflected[:, n0c:n0c + m].sum(axis=0)
-        stat[i] = stat_row(v, np.outer(f_vals, (np.arange(m) + n0c) * obs.delta))
-    i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
+    windows = np.asarray(cfg.tau_grid)[:, None] + np.arange(m)
+    values = stat(obs.reflected.sum(axis=0)[windows],
+                  _phase_table(cfg.tau_grid, cfg.f_grid, m, obs.delta))
+    i0, j0 = np.unravel_index(int(np.argmax(values)), values.shape)
     if cfg.refine:
-        n0_hat, f_hat = _refine_2d(stat, i0, j0, tau_vals, f_vals)
+        n0_hat, f_hat = _refine_2d(values, i0, j0, tau_vals, f_vals)
     else:
         n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
     return n0_hat * obs.delta, f_hat
@@ -148,8 +171,17 @@ def profile_ml_estimate(obs: Observations, sc: Scenario, cfg: McConfig) -> tuple
     if sc.scale != 1.0:
         raise ValueError("profiling assumes unit reflected-path scale")
     u = obs.direct[:, :obs.m].sum(axis=0)
-    return _grid_search(obs, cfg, lambda v, ft: np.sum(
-        np.abs(u + np.exp(-2j * np.pi * ft) * v) ** 2, axis=1))
+
+    def stat(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+        # np.sum(np.abs(u + table * v[:, None, :]) ** 2, axis=-1), bit for bit;
+        # updated in place because allocating each I x F x M temporary afresh
+        # costs more than the arithmetic on it
+        z = table * v[:, None, :]
+        z += u
+        power = np.abs(z)
+        power *= power
+        return power.sum(axis=-1)
+    return _grid_search(obs, cfg, stat)
 
 
 def ml_estimate_known(obs: Observations, sig: SampledSignal,
@@ -159,10 +191,10 @@ def ml_estimate_known(obs: Observations, sig: SampledSignal,
     Maximizes Re sum_m conj(sum_p x_rp[m+n0]) s[m] e^{j 2 pi f (m+n0) delta}
     over the grid; the direct looks carry no delay/Doppler information.
     """
-    # its own e^{+j...} phase, not the conjugate of the profiled derotation,
-    # so the statistic rounds as it always has
-    return _grid_search(obs, cfg, lambda v, ft: np.real(
-        np.exp(2j * np.pi * ft) @ (v.conj() * sig.samples)))
+    # conj(table) equals exp(+j 2 pi f t) bit for bit (cos is even and sin odd
+    # in the math library), so the matched filter needs no table of its own
+    return _grid_search(obs, cfg, lambda v, table: np.real(
+        table.conj() @ (v.conj() * sig.samples)[:, :, None])[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +329,7 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
                         details={**details,
                                  "note": "L = 0 or P = 0: no unbiased estimator exists"})
 
-    n0_true = sc.delay_samples(sig.delta)
-    if not (min(cfg.tau_grid) <= n0_true <= max(cfg.tau_grid)):
-        raise ValueError("true delay outside tau_grid hull")
-    if not (min(cfg.f_grid) <= sc.f0 <= max(cfg.f_grid)):
-        raise ValueError("true Doppler outside f_grid hull")
+    cfg.check_covers(sc.delay_samples(sig.delta), sc.f0)
 
     bound_unknown = bounds.jcrb_unknown(sig, sc)
     # single-look known-signal baseline divided by the P looks the matched

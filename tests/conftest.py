@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import ddcrb as d
+
+# one profile for the suite: examples build FIMs and run grid searches whose
+# time varies with the drawn sizes, so no per-example deadline
+settings.register_profile("ddcrb", deadline=None)
+settings.load_profile("ddcrb")
 
 
 def rel_err(a, b):

@@ -48,7 +48,7 @@ def eliminate(fim, keep):
         return "singular"
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(kind=st.sampled_from(KINDS), with_a=st.booleans(), keep=st.sampled_from((2, 3)),
        l=st.integers(0, 4), p=st.integers(0, 4), a=st.floats(0.5, 2.0),
        sigma_w2=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 31 - 1))

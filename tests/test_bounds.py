@@ -176,7 +176,7 @@ class TestJcrbUnknown:
         assert d.jcrb_unknown(sig, sc).tau0 == pytest.approx(
             1.5 * d.jcrb_known(sig, sc).tau0, rel=1e-14)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(k=st.integers(1, 40))
     def test_equal_looks_decay(self, k):
         sig = d.triangle_wave(8, delta=0.4)
@@ -185,7 +185,7 @@ class TestJcrbUnknown:
         unknown = d.jcrb_unknown(sig, sc)
         assert unknown.tau0 == pytest.approx(2.0 / k * known.tau0, rel=1e-13)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(l=st.integers(1, 32), p=st.integers(1, 32))
     def test_factor_law_quantified(self, l, p):
         sig = small_signal()
@@ -196,7 +196,7 @@ class TestJcrbUnknown:
         assert abs(unknown.tau0 / known.tau0 - factor) <= 1e-12 * factor
         assert abs(unknown.f0 / known.f0 - factor) <= 1e-12 * factor
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(l=st.integers(1, 32), p=st.integers(1, 32))
     def test_look_symmetry_bit_for_bit(self, l, p):
         sig = small_signal()

@@ -276,6 +276,8 @@ class TestConfigAndErrors:
         ["crb", "--delta", "0"], ["crb", "--Q", "0"], ["crb", "--tau0", "-1"],
         ["table1", "--np", "0"], ["overlap", "--M", "0"],
         ["montecarlo", "--trials", "0"], ["montecarlo", "--fpoints", "0"],
+        ["montecarlo", "--fspan", "0"], ["montecarlo", "--tauspan", "0"],
+        ["montecarlo", "--fpoints", "1"], ["overlap", "--P", "0"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, args):
         # main must return the usage-error code, not raise the model's ValueError

@@ -152,7 +152,7 @@ class TestFimForms:
         expected = np.real(np.sum(ds[0].conj() * ds[1]))
         assert fim.entries[0, 1] == pytest.approx(expected, rel=1e-12)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(seed=st.integers(0, 2 ** 31 - 1))
     def test_trace_equals_kron_randomized(self, seed):
         rng = np.random.default_rng(seed)

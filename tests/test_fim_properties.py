@@ -16,7 +16,7 @@ from ddcrb.fim import schur_complement
 from conftest import make_contained_train
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(l=st.integers(0, 6), p=st.integers(1, 6),
        a=st.floats(0.3, 3.0), sigma_w2=st.floats(0.05, 5.0),
        f0=st.floats(-5.0, 5.0), seed=st.integers(0, 2 ** 31 - 1))
@@ -37,7 +37,7 @@ def test_every_fim_builder_is_symmetric_psd(l, p, a, sigma_w2, f0, seed):
     d.fim_unknown_a(pt, sc_a, structure=True)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(l=st.integers(1, 3), p=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
 def test_covariance_fim_is_symmetric_psd(l, p, seed):
     rng = np.random.default_rng(seed)
@@ -52,7 +52,7 @@ def test_covariance_fim_is_symmetric_psd(l, p, seed):
     d.fim_trace_form(model, d.dc_list(model, sig, sc))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(l=st.integers(1, 8), p=st.integers(1, 8), a=st.floats(0.4, 2.5))
 def test_schur_reduction_of_scaled_fim_stays_psd(l, p, a):
     pt, _, _ = make_contained_train(n_p=12, delta=0.4, b=(0.7 + 0.2j, -0.4 + 0.9j))

@@ -154,7 +154,7 @@ class TestUnknownAStructure:
             joint, sep = d.jcrb_unknown_a_structure(pt, scenario(l=l, p=p))
             assert joint.singular and sep.singular
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(a=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
            l=st.integers(1, 8), p=st.integers(1, 8))
     def test_ordering_preserved_under_scaling(self, a, l, p):
@@ -166,7 +166,7 @@ class TestUnknownAStructure:
         assert structured.tau0 < joint.tau0
         assert structured.f0 < joint.f0
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(a=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
            l=st.integers(1, 6), p=st.integers(1, 6))
     def test_unknown_a_at_least_known_a(self, a, l, p):
@@ -197,7 +197,7 @@ class TestMergedStructuredForms:
                  tau0=st.floats(0.0, 2.0), a=st.floats(0.5, 4.0),
                  l=st.integers(0, 8), p=st.integers(1, 8))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(**CASES)
     def test_known_a_equals_exact_elimination(self, **case):
         pt, sc = self._case(**case)
@@ -208,7 +208,7 @@ class TestMergedStructuredForms:
         assert pair.tau0 == pytest.approx(inv[0, 0], rel=1e-9)
         assert pair.f0 == pytest.approx(inv[1, 1], rel=1e-9)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(**CASES)
     def test_unknown_a_equals_exact_elimination(self, **case):
         pt, sc = self._case(**case)

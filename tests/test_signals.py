@@ -74,7 +74,7 @@ class TestSynthesizePulseTrain:
             energies.append(np.sum(np.abs(d.synthesize_pulse_train(pt).samples) ** 2))
         assert energies[0] == pytest.approx(energies[1], rel=1e-14)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(phases=st.lists(st.floats(0, 2 * np.pi), min_size=2, max_size=2))
     def test_energy_invariant_under_pulse_phase_rotation(self, phases):
         g = np.array([0.0, 0.3, 1.0, 0.3, 0.0])
@@ -156,7 +156,7 @@ class TestMeanVector:
         with pytest.raises(ValueError, match="integer"):
             d.mean_vector(sig, sc, "reflected")
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(n0=st.integers(0, 6), f0=st.floats(-3, 3))
     def test_reflected_support_property(self, n0, f0):
         sig = self._signal()

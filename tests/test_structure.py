@@ -313,7 +313,7 @@ class TestKnownSignalPulseForm:
 
 
 class TestOrderingChain:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(l=st.integers(1, 16), p=st.integers(1, 16),
            b_seed=st.integers(0, 2 ** 31- 1),
            center_frac=st.floats(0.35, 0.65))

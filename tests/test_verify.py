@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddcrb as d
+from ddcrb import verify
 
 from conftest import make_contained_train, rel_err
 
@@ -142,6 +145,60 @@ class TestProfileMl:
             ESTIMATORS[estimator](obs, sig, sc, long)
 
 
+def loop_grid_search(obs, cfg, stat_row):
+    """Reference search: one delay at a time, phases rebuilt per delay."""
+    m = obs.m
+    tau_vals = np.asarray(cfg.tau_grid, dtype=float)
+    f_vals = np.asarray(cfg.f_grid, dtype=float)
+    stat = np.empty((len(tau_vals), len(f_vals)))
+    for i, n0c in enumerate(cfg.tau_grid):
+        v = obs.reflected[:, n0c:n0c + m].sum(axis=0)
+        stat[i] = stat_row(v, np.outer(f_vals, (np.arange(m) + n0c) * obs.delta))
+    i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
+    if cfg.refine:
+        n0_hat, f_hat = verify._refine_2d(stat, i0, j0, tau_vals, f_vals)
+    else:
+        n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
+    return n0_hat * obs.delta, f_hat
+
+
+LOOP_ESTIMATORS = {
+    "profiled": lambda obs, sig, sc, cfg: loop_grid_search(obs, cfg, lambda v, ft: np.sum(
+        np.abs(obs.direct[:, :obs.m].sum(axis=0) + np.exp(-2j * np.pi * ft) * v) ** 2,
+        axis=1)),
+    "known": lambda obs, sig, sc, cfg: loop_grid_search(obs, cfg, lambda v, ft: np.real(
+        np.exp(2j * np.pi * ft) @ (v.conj() * sig.samples))),
+}
+
+
+class TestPhaseTableSearch:
+    @settings(max_examples=60)
+    @given(l=st.integers(1, 3), p=st.integers(1, 10), n0=st.integers(0, 12),
+           n_tau=st.integers(3, 15), n_f=st.integers(3, 41), refine=st.booleans(),
+           log_sigma=st.sampled_from([-4, -2, 0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_delay_loop_bit_for_bit(self, l, p, n0, n_tau, n_f, refine,
+                                                log_sigma, seed):
+        sig, sc, _ = mc_setup(sigma_w2=10.0 ** log_sigma, l=l, p=p, n0=n0)
+        lo = max(0, n0 - n_tau // 2)
+        sc = d.Scenario(tau0=sc.tau0, f0=sc.f0, looks_direct=l, looks_reflected=p,
+                        sigma_w2=sc.sigma_w2, record_length=lo + n_tau - 1 + sig.m)
+        cfg = d.McConfig(trials=1, seed=seed, tau_grid=tuple(range(lo, lo + n_tau)),
+                         f_grid=tuple(np.linspace(sc.f0 - 0.1, sc.f0 + 0.1, n_f)),
+                         refine=refine)
+        obs = d.simulate_observations(sig, sc, seed)
+        for name, estimate in ESTIMATORS.items():
+            assert estimate(obs, sig, sc, cfg) == LOOP_ESTIMATORS[name](obs, sig, sc, cfg), name
+
+    def test_cached_table_is_read_only(self):
+        sig, sc, cfg = mc_setup()
+        d.profile_ml_estimate(d.simulate_observations(sig, sc, 1), sc, cfg)
+        table = verify._phase_table(cfg.tau_grid, cfg.f_grid, sig.m, sig.delta)
+        assert table is verify._phase_table(cfg.tau_grid, cfg.f_grid, sig.m, sig.delta)
+        assert table.shape == (len(cfg.tau_grid), len(cfg.f_grid), sig.m)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.0
+
+
 class TestMonteCarloReport:
     def test_report_structure_and_determinism(self):
         sig, sc, cfg = mc_setup(trials=8)
@@ -161,6 +218,14 @@ class TestMonteCarloReport:
         rep = d.monte_carlo_report(sig, sc0, cfg)
         assert rep.singular
         assert all(row["singular"] for row in rep.rows)
+
+    @pytest.mark.parametrize("tau_grid,f_grid", [
+        ((4,), (0.2, 0.3)), ((3, 4), (0.3,)), ((4, 3), (0.2, 0.3)),
+        ((3, 4), (0.3, 0.3)), ((3, 4), (0.4, 0.2)),
+    ])
+    def test_degenerate_grid_rejected(self, tau_grid, f_grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            d.McConfig(trials=1, seed=1, tau_grid=tau_grid, f_grid=f_grid)
 
     def test_truth_outside_grid_rejected(self):
         sig, sc, cfg = mc_setup(n0=4)
