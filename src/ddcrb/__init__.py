@@ -16,8 +16,8 @@ from .structure import (StructureQuantities, fim_known_structure,
 from .scaled import (crb_separate_unknown_a, fim_known_signal_scale, fim_unknown_a,
                      jcrb_scaled_known_a, jcrb_structure_known_a,
                      jcrb_unknown_a_structure)
-from .covariance import (StackedModel, build_stacked, crb_correlated, dc_dtheta,
-                         dc_list, fim_kron_form, fim_trace_form, j_factors)
+from .covariance import (StackedModel, build_stacked, crb_correlated, dc_list,
+                         fim_trace_form)
 from .overlap import OverlapFim, crb_overlap, fim_overlap, triangle_overlap_curve
 from .verify import (McConfig, McReport, Observations, ml_estimate_known,
                      monte_carlo_report, oracle_fim_mean, profile_ml_estimate,

@@ -3,11 +3,12 @@
 All L+P looks are stacked into one long observation vector whose covariance
 C = s s^H + Sigma_cn embeds the deterministic signal stack as a rank-one
 term. The FIM follows the covariance-derivative rule
-I_ij = Tr(C^{-1} dC/dtheta_i C^{-1} dC/dtheta_j), implemented twice: once as
-written and once through vectorized derivatives and a Kronecker product, as
-independent cross-checking paths. This is a different statistical model from
-the deterministic-mean bounds elsewhere in the package and is reported as
-such; the two are not expected to coincide.
+I_ij = Tr(C^{-1} dC/dtheta_i C^{-1} dC/dtheta_j). Every dC_i has rank two,
+so the FIM is evaluated from the N x p signal-gradient matrix and one factor
+of C (Slepian-Bangs algebra for a rank-one covariance term, Kay 1993,
+sec. 3.9). This is a different statistical model from the deterministic-mean
+bounds elsewhere in the package and is reported as such; the two are not
+expected to coincide.
 """
 
 from __future__ import annotations
@@ -22,13 +23,17 @@ from .signals import SampledSignal, Scenario, mean_vector
 
 HERMITIAN_RTOL = 1e-12
 PSD_RTOL = 1e-10
-EIG_FLOOR = 1e-12
 
 
-def _check_hermitian_psd(mat: np.ndarray, name: str) -> None:
+def _check_hermitian(mat: np.ndarray, name: str) -> float:
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
     if float(np.max(np.abs(mat - mat.conj().T))) > HERMITIAN_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} must be Hermitian")
+    return scale
+
+
+def _check_hermitian_psd(mat: np.ndarray, name: str) -> None:
+    scale = _check_hermitian(mat, name)
     eigmin = float(np.min(np.linalg.eigvalsh(mat)))
     if eigmin < -PSD_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} must be positive semidefinite")
@@ -102,84 +107,48 @@ def stack_gradient(model: StackedModel, sig: SampledSignal, sc: Scenario,
                           + [d_reflected] * model.looks_reflected)
 
 
-def dc_dtheta(model: StackedModel, sig: SampledSignal, sc: Scenario,
-              param_index: int) -> np.ndarray:
-    """dC/dtheta_i = (ds/dtheta_i) s^H + s (ds/dtheta_i)^H, Hermitian."""
-    labels = unknown_signal_labels(sig.m)
-    if not 0 <= param_index < len(labels):
-        raise ValueError(f"param_index {param_index} out of range")
-    ds = stack_gradient(model, sig, sc, labels[param_index])
-    return np.outer(ds, model.s_stack.conj()) + np.outer(model.s_stack, ds.conj())
+def dc_list(model: StackedModel, sig: SampledSignal, sc: Scenario) -> np.ndarray:
+    """Covariance derivatives for the full (tau0, f0, samples) vector, factored.
+
+    dC_i = g_i s^H + s g_i^H, so the N x p matrix G = [g_1 ... g_p] of
+    `stack_gradient` columns carries every derivative.
+    """
+    return np.column_stack([stack_gradient(model, sig, sc, label)
+                            for label in unknown_signal_labels(sig.m)])
 
 
-def dc_list(model: StackedModel, sig: SampledSignal, sc: Scenario) -> list[np.ndarray]:
-    """Covariance derivatives for the full (tau0, f0, samples) vector."""
-    return [dc_dtheta(model, sig, sc, i)
-            for i in range(len(unknown_signal_labels(sig.m)))]
-
-
-def _realize(fim: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(fim.real))) if fim.size else 0.0
-    resid = float(np.max(np.abs(fim.imag))) if fim.size else 0.0
-    if resid > 1e-10 * max(scale, 1.0):
-        raise ValueError(f"FIM imaginary residue too large: {resid:.3e}")
-    out = fim.real
-    return 0.5 * (out + out.T)
-
-
-def fim_trace_form(model: StackedModel, dc: list[np.ndarray],
+def fim_trace_form(model: StackedModel, dc: np.ndarray,
                    labels: tuple[str, ...] | None = None) -> FimMatrix:
-    """I_ij = Tr(C^{-1} dC_i C^{-1} dC_j)."""
+    """I_ij = Tr(C^{-1} dC_i C^{-1} dC_j) for dC_i = g_i s^H + s g_i^H.
+
+    That is 2 Re[y_i y_j + alpha H_ij] with alpha = s^H C^{-1} s,
+    y = G^H C^{-1} s, H = G^H C^{-1} G. Splitting g_i = c_i s + r_i with
+    c = s^H C^{-1} G / alpha (so r_i is C^{-1}-orthogonal to s) gives
+    I = 2 alpha [2 alpha Re(c) Re(c)^T + Re(R^H C^{-1} R)]: the common-phase
+    part Im(c_i), which the model cannot see, drops out before any product,
+    so near-gauge entries do not come from cancelling large terms. One
+    Cholesky factor of C whitens s and G (p + 1 right-hand sides).
+    """
+    _check_hermitian(model.c, "C")
     try:
-        np.linalg.cholesky(model.c)
+        chol = np.linalg.cholesky(model.c)
     except np.linalg.LinAlgError as exc:
         raise ValueError("C is not positive definite") from exc
-    x = [np.linalg.solve(model.c, d) for d in dc]
-    p = len(dc)
-    fim = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(i, p):
-            fim[i, j] = np.einsum("ij,ji->", x[i], x[j])
-            fim[j, i] = fim[i, j].conjugate()
+    g = np.asarray(dc, dtype=complex)
+    w = np.linalg.solve(chol, np.column_stack([model.s_stack, g]))
+    w_s, w_g = w[:, 0], w[:, 1:]
+    alpha = float(np.vdot(w_s, w_s).real)
+    # s = 0 makes every dC_i zero; c is then irrelevant
+    c = w_s.conj() @ w_g / alpha if alpha > 0.0 else np.zeros(g.shape[1])
+    resid = w_g - np.outer(w_s, c)
+    fim = 2.0 * alpha * (2.0 * alpha * np.outer(c.real, c.real)
+                         + (resid.conj().T @ resid).real)
     if labels is None:
-        labels = tuple(f"theta_{i}" for i in range(p))
-    return FimMatrix(_realize(fim), labels)
+        labels = tuple(f"theta_{i}" for i in range(g.shape[1]))
+    return FimMatrix(0.5 * (fim + fim.T), labels)
 
 
-def fim_kron_form(model: StackedModel, dc: list[np.ndarray],
-                  labels: tuple[str, ...] | None = None) -> FimMatrix:
-    """I_ij = vec(dC_i)^H (conj(C)^{-1} kron C^{-1}) vec(dC_j).
-
-    Independent of the trace path: explicit inverse, column-major
-    vectorization, one dense Kronecker product.
-    """
-    c_inv = np.linalg.inv(model.c)
-    kron = np.kron(c_inv.conj(), c_inv)
-    vecs = np.column_stack([d.flatten(order="F") for d in dc])
-    fim = vecs.conj().T @ kron @ vecs
-    if labels is None:
-        labels = tuple(f"theta_{i}" for i in range(len(dc)))
-    return FimMatrix(_realize(fim), labels)
-
-
-def inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Hermitian inverse square root with eigenvalue floor 1e-12 * lambda_max."""
-    lam, vec = np.linalg.eigh(mat)
-    lam = np.maximum(lam, EIG_FLOOR * float(lam[-1]))
-    return (vec * lam ** -0.5) @ vec.conj().T
-
-
-def j_factors(model: StackedModel, dc: list[np.ndarray]) -> np.ndarray:
-    """Columns J_i = (conj(C^{-1/2}) kron C^{-1/2}) vec(dC_i).
-
-    The FIM factors as I_ij = J_i^H J_j.
-    """
-    c_mhalf = inv_sqrt(model.c)
-    factor = np.kron(c_mhalf.conj(), c_mhalf)
-    return factor @ np.column_stack([d.flatten(order="F") for d in dc])
-
-
-def crb_correlated(model: StackedModel, dc: list[np.ndarray],
+def crb_correlated(model: StackedModel, dc: np.ndarray,
                    labels: tuple[str, ...] | None = None,
                    scenario: dict | None = None) -> CrbReport:
     """Delay/Doppler diagonal of the inverted covariance-model FIM.

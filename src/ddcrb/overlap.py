@@ -4,9 +4,10 @@ Each of P looks contains the sum of the signal and its delayed copy in real
 noise, and only the delay plus the M signal samples are estimated. The FIM
 bordering structure depends on how far the copies overlap: disjoint support
 gives a diagonal nuisance block, total overlap (zero delay) makes the delay
-unidentifiable, and partial overlap couples samples n and n - n0. For
-overlap of at most half the support (2*n0 >= M) the nuisance block inverts
-in closed form; deeper overlaps are eliminated numerically.
+unidentifiable, and partial overlap couples samples n and n - n0. The
+nuisance block splits into tridiagonal chains that are eliminated exactly in
+O(M) at every depth; overlap of at most half the support (2*n0 >= M) also
+has a short closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, CrbReport,
                   SingularFimError, SINGULAR_COND)
@@ -29,7 +29,6 @@ class OverlapFim:
 
     e: float
     b_vec: np.ndarray
-    d_mat: np.ndarray
     n0: int
     regime: str
     deriv: np.ndarray
@@ -39,6 +38,15 @@ class OverlapFim:
     @property
     def m(self) -> int:
         return self.b_vec.size
+
+    @property
+    def d_mat(self) -> np.ndarray:
+        """Dense sample block D, built on request; the bound never reads it."""
+        c, eye = self.looks / self.sigma_w2, np.eye(self.m)
+        if self.regime == "total":
+            return 4.0 * c * eye
+        # the +-n0 band is empty for disjoint support (n0 >= M)
+        return c * (2.0 * eye + np.eye(self.m, k=self.n0) + np.eye(self.m, k=-self.n0))
 
 
 def overlap_regime(n0: int, m: int) -> str:
@@ -69,21 +77,41 @@ def fim_overlap(sig: SampledSignal, n0: int, sc: Scenario) -> OverlapFim:
     m = sig.m
     regime = overlap_regime(n0, m)
     e = p / s2 * float(np.sum(d ** 2))
-    if regime == "none":
-        b = -(p / s2) * d
-        d_mat = (2.0 * p / s2) * np.eye(m)
-    elif regime == "total":
-        b = -(2.0 * p / s2) * d
-        d_mat = (4.0 * p / s2) * np.eye(m)
-    else:
-        b = -(p / s2) * d.copy()
+    b = -(p / s2) * d
+    if regime == "total":
+        b = 2.0 * b
+    elif regime == "partial":
         b[n0:] += -(p / s2) * d[: m - n0]
-        d_mat = (2.0 * p / s2) * np.eye(m)
-        for n in range(n0, m):
-            d_mat[n, n - n0] = p / s2
-            d_mat[n - n0, n] = p / s2
-    return OverlapFim(e=e, b_vec=b, d_mat=d_mat, n0=n0, regime=regime,
+    return OverlapFim(e=e, b_vec=b, n0=n0, regime=regime,
                       deriv=d, sigma_w2=s2, looks=p)
+
+
+def _chain_quadratic(of: OverlapFim) -> tuple[float, float]:
+    """b^T D^{-1} b and cond(D) from the chain structure of D.
+
+    Outside total overlap D = (P/sigma_w2) * (2I + band at +-n0), which
+    splits into chains r, r + n0, r + 2 n0, ... each equal to
+    (P/sigma_w2) * tridiag(1, 2, 1). With the sign flip S = diag((-1)^k),
+    S tridiag(1, 2, 1) S is the second-difference matrix, so for a chain v
+    of length l, v^T tridiag(1, 2, 1)^{-1} v = sum_k (Q_k - mean Q)^2 where
+    Q = (0, cumsum(S v)) has l + 1 entries. tridiag(1, 2, 1) of size l has
+    eigenvalues 2 + 2 cos(k pi / (l + 1)), so the longest chain sets cond(D).
+    Disjoint support (n0 >= M) is the case of chains of length one.
+    """
+    c = of.looks / of.sigma_w2
+    if of.regime == "total":
+        return float(of.b_vec @ of.b_vec) / (4.0 * c), 1.0
+    step = min(of.n0, of.m)
+    q, rem = divmod(of.m, step)
+    quad = 0.0
+    # chains starting at r < rem have q + 1 entries, the rest q
+    for length, starts in ((q + 1, np.arange(rem)), (q, np.arange(rem, step))):
+        k = np.arange(length)[:, None]
+        cum = np.cumsum((-1.0) ** k * of.b_vec[starts + step * k], axis=0)
+        cum = np.vstack([np.zeros(starts.size), cum])
+        quad += float(np.sum((cum - cum.mean(axis=0)) ** 2))
+    cos1 = np.cos(np.pi / (q + (rem > 0) + 1))
+    return quad / c, float((1.0 + cos1) / (1.0 - cos1))
 
 
 def _closed_form_partial(of: OverlapFim) -> float | None:
@@ -108,13 +136,14 @@ def crb_overlap(of: OverlapFim, scenario: dict | None = None) -> CrbReport:
 
     No overlap has the closed form (2P/P^2) sigma_w2 / sum s'^2; total
     overlap makes e - b^T D^{-1} b exactly zero (no finite bound exists);
-    partial overlap is eliminated numerically, with the closed form attached
-    and preferred when 2*n0 >= M.
+    partial overlap is eliminated through the chain form of D, with the
+    short closed form attached and preferred when 2*n0 >= M.
     """
     scenario = scenario or {}
-    if np.linalg.cond(of.d_mat) > SINGULAR_COND:
+    quad, cond = _chain_quadratic(of)
+    if cond > SINGULAR_COND:
         raise SingularFimError("sample block of the overlap FIM is singular")
-    x = of.e - float(of.b_vec @ scipy.linalg.solve(of.d_mat, of.b_vec, assume_a="sym"))
+    x = of.e - quad
     details = {"regime": of.regime, "n0": of.n0,
                "information_after_elimination": x}
     if abs(x) <= SINGULAR_RTOL * max(of.e, 1e-300):

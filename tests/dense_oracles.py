@@ -1,0 +1,106 @@
+"""Dense reference forms that the structured library paths are tested against.
+
+The library evaluates the covariance-model FIM through the rank-two structure
+of dC_i and eliminates the overlap sample block chain by chain. The forms
+here build every matrix densely instead: p explicit N x N covariance
+derivatives with the trace and Kronecker formulas, and the overlap block D
+with a dense symmetric solve. The Kronecker form holds an N^2 x N^2 matrix
+and the overlap solve is O(M^3), so they suit small instances only.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from ddcrb.bounds import unknown_signal_labels
+from ddcrb.covariance import StackedModel, stack_gradient
+from ddcrb.fim import SINGULAR_COND, FimMatrix, SingularFimError
+from ddcrb.overlap import OverlapFim
+
+EIG_FLOOR = 1e-12
+
+
+# ------------------------------------------------------------- covariance
+
+def dc_dtheta(model: StackedModel, sig, sc, param_index: int) -> np.ndarray:
+    """dC/dtheta_i = (ds/dtheta_i) s^H + s (ds/dtheta_i)^H, Hermitian."""
+    labels = unknown_signal_labels(sig.m)
+    if not 0 <= param_index < len(labels):
+        raise ValueError(f"param_index {param_index} out of range")
+    ds = stack_gradient(model, sig, sc, labels[param_index])
+    return np.outer(ds, model.s_stack.conj()) + np.outer(model.s_stack, ds.conj())
+
+
+def dense_dc(model: StackedModel, g: np.ndarray) -> list[np.ndarray]:
+    """Expand factored derivatives (columns g_i) into dC_i = g_i s^H + s g_i^H."""
+    s = model.s_stack
+    return [np.outer(col, s.conj()) + np.outer(s, col.conj()) for col in g.T]
+
+
+def _realize(fim: np.ndarray) -> np.ndarray:
+    scale = float(np.max(np.abs(fim.real))) if fim.size else 0.0
+    resid = float(np.max(np.abs(fim.imag))) if fim.size else 0.0
+    if resid > 1e-10 * max(scale, 1.0):
+        raise ValueError(f"FIM imaginary residue too large: {resid:.3e}")
+    out = fim.real
+    return 0.5 * (out + out.T)
+
+
+def _labels(labels, p):
+    return labels if labels is not None else tuple(f"theta_{i}" for i in range(p))
+
+
+def fim_trace_dense(model: StackedModel, dc: list[np.ndarray],
+                    labels: tuple[str, ...] | None = None) -> FimMatrix:
+    """I_ij = Tr(C^{-1} dC_i C^{-1} dC_j) for arbitrary Hermitian dC_i."""
+    try:
+        np.linalg.cholesky(model.c)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("C is not positive definite") from exc
+    x = [np.linalg.solve(model.c, d) for d in dc]
+    p = len(dc)
+    fim = np.empty((p, p), dtype=complex)
+    for i in range(p):
+        for j in range(i, p):
+            fim[i, j] = np.einsum("ij,ji->", x[i], x[j])
+            fim[j, i] = fim[i, j].conjugate()
+    return FimMatrix(_realize(fim), _labels(labels, p))
+
+
+def fim_kron_form(model: StackedModel, dc: list[np.ndarray],
+                  labels: tuple[str, ...] | None = None) -> FimMatrix:
+    """I_ij = vec(dC_i)^H (conj(C)^{-1} kron C^{-1}) vec(dC_j).
+
+    Independent of the trace form: explicit inverse, column-major
+    vectorization, one dense Kronecker product.
+    """
+    c_inv = np.linalg.inv(model.c)
+    kron = np.kron(c_inv.conj(), c_inv)
+    vecs = np.column_stack([d.flatten(order="F") for d in dc])
+    fim = vecs.conj().T @ kron @ vecs
+    return FimMatrix(_realize(fim), _labels(labels, len(dc)))
+
+
+def inv_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Hermitian inverse square root with eigenvalue floor 1e-12 * lambda_max."""
+    lam, vec = np.linalg.eigh(mat)
+    lam = np.maximum(lam, EIG_FLOOR * float(lam[-1]))
+    return (vec * lam ** -0.5) @ vec.conj().T
+
+
+def j_factors(model: StackedModel, dc: list[np.ndarray]) -> np.ndarray:
+    """Columns J_i = (conj(C^{-1/2}) kron C^{-1/2}) vec(dC_i).
+
+    The FIM factors as I_ij = J_i^H J_j.
+    """
+    c_mhalf = inv_sqrt(model.c)
+    factor = np.kron(c_mhalf.conj(), c_mhalf)
+    return factor @ np.column_stack([d.flatten(order="F") for d in dc])
+
+
+# ---------------------------------------------------------------- overlap
+
+def overlap_information_dense(of: OverlapFim) -> float:
+    """e - b^T D^{-1} b with D built densely and solved directly."""
+    if np.linalg.cond(of.d_mat) > SINGULAR_COND:
+        raise SingularFimError("sample block of the overlap FIM is singular")
+    return of.e - float(of.b_vec @ scipy.linalg.solve(of.d_mat, of.b_vec, assume_a="sym"))

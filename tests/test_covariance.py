@@ -1,8 +1,9 @@
-"""Covariance-form FIM tests: stacking, derivatives, trace/Kronecker duality."""
+"""Covariance-form FIM tests: stacking, derivatives, rank-two FIM against the
+dense trace and Kronecker oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
@@ -10,6 +11,8 @@ from ddcrb.bounds import unknown_signal_labels
 from ddcrb.covariance import stack_gradient
 
 from conftest import make_contained_train, rel_err
+from dense_oracles import (dc_dtheta, dense_dc, fim_kron_form, fim_trace_dense,
+                           j_factors)
 
 
 def small_setup(l=1, p=1, n=8, f0=0.2, scale=1.0, seed=0):
@@ -66,21 +69,24 @@ class TestCovarianceDerivatives:
         rng = np.random.default_rng(1)
         sig, sc = small_setup()
         model = d.build_stacked(sig, sc, random_psd(16, rng))
-        dc = d.dc_dtheta(model, sig, sc, 4)  # sR_1
+        dc = dense_dc(model, d.dc_list(model, sig, sc))[4]  # sR_1
         assert np.linalg.matrix_rank(dc) <= 2
+        np.testing.assert_allclose(dc, dc_dtheta(model, sig, sc, 4), atol=0)
 
     def test_doppler_derivative_vanishes_on_direct_blocks(self):
         rng = np.random.default_rng(2)
         sig, sc = small_setup(l=2, p=1, n=8)
         model = d.build_stacked(sig, sc, random_psd(24, rng))
-        dc = d.dc_dtheta(model, sig, sc, 1)
+        g = d.dc_list(model, sig, sc)
+        assert np.max(np.abs(g[:16, 1])) == 0.0
+        dc = dense_dc(model, g)[1]
         assert np.max(np.abs(dc[:16, :16])) == 0.0
 
     def test_all_hermitian(self):
         rng = np.random.default_rng(3)
         sig, sc = small_setup()
         model = d.build_stacked(sig, sc, random_psd(16, rng))
-        for dc in d.dc_list(model, sig, sc):
+        for dc in dense_dc(model, d.dc_list(model, sig, sc)):
             np.testing.assert_allclose(dc, dc.conj().T, atol=1e-14)
 
     def test_delay_derivative_matches_finite_difference(self):
@@ -108,8 +114,8 @@ class TestCovarianceDerivatives:
         rng = np.random.default_rng(4)
         sig, sc = small_setup()
         model = d.build_stacked(sig, sc, random_psd(16, rng))
-        with pytest.raises(ValueError):
-            d.dc_dtheta(model, sig, sc, 2 + 2 * sig.m)
+        with pytest.raises(ValueError, match="out of range"):
+            stack_gradient(model, sig, sc, f"sR_{sig.m}")
 
 
 class TestFimForms:
@@ -122,7 +128,7 @@ class TestFimForms:
                                looks_direct=1, looks_reflected=0)
         d1 = np.diag([1.0, 0.5]).astype(complex)
         d2 = np.diag([0.25, -1.0]).astype(complex)
-        fim = d.fim_trace_form(model, [d1, d2])
+        fim = fim_trace_dense(model, [d1, d2])
         expected = np.empty((2, 2))
         for i, da in enumerate((d1, d2)):
             for j, db in enumerate((d1, d2)):
@@ -134,8 +140,7 @@ class TestFimForms:
                                sigma_cn=np.eye(2, dtype=complex),
                                c=np.eye(2, dtype=complex), n=2,
                                looks_direct=1, looks_reflected=0)
-        zero = np.zeros((2, 2), complex)
-        fim = d.fim_trace_form(model, [zero, zero])
+        fim = d.fim_trace_form(model, np.zeros((2, 2), complex))
         np.testing.assert_array_equal(fim.entries, 0.0)
 
     def test_identity_covariance_kron_reduction(self):
@@ -148,7 +153,7 @@ class TestFimForms:
         for _ in range(2):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             ds.append(a + a.conj().T)
-        fim = d.fim_kron_form(model, ds)
+        fim = fim_kron_form(model, ds)
         expected = np.real(np.sum(ds[0].conj() * ds[1]))
         assert fim.entries[0, 1] == pytest.approx(expected, rel=1e-12)
 
@@ -162,18 +167,42 @@ class TestFimForms:
         sig, sc = small_setup(l=l, p=p, n=n, f0=float(rng.uniform(-1, 1)))
         dim = n * (l + p)
         model = d.build_stacked(sig, sc, random_psd(dim, rng))
-        dc = d.dc_list(model, sig, sc)
-        ft = d.fim_trace_form(model, dc)
-        fk = d.fim_kron_form(model, dc)
+        g = d.dc_list(model, sig, sc)
+        ft = d.fim_trace_form(model, g)
+        fk = fim_kron_form(model, dense_dc(model, g))
         assert rel_err(ft.entries, fk.entries) <= 1e-8
+
+    @settings(max_examples=40)
+    @given(l=st.integers(0, 3), p=st.integers(0, 3), n_p=st.integers(2, 6),
+           extra=st.integers(0, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_rank_two_matches_both_dense_oracles(self, l, p, n_p, extra, seed):
+        assume(l + p > 0)
+        rng = np.random.default_rng(seed)
+        pt, _, _ = make_contained_train(n_p=n_p, delta=0.5, b=(1.0 - 0.5j,))
+        sig = d.synthesize_pulse_train(pt)
+        n = sig.m + 2 + extra
+        sc = d.Scenario(tau0=2 * sig.delta, f0=float(rng.uniform(-1, 1)),
+                        looks_direct=l, looks_reflected=p, sigma_w2=1.0,
+                        record_length=n)
+        model = d.build_stacked(sig, sc, random_psd(n * (l + p), rng))
+        g = d.dc_list(model, sig, sc)
+        dense = dense_dc(model, g)
+        fim = d.fim_trace_form(model, g).entries
+        # normwise: an entry ~1e-11 of the scale whose derivative is nearly a
+        # pure phase rotation of s (one dominant pulse sample, one path
+        # missing) cancels exactly in the dense dC but only to ~1e-15 of the
+        # scale in the factored form
+        for oracle in (fim_trace_dense, fim_kron_form):
+            ref = oracle(model, dense).entries
+            assert np.max(np.abs(fim - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_j_factor_decomposition(self):
         rng = np.random.default_rng(11)
         sig, sc = small_setup()
         model = d.build_stacked(sig, sc, random_psd(16, rng))
-        dc = d.dc_list(model, sig, sc)
-        fim = d.fim_trace_form(model, dc)
-        j = d.j_factors(model, dc)
+        g = d.dc_list(model, sig, sc)
+        fim = d.fim_trace_form(model, g)
+        j = j_factors(model, dense_dc(model, g))
         cross = np.real(np.vdot(j[:, 0], j[:, 1]))
         assert cross == pytest.approx(fim.entries[0, 1], rel=1e-10)
 
@@ -185,13 +214,21 @@ class TestFimForms:
         eigs = np.linalg.eigvalsh(fim.entries)
         assert eigs.min() >= -1e-10 * eigs.max()
 
+    def test_non_hermitian_c_rejected(self):
+        # the Cholesky factor reads one triangle only, so asymmetry is checked
+        c = np.array([[2.0, 1.0], [0.0, 2.0]], complex)
+        model = d.StackedModel(s_stack=np.ones(2, complex), sigma_cn=c, c=c, n=2,
+                               looks_direct=1, looks_reflected=0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            d.fim_trace_form(model, np.eye(2, dtype=complex))
+
     def test_singular_c_rejected(self):
         model = d.StackedModel(s_stack=np.zeros(2, complex),
                                sigma_cn=np.zeros((2, 2), complex),
                                c=np.zeros((2, 2), complex), n=2,
                                looks_direct=1, looks_reflected=0)
         with pytest.raises(ValueError, match="positive definite"):
-            d.fim_trace_form(model, [np.eye(2, dtype=complex)])
+            d.fim_trace_form(model, np.eye(2, dtype=complex)[:, :1])
 
 
 class TestCrbCorrelated:
@@ -231,3 +268,17 @@ class TestCrbCorrelated:
         model = d.build_stacked(sig, sc, np.eye(16, dtype=complex))
         rep = d.crb_correlated(model, d.dc_list(model, sig, sc))
         assert rep.details["null_directions"] == 1
+
+    def test_scale_beyond_dense_derivatives(self):
+        # M = 200, L = P = 1: stacked N = 408 and p = 402, where p dense
+        # N x N derivatives would take about 1 GB
+        sig = d.triangle_wave(200)
+        sc = d.Scenario(tau0=4.0, f0=0.05, looks_direct=1, looks_reflected=1,
+                        sigma_w2=0.5)
+        dim = 2 * (4 + sig.m)
+        lag = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+        model = d.build_stacked(sig, sc, (0.5 * 0.6 ** lag).astype(complex))
+        g = d.dc_list(model, sig, sc)
+        assert g.shape == (dim, 2 + 2 * sig.m)
+        rep = d.crb_correlated(model, g)
+        assert rep.singular or all(np.isfinite(v) and v > 0 for v in rep.values.values())

@@ -1,10 +1,18 @@
-"""Nonseparated-path tests: FIM structure, regimes, triangle-wave forms."""
+"""Nonseparated-path tests: FIM structure, regimes, triangle-wave forms, and
+the chain-form elimination against dense and exact rational elimination."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.overlap import _closed_form_partial, overlap_regime
+from ddcrb.overlap import SINGULAR_RTOL, _closed_form_partial, overlap_regime
+from ddcrb.signals import central_difference
+
+from dense_oracles import overlap_information_dense
 
 
 def scenario(p=1, sigma_w2=1.0):
@@ -19,7 +27,6 @@ def asym_signal(m=20, seed=9):
     samples = np.zeros(m)
     for k in range(1, 4):
         samples += rng.standard_normal() * np.sin(2 * np.pi * k * t / (m * 0.5))
-    from ddcrb.signals import central_difference
     return d.SampledSignal(samples, 0.5, central_difference(samples, 0.5))
 
 
@@ -103,17 +110,22 @@ class TestCrbOverlap:
         for m in range(2, 65, 2):
             sig = d.triangle_wave(m)
             for n0 in range(m // 2, m):
-                rep = d.crb_overlap(d.fim_overlap(sig, n0, scenario(p=2)))
+                of = d.fim_overlap(sig, n0, scenario(p=2))
+                rep = d.crb_overlap(of)
                 closed = rep.values["tau0"]
-                numeric = rep.details["tau0_numeric"]
-                assert abs(closed - numeric) <= 1e-10 * closed, (m, n0)
+                for numeric in (rep.details["tau0_numeric"],
+                                1.0 / overlap_information_dense(of)):
+                    assert abs(closed - numeric) <= 1e-10 * closed, (m, n0)
 
     def test_closed_form_matches_dense_for_general_signal(self):
         sig = asym_signal(m=20)
         for n0 in range(10, 20):
-            rep = d.crb_overlap(d.fim_overlap(sig, n0, scenario()))
+            of = d.fim_overlap(sig, n0, scenario())
+            rep = d.crb_overlap(of)
             assert rep.values["tau0"] == pytest.approx(
                 rep.details["tau0_numeric"], rel=1e-10)
+            assert rep.values["tau0"] == pytest.approx(
+                1.0 / overlap_information_dense(of), rel=1e-10)
 
     def test_deep_partial_is_numeric_only(self):
         sig = d.triangle_wave(16)
@@ -149,3 +161,65 @@ class TestTriangleCurve:
         for r in rows:
             if 0 < r["n0"] < 8:
                 assert r["singular"] or r["method"] == "schur_numeric"
+
+    def test_scale_beyond_dense_solves(self):
+        # 2049 offsets at M = 2048: each dense solve would be O(M^3)
+        rows = d.triangle_overlap_curve(2048, scenario())
+        assert len(rows) == 2049
+        for r in rows:
+            assert r["singular"] or (np.isfinite(r["crb_tau0"]) and r["crb_tau0"] > 0)
+
+
+class TestChainElimination:
+    @settings(max_examples=40)
+    @given(m=st.integers(2, 64), p=st.integers(1, 5),
+           sigma_w2=st.floats(1e-3, 1e3), sign_pattern=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_dense_elimination(self, m, p, sigma_w2, sign_pattern, seed):
+        rng = np.random.default_rng(seed)
+        # +-1 slopes hit exact zeros of the information, as the triangle does
+        deriv = (rng.choice([-1.0, 1.0], m) if sign_pattern
+                 else rng.standard_normal(m))
+        sig = d.SampledSignal(np.zeros(m), 1.0, deriv)
+        sc = scenario(p=p, sigma_w2=sigma_w2)
+        for n0 in range(m + 1):
+            of = d.fim_overlap(sig, n0, sc)
+            rep = d.crb_overlap(of)
+            dense = overlap_information_dense(of)
+            x = rep.details["information_after_elimination"]
+            assert abs(x - dense) <= 1e-12 * of.e, (n0, x, dense)
+            assert rep.singular == (abs(dense) <= SINGULAR_RTOL * of.e), n0
+            assert rep.details["regime"] == overlap_regime(n0, m)
+
+    def test_triangle_m16_matches_exact_rational_elimination(self):
+        # derivative +-1 with P = sigma_w2 = 1: e, b and D are integers
+        m = 16
+        rows = d.triangle_overlap_curve(m, scenario())
+        sig = d.triangle_wave(m)
+        exact = {n0: _exact_information(d.fim_overlap(sig, n0, scenario()))
+                 for n0 in range(m + 1)}
+        assert [n0 for n0, x in exact.items() if x == 0] == [0, 1, 2, 4]
+        assert {n0: 1 / exact[n0] for n0 in (3, 5, 6, 7)} == {
+            3: Fraction(21, 19), 5: Fraction(1), 6: Fraction(3, 11), 7: Fraction(6, 43)}
+        for row in rows:
+            x = exact[row["n0"]]
+            assert row["singular"] == (x == 0), row
+            if x != 0:
+                bound = float(1 / x)
+                assert abs(row["crb_tau0"] - bound) <= 4 * np.spacing(bound), row
+
+
+def _exact_information(of):
+    """e - b^T D^{-1} b by Gaussian elimination over the rationals."""
+    m = of.m
+    a = [[Fraction(v) for v in row] + [Fraction(bv)]
+         for row, bv in zip(of.d_mat, of.b_vec)]
+    for k in range(m):
+        for i in range(k + 1, m):
+            factor = a[i][k] / a[k][k]
+            if factor:
+                a[i] = [vi - factor * vk for vi, vk in zip(a[i], a[k])]
+    sol = [Fraction(0)] * m
+    for k in reversed(range(m)):
+        sol[k] = (a[k][m] - sum(a[k][j] * sol[j] for j in range(k + 1, m))) / a[k][k]
+    return Fraction(of.e) - sum(Fraction(bv) * s for bv, s in zip(of.b_vec, sol))
