@@ -59,12 +59,30 @@ def jcrb_known(sig: SampledSignal, sc: Scenario) -> BoundPair:
     Singular when the derivative energy vanishes or the Cauchy-Schwarz
     denominator sum|s'|^2 * sum(t+tau0)^2|s|^2 - eta^2 is not positive.
     """
+    return signal_bounds(sig, sc)[0]
+
+
+def signal_bounds(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPair, BoundPair]:
+    """(jcrb_known, jcrb_unknown, crb_separate_unknown) from one set of weighted sums."""
     s_dd, s_ww, e = weighted_sums(sig, sc.tau0)
     den = s_dd * s_ww - e * e
     if den <= DEGENERACY_RTOL * s_dd * s_ww or s_dd <= 0.0:
-        return BoundPair.singular_pair("degenerate signal: zero information determinant")
-    return BoundPair(tau0=sc.sigma_w2 * s_ww / (2.0 * den),
-                     f0=sc.sigma_w2 * s_dd / (TWO_PI2 * den))
+        known = BoundPair.singular_pair("degenerate signal: zero information determinant")
+    else:
+        known = BoundPair(tau0=sc.sigma_w2 * s_ww / (2.0 * den),
+                          f0=sc.sigma_w2 * s_dd / (TWO_PI2 * den))
+    factor = look_factor(sc)
+    if factor is None:
+        return (known,
+                BoundPair.singular_pair("L = 0 or P = 0: no unbiased joint estimator"),
+                BoundPair.singular_pair("L = 0 or P = 0: no unbiased estimator"))
+    a2 = sc.scale ** 2
+    if s_dd <= 0.0 or s_ww <= 0.0:
+        separate = BoundPair.singular_pair("degenerate signal: zero information")
+    else:
+        separate = BoundPair(tau0=factor * sc.sigma_w2 / (2.0 * a2 * s_dd),
+                             f0=factor * sc.sigma_w2 / (TWO_PI2 * a2 * s_ww))
+    return known, known.scaled(factor / a2), separate
 
 
 def unknown_signal_labels(m: int) -> tuple[str, ...]:
@@ -111,10 +129,7 @@ def jcrb_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:
     invertible Schur complement, so no unbiased joint estimator exists and
     the pair is flagged singular.
     """
-    factor = look_factor(sc)
-    if factor is None:
-        return BoundPair.singular_pair("L = 0 or P = 0: no unbiased joint estimator")
-    return jcrb_known(sig, sc).scaled(factor / sc.scale ** 2)
+    return signal_bounds(sig, sc)[1]
 
 
 def crb_separate_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:
@@ -123,12 +138,4 @@ def crb_separate_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:
     tau0: (L + a^2 P)/(L P) * sigma_w2 / (2 a^2 sum|s'|^2);
     f0:   (L + a^2 P)/(L P) * sigma_w2 / (8 pi^2 a^2 sum (t+tau0)^2 |s|^2).
     """
-    factor = look_factor(sc)
-    if factor is None:
-        return BoundPair.singular_pair("L = 0 or P = 0: no unbiased estimator")
-    a2 = sc.scale ** 2
-    s_dd, s_ww, _ = weighted_sums(sig, sc.tau0)
-    if s_dd <= 0.0 or s_ww <= 0.0:
-        return BoundPair.singular_pair("degenerate signal: zero information")
-    return BoundPair(tau0=factor * sc.sigma_w2 / (2.0 * a2 * s_dd),
-                     f0=factor * sc.sigma_w2 / (TWO_PI2 * a2 * s_ww))
+    return signal_bounds(sig, sc)[2]

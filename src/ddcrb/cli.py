@@ -20,11 +20,11 @@ import click
 import numpy as np
 
 from . import __version__
-from .bounds import fim_unknown_signal, jcrb_known, jcrb_unknown
+from .bounds import fim_unknown_signal, signal_bounds
 from .fim import (METHOD_CLOSED_FORM, METHOD_MONTE_CARLO, METHOD_SCHUR_NUMERIC,
                   invert_bound_matrix, schur_complement_2x2)
 from .overlap import triangle_overlap_curve
-from .scaled import jcrb_scaled_known_a, jcrb_structure_known_a
+from .scaled import jcrb_structure_known_a
 from .signals import (PulseTrain, SampledSignal, Scenario, gaussian_pulse_train,
                       synthesize_pulse_train, triangle_wave)
 from .verify import McConfig, monte_carlo_report
@@ -309,8 +309,7 @@ def cmd_table1(config_path, **flags):
         sig, _ = build_signal(cfg, delta, convention)
         for looks in (1, 2, 100):
             sc = cfg.scenario(looks_direct=looks, looks_reflected=1, scale=1.0)
-            known = jcrb_known(sig, sc)
-            unknown = jcrb_unknown(sig, sc)
+            known, unknown, _ = signal_bounds(sig, sc)
             schur_tau, schur_f = _schur_pair(sig, sc)
             rows.append({
                 "amp_convention": convention,
@@ -359,10 +358,9 @@ def _bound_pairs(sig, pt, sc) -> list:
     joint and separate, and known-structure bounds. The known-signal
     reference is the single-look bound at the scenario's reflected scale,
     so the unknown/known ratio is the look factor exactly."""
-    known = jcrb_known(sig, sc).scaled(1.0 / sc.scale ** 2)
-    joint, separate = jcrb_scaled_known_a(sig, sc)
-    pairs = [("jcrb_tau0", "jcrb_f0", known), ("jcrb_tau0_s", "jcrb_f0_s", joint),
-             ("crb_tau0_s", "crb_f0_s", separate)]
+    known, joint, separate = signal_bounds(sig, sc)
+    pairs = [("jcrb_tau0", "jcrb_f0", known.scaled(1.0 / sc.scale ** 2)),
+             ("jcrb_tau0_s", "jcrb_f0_s", joint), ("crb_tau0_s", "crb_f0_s", separate)]
     if pt is not None:
         pairs.append(("jcrb_tau0_b", "jcrb_f0_b", jcrb_structure_known_a(pt, sc)))
     return pairs

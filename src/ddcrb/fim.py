@@ -9,11 +9,11 @@ together with an explicit singularity flag so that rank-deficient scenarios
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
@@ -54,8 +54,12 @@ class Border:
         out.setflags(write=False)
         return out
 
+    @functools.cached_property
     def schur(self) -> np.ndarray | None:
-        """A - B C^{-1} B^T, or None when C is not positive definite."""
+        """Read-only A - B C^{-1} B^T, or None when C is not positive definite.
+
+        Computed on first use and shared by validation and elimination.
+        """
         if np.ndim(self.gram) == 0:
             ck = self.c * self.gram
             if not ck > 0.0:
@@ -68,11 +72,14 @@ class Border:
                 chol = np.linalg.cholesky(self.c * self.gram)
             except np.linalg.LinAlgError:
                 return None
+            import scipy.linalg  # here, not at module level: it dominates start-up
             k = len(self.a)
             y = scipy.linalg.solve_triangular(
                 chol, np.hstack([self.b[:, 0::2].T, self.b[:, 1::2].T]), lower=True)
             out = self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
-        return 0.5 * (out + out.T)
+        out = 0.5 * (out + out.T)
+        out.setflags(write=False)
+        return out
 
     def validate(self) -> bool:
         """Symmetry and PSD checks; False (nothing decided) if C is not PD.
@@ -88,7 +95,7 @@ class Border:
                    abs(self.c) * np.max(np.abs(kmat - kmat.T)))
         if asym > SYMMETRY_RTOL * spec:
             raise ValueError(f"FIM not symmetric: |A - A^T| = {asym:.3e}")
-        reduced = self.schur()
+        reduced = self.schur
         if reduced is None:
             return False
         eigmin = float(np.linalg.eigvalsh(reduced)[0])
@@ -174,6 +181,7 @@ def _eliminate(e: np.ndarray, keep: int, outer: float = 0.0) -> np.ndarray:
     c_eigs = np.linalg.eigvalsh(c)
     if c_eigs[0] <= max(abs(c_eigs[-1]), outer) / SINGULAR_COND:
         raise SingularFimError("nuisance block is singular")
+    import scipy.linalg  # here, not at module level: it dominates start-up
     x = scipy.linalg.solve(c, b.T, assume_a="sym")
     out = a - b @ x
     return 0.5 * (out + out.T)
@@ -192,7 +200,7 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
         raise ValueError("keep must be between 1 and the FIM dimension")
     border = fim.border
     if border is not None and keep <= len(border.a):
-        reduced = border.schur()
+        reduced = border.schur
         if reduced is not None:
             k_eigs = np.linalg.eigvalsh(np.atleast_2d(border.gram))  # C's range over c
             if k_eigs[0] <= k_eigs[-1] / SINGULAR_COND:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import (DEGENERACY_RTOL, TWO_PI2, bordered_fim, crb_separate_unknown,
-                     jcrb_unknown, unknown_signal_labels, weighted_sums)
+from .bounds import (DEGENERACY_RTOL, TWO_PI2, bordered_fim, signal_bounds,
+                     unknown_signal_labels, weighted_sums)
 from .fim import Bound, BoundPair, FimMatrix
 from .signals import PulseTrain, SampledSignal, Scenario, synthesize_pulse_train
 from .structure import pulse_basis, structure_labels, structure_quantities
@@ -50,7 +50,7 @@ def jcrb_scaled_known_a(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, Bo
     the joint baseline is jcrb_known divided by a^2, the separate one is
     sigma_w2/(2 a^2 sum|s'|^2) and sigma_w2/(8 pi^2 a^2 sum (t+tau0)^2|s|^2).
     """
-    return jcrb_unknown(sig, sc), crb_separate_unknown(sig, sc)
+    return signal_bounds(sig, sc)[1:]
 
 
 def fim_unknown_a(source: SampledSignal | PulseTrain, sc: Scenario,

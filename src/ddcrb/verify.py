@@ -27,6 +27,9 @@ from .structure import structure_labels
 FD_STEP_F = 1e-5
 FD_STEP_SAMPLE = 1e-6
 FD_STEP_SCALE = 1e-6
+# largest phase table built whole (16 MiB); above it each delay is scored from
+# its own Doppler x sample slice, so memory no longer grows with the delay count
+PHASE_TABLE_MAX_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,22 @@ def _refine_2d(stat: np.ndarray, i0: int, j0: int,
     return tau, f
 
 
+def _phases(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
+            delta: float) -> np.ndarray:
+    """(delay x Doppler x sample) table exp(-2j pi f (m + n0) delta)."""
+    t = (np.arange(m) + np.asarray(tau_grid)[:, None]) * delta
+    return np.exp(-2j * np.pi * (np.asarray(f_grid)[None, :, None] * t[:, None, :]))
+
+
 @functools.lru_cache(maxsize=4)
 def _phase_table(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
                  delta: float) -> np.ndarray:
-    """Read-only (delay x Doppler x sample) table exp(-2j pi f (m + n0) delta).
+    """Read-only _phases table of the whole grid.
 
     It depends on the grids and the window only, never on the data, so one
     table serves every trial of a Monte Carlo run.
     """
-    t = (np.arange(m) + np.asarray(tau_grid)[:, None]) * delta
-    table = np.exp(-2j * np.pi * (np.asarray(f_grid)[None, :, None] * t[:, None, :]))
+    table = _phases(tau_grid, f_grid, m, delta)
     table.flags.writeable = False
     return table
 
@@ -137,9 +146,11 @@ def _grid_search(obs: Observations, cfg: McConfig,
     """Maximize a statistic over the (delay, Doppler) grid, refined if asked.
 
     stat(v, table) gets v, the sums of the reflected looks over the window at
-    every delay candidate (I x M), and the phase table of _phase_table
-    (I x F x M); it returns the statistic on the grid (I x F). Returns
-    (tau_hat, f_hat) in physical units.
+    I delay candidates (I x M), and their phase table (I x F x M); it returns
+    the statistic on those rows of the grid (I x F). The whole grid goes in
+    one call with the cached _phase_table, or one delay per call when that
+    table would exceed PHASE_TABLE_MAX_BYTES. Returns (tau_hat, f_hat) in
+    physical units.
     """
     m = obs.m
     if any(n0 < 0 or n0 + m > obs.record_length for n0 in cfg.tau_grid):
@@ -147,8 +158,13 @@ def _grid_search(obs: Observations, cfg: McConfig,
     tau_vals = np.asarray(cfg.tau_grid, dtype=float)
     f_vals = np.asarray(cfg.f_grid, dtype=float)
     windows = np.asarray(cfg.tau_grid)[:, None] + np.arange(m)
-    values = stat(obs.reflected.sum(axis=0)[windows],
-                  _phase_table(cfg.tau_grid, cfg.f_grid, m, obs.delta))
+    v = obs.reflected.sum(axis=0)[windows]
+    if len(cfg.tau_grid) * len(cfg.f_grid) * m * 16 <= PHASE_TABLE_MAX_BYTES:
+        values = stat(v, _phase_table(cfg.tau_grid, cfg.f_grid, m, obs.delta))
+    else:
+        values = np.concatenate([
+            stat(v[i:i + 1], _phases(cfg.tau_grid[i:i + 1], cfg.f_grid, m, obs.delta))
+            for i in range(len(cfg.tau_grid))])
     i0, j0 = np.unravel_index(int(np.argmax(values)), values.shape)
     if cfg.refine:
         n0_hat, f_hat = _refine_2d(values, i0, j0, tau_vals, f_vals)

@@ -106,6 +106,18 @@ def test_no_look_nuisance_block_falls_back_to_dense():
     sig = d.triangle_wave(8, delta=0.4)
     sc = d.Scenario(tau0=0.4, f0=0.1, looks_direct=0, looks_reflected=0, sigma_w2=1.0)
     fim = d.fim_unknown_signal(sig, sc)
-    assert fim.border.schur() is None
+    assert fim.border.schur is None
     with pytest.raises(SingularFimError):
         schur_complement(fim)
+
+
+def test_gram_schur_computed_once_per_fim(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda x: calls.append(1) or cholesky(x))
+    fim = build_fim("truncated", False, 2, 1, 1.0, 0.5, seed=3)
+    assert len(calls) == 1  # validation
+    first = schur_complement(fim, 2)
+    np.testing.assert_array_equal(schur_complement(fim, 2), first)
+    assert len(calls) == 1
+    assert not fim.border.schur.flags.writeable

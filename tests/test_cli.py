@@ -289,7 +289,7 @@ class TestConfigAndErrors:
 
         def broken(sig, sc):
             raise ValueError("FIM not positive semidefinite")
-        monkeypatch.setattr(ddcrb.cli, "jcrb_known", broken)
+        monkeypatch.setattr(ddcrb.cli, "signal_bounds", broken)
         with pytest.raises(ValueError, match="semidefinite"):
             run_cli(["crb", *BASE])
 

@@ -1,5 +1,8 @@
 """Verification tests: FD oracle agreement, simulation, profiled ML."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb import verify
+from ddcrb.cli import main
 
 from conftest import make_contained_train, rel_err
 
@@ -171,23 +175,49 @@ LOOP_ESTIMATORS = {
 }
 
 
+SEARCH_CASES = dict(
+    l=st.integers(1, 3), p=st.integers(1, 10), n0=st.integers(0, 12),
+    n_tau=st.integers(3, 15), n_f=st.integers(3, 41), refine=st.booleans(),
+    log_sigma=st.sampled_from([-4, -2, 0]), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def check_against_loop(l, p, n0, n_tau, n_f, refine, log_sigma, seed):
+    sig, sc, _ = mc_setup(sigma_w2=10.0 ** log_sigma, l=l, p=p, n0=n0)
+    lo = max(0, n0 - n_tau // 2)
+    sc = d.Scenario(tau0=sc.tau0, f0=sc.f0, looks_direct=l, looks_reflected=p,
+                    sigma_w2=sc.sigma_w2, record_length=lo + n_tau - 1 + sig.m)
+    cfg = d.McConfig(trials=1, seed=seed, tau_grid=tuple(range(lo, lo + n_tau)),
+                     f_grid=tuple(np.linspace(sc.f0 - 0.1, sc.f0 + 0.1, n_f)),
+                     refine=refine)
+    obs = d.simulate_observations(sig, sc, seed)
+    for name, estimate in ESTIMATORS.items():
+        assert estimate(obs, sig, sc, cfg) == LOOP_ESTIMATORS[name](obs, sig, sc, cfg), name
+
+
 class TestPhaseTableSearch:
     @settings(max_examples=60)
-    @given(l=st.integers(1, 3), p=st.integers(1, 10), n0=st.integers(0, 12),
-           n_tau=st.integers(3, 15), n_f=st.integers(3, 41), refine=st.booleans(),
-           log_sigma=st.sampled_from([-4, -2, 0]), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_per_delay_loop_bit_for_bit(self, l, p, n0, n_tau, n_f, refine,
-                                                log_sigma, seed):
-        sig, sc, _ = mc_setup(sigma_w2=10.0 ** log_sigma, l=l, p=p, n0=n0)
-        lo = max(0, n0 - n_tau // 2)
-        sc = d.Scenario(tau0=sc.tau0, f0=sc.f0, looks_direct=l, looks_reflected=p,
-                        sigma_w2=sc.sigma_w2, record_length=lo + n_tau - 1 + sig.m)
-        cfg = d.McConfig(trials=1, seed=seed, tau_grid=tuple(range(lo, lo + n_tau)),
-                         f_grid=tuple(np.linspace(sc.f0 - 0.1, sc.f0 + 0.1, n_f)),
-                         refine=refine)
-        obs = d.simulate_observations(sig, sc, seed)
-        for name, estimate in ESTIMATORS.items():
-            assert estimate(obs, sig, sc, cfg) == LOOP_ESTIMATORS[name](obs, sig, sc, cfg), name
+    @given(**SEARCH_CASES)
+    def test_matches_per_delay_loop_bit_for_bit(self, **case):
+        check_against_loop(**case)
+
+    @settings(max_examples=30)
+    @given(**SEARCH_CASES)
+    def test_per_delay_fallback_matches_loop_bit_for_bit(self, **case):
+        # a zero size limit sends every grid down the per-delay slices
+        with mock.patch.object(verify, "PHASE_TABLE_MAX_BYTES", 0), \
+                mock.patch.object(verify, "_phase_table",
+                                  side_effect=AssertionError("whole table built")):
+            check_against_loop(**case)
+
+    def test_cli_default_grid_builds_the_whole_table(self, monkeypatch):
+        # the default M = 1000, 11 x 41 grid is a 7.2 MB table, under the limit
+        built = []
+        phases = verify._phases
+        monkeypatch.setattr(verify, "_phases",
+                            lambda *args: built.append(args[:3]) or phases(*args))
+        verify._phase_table.cache_clear()
+        assert main(["montecarlo", "--trials", "2", "--out", os.devnull]) == 0
+        assert [(len(tau), len(f), m) for tau, f, m in built] == [(11, 41, 1000)]
 
     def test_cached_table_is_read_only(self):
         sig, sc, cfg = mc_setup()
