@@ -18,7 +18,7 @@ from .bounds import (DEGENERACY_RTOL, TWO_PI2, bordered_fim, signal_bounds,
                      unknown_signal_labels, weighted_sums)
 from .fim import Bound, BoundPair, FimMatrix
 from .signals import PulseTrain, SampledSignal, Scenario, synthesize_pulse_train
-from .structure import pulse_basis, structure_labels, structure_quantities
+from .structure import _shared_quantities, pulse_basis, structure_labels
 
 
 def energy_sums(sig: SampledSignal) -> tuple[float, float]:
@@ -80,7 +80,7 @@ def _structure_pair(pt: PulseTrain, sc: Scenario, scale_known: bool) -> BoundPai
     Flagged singular when a difference falls to DEGENERACY_RTOL of its lead.
     """
     l, p = sc.looks_direct, sc.looks_reflected
-    sq = structure_quantities(pt, sc.tau0)
+    sq = _shared_quantities(pt, sc.tau0)
     if p == 0 or sq.e_g <= 0.0:
         return BoundPair.singular_pair("P = 0 or zero pulse: no delay/Doppler information")
     a2 = sc.scale ** 2

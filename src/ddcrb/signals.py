@@ -9,6 +9,7 @@ observation geometry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Literal
@@ -163,6 +164,12 @@ class PulseTrain:
     def amp_energy(self) -> float:
         """Sum of |b_q|^2 over the pulses."""
         return float(np.sum(np.abs(self.b) ** 2))
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Values other modules derive from this train, kept for reuse; the
+        train's arrays are read-only, so an entry never goes stale."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,18 @@ def structure_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
                                w=np.sum(t ** 2 * g2, axis=1))
 
 
+def _shared_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
+    """structure_quantities(pt, tau0), computed once per train and delay and
+    read-only: every point of a sweep over looks or scale asks for the same."""
+    key = ("structure_quantities", tau0)
+    if key not in pt._memo:
+        sq = structure_quantities(pt, tau0)
+        sq.gamma.setflags(write=False)
+        sq.w.setflags(write=False)
+        pt._memo[key] = sq
+    return pt._memo[key]
+
+
 def support_assumption_holds(pt: PulseTrain, rtol: float = SUPPORT_RTOL) -> bool:
     """Whether the pulse is effectively contained in one period.
 
@@ -83,7 +95,7 @@ def pulse_basis(pt: PulseTrain, sig: SampledSignal, tau0: float) -> tuple[tuple,
     pulse contained in its period, else the exact (h, u, v) couplings and
     the tridiagonal Gram matrix of the shifted pulse copies."""
     if support_assumption_holds(pt):
-        sq, b = structure_quantities(pt, tau0), pt.b
+        sq, b = _shared_quantities(pt, tau0), pt.b
         return (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, sq.e_g), {"blocks": "simplified"}
     # pulse q spans samples q n_p .. (q+1) n_p, one window each; the train
     # ends a sample early, so the last window reads a zero pad there
@@ -122,7 +134,7 @@ def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:
     Agrees with the sample-form known-signal bounds whenever the pulse is
     contained in its period.
     """
-    sq = structure_quantities(pt, sc.tau0)
+    sq = _shared_quantities(pt, sc.tau0)
     den_tau = 2.0 * pt.amp_energy * sq.dg2
     den_f = TWO_PI2 * float(np.sum(sq.w * np.abs(pt.b) ** 2))
     if den_tau <= 0.0 or den_f <= 0.0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,6 +30,9 @@ FD_STEP_SCALE = 1e-6
 # largest phase table built whole (16 MiB); above it each delay is scored from
 # its own Doppler x sample slice, so memory no longer grows with the delay count
 PHASE_TABLE_MAX_BYTES = 1 << 24
+# working set of one block of Monte Carlo trials (1 MiB): per trial its
+# reflected record, its direct window sum and two delay x Doppler statistics
+TRIAL_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,26 @@ class Observations:
     delta: float
     m: int
 
-    @property
-    def record_length(self) -> int:
-        return self.reflected.shape[1] if self.reflected.size else self.direct.shape[1]
+
+def _look_means(sig: SampledSignal, sc: Scenario) -> list[tuple[int, np.ndarray | None]]:
+    """(look count, mean) of the direct path, then of the reflected path."""
+    return [(count, mean_vector(sig, sc, path) if count else None)
+            for path, count in (("direct", sc.looks_direct),
+                                ("reflected", sc.looks_reflected))]
+
+
+def _draw_looks(rng: np.random.Generator, looks: list, n: int,
+                scale: float) -> list[np.ndarray]:
+    """Each path's looks, (count x n): its mean plus iid circular complex
+    Gaussian noise with standard deviation scale in each part, direct first."""
+    out = []
+    for count, mu in looks:
+        if not count:
+            out.append(np.zeros((0, n), complex))
+            continue
+        noise = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        out.append(mu[None, :] + scale * noise)
+    return out
 
 
 def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observations:
@@ -85,40 +105,30 @@ def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observation
     The complex noise variance is sigma_w2 per sample, split evenly between
     the real and imaginary parts. Deterministic given the seed.
     """
-    n = sc.record_samples(sig)
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(sc.sigma_w2 / 2.0)
-
-    def noisy(mu: np.ndarray, count: int) -> np.ndarray:
-        noise = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-        return mu[None, :] + scale * noise
-
-    direct = noisy(mean_vector(sig, sc, "direct"), sc.looks_direct) \
-        if sc.looks_direct else np.zeros((0, n), complex)
-    reflected = noisy(mean_vector(sig, sc, "reflected"), sc.looks_reflected) \
-        if sc.looks_reflected else np.zeros((0, n), complex)
+    direct, reflected = _draw_looks(np.random.default_rng(seed), _look_means(sig, sc),
+                                    sc.record_samples(sig), np.sqrt(sc.sigma_w2 / 2.0))
     return Observations(direct=direct, reflected=reflected, delta=sig.delta, m=sig.m)
 
 
-def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> float:
-    """Peak offset in grid units of the parabola through three ordinates."""
-    curv = y_minus - 2.0 * y_center + y_plus
-    if curv >= 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (y_minus - y_plus) / curv, -0.5, 0.5))
+def _trial_blocks(sig: SampledSignal, sc: Scenario, cfg: McConfig,
+                  block: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(trials, u, r) for consecutive blocks of at most `block` trials.
 
-
-def _refine_2d(stat: np.ndarray, i0: int, j0: int,
-               tau_vals: np.ndarray, f_vals: np.ndarray) -> tuple[float, float]:
-    tau = float(tau_vals[i0])
-    if 0 < i0 < stat.shape[0] - 1:
-        step = 0.5 * (tau_vals[i0 + 1] - tau_vals[i0 - 1])
-        tau += step * _parabolic_offset(stat[i0 - 1, j0], stat[i0, j0], stat[i0 + 1, j0])
-    f = float(f_vals[j0])
-    if 0 < j0 < stat.shape[1] - 1:
-        step = 0.5 * (f_vals[j0 + 1] - f_vals[j0 - 1])
-        f += step * _parabolic_offset(stat[i0, j0 - 1], stat[i0, j0], stat[i0, j0 + 1])
-    return tau, f
+    Trial k draws what simulate_observations(sig, sc, (cfg.seed, k)) draws and
+    keeps two sums of it: u, its direct looks summed over the window (T x M),
+    and r, its reflected looks summed (T x N). The means are built once.
+    """
+    n, m = sc.record_samples(sig), sig.m
+    looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
+    for start in range(0, cfg.trials, block):
+        trials = range(start, min(start + block, cfg.trials))
+        u = np.empty((len(trials), m), complex)
+        r = np.empty((len(trials), n), complex)
+        for t, k in enumerate(trials):
+            direct, reflected = _draw_looks(np.random.default_rng((cfg.seed, k)), looks, n, scale)
+            direct[:, :m].sum(axis=0, out=u[t])
+            reflected.sum(axis=0, out=r[t])
+        yield slice(trials.start, trials.stop), u, r
 
 
 def _phases(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
@@ -141,36 +151,95 @@ def _phase_table(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
     return table
 
 
-def _grid_search(obs: Observations, cfg: McConfig,
-                 stat: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[float, float]:
-    """Maximize a statistic over the (delay, Doppler) grid, refined if asked.
+def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
+                     u: np.ndarray | None = None, s: np.ndarray | None = None) -> np.ndarray:
+    """Search statistics of T trials on the whole grid, (E x T x I x F).
 
-    stat(v, table) gets v, the sums of the reflected looks over the window at
-    I delay candidates (I x M), and their phase table (I x F x M); it returns
-    the statistic on those rows of the grid (I x F). The whole grid goes in
-    one call with the cached _phase_table, or one delay per call when that
-    table would exceed PHASE_TABLE_MAX_BYTES. Returns (tau_hat, f_hat) in
-    physical units.
+    r holds each trial's reflected looks summed (T x N); v is its window
+    r[n0:n0 + M] at a delay candidate n0, and p = exp(-2j pi f (m + n0) delta).
+    Given u, the direct looks summed over the window (T x M), the first
+    statistic is the profiled one, ||v||^2 + 2 Re sum_m conj(u) p v: that is
+    sum_m |u + p v|^2 less ||u||^2, which is the same in every cell of a
+    trial. Given the signal samples s (M), the last is the matched filter
+    Re sum_m v conj(s) p. Each delay takes one product of its F x M phases
+    with the E*T weighted windows, whether the phases are a row of the cached
+    _phase_table or, above PHASE_TABLE_MAX_BYTES, a slice built for this call.
     """
-    m = obs.m
-    if any(n0 < 0 or n0 + m > obs.record_length for n0 in cfg.tau_grid):
+    if any(n0 < 0 or n0 + m > r.shape[1] for n0 in cfg.tau_grid):
         raise ValueError("tau_grid candidates must keep the delayed window inside the record")
+    n_tau, n_f = len(cfg.tau_grid), len(cfg.f_grid)
+    table = _phase_table(cfg.tau_grid, cfg.f_grid, m, delta) \
+        if n_tau * n_f * m * 16 <= PHASE_TABLE_MAX_BYTES else None
+    weights = [w.conj() for w in (u, s) if w is not None]
+    stats = np.empty((len(weights), r.shape[0], n_tau, n_f))
+    for i, n0 in enumerate(cfg.tau_grid):
+        phases = table[i] if table is not None \
+            else _phases(cfg.tau_grid[i:i + 1], cfg.f_grid, m, delta)[0]
+        v = r[:, n0:n0 + m]
+        products = np.concatenate([w * v for w in weights]) @ phases.T
+        stats[:, :, i] = products.real.reshape(len(weights), -1, n_f)
+        if u is not None:
+            stats[0, :, i] *= 2.0
+            stats[0, :, i] += np.sum(v.real ** 2 + v.imag ** 2, axis=1)[:, None]
+    return stats
+
+
+def _parabolic_offset(y_minus: np.ndarray, y_center: np.ndarray,
+                      y_plus: np.ndarray) -> np.ndarray:
+    """Peak offsets in grid units of the parabolas through three ordinates."""
+    curv = y_minus - 2.0 * y_center + y_plus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.clip(0.5 * (y_minus - y_plus) / curv, -0.5, 0.5)
+    return np.where(curv >= 0.0, 0.0, offset)
+
+
+def _refine_axis(vals: np.ndarray, k0: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """vals[k0], moved by the parabolic peak offset where k0 is interior;
+    row t of lines is grid t's statistic along this axis through its peak."""
+    k = np.clip(k0, 1, len(vals) - 2)
+    rows = np.arange(len(lines))
+    step = 0.5 * (vals[k + 1] - vals[k - 1])
+    moved = vals[k] + step * _parabolic_offset(lines[rows, k - 1], lines[rows, k],
+                                               lines[rows, k + 1])
+    return np.where((0 < k0) & (k0 < len(vals) - 1), moved, vals[k0])
+
+
+def _peaks(stats: np.ndarray, cfg: McConfig, delta: float) -> np.ndarray:
+    """(tau_hat, f_hat) in physical units at each grid's maximum (... x 2).
+
+    The maximum is the first largest cell; with cfg.refine each axis moves
+    by the offset of the parabola through the maximum and its two
+    neighbours on that axis, at most half a step, unless it sits on an edge.
+    """
+    n_tau, n_f = stats.shape[-2:]
+    grids = stats.reshape(-1, n_tau, n_f)
+    i0, j0 = np.divmod(np.argmax(grids.reshape(len(grids), -1), axis=1), n_f)
+    rows = np.arange(len(grids))
     tau_vals = np.asarray(cfg.tau_grid, dtype=float)
     f_vals = np.asarray(cfg.f_grid, dtype=float)
-    windows = np.asarray(cfg.tau_grid)[:, None] + np.arange(m)
-    v = obs.reflected.sum(axis=0)[windows]
-    if len(cfg.tau_grid) * len(cfg.f_grid) * m * 16 <= PHASE_TABLE_MAX_BYTES:
-        values = stat(v, _phase_table(cfg.tau_grid, cfg.f_grid, m, obs.delta))
-    else:
-        values = np.concatenate([
-            stat(v[i:i + 1], _phases(cfg.tau_grid[i:i + 1], cfg.f_grid, m, obs.delta))
-            for i in range(len(cfg.tau_grid))])
-    i0, j0 = np.unravel_index(int(np.argmax(values)), values.shape)
     if cfg.refine:
-        n0_hat, f_hat = _refine_2d(values, i0, j0, tau_vals, f_vals)
+        n0_hat = _refine_axis(tau_vals, i0, grids[rows, :, j0])
+        f_hat = _refine_axis(f_vals, j0, grids[rows, i0])
     else:
-        n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
-    return n0_hat * obs.delta, f_hat
+        n0_hat, f_hat = tau_vals[i0], f_vals[j0]
+    return np.stack([n0_hat * delta, f_hat], axis=-1).reshape(stats.shape[:-2] + (2,))
+
+
+def _check_profiled(sc: Scenario) -> None:
+    if sc.looks_direct == 0 or sc.looks_reflected == 0:
+        raise ValueError("delay/Doppler not identifiable without both direct "
+                         "and reflected looks (matches the singular bound)")
+    if sc.scale != 1.0:
+        raise ValueError("profiling assumes unit reflected-path scale")
+
+
+def _search_one(obs: Observations, cfg: McConfig, **weights) -> tuple[float, float]:
+    """(tau_hat, f_hat) of the one statistic that weights selects, for one
+    batch of looks: the block search with T = 1."""
+    r = obs.reflected.sum(axis=0)[None]
+    tau_hat, f_hat = _peaks(_grid_statistics(r, cfg, obs.m, obs.delta, **weights),
+                            cfg, obs.delta)[0, 0]
+    return float(tau_hat), float(f_hat)
 
 
 def profile_ml_estimate(obs: Observations, sc: Scenario, cfg: McConfig) -> tuple[float, float]:
@@ -181,23 +250,8 @@ def profile_ml_estimate(obs: Observations, sc: Scenario, cfg: McConfig) -> tuple
     maximizing it is exactly ML because the per-sample signal estimate is
     linear-Gaussian. Returns (tau_hat, f_hat) in physical units.
     """
-    if sc.looks_direct == 0 or sc.looks_reflected == 0:
-        raise ValueError("delay/Doppler not identifiable without both direct "
-                         "and reflected looks (matches the singular bound)")
-    if sc.scale != 1.0:
-        raise ValueError("profiling assumes unit reflected-path scale")
-    u = obs.direct[:, :obs.m].sum(axis=0)
-
-    def stat(v: np.ndarray, table: np.ndarray) -> np.ndarray:
-        # np.sum(np.abs(u + table * v[:, None, :]) ** 2, axis=-1), bit for bit;
-        # updated in place because allocating each I x F x M temporary afresh
-        # costs more than the arithmetic on it
-        z = table * v[:, None, :]
-        z += u
-        power = np.abs(z)
-        power *= power
-        return power.sum(axis=-1)
-    return _grid_search(obs, cfg, stat)
+    _check_profiled(sc)
+    return _search_one(obs, cfg, u=obs.direct[:, :obs.m].sum(axis=0)[None])
 
 
 def ml_estimate_known(obs: Observations, sig: SampledSignal,
@@ -207,10 +261,7 @@ def ml_estimate_known(obs: Observations, sig: SampledSignal,
     Maximizes Re sum_m conj(sum_p x_rp[m+n0]) s[m] e^{j 2 pi f (m+n0) delta}
     over the grid; the direct looks carry no delay/Doppler information.
     """
-    # conj(table) equals exp(+j 2 pi f t) bit for bit (cos is even and sin odd
-    # in the math library), so the matched filter needs no table of its own
-    return _grid_search(obs, cfg, lambda v, table: np.real(
-        table.conj() @ (v.conj() * sig.samples)[:, :, None])[..., 0])
+    return _search_one(obs, cfg, s=sig.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +378,20 @@ class McReport:
 TRIAL_SEED_RULE = "numpy default_rng seeded with (seed, trial_index)"
 
 
+def _mc_estimates(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> np.ndarray:
+    """(tau_u, f_u, tau_k, f_k) of every trial (trials x 4): profiled ML, then
+    the matched filter, scored together one block of trials at a time."""
+    _check_profiled(sc)
+    n_cells = len(cfg.tau_grid) * len(cfg.f_grid)
+    block = max(1, TRIAL_BLOCK_BYTES // (16 * (sc.record_samples(sig) + sig.m + 2 * n_cells)))
+    estimates = np.empty((cfg.trials, 4))
+    for trials, u, r in _trial_blocks(sig, sc, cfg, block):
+        stats = _grid_statistics(r, cfg, sig.m, sig.delta, u=u, s=sig.samples)
+        # (estimator x trial x 2) -> one row (tau_u, f_u, tau_k, f_k) per trial
+        estimates[trials] = _peaks(stats, cfg, sig.delta).transpose(1, 0, 2).reshape(-1, 4)
+    return estimates
+
+
 def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McReport:
     """Run the profiled and known-signal estimators over cfg.trials batches.
 
@@ -353,13 +418,7 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
     bound_known = bounds.jcrb_known(sig, sc).scaled(1.0 / sc.looks_reflected)
     details["known_signal_bound_looks"] = sc.looks_reflected
 
-    estimates = np.empty((cfg.trials, 4))
-    for trial in range(cfg.trials):
-        obs = simulate_observations(sig, sc, (cfg.seed, trial))
-        tau_u, f_u = profile_ml_estimate(obs, sc, cfg)
-        tau_k, f_k = ml_estimate_known(obs, sig, cfg)
-        estimates[trial] = (tau_u, f_u, tau_k, f_k)
-
+    estimates = _mc_estimates(sig, sc, cfg)
     truth = np.array([sc.tau0, sc.f0, sc.tau0, sc.f0])
     err = estimates - truth[None, :]
     mse = np.mean(err ** 2, axis=0)

@@ -103,6 +103,25 @@ class TestSweep:
         l4 = float(rows[3]["jcrb_tau0_s_pl"])
         assert l4 == pytest.approx(l1 / 4, rel=1e-12)
 
+    # (sweep, distinct pulse trains and delays, scenarios): two scenarios per L
+    @pytest.mark.parametrize("spec,pulses,scenarios", [
+        ("L=1:12", 1, 24), ("a=0.5:2:0.25", 1, 7), ("n_p=10:13", 4, 4), ("n0=1:4", 4, 4)])
+    def test_pulse_sums_computed_once_per_pulse(self, monkeypatch, spec, pulses, scenarios):
+        from ddcrb import scaled, structure
+        calls = []
+        quantities = structure.structure_quantities
+        monkeypatch.setattr(structure, "structure_quantities",
+                            lambda pt, tau0: calls.append(tau0) or quantities(pt, tau0))
+        code, out = run_cli(["sweep", "--sweep", spec, *BASE])
+        assert code == 0
+        assert len(calls) == pulses
+        # the shared sums give every point the values a fresh call gives
+        for module in (structure, scaled):
+            monkeypatch.setattr(module, "_shared_quantities", structure.structure_quantities)
+        calls.clear()
+        assert run_cli(["sweep", "--sweep", spec, *BASE]) == (code, out)
+        assert len(calls) == scenarios
+
     def test_np_sweep_with_fixed_period(self):
         code, out = run_cli(["sweep", "--sweep", "n_p=10:20", "--Tp", "4",
                              "--Q", "1", "--tau0", "0.5", "--sigma2", "0.1",

@@ -1,5 +1,6 @@
 """Verification tests: FD oracle agreement, simulation, profiled ML."""
 
+import dataclasses
 import os
 from unittest import mock
 
@@ -149,6 +150,26 @@ class TestProfileMl:
             ESTIMATORS[estimator](obs, sig, sc, long)
 
 
+def scalar_parabolic_offset(y_minus, y_center, y_plus):
+    curv = y_minus - 2.0 * y_center + y_plus
+    if curv >= 0.0:
+        return 0.0
+    return float(np.clip(0.5 * (y_minus - y_plus) / curv, -0.5, 0.5))
+
+
+def scalar_refine(stat, i0, j0, tau_vals, f_vals):
+    """Parabolic peak refine of one grid, one axis and one cell at a time."""
+    tau = float(tau_vals[i0])
+    if 0 < i0 < stat.shape[0] - 1:
+        step = 0.5 * (tau_vals[i0 + 1] - tau_vals[i0 - 1])
+        tau += step * scalar_parabolic_offset(stat[i0 - 1, j0], stat[i0, j0], stat[i0 + 1, j0])
+    f = float(f_vals[j0])
+    if 0 < j0 < stat.shape[1] - 1:
+        step = 0.5 * (f_vals[j0 + 1] - f_vals[j0 - 1])
+        f += step * scalar_parabolic_offset(stat[i0, j0 - 1], stat[i0, j0], stat[i0, j0 + 1])
+    return tau, f
+
+
 def loop_grid_search(obs, cfg, stat_row):
     """Reference search: one delay at a time, phases rebuilt per delay."""
     m = obs.m
@@ -160,12 +181,14 @@ def loop_grid_search(obs, cfg, stat_row):
         stat[i] = stat_row(v, np.outer(f_vals, (np.arange(m) + n0c) * obs.delta))
     i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
     if cfg.refine:
-        n0_hat, f_hat = verify._refine_2d(stat, i0, j0, tau_vals, f_vals)
+        n0_hat, f_hat = scalar_refine(stat, i0, j0, tau_vals, f_vals)
     else:
         n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
     return n0_hat * obs.delta, f_hat
 
 
+# the concentrated statistics written out directly: sum_m |u + p v|^2 and
+# Re sum_m conj(v) s conj(p), with p = exp(-2j pi f (m + n0) delta)
 LOOP_ESTIMATORS = {
     "profiled": lambda obs, sig, sc, cfg: loop_grid_search(obs, cfg, lambda v, ft: np.sum(
         np.abs(obs.direct[:, :obs.m].sum(axis=0) + np.exp(-2j * np.pi * ft) * v) ** 2,
@@ -180,6 +203,10 @@ SEARCH_CASES = dict(
     n_tau=st.integers(3, 15), n_f=st.integers(3, 41), refine=st.booleans(),
     log_sigma=st.sampled_from([-4, -2, 0]), seed=st.integers(0, 2 ** 32 - 1))
 
+# the batched search expands |u + p v|^2 and so agrees with the loop only up
+# to rounding: the refined estimates may differ by this many grid steps
+REFINE_TOL_STEPS = 1e-9
+
 
 def check_against_loop(l, p, n0, n_tau, n_f, refine, log_sigma, seed):
     sig, sc, _ = mc_setup(sigma_w2=10.0 ** log_sigma, l=l, p=p, n0=n0)
@@ -189,9 +216,24 @@ def check_against_loop(l, p, n0, n_tau, n_f, refine, log_sigma, seed):
     cfg = d.McConfig(trials=1, seed=seed, tau_grid=tuple(range(lo, lo + n_tau)),
                      f_grid=tuple(np.linspace(sc.f0 - 0.1, sc.f0 + 0.1, n_f)),
                      refine=refine)
+    raw = dataclasses.replace(cfg, refine=False)
     obs = d.simulate_observations(sig, sc, seed)
+    steps = np.array([sig.delta, cfg.f_grid[1] - cfg.f_grid[0]])
     for name, estimate in ESTIMATORS.items():
-        assert estimate(obs, sig, sc, cfg) == LOOP_ESTIMATORS[name](obs, sig, sc, cfg), name
+        # the same grid cell, so the same unrefined estimate bit for bit
+        assert estimate(obs, sig, sc, raw) == LOOP_ESTIMATORS[name](obs, sig, sc, raw), name
+        got = np.array(estimate(obs, sig, sc, cfg))
+        want = np.array(LOOP_ESTIMATORS[name](obs, sig, sc, cfg))
+        assert np.all(np.abs(got - want) <= REFINE_TOL_STEPS * steps), (name, got - want)
+
+
+def trial_estimates(sig, sc, cfg):
+    """Monte Carlo estimates from one public T = 1 call per trial and estimator."""
+    out = []
+    for k in range(cfg.trials):
+        obs = d.simulate_observations(sig, sc, (cfg.seed, k))
+        out.append(d.profile_ml_estimate(obs, sc, cfg) + d.ml_estimate_known(obs, sig, cfg))
+    return np.array(out)
 
 
 class TestPhaseTableSearch:
@@ -227,6 +269,61 @@ class TestPhaseTableSearch:
         assert table.shape == (len(cfg.tau_grid), len(cfg.f_grid), sig.m)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0] = 0.0
+
+    def test_fallback_builds_each_slice_once_per_block(self, monkeypatch):
+        sig, sc, cfg = mc_setup(trials=20)
+        n_cells = len(cfg.tau_grid) * len(cfg.f_grid)
+        per_trial = 16 * (sc.record_samples(sig) + sig.m + 2 * n_cells)
+        monkeypatch.setattr(verify, "TRIAL_BLOCK_BYTES", 6 * per_trial)
+        monkeypatch.setattr(verify, "PHASE_TABLE_MAX_BYTES", 0)
+        built = []
+        phases = verify._phases
+        monkeypatch.setattr(verify, "_phases",
+                            lambda *args: built.append(args[0]) or phases(*args))
+        d.monte_carlo_report(sig, sc, cfg)
+        # blocks of 6, 6, 6 and 2 trials; both estimators share every slice
+        assert built == [cfg.tau_grid[i:i + 1] for i in range(len(cfg.tau_grid))] * 4
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 20])
+    def test_fallback_equals_whole_table_bit_for_bit(self, monkeypatch, block_bytes):
+        sig, sc, cfg = mc_setup(trials=15, sigma_w2=1e-2)
+        monkeypatch.setattr(verify, "TRIAL_BLOCK_BYTES", block_bytes)
+        whole = verify._mc_estimates(sig, sc, cfg)
+        monkeypatch.setattr(verify, "PHASE_TABLE_MAX_BYTES", 0)
+        np.testing.assert_array_equal(verify._mc_estimates(sig, sc, cfg), whole)
+
+    def test_block_draws_equal_simulate_observations_bit_for_bit(self):
+        sig, sc, cfg = mc_setup(l=3, p=2, trials=7)
+        blocks = list(verify._trial_blocks(sig, sc, cfg, block=3))
+        assert [trials for trials, _, _ in blocks] == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        for trials, u, r in blocks:
+            for t, k in enumerate(range(trials.start, trials.stop)):
+                obs = d.simulate_observations(sig, sc, (cfg.seed, k))
+                np.testing.assert_array_equal(u[t], obs.direct[:, :sig.m].sum(axis=0))
+                np.testing.assert_array_equal(r[t], obs.reflected.sum(axis=0))
+
+    @settings(max_examples=200)
+    @given(n_tau=st.integers(2, 6), n_f=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_vectorized_refine_equals_scalar_refine_bit_for_bit(self, n_tau, n_f, seed):
+        rng = np.random.default_rng(seed)
+        # unevenly spaced axes, and a peak anywhere: interior, edge or corner
+        tau_grid = tuple(np.cumsum(rng.integers(1, 4, n_tau)))
+        f_grid = tuple(np.cumsum(rng.uniform(0.01, 0.1, n_f)))
+        cfg = d.McConfig(trials=1, seed=0, tau_grid=tau_grid, f_grid=f_grid)
+        stats = rng.standard_normal((3, 5, n_tau, n_f))
+        stats[0, 0] = 1.0  # a flat grid: the first cell, zero curvature
+        got = verify._peaks(stats, cfg, 0.25)
+        tau_vals, f_vals = np.asarray(tau_grid, float), np.asarray(f_grid, float)
+        for e, t in np.ndindex(stats.shape[:2]):
+            stat = stats[e, t]
+            i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
+            n0_hat, f_hat = scalar_refine(stat, i0, j0, tau_vals, f_vals)
+            assert tuple(got[e, t]) == (n0_hat * 0.25, f_hat)
+
+    def test_single_trial_calls_agree_with_block_report(self):
+        sig, sc, cfg = mc_setup(trials=25, sigma_w2=1e-2)
+        block = verify._mc_estimates(sig, sc, cfg)
+        np.testing.assert_allclose(block, trial_estimates(sig, sc, cfg), rtol=1e-12, atol=0)
 
 
 class TestMonteCarloReport:
