@@ -227,15 +227,6 @@ def check_against_loop(l, p, n0, n_tau, n_f, refine, log_sigma, seed):
         assert np.all(np.abs(got - want) <= REFINE_TOL_STEPS * steps), (name, got - want)
 
 
-def trial_estimates(sig, sc, cfg):
-    """Monte Carlo estimates from one public T = 1 call per trial and estimator."""
-    out = []
-    for k in range(cfg.trials):
-        obs = d.simulate_observations(sig, sc, (cfg.seed, k))
-        out.append(d.profile_ml_estimate(obs, sc, cfg) + d.ml_estimate_known(obs, sig, cfg))
-    return np.array(out)
-
-
 class TestPhaseTableSearch:
     @settings(max_examples=60)
     @given(**SEARCH_CASES)
@@ -311,7 +302,7 @@ class TestPhaseTableSearch:
         f_grid = tuple(np.cumsum(rng.uniform(0.01, 0.1, n_f)))
         cfg = d.McConfig(trials=1, seed=0, tau_grid=tau_grid, f_grid=f_grid)
         stats = rng.standard_normal((3, 5, n_tau, n_f))
-        stats[0, 0] = 1.0  # a flat grid: the first cell, zero curvature
+        stats[0, 0] = 1.0  # a flat grid: ties go to the first cell
         got = verify._peaks(stats, cfg, 0.25)
         tau_vals, f_vals = np.asarray(tau_grid, float), np.asarray(f_grid, float)
         for e, t in np.ndindex(stats.shape[:2]):
@@ -320,10 +311,25 @@ class TestPhaseTableSearch:
             n0_hat, f_hat = scalar_refine(stat, i0, j0, tau_vals, f_vals)
             assert tuple(got[e, t]) == (n0_hat * 0.25, f_hat)
 
+    def test_refine_stays_put_where_rounding_flattens_the_peak(self):
+        # below the peak by half an ulp on one side, tied on the other: the
+        # curvature rounds to zero, so the estimate keeps its grid value
+        stats = np.zeros((1, 1, 3, 3))
+        stats[0, 0, :, 1] = (1.0 - 2.0 ** -53, 1.0, 1.0)
+        cfg = d.McConfig(trials=1, seed=0, tau_grid=(0, 1, 2), f_grid=(0.0, 0.1, 0.2))
+        assert scalar_refine(stats[0, 0], 1, 1, np.array([0.0, 1.0, 2.0]),
+                             np.array(cfg.f_grid)) == (1.0, 0.1)
+        assert tuple(verify._peaks(stats, cfg, 1.0)[0, 0]) == (1.0, 0.1)
+
     def test_single_trial_calls_agree_with_block_report(self):
         sig, sc, cfg = mc_setup(trials=25, sigma_w2=1e-2)
-        block = verify._mc_estimates(sig, sc, cfg)
-        np.testing.assert_allclose(block, trial_estimates(sig, sc, cfg), rtol=1e-12, atol=0)
+        single = []
+        for k in range(cfg.trials):
+            obs = d.simulate_observations(sig, sc, (cfg.seed, k))
+            single.append(d.profile_ml_estimate(obs, sc, cfg) + d.ml_estimate_known(obs, sig, cfg))
+        # one block of 25 trials against 25 searches with T = 1
+        np.testing.assert_allclose(verify._mc_estimates(sig, sc, cfg), single,
+                                   rtol=1e-12, atol=0)
 
 
 class TestMonteCarloReport:
