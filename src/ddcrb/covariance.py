@@ -149,8 +149,7 @@ def fim_trace_form(model: StackedModel, dc: np.ndarray,
 
 
 def crb_correlated(model: StackedModel, dc: np.ndarray,
-                   labels: tuple[str, ...] | None = None,
-                   scenario: dict | None = None) -> CrbReport:
+                   labels: tuple[str, ...] | None = None) -> CrbReport:
     """Delay/Doppler diagonal of the inverted covariance-model FIM.
 
     The full parameter vector (tau0, f0, all samples) is eliminated jointly.
@@ -170,11 +169,9 @@ def crb_correlated(model: StackedModel, dc: np.ndarray,
     if np.any(np.abs(vec[:2, null]) > 1e-6):
         return CrbReport(values={"tau0": float("inf"), "f0": float("inf")},
                          method=METHOD_SCHUR_NUMERIC, singular=True,
-                         scenario=scenario or {},
                          details={**details,
                                   "note": "delay/Doppler not identifiable in this model"})
     keep = ~null
     inv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T
     return CrbReport(values={"tau0": float(inv[0, 0]), "f0": float(inv[1, 1])},
-                     method=METHOD_SCHUR_NUMERIC, scenario=scenario or {},
-                     details=details)
+                     method=METHOD_SCHUR_NUMERIC, details=details)

@@ -280,7 +280,6 @@ class CrbReport:
     values: dict
     method: str
     singular: bool = False
-    scenario: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):

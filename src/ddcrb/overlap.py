@@ -131,7 +131,7 @@ def _closed_form_partial(of: OverlapFim) -> float | None:
     return of.sigma_w2 / of.looks / den
 
 
-def crb_overlap(of: OverlapFim, scenario: dict | None = None) -> CrbReport:
+def crb_overlap(of: OverlapFim) -> CrbReport:
     """Delay bound after eliminating the signal samples.
 
     No overlap has the closed form (2P/P^2) sigma_w2 / sum s'^2; total
@@ -139,7 +139,6 @@ def crb_overlap(of: OverlapFim, scenario: dict | None = None) -> CrbReport:
     partial overlap is eliminated through the chain form of D, with the
     short closed form attached and preferred when 2*n0 >= M.
     """
-    scenario = scenario or {}
     quad, cond = _chain_quadratic(of)
     if cond > SINGULAR_COND:
         raise SingularFimError("sample block of the overlap FIM is singular")
@@ -149,21 +148,17 @@ def crb_overlap(of: OverlapFim, scenario: dict | None = None) -> CrbReport:
     if abs(x) <= SINGULAR_RTOL * max(of.e, 1e-300):
         return CrbReport(values={"tau0": float("inf")},
                          method=METHOD_SCHUR_NUMERIC, singular=True,
-                         scenario=scenario,
                          details={**details, "note": "overlap leaves no delay information"})
     numeric = 1.0 / x
     if of.regime == "none":
         value = 2.0 * of.sigma_w2 / (of.looks * float(np.sum(of.deriv ** 2)))
         return CrbReport(values={"tau0": value}, method=METHOD_CLOSED_FORM,
-                         scenario=scenario,
                          details={**details, "tau0_numeric": numeric})
     closed = _closed_form_partial(of)
     if closed is not None:
         return CrbReport(values={"tau0": closed}, method=METHOD_CLOSED_FORM,
-                         scenario=scenario,
                          details={**details, "tau0_numeric": numeric})
-    return CrbReport(values={"tau0": numeric}, method=METHOD_SCHUR_NUMERIC,
-                     scenario=scenario, details=details)
+    return CrbReport(values={"tau0": numeric}, method=METHOD_SCHUR_NUMERIC, details=details)
 
 
 def triangle_overlap_curve(m: int, sc: Scenario) -> list[dict]:

@@ -226,17 +226,6 @@ class Scenario:
                 f"record_length={n} too short: delayed signal needs n0 + M = {needed}")
         return n
 
-    def to_dict(self) -> dict:
-        return {
-            "tau0": self.tau0,
-            "f0": self.f0,
-            "L": self.looks_direct,
-            "P": self.looks_reflected,
-            "sigma_w2": self.sigma_w2,
-            "a": self.scale,
-            "N": self.record_length,
-        }
-
 
 def gaussian_pulse(n_p: int, delta: float, center: float,
                    width2: float) -> tuple[np.ndarray, np.ndarray]:

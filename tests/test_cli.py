@@ -328,8 +328,106 @@ class TestConfigAndErrors:
         assert code == 0
         assert float(parse_csv(out)[0]["jcrb_tau0"]) > 0
 
+    @pytest.mark.parametrize("text,flags,message", [
+        ('{"format": "xml"}', None, "'format'"),
+        ('{"L": "x"}', None, "'L'"),
+        ('{"sigma2": "2"}', ["--sigma2", "2"], None),
+        ('{"seed": 1.5}', None, "'seed'"),
+        ("7", None, "one JSON object"),
+        ('{"L": 1', None, "not valid JSON"),
+    ], ids=["bad-choice", "bad-int", "string-float", "float-seed", "not-object", "malformed"])
+    def test_config_values_read_as_flags(self, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out = run_cli(["crb", *BASE, "--config", str(path)])
+        if flags is None:
+            assert (code, out) == (1, "")
+            assert message in capsys.readouterr().err
+        else:
+            assert (code, out) == run_cli(["crb", *BASE, *flags])
+
+    def test_null_config_value_counts_as_omitted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"L": null, "out": null}')
+        assert run_cli(["crb", *BASE, "--config", str(path)]) == run_cli(["crb", *BASE])
+
+    @pytest.mark.parametrize("config,args", [
+        (None, ["sweep", "--sweep", "n_p=10:12", "--Tp", "4", "--delta", "0.3"]),
+        ({"delta": 0.3}, ["crb", "--Tp", "4"]),
+        ({"Tp": 4, "delta": 0.3}, ["sweep", "--sweep", "n_p=10:12"]),
+    ], ids=["np-sweep-flags", "crb-file-delta", "np-sweep-file"])
+    def test_delta_conflicts_with_tp_wherever_given(self, tmp_path, config, args):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args = [*args, "--config", str(path)]
+        assert run_cli(args)[0] == 1
+
+    @pytest.mark.parametrize("name,content,missing", [
+        ("sig.json", {"delta": 0.5, "samples_imag": [0.0] * 6}, "samples_real"),
+        ("sig.json", {"samples_real": [0.0, 1.0, 0.0, 0.0]}, "delta"),
+        ("sig.npz", {"delta": 0.5, "deriv": np.zeros(6)}, "samples"),
+        ("sig.npz", {"samples": np.arange(6.0)}, "delta"),
+    ], ids=["json-samples", "json-delta", "npz-samples", "npz-delta"])
+    def test_signal_file_missing_key_is_usage_error(self, tmp_path, capsys, name,
+                                                    content, missing):
+        sig_path = tmp_path / name
+        if name.endswith(".npz"):
+            np.savez(sig_path, **content)
+        else:
+            sig_path.write_text(json.dumps(content))
+        code, _ = run_cli(["crb", "--signal", str(sig_path), "--tau0", "1.0"])
+        assert code == 1
+        assert repr(missing) in capsys.readouterr().err
+
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ddcrb.cli", "crb", *BASE],
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "jcrb_tau0" in proc.stdout
+
+
+# a valid value for every setting, as a config file holds it; float
+# settings get an integer where the flag would print it as a float
+CONTRACT_VALUES = {
+    "signal": "triangle", "delta": 0.04, "np": 50, "Q": 3, "Tp": 3, "tau0": 1,
+    "f0": 2, "L": 2, "P": 3, "a": 2, "sigma2": 2, "amp_convention": "sqrt2",
+    "center": 1, "width2": 0.1, "M": 8, "format": "json", "out": "out.csv",
+    "seed": 7, "trials": 4, "sweep": "L=1:3", "fspan": 0.2, "fpoints": 11,
+    "tauspan": 2,
+}
+# the subcommand and base flags that read each setting (crb by default)
+CONTRACT_BASE = {"M": ["overlap"], "sweep": ["sweep", *BASE],
+                 **dict.fromkeys(("seed", "trials", "fspan", "fpoints", "tauspan"),
+                                 TestMonteCarloCommand.ARGS)}
+
+
+def _option_rows():
+    from ddcrb.cli import OPTIONS
+    return [row[:2] for rows in OPTIONS.values() for row in rows]
+
+
+def test_contract_values_cover_every_setting():
+    assert sorted(key for _, key in _option_rows()) == sorted(CONTRACT_VALUES)
+
+
+@pytest.mark.parametrize("flag,key", _option_rows(), ids=lambda v: v)
+def test_config_key_gives_same_output_as_flag(tmp_path, monkeypatch, flag, key):
+    """A config file {key: v} and the flag --<flag> v give the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    value = CONTRACT_VALUES[key]
+    base = CONTRACT_BASE.get(key, ["crb", *BASE])
+    if flag in base:
+        at = base.index(flag)
+        base = base[:at] + base[at + 2:]
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+
+    def output(args):
+        code, out = run_cli([*base, *args])
+        assert code == 0
+        if key == "out":
+            out = (tmp_path / "out.csv").read_text()
+            (tmp_path / "out.csv").unlink()
+        return out
+
+    assert output(["--config", "cfg.json"]) == output([flag, str(value)])
