@@ -10,10 +10,12 @@ the reflected path carries an amplitude scale a.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fim import Border, BoundPair, FimMatrix
-from .signals import SampledSignal, Scenario, eta
+from .signals import SampledSignal, Scenario, eta, memoised
 
 TWO_PI2 = 8.0 * np.pi ** 2
 # Cauchy-Schwarz determinants this far below their natural scale are treated
@@ -21,8 +23,11 @@ TWO_PI2 = 8.0 * np.pi ** 2
 DEGENERACY_RTOL = 1e-12
 
 
+@memoised
 def weighted_sums(sig: SampledSignal, tau0: float) -> tuple[float, float, float]:
-    """(sum |ds/dt|^2, sum (t+tau0)^2 |s|^2, eta) over the sample grid."""
+    """(sum |ds/dt|^2, sum (t+tau0)^2 |s|^2, eta) over the sample grid,
+    computed once per signal and delay: every point of a sweep over looks
+    or scale asks for the same."""
     w = sig.times + tau0
     s_dd = float(np.sum(np.abs(sig.deriv) ** 2))
     s_ww = float(np.sum(w ** 2 * np.abs(sig.samples) ** 2))
@@ -85,6 +90,7 @@ def signal_bounds(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPai
     return known, known.scaled(factor / a2), separate
 
 
+@functools.lru_cache
 def unknown_signal_labels(m: int) -> tuple[str, ...]:
     labels = ["tau0", "f0"]
     for k in range(m):

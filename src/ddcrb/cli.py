@@ -47,7 +47,7 @@ OPTIONS = {
         ("--a", "a", float, 1.0, "reflected-path amplitude scale"),
         ("--sigma2", "sigma2", float, 1.0, "clutter-plus-noise variance"),
         ("--amp-convention", "amp_convention", click.Choice(["unit", "sqrt2", "both"]),
-         "unit", "|b_q|^2 = 1, 2, or emit both"),
+         "unit", "|b_q|^2 = 1, 2, or emit both (crb and table1 only)"),
         ("--center", "center", float, 4.0, "Gaussian pulse center"),
         ("--width2", "width2", float, 9.0, "Gaussian squared width"),
         ("--M", "M", int, 16, "triangle-wave sample count"),
@@ -122,23 +122,43 @@ def _resolve_delta(cfg: RunConfig, given: dict) -> float:
 
 def _load_signal_file(path: str) -> SampledSignal:
     """Samples, delta and optional derivative from a .npz file (complex
-    arrays) or a .json file (real and optional imaginary parts)."""
+    arrays) or a .json file (one object of real and optional imaginary
+    parts)."""
     if path.endswith(".npz"):
         data, part = np.load(path), ""
     else:
         with open(path) as fh:
-            data, part = json.load(fh), "_real"
+            try:
+                data, part = json.load(fh), "_real"
+            except ValueError as exc:
+                raise click.UsageError(f"signal file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise click.UsageError(f"signal file {path} must hold one JSON object")
     for key in ("samples" + part, "delta"):
         if key not in data:
             raise click.UsageError(f"signal file {path} has no {key!r}")
 
+    def array(key, dtype, ndim):
+        try:
+            arr = np.asarray(data[key], dtype)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != ndim:
+            shape = "a number" if ndim == 0 else "a 1-D array of numbers"
+            raise click.UsageError(f"signal file {path}: {key!r} must be {shape}")
+        return arr
+
     def values(name):
         if not part:
-            return np.asarray(data[name], complex)
-        real = np.asarray(data[name + part], float)
-        return real + 1j * np.asarray(data.get(name + "_imag", np.zeros(len(real))), float)
+            return array(name, complex, 1)
+        real = array(name + part, float, 1)
+        imag = array(name + "_imag", float, 1) if name + "_imag" in data else np.zeros(real.shape)
+        if imag.shape != real.shape:
+            raise click.UsageError(f"signal file {path}: {name + '_imag'!r} and "
+                                   f"{name + part!r} differ in length")
+        return real + 1j * imag
 
-    samples, delta = values("samples"), float(data["delta"])
+    samples, delta = values("samples"), float(array("delta", float, 0))
     if "deriv" + part in data:
         return SampledSignal(samples, delta, values("deriv"))
     return SampledSignal.from_samples(samples, delta)
@@ -152,7 +172,9 @@ def build_signal(cfg: RunConfig, delta: float,
         if kind == "gaussian_pulse_train":
             convention = convention or cfg["amp_convention"]
             if convention not in _AMPLITUDES:
-                raise click.UsageError(f"unknown amplitude convention {convention!r}")
+                # crb and table1 pass each convention of "both" in turn
+                raise click.UsageError("--amp-convention both is expanded only by crb and "
+                                       "table1; give unit or sqrt2")
             b = np.full(cfg["Q"], _AMPLITUDES[convention], dtype=complex)
             pt = gaussian_pulse_train(cfg["np"], delta, cfg["center"], cfg["width2"], b)
             return synthesize_pulse_train(pt), pt

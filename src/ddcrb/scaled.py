@@ -17,12 +17,14 @@ import numpy as np
 from .bounds import (DEGENERACY_RTOL, TWO_PI2, bordered_fim, signal_bounds,
                      unknown_signal_labels, weighted_sums)
 from .fim import Bound, BoundPair, FimMatrix
-from .signals import PulseTrain, SampledSignal, Scenario, synthesize_pulse_train
+from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
 from .structure import _shared_quantities, pulse_basis, structure_labels
 
 
+@memoised
 def energy_sums(sig: SampledSignal) -> tuple[float, float]:
-    """(sum |s|^2, sum (s_R s_R' + s_I s_I')) over the sample grid."""
+    """(sum |s|^2, sum (s_R s_R' + s_I s_I')) over the sample grid, computed
+    once per signal."""
     s, d = sig.samples, sig.deriv
     s_e = float(np.sum(np.abs(s) ** 2))
     s_x = float(np.sum(s.real * d.real + s.imag * d.imag))
@@ -85,11 +87,9 @@ def _structure_pair(pt: PulseTrain, sc: Scenario, scale_known: bool) -> BoundPai
         return BoundPair.singular_pair("P = 0 or zero pulse: no delay/Doppler information")
     a2 = sc.scale ** 2
     pfrac = a2 * p / (l + a2 * p)
-    b2 = np.abs(pt.b) ** 2
-    lead22 = float(np.sum(sq.w * b2))
     d11 = sq.dg2 - (pfrac if scale_known else 1.0) * sq.rho ** 2 / sq.e_g
-    d22 = lead22 - pfrac * float(np.sum(sq.gamma ** 2 * b2)) / sq.e_g
-    if d11 <= DEGENERACY_RTOL * sq.dg2 or d22 <= DEGENERACY_RTOL * lead22:
+    d22 = sq.w_b2 - pfrac * sq.gamma2_b2 / sq.e_g
+    if d11 <= DEGENERACY_RTOL * sq.dg2 or d22 <= DEGENERACY_RTOL * sq.w_b2:
         return BoundPair.singular_pair(
             "degenerate pulse: amplitude block absorbs all delay/Doppler information")
     v11 = (2.0 * a2 * p / sc.sigma_w2) * pt.amp_energy * d11

@@ -30,6 +30,35 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+class _Memo:
+    """Base of the frozen signal models: a store for values other modules
+    derive from the object (see memoised). The object's arrays are
+    read-only, so an entry never goes stale."""
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        return {}
+
+
+def memoised(fn: Callable) -> Callable:
+    """fn(obj, *args) computed once per obj and args, kept in obj._memo.
+
+    obj is a SampledSignal or PulseTrain; fn must return an immutable value
+    (a float, a tuple of floats, or a frozen object with read-only arrays),
+    so callers can share it. The uncached fn stays reachable as __wrapped__.
+    """
+
+    @functools.wraps(fn)
+    def cached(obj, *args):
+        key = (fn, *args)
+        memo = obj._memo
+        if key not in memo:
+            memo[key] = fn(obj, *args)
+        return memo[key]
+
+    return cached
+
+
 def central_difference(samples: np.ndarray, delta: float) -> np.ndarray:
     """Fourth-order finite-difference derivative, one-sided at the edges.
 
@@ -64,7 +93,7 @@ def central_difference(samples: np.ndarray, delta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SampledSignal:
+class SampledSignal(_Memo):
     """Complex baseband samples s(n*delta) with derivative samples ds/dt.
 
     samples and deriv have equal length M; delta is the sampling interval in
@@ -115,7 +144,7 @@ class SampledSignal:
 
 
 @dataclass(frozen=True)
-class PulseTrain:
+class PulseTrain(_Memo):
     """Amplitude-modulated train of a known real pulse shape.
 
     g holds pulse-shape samples g(n*delta) for n = 0..n_p, so the pulse
@@ -160,16 +189,10 @@ class PulseTrain:
         """Sample count of the synthesized train."""
         return self.n_pulses * self.n_p
 
-    @property
+    @functools.cached_property
     def amp_energy(self) -> float:
         """Sum of |b_q|^2 over the pulses."""
         return float(np.sum(np.abs(self.b) ** 2))
-
-    @functools.cached_property
-    def _memo(self) -> dict:
-        """Values other modules derive from this train, kept for reuse; the
-        train's arrays are read-only, so an entry never goes stale."""
-        return {}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ ddcrb.scaled.jcrb_structure_known_a.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import TWO_PI2, bordered_fim, fim_known_signal
 from .fim import BoundPair, FimMatrix
-from .signals import PulseTrain, SampledSignal, Scenario, synthesize_pulse_train
+from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
 
 SUPPORT_RTOL = 1e-9
 
@@ -33,6 +34,8 @@ class StructureQuantities:
     e_g   = sum_n g(n*delta)^2
     dg2   = sum_n g'(n*delta)^2
     w     = w_q = sum_n (n*delta + tau0 + (q-1)*t_p)^2 g(n*delta)^2
+    w_b2      = sum_q w_q |b_q|^2
+    gamma2_b2 = sum_q gamma_q^2 |b_q|^2
     """
 
     rho: float
@@ -40,29 +43,30 @@ class StructureQuantities:
     e_g: float
     dg2: float
     w: np.ndarray
+    w_b2: float
+    gamma2_b2: float
 
 
 def structure_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
-    """The pulse sums, taken from g, g' and the period alone (no synthesis)."""
-    g2 = pt.g ** 2
+    """The pulse sums, taken from g, g', the period and b alone (no synthesis)."""
+    g2, b2 = pt.g ** 2, np.abs(pt.b) ** 2
     # row q: the pulse's sample times shifted by tau0 + (q-1) t_p
     t = np.arange(pt.n_p + 1) * pt.delta + tau0 + np.arange(pt.n_pulses)[:, None] * pt.t_p
-    return StructureQuantities(rho=float(np.sum(pt.g_deriv * pt.g)),
-                               gamma=np.sum(t * g2, axis=1), e_g=float(np.sum(g2)),
-                               dg2=float(np.sum(pt.g_deriv ** 2)),
-                               w=np.sum(t ** 2 * g2, axis=1))
+    gamma, w = np.sum(t * g2, axis=1), np.sum(t ** 2 * g2, axis=1)
+    return StructureQuantities(rho=float(np.sum(pt.g_deriv * pt.g)), gamma=gamma,
+                               e_g=float(np.sum(g2)), dg2=float(np.sum(pt.g_deriv ** 2)),
+                               w=w, w_b2=float(np.sum(w * b2)),
+                               gamma2_b2=float(np.sum(gamma ** 2 * b2)))
 
 
+@memoised
 def _shared_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
     """structure_quantities(pt, tau0), computed once per train and delay and
     read-only: every point of a sweep over looks or scale asks for the same."""
-    key = ("structure_quantities", tau0)
-    if key not in pt._memo:
-        sq = structure_quantities(pt, tau0)
-        sq.gamma.setflags(write=False)
-        sq.w.setflags(write=False)
-        pt._memo[key] = sq
-    return pt._memo[key]
+    sq = structure_quantities(pt, tau0)
+    sq.gamma.setflags(write=False)
+    sq.w.setflags(write=False)
+    return sq
 
 
 def support_assumption_holds(pt: PulseTrain, rtol: float = SUPPORT_RTOL) -> bool:
@@ -82,6 +86,7 @@ def support_assumption_holds(pt: PulseTrain, rtol: float = SUPPORT_RTOL) -> bool
     return right * max(left, right) <= rtol * e_g
 
 
+@functools.lru_cache
 def structure_labels(n_pulses: int) -> tuple[str, ...]:
     labels = ["tau0", "f0"]
     for q in range(1, n_pulses + 1):
@@ -136,7 +141,7 @@ def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:
     """
     sq = _shared_quantities(pt, sc.tau0)
     den_tau = 2.0 * pt.amp_energy * sq.dg2
-    den_f = TWO_PI2 * float(np.sum(sq.w * np.abs(pt.b) ** 2))
+    den_f = TWO_PI2 * sq.w_b2
     if den_tau <= 0.0 or den_f <= 0.0:
         return BoundPair.singular_pair("degenerate pulse: zero information")
     return BoundPair(tau0=sc.sigma_w2 / den_tau, f0=sc.sigma_w2 / den_f)

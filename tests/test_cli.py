@@ -103,24 +103,32 @@ class TestSweep:
         l4 = float(rows[3]["jcrb_tau0_s_pl"])
         assert l4 == pytest.approx(l1 / 4, rel=1e-12)
 
-    # (sweep, distinct pulse trains and delays, scenarios): two scenarios per L
+    # (sweep, distinct pulse trains and delays, scenarios): two scenarios per L;
+    # the synthesized signal's weighted sums follow the pulse sums
     @pytest.mark.parametrize("spec,pulses,scenarios", [
-        ("L=1:12", 1, 24), ("a=0.5:2:0.25", 1, 7), ("n_p=10:13", 4, 4), ("n0=1:4", 4, 4)])
+        ("L=1:12", 1, 24), ("a=0.5:2:0.25", 1, 7), ("n_p=10:13", 4, 4), ("n0=1:4", 4, 4),
+        ("P=1:5", 1, 5)])
     def test_pulse_sums_computed_once_per_pulse(self, monkeypatch, spec, pulses, scenarios):
-        from ddcrb import scaled, structure
-        calls = []
-        quantities = structure.structure_quantities
+        from ddcrb import bounds, scaled, structure
+        calls, sums = [], []
+        quantities, eta = structure.structure_quantities, bounds.eta
         monkeypatch.setattr(structure, "structure_quantities",
                             lambda pt, tau0: calls.append(tau0) or quantities(pt, tau0))
+        # eta runs once per computation of the weighted sums
+        monkeypatch.setattr(bounds, "eta", lambda sig, tau0: sums.append(tau0) or eta(sig, tau0))
         code, out = run_cli(["sweep", "--sweep", spec, *BASE])
         assert code == 0
-        assert len(calls) == pulses
-        # the shared sums give every point the values a fresh call gives
+        assert len(calls) == len(sums) == pulses
+        # without the memos every point computes its own sums, to the same bytes
+        fresh = bounds.weighted_sums.__wrapped__
         for module in (structure, scaled):
             monkeypatch.setattr(module, "_shared_quantities", structure.structure_quantities)
+        for module in (bounds, scaled):
+            monkeypatch.setattr(module, "weighted_sums", fresh)
         calls.clear()
+        sums.clear()
         assert run_cli(["sweep", "--sweep", spec, *BASE]) == (code, out)
-        assert len(calls) == scenarios
+        assert len(calls) == len(sums) == scenarios
 
     def test_np_sweep_with_fixed_period(self):
         code, out = run_cli(["sweep", "--sweep", "n_p=10:20", "--Tp", "4",
@@ -177,6 +185,16 @@ class TestSweep:
     def test_bad_axis_is_usage_error(self):
         code, _ = run_cli(["sweep", "--sweep", "bogus=1:5", *BASE])
         assert code == 1
+
+
+def test_table1_builds_sample_labels_once_per_m():
+    from ddcrb.bounds import unknown_signal_labels
+    unknown_signal_labels.cache_clear()
+    # two conventions times three look counts, one M = 2 * 60
+    assert run_cli(["table1", *BASE, "--amp-convention", "both"])[0] == 0
+    assert unknown_signal_labels.cache_info()[:2] == (5, 1)
+    assert run_cli(["table1", *BASE, "--np", "30"])[0] == 0
+    assert unknown_signal_labels.cache_info()[:2] == (7, 2)
 
 
 class TestOverlapCommand:
@@ -379,6 +397,31 @@ class TestConfigAndErrors:
         code, _ = run_cli(["crb", "--signal", str(sig_path), "--tau0", "1.0"])
         assert code == 1
         assert repr(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("7", "must hold one JSON object"),
+        ('{"samples_real": 5, "delta": 0.1}', "'samples_real' must be a 1-D array"),
+        ('{"samples_real": [[1, 2]], "delta": 0.1}', "'samples_real' must be a 1-D array"),
+        ('{"samples_real": {"a": 1}, "delta": 0.1}', "'samples_real' must be a 1-D array"),
+        ('{"samples_real": [1, 2, 3], "delta": [0.1]}', "'delta' must be a number"),
+        ('{"samples_real": [1, 2, 3], "samples_imag": [1], "delta": 0.1}', "differ in length"),
+        ('{"samples_real": [1, 2', "not valid JSON"),
+    ], ids=["scalar-file", "scalar-samples", "2d-samples", "object-samples", "list-delta",
+            "short-imag", "malformed"])
+    def test_malformed_signal_file_is_usage_error(self, tmp_path, capsys, text, message):
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(text)
+        code, out = run_cli(["crb", "--signal", str(sig_path), "--tau0", "1.0"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert f"signal file {sig_path}" in err and message in err
+
+    @pytest.mark.parametrize("args", [["sweep", "--sweep", "L=1:2", *BASE],
+                                      TestMonteCarloCommand.ARGS], ids=["sweep", "montecarlo"])
+    def test_amp_convention_both_only_for_crb_and_table1(self, capsys, args):
+        code, out = run_cli([*args, "--amp-convention", "both"])
+        assert (code, out) == (1, "")
+        assert "only by crb and table1" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ddcrb.cli", "crb", *BASE],
