@@ -50,7 +50,8 @@ def memoised(fn: Callable) -> Callable:
 
     @functools.wraps(fn)
     def cached(obj, *args):
-        key = (fn, *args)
+        # keyed by the module-level wrapper, so a signal with entries pickles
+        key = (cached, *args)
         memo = obj._memo
         if key not in memo:
             memo[key] = fn(obj, *args)

@@ -1,6 +1,7 @@
 """Per-signal memo: the kept sums equal a fresh computation and cannot change."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -101,3 +102,12 @@ def test_labels_are_shared_tuples():
     assert unknown_signal_labels(2) == ("tau0", "f0", "sR_0", "sI_0", "sR_1", "sI_1")
     assert structure_labels(2) is structure_labels(2)
     assert structure_labels(2) == ("tau0", "f0", "b1R", "b1I", "b2R", "b2I")
+
+
+def test_signal_with_kept_sums_pickles():
+    pt = d.gaussian_pulse_train(12, 0.5, 3.0, 1.0, [1.0, 1.0j])
+    sig = d.synthesize_pulse_train(pt)
+    sc = d.Scenario(tau0=1.0, f0=0.1, looks_direct=1, looks_reflected=2, sigma_w2=1.0)
+    first = (signal_bounds(sig, sc), d.jcrb_structure_known_a(pt, sc))
+    sig2, pt2 = pickle.loads(pickle.dumps((sig, pt)))
+    assert (signal_bounds(sig2, sc), d.jcrb_structure_known_a(pt2, sc)) == first
