@@ -10,6 +10,7 @@ together with an explicit singularity flag so that rank-deficient scenarios
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,13 +30,71 @@ class SingularFimError(np.linalg.LinAlgError):
     """Raised when a nuisance block that must be inverted is singular."""
 
 
+def band_cholesky(band: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a symmetric band matrix K, or None when K is
+    not positive definite.
+
+    band[d, j] = K[j + d, j] for the b + 1 diagonals of K on and below the
+    main one, zero past the end (LAPACK pbtrf 'L' layout); the factor L
+    comes back in the same layout. Column by column, each column updated by
+    the b before it (Golub and Van Loan, Matrix Computations, band Cholesky
+    in 4.3): O(N b^2).
+    """
+    # Python floats: for the narrow bands here a scalar loop beats a few
+    # numpy calls per column
+    f = np.asarray(band, dtype=float).tolist()
+    nb, n = len(f), len(f[0])
+    for j in range(n):
+        top = min(nb, n - j)  # rows j .. j + top - 1 of column j
+        col = [f[d][j] for d in range(top)]
+        for k in range(max(0, j - nb + 1), j):
+            ljk = f[j - k][k]
+            for d in range(min(top, nb - j + k)):
+                col[d] -= ljk * f[j - k + d][k]
+        if not col[0] > 0.0:
+            return None
+        piv = math.sqrt(col[0])
+        f[0][j] = piv
+        for d in range(1, top):
+            f[d][j] = col[d] / piv
+    return np.array(f)
+
+
+def band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Y with L Y = rhs by forward substitution, L a band_cholesky factor
+    and rhs N x r: O(N b r)."""
+    f = factor.tolist()
+    nb, n = len(f), len(f[0])
+    y = np.asarray(rhs, dtype=float).tolist()
+    for i in range(n):
+        row = y[i]
+        for m in range(1, min(nb, i + 1)):
+            lim = f[m][i - m]
+            row = [a - lim * b for a, b in zip(row, y[i - m])]
+        piv = f[0][i]
+        y[i] = [a / piv for a in row]
+    return np.array(y)
+
+
+def band_norm1(band: np.ndarray) -> float:
+    """|K|_1 (= |K|_inf, K symmetric) of the band matrix K, an upper bound on
+    its spectral radius."""
+    absb = np.abs(np.asarray(band, dtype=float))
+    sums = absb.sum(axis=0)
+    for d in range(1, len(absb)):
+        sums[d:] += absb[d, :-d]  # the mirrored entries above the diagonal
+    return float(np.max(sums))
+
+
 @dataclass(frozen=True)
 class Border:
     """Blocks of a bordered FIM [[A, B], [B^T, C]] with C = c (K kron I_2).
 
     a is the k x k block of the parameters of interest, b the k x 2N border
     over (real, imaginary) pairs of N nuisance coefficients, and gram is K:
-    a scalar g for K = g I, or the N x N Gram matrix of overlapping pulses.
+    a scalar g for K = g I, or K's lower band as a (bw + 1, N) array,
+    gram[d, j] = K[j + d, j], zero past the end (see band_cholesky). No
+    N x N matrix is built or decomposed except by dense().
     """
 
     a: np.ndarray
@@ -45,14 +104,41 @@ class Border:
 
     def dense(self) -> np.ndarray:
         k, n = len(self.a), self.b.shape[1] // 2
-        ck = self.c * (np.eye(n) * self.gram if np.ndim(self.gram) == 0 else self.gram)
-        out = np.zeros((k + 2 * n, k + 2 * n))
+        size = k + 2 * n
+        out = np.zeros((size, size))
         out[:k, :k] = self.a
         out[:k, k:] = self.b
         out[k:, :k] = self.b.T
-        out[k::2, k::2] = out[k + 1::2, k + 1::2] = ck
+        band = np.full((1, n), self.gram) if np.ndim(self.gram) == 0 else self.gram
+        flat = out.reshape(-1)
+        # entry (k + p + 2(j + d), k + p + 2j) of C and its mirror, for the
+        # real (p = 0) and imaginary (p = 1) parts of the d-th diagonal of K
+        for d, diag in enumerate(band[:n]):
+            ck = self.c * diag[:n - d]
+            for p in (k, k + 1):
+                flat[p * (size + 1) + 2 * d * size::2 * (size + 1)][:n - d] = ck
+                flat[p * (size + 1) + 2 * d::2 * (size + 1)][:n - d] = ck
         out.setflags(write=False)
         return out
+
+    @functools.cached_property
+    def gram_norm(self) -> float:
+        """|K|_1, an upper bound on the largest eigenvalue of K."""
+        return band_norm1(np.atleast_2d(self.gram))
+
+    @functools.cached_property
+    def gram_singular(self) -> bool:
+        """Whether lambda_min(K) <= |K|_1 / SINGULAR_COND.
+
+        By Sylvester's law of inertia K - t I is positive definite exactly
+        when lambda_min(K) > t, so one band Cholesky of the shifted K decides
+        it. |K|_1 >= lambda_max(K), so this flags every K whose eigenvalue
+        range exceeds SINGULAR_COND. A scalar g stands for g I, whose
+        inertia is that of the 1 x 1 band [g].
+        """
+        shifted = np.array(np.atleast_2d(self.gram), dtype=float)
+        shifted[0] -= self.gram_norm / SINGULAR_COND
+        return band_cholesky(shifted) is None
 
     @functools.cached_property
     def schur(self) -> np.ndarray | None:
@@ -64,18 +150,15 @@ class Border:
             ck = self.c * self.gram
             if not ck > 0.0:
                 return None
-            # the reciprocal scaling is what the LDL^T solve of the dense
-            # path does with a diagonal C, so both paths agree bit for bit
+            # the reciprocal scaling is what the LU solve of the dense path
+            # does with a diagonal C, so both paths agree bit for bit
             out = self.a - self.b @ (self.b.T * (1.0 / ck))
         else:
-            try:
-                chol = np.linalg.cholesky(self.c * self.gram)
-            except np.linalg.LinAlgError:
+            factor = band_cholesky(self.c * self.gram)
+            if factor is None:
                 return None
-            import scipy.linalg  # here, not at module level: it dominates start-up
             k = len(self.a)
-            y = scipy.linalg.solve_triangular(
-                chol, np.hstack([self.b[:, 0::2].T, self.b[:, 1::2].T]), lower=True)
+            y = band_solve(factor, np.hstack([self.b[:, 0::2].T, self.b[:, 1::2].T]))
             out = self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
         out = 0.5 * (out + out.T)
         out.setflags(write=False)
@@ -85,14 +168,13 @@ class Border:
         """Symmetry and PSD checks; False (nothing decided) if C is not PD.
 
         Haynsworth inertia additivity: the matrix is PSD iff C is PD and
-        A - B C^{-1} B^T is PSD. Tolerances scale with |A|_F + |B|_F + |C|_inf,
-        an upper bound on the full spectral norm within a small factor.
+        A - B C^{-1} B^T is PSD. Tolerances scale with |A|_F + |B|_F + |C|_1,
+        an upper bound on the full spectral norm within a small factor. C is
+        symmetric by construction (K is stored as its lower band).
         """
-        kmat = np.atleast_2d(self.gram)
         spec = max(np.linalg.norm(self.a) + np.linalg.norm(self.b)
-                   + abs(self.c) * np.linalg.norm(kmat, np.inf), 1e-300)
-        asym = max(np.max(np.abs(self.a - self.a.T)),
-                   abs(self.c) * np.max(np.abs(kmat - kmat.T)))
+                   + abs(self.c) * self.gram_norm, 1e-300)
+        asym = np.max(np.abs(self.a - self.a.T))
         if asym > SYMMETRY_RTOL * spec:
             raise ValueError(f"FIM not symmetric: |A - A^T| = {asym:.3e}")
         reduced = self.schur
@@ -181,9 +263,7 @@ def _eliminate(e: np.ndarray, keep: int, outer: float = 0.0) -> np.ndarray:
     c_eigs = np.linalg.eigvalsh(c)
     if c_eigs[0] <= max(abs(c_eigs[-1]), outer) / SINGULAR_COND:
         raise SingularFimError("nuisance block is singular")
-    import scipy.linalg  # here, not at module level: it dominates start-up
-    x = scipy.linalg.solve(c, b.T, assume_a="sym")
-    out = a - b @ x
+    out = a - b @ np.linalg.solve(c, b.T)
     return 0.5 * (out + out.T)
 
 
@@ -202,10 +282,9 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
     if border is not None and keep <= len(border.a):
         reduced = border.schur
         if reduced is not None:
-            k_eigs = np.linalg.eigvalsh(np.atleast_2d(border.gram))  # C's range over c
-            if k_eigs[0] <= k_eigs[-1] / SINGULAR_COND:
+            if border.gram_singular:
                 raise SingularFimError("nuisance block is singular")
-            return _eliminate(reduced, keep, border.c * k_eigs[-1])
+            return _eliminate(reduced, keep, border.c * border.gram_norm)
     return _eliminate(fim.entries, keep)
 
 

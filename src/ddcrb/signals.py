@@ -291,11 +291,14 @@ def gaussian_pulse_train(n_p: int, delta: float, center: float, width2: float,
                       n_pulses=b.size, b=b, delta=delta)
 
 
+@memoised
 def synthesize_pulse_train(pt: PulseTrain) -> SampledSignal:
     """Sum of amplitude-scaled, period-shifted pulse copies.
 
     samples[n] = sum_q b_q * g(n*delta - (q-1)*t_p) for n = 0..M-1 with
     M = Q*n_p; derivatives are assembled from g_deriv the same way.
+    Built once per train and kept (see memoised): every FIM of the train
+    shares the one frozen signal and the sums kept on it.
     """
     if pt.n_pulses < 1:
         raise ValueError("need at least one pulse")

@@ -98,7 +98,8 @@ def pulse_basis(pt: PulseTrain, sig: SampledSignal, tau0: float) -> tuple[tuple,
     """Pulse-amplitude basis and meta for bordered_fim over the synthesized
     train sig: the simplified (rho, gamma, E_g) forms with K = E_g I for a
     pulse contained in its period, else the exact (h, u, v) couplings and
-    the tridiagonal Gram matrix of the shifted pulse copies."""
+    the tridiagonal Gram matrix K of the shifted pulse copies, kept as its
+    2 x Q lower band (gram[0] the diagonal, gram[1, q] = K[q + 1, q])."""
     if support_assumption_holds(pt):
         sq, b = _shared_quantities(pt, tau0), pt.b
         return (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, sq.e_g), {"blocks": "simplified"}
@@ -107,11 +108,10 @@ def pulse_basis(pt: PulseTrain, sig: SampledSignal, tau0: float) -> tuple[tuple,
     x = np.pad([sig.deriv, (sig.times + tau0) * sig.samples, sig.samples], ((0, 0), (0, 1)))
     h, u, v = sliding_window_view(x, pt.n_p + 1, axis=1)[:, ::pt.n_p] @ pt.g
     g2 = pt.g ** 2
-    diag = np.full(pt.n_pulses, np.sum(g2))
-    diag[-1] = np.sum(g2[:-1])  # the last copy loses its final sample
-    # adjacent copies share one boundary sample
-    off = np.full(pt.n_pulses - 1, pt.g[-1] * pt.g[0])
-    gram = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    gram = np.zeros((2, pt.n_pulses))  # K's diagonal, then its subdiagonal
+    gram[0] = np.sum(g2)
+    gram[0, -1] = np.sum(g2[:-1])  # the last copy loses its final sample
+    gram[1, :-1] = pt.g[-1] * pt.g[0]  # adjacent copies share one boundary sample
     return (h, 1.0, u, v, gram), {"blocks": "general"}
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
+import ddcrb.fim as fim_module
 from ddcrb.fim import (Border, FimMatrix, SingularFimError, invert_bound_matrix,
                        schur_complement)
 
@@ -113,11 +114,12 @@ def test_no_look_nuisance_block_falls_back_to_dense():
 
 def test_gram_schur_computed_once_per_fim(monkeypatch):
     calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda x: calls.append(1) or cholesky(x))
+    factor = fim_module.band_cholesky
+    monkeypatch.setattr(fim_module, "band_cholesky", lambda x: calls.append(1) or factor(x))
     fim = build_fim("truncated", False, 2, 1, 1.0, 0.5, seed=3)
     assert len(calls) == 1  # validation
     first = schur_complement(fim, 2)
+    assert len(calls) == 2  # the inertia test of K
     np.testing.assert_array_equal(schur_complement(fim, 2), first)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert not fim.border.schur.flags.writeable

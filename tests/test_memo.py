@@ -84,10 +84,20 @@ def test_kept_values_cannot_be_changed():
         d.crb_separate_unknown_a(sig, sc)
         d.jcrb_structure_known_a(pt, sc)
         d.jcrb_known_signal_pulse(pt, sc)
-    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 2
+    # the train keeps its synthesized signal and one StructureQuantities per delay
+    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 3
     for value in _memo_values(sig):
         assert isinstance(value, tuple) and all(type(v) is float for v in value)
-    for sq in _memo_values(pt):
+    assert d.synthesize_pulse_train(pt) is sig and _memo_values(pt)[0] is sig
+    fresh = d.synthesize_pulse_train.__wrapped__(pt)
+    assert fresh is not sig
+    for field in dataclasses.fields(sig):
+        np.testing.assert_array_equal(getattr(sig, field.name), getattr(fresh, field.name),
+                                      strict=True)
+    for arr in (sig.samples, sig.deriv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    for sq in _memo_values(pt)[1:]:
         assert isinstance(sq, d.StructureQuantities)
         with pytest.raises(dataclasses.FrozenInstanceError):
             sq.w_b2 = 0.0

@@ -1,4 +1,4 @@
-"""Start-up cost: scipy is imported only by the solves that use it.
+"""Start-up cost: the package never imports scipy.
 
 Each check runs in a fresh interpreter, because the test process itself has
 imported scipy long before (the dense oracles use it).
@@ -70,11 +70,11 @@ def test_cli_runs_never_import_scipy():
         assert not scipy_loaded, name
 
 
-def test_solves_import_scipy_when_first_used():
+def test_no_solve_imports_scipy():
     # the Gram-matrix Schur complement and the dense solve, each against a
     # numpy-only elimination of the dense FIM
     before, after, out = run_fresh(ELIMINATE_SCRIPT)
-    assert not before and after
+    assert not before and not after
     for name, (blocks, structured, dense, oracle) in out.items():
         assert blocks == "general", name
         floor = 1e-12 * np.max(np.abs(oracle))
