@@ -2,12 +2,12 @@
 with unknown transmitted signals, plus the verification machinery (dual
 formula paths, finite-difference oracles, Monte Carlo achievability)."""
 
-from .signals import (DerivMethod, PulseTrain, SampledSignal, Scenario,
-                      convolve_channel, eta, gaussian_fn, gaussian_pulse,
-                      gaussian_pulse_train, mean_vector, pulse_train_fn,
-                      synthesize_pulse_train, triangle_wave)
+from .signals import (DerivMethod, PulseTrain, SampledSignal, Scenario, eta,
+                      gaussian_fn, gaussian_pulse, gaussian_pulse_train,
+                      mean_vector, pulse_train_fn, synthesize_pulse_train,
+                      triangle_wave)
 from .fim import (Bound, BoundPair, CrbReport, FimMatrix, SingularFimError,
-                  schur_complement, schur_complement_2x2)
+                  schur_complement)
 from .bounds import (crb_separate_unknown, fim_known_signal, fim_unknown_signal,
                      jcrb_known, jcrb_unknown)
 from .structure import (StructureQuantities, fim_known_structure,

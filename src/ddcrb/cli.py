@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -22,12 +23,25 @@ import numpy as np
 from . import __version__
 from .bounds import fim_unknown_signal, signal_bounds
 from .fim import (METHOD_CLOSED_FORM, METHOD_MONTE_CARLO, METHOD_SCHUR_NUMERIC,
-                  invert_bound_matrix, schur_complement_2x2)
+                  invert_bound_matrix, schur_complement)
 from .overlap import triangle_overlap_curve
 from .scaled import jcrb_structure_known_a
 from .signals import (PulseTrain, SampledSignal, Scenario, gaussian_pulse_train,
                       synthesize_pulse_train, triangle_wave)
 from .verify import McConfig, monte_carlo_report
+
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float setting; inf and nan are usage errors."""
+
+    def convert(self, value, param, ctx):
+        out = super().convert(value, param, ctx)
+        if not math.isfinite(out):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return out
+
+
+FLOAT = _FiniteFloat()
 
 # One row per setting: (flag, config key, click type, default, help). The
 # config key is also the click parameter name and the key in the JSON
@@ -36,20 +50,20 @@ OPTIONS = {
     "all": (
         ("--signal", "signal", str, "gaussian_pulse_train",
          "gaussian_pulse_train | triangle | path to .npz/.json"),
-        ("--delta", "delta", float, 0.01, "sampling interval"),
+        ("--delta", "delta", FLOAT, 0.01, "sampling interval"),
         ("--np", "np", int, 500, "samples per pulse"),
         ("--Q", "Q", int, 2, "pulse count"),
-        ("--Tp", "Tp", float, None, "pulse period; sets delta = Tp/np"),
-        ("--tau0", "tau0", float, 0.05, "reflected-path delay"),
-        ("--f0", "f0", float, 20.0, "Doppler shift"),
+        ("--Tp", "Tp", FLOAT, None, "pulse period; sets delta = Tp/np"),
+        ("--tau0", "tau0", FLOAT, 0.05, "reflected-path delay"),
+        ("--f0", "f0", FLOAT, 20.0, "Doppler shift"),
         ("--L", "L", int, 1, "direct-path looks"),
         ("--P", "P", int, 1, "reflected-path looks"),
-        ("--a", "a", float, 1.0, "reflected-path amplitude scale"),
-        ("--sigma2", "sigma2", float, 1.0, "clutter-plus-noise variance"),
+        ("--a", "a", FLOAT, 1.0, "reflected-path amplitude scale"),
+        ("--sigma2", "sigma2", FLOAT, 1.0, "clutter-plus-noise variance"),
         ("--amp-convention", "amp_convention", click.Choice(["unit", "sqrt2", "both"]),
          "unit", "|b_q|^2 = 1, 2, or emit both (crb and table1 only)"),
-        ("--center", "center", float, 4.0, "Gaussian pulse center"),
-        ("--width2", "width2", float, 9.0, "Gaussian squared width"),
+        ("--center", "center", FLOAT, 4.0, "Gaussian pulse center"),
+        ("--width2", "width2", FLOAT, 9.0, "Gaussian squared width"),
         ("--M", "M", int, 16, "triangle-wave sample count"),
         ("--format", "format", click.Choice(["csv", "json"]), "csv", None),
         ("--out", "out", str, None, "output path (default stdout)"),
@@ -61,7 +75,7 @@ OPTIONS = {
          "axis=start:stop[:step]; axis in L|P|n_p|n0|a|sigma_w2"),
     ),
     "montecarlo": (
-        ("--fspan", "fspan", float, 0.05, "Doppler search half-span"),
+        ("--fspan", "fspan", FLOAT, 0.05, "Doppler search half-span"),
         ("--fpoints", "fpoints", int, 41, "Doppler grid size"),
         ("--tauspan", "tauspan", int, 5, "delay search half-span, samples"),
     ),
@@ -305,7 +319,7 @@ def cmd_crb(config_path, **flags):
 def _schur_pair(sig: SampledSignal, sc: Scenario):
     fim = fim_unknown_signal(sig, sc)
     scale = float(np.max(np.abs(fim.submatrix(("tau0", "f0")))))
-    inv = invert_bound_matrix(schur_complement_2x2(fim), scale)
+    inv = invert_bound_matrix(schur_complement(fim), scale)
     if inv is None:
         return None, None
     return float(inv[0, 0]), float(inv[1, 1])
@@ -355,10 +369,17 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     axis = {"np": "n_p"}.get(axis, axis)
     if axis not in SWEEP_AXES:
         raise click.UsageError(f"sweep axis must be one of {SWEEP_AXES}")
+    bounds = (start, stop, step)
+    if not all(map(math.isfinite, bounds)):
+        raise click.UsageError(f"sweep range must be finite; got {spec!r}")
+    counts = axis in ("L", "P", "n_p", "n0")
+    if counts and any(x != int(x) for x in bounds):
+        raise click.UsageError(f"sweep axis {axis} counts samples or looks; its "
+                               f"start, stop and step must be integers")
     if step <= 0 or stop < start:
         raise click.UsageError("sweep range must be nonempty with positive step")
     values = np.arange(start, stop + step / 2, step)
-    if axis in ("L", "P", "n_p", "n0"):
+    if counts:
         values = values.astype(int)
     # the counts have a least value; a and sigma_w2 must be positive
     low = {"n_p": 1, "L": 0, "P": 0, "n0": 0}.get(axis)

@@ -17,42 +17,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import unknown_signal_labels
-from .fim import SINGULAR_COND, CrbReport, FimMatrix, METHOD_SCHUR_NUMERIC
+from .fim import (PSD_RTOL, SINGULAR_COND, SYMMETRY_RTOL, CrbReport, FimMatrix,
+                  METHOD_SCHUR_NUMERIC)
 from .signals import SampledSignal, Scenario, mean_vector
-
-HERMITIAN_RTOL = 1e-12
-PSD_RTOL = 1e-10
 
 
 def _check_hermitian(mat: np.ndarray, name: str) -> float:
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if float(np.max(np.abs(mat - mat.conj().T))) > HERMITIAN_RTOL * max(scale, 1e-300):
+    if float(np.max(np.abs(mat - mat.conj().T))) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} must be Hermitian")
     return scale
 
 
 def _check_hermitian_psd(mat: np.ndarray, name: str) -> None:
-    scale = _check_hermitian(mat, name)
-    eigmin = float(np.min(np.linalg.eigvalsh(mat)))
-    if eigmin < -PSD_RTOL * max(scale, 1e-300):
-        raise ValueError(f"{name} must be positive semidefinite")
+    """lambda_min > -t, t = PSD_RTOL max|mat|, iff mat + t I is positive
+    definite (Sylvester's law of inertia): one Cholesky, no eigenvalues."""
+    shift = PSD_RTOL * max(_check_hermitian(mat, name), 1e-300)
+    try:
+        np.linalg.cholesky(mat + shift * np.eye(len(mat)))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{name} must be positive semidefinite") from exc
 
 
 @dataclass(frozen=True)
 class StackedModel:
-    """Stacked observation stack: L direct copies then P reflected copies."""
+    """Stacked look means (L direct copies then P reflected copies) and
+    C = s s^H + Sigma_cn."""
 
     s_stack: np.ndarray
-    sigma_cn: np.ndarray
     c: np.ndarray
-    n: int
-    looks_direct: int
-    looks_reflected: int
-
-    @property
-    def dim(self) -> int:
-        return self.s_stack.size
 
 
 def build_stacked(sig: SampledSignal, sc: Scenario, sigma_cn: np.ndarray) -> StackedModel:
@@ -64,57 +57,33 @@ def build_stacked(sig: SampledSignal, sc: Scenario, sigma_cn: np.ndarray) -> Sta
         raise ValueError(
             f"Sigma_cn must be {n * looks} x {n * looks} for N={n}, L+P={looks}")
     _check_hermitian_psd(sigma_cn, "Sigma_cn")
-    direct = mean_vector(sig, sc, "direct")
-    reflected = mean_vector(sig, sc, "reflected")
-    s_stack = np.concatenate([direct] * sc.looks_direct
-                             + [reflected] * sc.looks_reflected)
-    c = np.outer(s_stack, s_stack.conj()) + sigma_cn
-    return StackedModel(s_stack=s_stack, sigma_cn=sigma_cn, c=c, n=n,
-                        looks_direct=sc.looks_direct,
-                        looks_reflected=sc.looks_reflected)
-
-
-def stack_gradient(model: StackedModel, sig: SampledSignal, sc: Scenario,
-                   label: str) -> np.ndarray:
-    """Derivative of the signal stack with respect to one parameter.
-
-    tau0 differentiates the sampled delay through the analytic signal
-    derivative (with the Doppler phase), f0 brings down j*2*pi*n*delta on the
-    reflected blocks, and each sample parameter is an indicator pattern
-    replicated across looks (phase-rotated on the reflected path).
-    """
-    n0 = sc.delay_samples(sig.delta)
-    n = model.n
-    idx = np.arange(n0, n0 + sig.m)
-    phase = np.exp(2j * np.pi * sc.f0 * idx * sig.delta)
-    d_direct = np.zeros(n, dtype=complex)
-    d_reflected = np.zeros(n, dtype=complex)
-    if label == "tau0":
-        d_reflected[idx] = -sc.scale * sig.deriv * phase
-    elif label == "f0":
-        d_reflected[idx] = (2j * np.pi * idx * sig.delta
-                            * sc.scale * sig.samples * phase)
-    elif label.startswith(("sR_", "sI_")):
-        k = int(label.split("_", 1)[1])
-        if not 0 <= k < sig.m:
-            raise ValueError(f"sample index out of range in {label!r}")
-        unit = 1.0 if label.startswith("sR_") else 1.0j
-        d_direct[k] = unit
-        d_reflected[n0 + k] = sc.scale * unit * phase[k]
-    else:
-        raise ValueError(f"unknown parameter {label!r}")
-    return np.concatenate([d_direct] * model.looks_direct
-                          + [d_reflected] * model.looks_reflected)
+    s_stack = np.concatenate([mean_vector(sig, sc, "direct")] * sc.looks_direct
+                             + [mean_vector(sig, sc, "reflected")] * sc.looks_reflected)
+    return StackedModel(s_stack=s_stack, c=np.outer(s_stack, s_stack.conj()) + sigma_cn)
 
 
 def dc_list(model: StackedModel, sig: SampledSignal, sc: Scenario) -> np.ndarray:
-    """Covariance derivatives for the full (tau0, f0, samples) vector, factored.
+    """Factored covariance derivatives: dC_i = g_i s^H + s g_i^H, G = [g_i].
 
-    dC_i = g_i s^H + s g_i^H, so the N x p matrix G = [g_1 ... g_p] of
-    `stack_gradient` columns carries every derivative.
+    Columns tau0 and f0 (analytic signal derivative and j*2*pi*n*delta times
+    the mean, reflected blocks only), then each sample's real and imaginary
+    part: one nonzero per look, phase-rotated and scaled on reflected looks.
     """
-    return np.column_stack([stack_gradient(model, sig, sc, label)
-                            for label in unknown_signal_labels(sig.m)])
+    n, m = sc.record_samples(sig), sig.m
+    g = np.zeros((sc.looks_direct + sc.looks_reflected, n, 2 + 2 * m), dtype=complex)
+    if g.shape[0] * n != model.s_stack.size:
+        raise ValueError("the model was stacked for another scenario or signal")
+    k = np.arange(m)
+    idx = sc.delay_samples(sig.delta) + k
+    phase = np.exp(2j * np.pi * sc.f0 * idx * sig.delta)
+    g[:sc.looks_direct, k, 2 + 2 * k] = 1.0
+    g[:sc.looks_direct, k, 3 + 2 * k] = 1.0j
+    reflected = g[sc.looks_direct:]
+    reflected[:, idx, 0] = -sc.scale * sig.deriv * phase
+    reflected[:, idx, 1] = 2j * np.pi * idx * sig.delta * sc.scale * sig.samples * phase
+    reflected[:, idx, 2 + 2 * k] = sc.scale * phase
+    reflected[:, idx, 3 + 2 * k] = sc.scale * 1.0j * phase
+    return g.reshape(-1, 2 + 2 * m)
 
 
 def fim_trace_form(model: StackedModel, dc: np.ndarray,
@@ -148,8 +117,7 @@ def fim_trace_form(model: StackedModel, dc: np.ndarray,
     return FimMatrix(0.5 * (fim + fim.T), labels)
 
 
-def crb_correlated(model: StackedModel, dc: np.ndarray,
-                   labels: tuple[str, ...] | None = None) -> CrbReport:
+def crb_correlated(model: StackedModel, dc: np.ndarray) -> CrbReport:
     """Delay/Doppler diagonal of the inverted covariance-model FIM.
 
     The full parameter vector (tau0, f0, all samples) is eliminated jointly.
@@ -161,7 +129,7 @@ def crb_correlated(model: StackedModel, dc: np.ndarray,
     singular (e.g. no direct-path look: delay trades off against signal
     timing exactly).
     """
-    fim = fim_trace_form(model, dc, labels)
+    fim = fim_trace_form(model, dc)
     lam, vec = np.linalg.eigh(fim.entries)
     lam_max = float(lam[-1]) if lam.size else 0.0
     null = lam <= lam_max / SINGULAR_COND

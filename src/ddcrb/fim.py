@@ -288,11 +288,6 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
     return _eliminate(fim.entries, keep)
 
 
-def schur_complement_2x2(fim: FimMatrix) -> np.ndarray:
-    """Schur complement keeping the leading (tau0, f0) block."""
-    return schur_complement(fim, keep=2)
-
-
 def invert_bound_matrix(reduced: np.ndarray, scale: float | None = None) -> np.ndarray | None:
     """Invert an eliminated parameter block; None when it is singular.
 

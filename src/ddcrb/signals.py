@@ -220,14 +220,17 @@ class Scenario:
     record_length: int | None = None
 
     def __post_init__(self):
-        if self.tau0 < 0:
-            raise ValueError("tau0 must be nonnegative")
+        # chained comparisons are False for nan, so nan is rejected too
+        if not 0 <= self.tau0 < np.inf:
+            raise ValueError("tau0 must be finite and nonnegative")
+        if not np.isfinite(self.f0):
+            raise ValueError("f0 must be finite")
         if self.looks_direct < 0 or self.looks_reflected < 0:
             raise ValueError("look counts must be nonnegative")
-        if not self.sigma_w2 > 0:
-            raise ValueError("sigma_w2 must be positive")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.sigma_w2 < np.inf:
+            raise ValueError("sigma_w2 must be finite and positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be finite and positive")
         if self.record_length is not None and self.record_length < 1:
             raise ValueError("record_length must be positive")
 
@@ -385,18 +388,3 @@ def eta(sig: SampledSignal, tau0: float) -> float:
     s = sig.samples
     d = sig.deriv
     return float(np.sum(w * (s.imag * d.real - s.real * d.imag)))
-
-
-def convolve_channel(sig: SampledSignal, h) -> SampledSignal:
-    """Pass the signal through a known FIR channel filter.
-
-    Returns the discrete convolution h * s on the same grid (support grows by
-    len(h) - 1); derivatives are recomputed by central differences since the
-    filtered waveform has no closed form.
-    """
-    h = np.atleast_1d(np.asarray(h, dtype=complex))
-    if h.size == 0:
-        raise ValueError("channel filter must be nonempty")
-    out = np.convolve(h, sig.samples)
-    return SampledSignal(out, sig.delta, central_difference(out, sig.delta),
-                         DerivMethod.CENTRAL_DIFFERENCE)

@@ -2,31 +2,48 @@
 
 The library evaluates the covariance-model FIM through the rank-two structure
 of dC_i and eliminates the overlap sample block chain by chain. The forms
-here build every matrix densely instead: p explicit N x N covariance
-derivatives with the trace and Kronecker formulas, and the overlap block D
-with a dense symmetric solve. The Kronecker form holds an N^2 x N^2 matrix
-and the overlap solve is O(M^3), so they suit small instances only.
+here build every matrix densely instead: sample gradients by differencing
+stacked means, p explicit N x N covariance derivatives with the trace and
+Kronecker formulas, and the overlap block D with a dense symmetric solve.
+The Kronecker form holds an N^2 x N^2 matrix and the overlap solve is
+O(M^3), so they suit small instances only.
 """
 
 import numpy as np
 import scipy.linalg
 
-from ddcrb.bounds import unknown_signal_labels
-from ddcrb.covariance import StackedModel, stack_gradient
+from ddcrb.covariance import StackedModel, build_stacked
 from ddcrb.fim import SINGULAR_COND, FimMatrix, SingularFimError
 from ddcrb.overlap import OverlapFim
+from ddcrb.signals import SampledSignal
 
 EIG_FLOOR = 1e-12
 
 
 # ------------------------------------------------------------- covariance
 
-def dc_dtheta(model: StackedModel, sig, sc, param_index: int) -> np.ndarray:
-    """dC/dtheta_i = (ds/dtheta_i) s^H + s (ds/dtheta_i)^H, Hermitian."""
-    labels = unknown_signal_labels(sig.m)
-    if not 0 <= param_index < len(labels):
-        raise ValueError(f"param_index {param_index} out of range")
-    ds = stack_gradient(model, sig, sc, labels[param_index])
+def stacked_mean(sig, sc) -> np.ndarray:
+    """The stacked look means of build_stacked (white Sigma, which they do not
+    depend on)."""
+    dim = sc.record_samples(sig) * (sc.looks_direct + sc.looks_reflected)
+    return build_stacked(sig, sc, np.eye(dim, dtype=complex)).s_stack
+
+
+def sample_gradient(sig, sc, k: int, unit: complex) -> np.ndarray:
+    """d s_stack / d(Re s_k) (unit 1) or d(Im s_k) (unit 1j), by differencing
+    the stacks of two signals with sample k moved by +-unit: the stacked mean
+    is linear in the samples, so the difference is exact up to rounding."""
+    def moved(shift):
+        samples = sig.samples.copy()
+        samples[k] += shift
+        return stacked_mean(SampledSignal(samples, sig.delta, sig.deriv), sc)
+
+    return (moved(unit) - moved(-unit)) / 2.0
+
+
+def dc_dtheta(model: StackedModel, sig, sc, k: int, unit: complex) -> np.ndarray:
+    """dC = ds s^H + s ds^H for one sample parameter, ds from sample_gradient."""
+    ds = sample_gradient(sig, sc, k, unit)
     return np.outer(ds, model.s_stack.conj()) + np.outer(model.s_stack, ds.conj())
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import ddcrb as d
 from ddcrb.cli import main as cli_main
-from ddcrb.fim import invert_bound_matrix, schur_complement_2x2
+from ddcrb.fim import invert_bound_matrix, schur_complement
 
 from conftest import make_contained_train, rel_err
 from dense_oracles import dense_dc, fim_kron_form
@@ -56,7 +56,7 @@ def test_criterion_1_factor_law():
             sc = scenario(l, p)
             known = d.jcrb_known(sig64, sc)
             fim = d.fim_unknown_signal(sig64, sc)
-            inv = invert_bound_matrix(schur_complement_2x2(fim),
+            inv = invert_bound_matrix(schur_complement(fim),
                                       float(np.max(np.abs(fim.entries[:2, :2]))))
             factor = (l + p) / (l * p)
             worst_schur = max(worst_schur,
@@ -164,7 +164,7 @@ def test_criterion_4_structure_decoupling_and_ordering():
         for l in (1, 2, 8):
             for p in (1, 3):
                 sc = scenario(l, p, tau0=0.5, f0=0.4)
-                v_num = schur_complement_2x2(d.fim_known_structure(pt, sc))
+                v_num = schur_complement(d.fim_known_structure(pt, sc))
                 worst_v12 = max(worst_v12, abs(v_num[0, 1]) / abs(v_num[0, 0]))
                 for a in (0.5, 1.0, 2.0, 4.0):
                     sc_a = scenario(l, p, a=a, tau0=0.5, f0=0.4)
@@ -251,7 +251,7 @@ def test_criterion_7_singularity_contract():
         pair = d.crb_separate_unknown(sig, sc)
         flagged.append(pair.singular and not np.isfinite(pair.f0))
         fim = d.fim_unknown_signal(sig, sc)
-        inv = invert_bound_matrix(schur_complement_2x2(fim),
+        inv = invert_bound_matrix(schur_complement(fim),
                                   float(np.max(np.abs(fim.entries[:2, :2]))))
         flagged.append(inv is None)
         joint, sep = d.jcrb_scaled_known_a(sig, scenario(l, p, a=1.5))

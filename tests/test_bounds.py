@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb.bounds import weighted_sums
-from ddcrb.fim import invert_bound_matrix, schur_complement, schur_complement_2x2
+from ddcrb.fim import invert_bound_matrix, schur_complement
 
 from conftest import make_contained_train
 
@@ -130,13 +130,13 @@ class TestSchurComplement:
     def test_identity_when_b_zero(self):
         entries = np.diag([2.0, 3.0, 5.0, 7.0])
         fim = d.FimMatrix(entries, ("tau0", "f0", "x0", "x1"))
-        np.testing.assert_allclose(schur_complement_2x2(fim), np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(schur_complement(fim), np.diag([2.0, 3.0]))
 
     def test_zero_looks_give_zero_schur(self):
         sig = small_signal()
         for l, p in ((0, 1), (0, 3)):
             fim = d.fim_unknown_signal(sig, scenario(l=l, p=p))
-            reduced = schur_complement_2x2(fim)
+            reduced = schur_complement(fim)
             scale = np.max(np.abs(fim.entries[:2, :2]))
             assert np.max(np.abs(reduced)) <= 1e-10 * np.max(np.abs(fim.entries))
             assert invert_bound_matrix(reduced, scale) is None
@@ -144,12 +144,12 @@ class TestSchurComplement:
     def test_p_zero_gives_zero_schur(self):
         sig = small_signal()
         fim = d.fim_unknown_signal(sig, scenario(l=3, p=0))
-        assert np.max(np.abs(schur_complement_2x2(fim))) == 0.0
+        assert np.max(np.abs(schur_complement(fim))) == 0.0
 
     def test_single_look_each_is_half_known_fim(self):
         sig = small_signal()
         sc = scenario(l=1, p=1)
-        reduced = schur_complement_2x2(d.fim_unknown_signal(sig, sc))
+        reduced = schur_complement(d.fim_unknown_signal(sig, sc))
         known = d.fim_known_signal(sig, sc).entries
         np.testing.assert_allclose(reduced, 0.5 * known, rtol=1e-11)
 
@@ -208,7 +208,7 @@ class TestJcrbUnknown:
         sig = small_signal()
         sc = scenario(l=3, p=2)
         pair = d.jcrb_unknown(sig, sc)
-        inv = invert_bound_matrix(schur_complement_2x2(d.fim_unknown_signal(sig, sc)))
+        inv = invert_bound_matrix(schur_complement(d.fim_unknown_signal(sig, sc)))
         assert abs(inv[0, 0] - pair.tau0) <= 1e-10 * pair.tau0
         assert abs(inv[1, 1] - pair.f0) <= 1e-10 * pair.f0
 
@@ -228,7 +228,7 @@ class TestScaledSampleBounds:
         sig = small_signal()
         sc = scenario(l=2, p=3, scale=a)
         pair = d.jcrb_unknown(sig, sc)
-        inv = invert_bound_matrix(schur_complement_2x2(d.fim_unknown_a(sig, sc).drop("a")))
+        inv = invert_bound_matrix(schur_complement(d.fim_unknown_a(sig, sc).drop("a")))
         assert pair.tau0 == pytest.approx(inv[0, 0], rel=1e-9)
         assert pair.f0 == pytest.approx(inv[1, 1], rel=1e-9)
 

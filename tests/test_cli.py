@@ -173,7 +173,8 @@ class TestSweep:
         assert rows[1]["singular"] == rows[2]["singular"] == ""
 
     @pytest.mark.parametrize("spec", ["np=0:2", "L=-1:2", "P=-1:2", "n0=-1:2",
-                                      "a=0:2", "sigma_w2=0:1"])
+                                      "a=0:2", "sigma_w2=0:1", "a=1:nan", "L=1:3:0.5",
+                                      "n_p=10.5:12"])
     def test_out_of_range_axis_is_usage_error(self, spec):
         code, _ = run_cli(["sweep", "--sweep", spec, *BASE])
         assert code == 1
@@ -315,6 +316,8 @@ class TestConfigAndErrors:
         ["montecarlo", "--trials", "0"], ["montecarlo", "--fpoints", "0"],
         ["montecarlo", "--fspan", "0"], ["montecarlo", "--tauspan", "0"],
         ["montecarlo", "--fpoints", "1"], ["overlap", "--P", "0"],
+        ["crb", "--sigma2", "inf"], ["crb", "--tau0", "nan"], ["crb", "--center", "nan"],
+        ["crb", "--a", "inf"], ["crb", "--delta", "inf"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, args):
         # main must return the usage-error code, not raise the model's ValueError
@@ -351,9 +354,11 @@ class TestConfigAndErrors:
         ('{"L": "x"}', None, "'L'"),
         ('{"sigma2": "2"}', ["--sigma2", "2"], None),
         ('{"seed": 1.5}', None, "'seed'"),
+        ('{"a": Infinity}', None, "'a': 'inf' is not a finite number"),
         ("7", None, "one JSON object"),
         ('{"L": 1', None, "not valid JSON"),
-    ], ids=["bad-choice", "bad-int", "string-float", "float-seed", "not-object", "malformed"])
+    ], ids=["bad-choice", "bad-int", "string-float", "float-seed", "infinite-float",
+            "not-object", "malformed"])
     def test_config_values_read_as_flags(self, tmp_path, capsys, text, flags, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)

@@ -1,18 +1,19 @@
 """Covariance-form FIM tests: stacking, derivatives, rank-two FIM against the
 dense trace and Kronecker oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.bounds import unknown_signal_labels
-from ddcrb.covariance import stack_gradient
+from ddcrb.fim import PSD_RTOL
 
 from conftest import make_contained_train, rel_err
 from dense_oracles import (dc_dtheta, dense_dc, fim_kron_form, fim_trace_dense,
-                           j_factors)
+                           j_factors, sample_gradient, stacked_mean)
 
 
 def small_setup(l=1, p=1, n=8, f0=0.2, scale=1.0, seed=0):
@@ -63,6 +64,24 @@ class TestBuildStacked:
         with pytest.raises(ValueError, match="Hermitian"):
             d.build_stacked(sig, sc, bad)
 
+    @pytest.mark.parametrize("factor, accepted", [(-2.0, False), (-0.5, True)])
+    def test_psd_boundary(self, factor, accepted):
+        # lambda_min = factor * t with t = PSD_RTOL max|Sigma|, in a random basis
+        rng = np.random.default_rng(7)
+        sig, sc = small_setup()
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        lam = np.linspace(0.5, 1.0, 16)
+        lam[0] = 0.0
+        base = (q * lam) @ q.conj().T
+        lam[0] = factor * PSD_RTOL * np.max(np.abs(base))
+        sigma = (q * lam) @ q.conj().T
+        sigma = 0.5 * (sigma + sigma.conj().T)
+        if accepted:
+            d.build_stacked(sig, sc, sigma)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                d.build_stacked(sig, sc, sigma)
+
 
 class TestCovarianceDerivatives:
     def test_sample_derivative_rank_at_most_two(self):
@@ -71,7 +90,8 @@ class TestCovarianceDerivatives:
         model = d.build_stacked(sig, sc, random_psd(16, rng))
         dc = dense_dc(model, d.dc_list(model, sig, sc))[4]  # sR_1
         assert np.linalg.matrix_rank(dc) <= 2
-        np.testing.assert_allclose(dc, dc_dtheta(model, sig, sc, 4), atol=0)
+        np.testing.assert_allclose(dc, dc_dtheta(model, sig, sc, 1, 1.0),
+                                   rtol=0, atol=1e-14 * np.max(np.abs(dc)))
 
     def test_doppler_derivative_vanishes_on_direct_blocks(self):
         rng = np.random.default_rng(2)
@@ -98,7 +118,7 @@ class TestCovarianceDerivatives:
         sc = d.Scenario(tau0=2 * sig.delta, f0=0.2, looks_direct=1,
                         looks_reflected=1, sigma_w2=1.0, record_length=8)
         model = d.build_stacked(sig, sc, np.eye(16, dtype=complex))
-        ds_analytic = stack_gradient(model, sig, sc, "tau0")
+        ds_analytic = d.dc_list(model, sig, sc)[:, 0]
 
         h = 1e-5
         t_all = np.arange(8) * sig.delta
@@ -110,12 +130,41 @@ class TestCovarianceDerivatives:
         fd = (reflected(sc.tau0 + h) - reflected(sc.tau0 - h)) / (2 * h)
         np.testing.assert_allclose(ds_analytic[8:], fd, rtol=1e-5, atol=1e-9)
 
-    def test_invalid_index_rejected(self):
-        rng = np.random.default_rng(4)
-        sig, sc = small_setup()
-        model = d.build_stacked(sig, sc, random_psd(16, rng))
-        with pytest.raises(ValueError, match="out of range"):
-            stack_gradient(model, sig, sc, f"sR_{sig.m}")
+    def test_model_from_other_scenario_rejected(self):
+        sig, sc = small_setup(l=1, p=1)
+        model = d.build_stacked(sig, sc, np.eye(16, dtype=complex))
+        with pytest.raises(ValueError, match="another scenario"):
+            d.dc_list(model, sig, small_setup(l=2, p=1)[1])
+
+    @settings(max_examples=40)
+    @given(l=st.integers(0, 3), p=st.integers(0, 3), n_p=st.integers(2, 5),
+           n0=st.integers(1, 4), extra=st.integers(1, 3),
+           a=st.floats(0.2, 3.0).filter(lambda a: a != 1.0),
+           f0=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 31 - 1))
+    def test_gradient_columns_match_stacked_mean_differences(self, l, p, n_p, n0, extra,
+                                                             a, f0, seed):
+        # the tau0 column is checked against an off-grid difference above
+        assume(l + p > 0)
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        pt, _, _ = make_contained_train(n_p=n_p, delta=0.5, b=tuple(b))
+        sig = d.synthesize_pulse_train(pt)
+        sc = d.Scenario(tau0=n0 * sig.delta, f0=f0, looks_direct=l, looks_reflected=p,
+                        sigma_w2=1.0, scale=a, record_length=n0 + sig.m + extra)
+        mean = stacked_mean(sig, sc)
+        g = d.dc_list(d.build_stacked(sig, sc, np.eye(mean.size, dtype=complex)), sig, sc)
+        assert g.shape == (mean.size, 2 + 2 * sig.m)
+
+        h = 1e-6
+        fd = (stacked_mean(sig, dataclasses.replace(sc, f0=f0 + h))
+              - stacked_mean(sig, dataclasses.replace(sc, f0=f0 - h))) / (2 * h)
+        np.testing.assert_allclose(g[:, 1], fd, rtol=0,
+                                   atol=1e-7 * max(np.max(np.abs(fd)), 1.0))
+        tol = 1e-14 * max(np.max(np.abs(mean)), 1.0)
+        for k in range(sig.m):
+            for col, unit in ((2 + 2 * k, 1.0), (3 + 2 * k, 1.0j)):
+                np.testing.assert_allclose(g[:, col], sample_gradient(sig, sc, k, unit),
+                                           rtol=0, atol=tol)
 
 
 class TestFimForms:
@@ -123,9 +172,7 @@ class TestFimForms:
         # diagonal C with diagonal derivatives reduces entrywise
         c_diag = np.array([2.0, 3.0])
         stack = np.zeros(2, dtype=complex)
-        model = d.StackedModel(s_stack=stack, sigma_cn=np.diag(c_diag).astype(complex),
-                               c=np.diag(c_diag).astype(complex), n=2,
-                               looks_direct=1, looks_reflected=0)
+        model = d.StackedModel(s_stack=stack, c=np.diag(c_diag).astype(complex))
         d1 = np.diag([1.0, 0.5]).astype(complex)
         d2 = np.diag([0.25, -1.0]).astype(complex)
         fim = fim_trace_dense(model, [d1, d2])
@@ -136,19 +183,13 @@ class TestFimForms:
         np.testing.assert_allclose(fim.entries, expected, rtol=1e-14)
 
     def test_zero_derivatives_zero_fim(self):
-        model = d.StackedModel(s_stack=np.zeros(2, complex),
-                               sigma_cn=np.eye(2, dtype=complex),
-                               c=np.eye(2, dtype=complex), n=2,
-                               looks_direct=1, looks_reflected=0)
+        model = d.StackedModel(s_stack=np.zeros(2, complex), c=np.eye(2, dtype=complex))
         fim = d.fim_trace_form(model, np.zeros((2, 2), complex))
         np.testing.assert_array_equal(fim.entries, 0.0)
 
     def test_identity_covariance_kron_reduction(self):
         rng = np.random.default_rng(6)
-        model = d.StackedModel(s_stack=np.zeros(3, complex),
-                               sigma_cn=np.eye(3, dtype=complex),
-                               c=np.eye(3, dtype=complex), n=3,
-                               looks_direct=1, looks_reflected=0)
+        model = d.StackedModel(s_stack=np.zeros(3, complex), c=np.eye(3, dtype=complex))
         ds = []
         for _ in range(2):
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -217,16 +258,12 @@ class TestFimForms:
     def test_non_hermitian_c_rejected(self):
         # the Cholesky factor reads one triangle only, so asymmetry is checked
         c = np.array([[2.0, 1.0], [0.0, 2.0]], complex)
-        model = d.StackedModel(s_stack=np.ones(2, complex), sigma_cn=c, c=c, n=2,
-                               looks_direct=1, looks_reflected=0)
+        model = d.StackedModel(s_stack=np.ones(2, complex), c=c)
         with pytest.raises(ValueError, match="Hermitian"):
             d.fim_trace_form(model, np.eye(2, dtype=complex))
 
     def test_singular_c_rejected(self):
-        model = d.StackedModel(s_stack=np.zeros(2, complex),
-                               sigma_cn=np.zeros((2, 2), complex),
-                               c=np.zeros((2, 2), complex), n=2,
-                               looks_direct=1, looks_reflected=0)
+        model = d.StackedModel(s_stack=np.zeros(2, complex), c=np.zeros((2, 2), complex))
         with pytest.raises(ValueError, match="positive definite"):
             d.fim_trace_form(model, np.eye(2, dtype=complex)[:, :1])
 
@@ -235,8 +272,7 @@ class TestCrbCorrelated:
     def test_report_on_white_noise(self):
         sig, sc = small_setup()
         model = d.build_stacked(sig, sc, np.eye(16, dtype=complex))
-        rep = d.crb_correlated(model, d.dc_list(model, sig, sc),
-                               labels=unknown_signal_labels(sig.m))
+        rep = d.crb_correlated(model, d.dc_list(model, sig, sc))
         assert not rep.singular
         assert rep.values["tau0"] > 0 and rep.values["f0"] > 0
         # different statistical model: no equality with the mean-model bound,

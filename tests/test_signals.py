@@ -169,6 +169,19 @@ class TestMeanVector:
         assert np.all(mu[~mask] == 0)
 
 
+class TestScenario:
+    @pytest.mark.parametrize("field,value", [
+        ("tau0", float("nan")), ("tau0", float("inf")), ("tau0", -1.0),
+        ("f0", float("nan")), ("f0", float("-inf")),
+        ("sigma_w2", float("inf")), ("sigma_w2", float("nan")), ("sigma_w2", 0.0),
+        ("scale", float("inf")), ("scale", float("nan")), ("scale", 0.0),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        params = dict(tau0=0.0, f0=0.0, looks_direct=1, looks_reflected=1, sigma_w2=1.0)
+        with pytest.raises(ValueError, match=field):
+            d.Scenario(**{**params, field: value})
+
+
 class TestEta:
     def test_real_signal_zero(self):
         sig = d.triangle_wave(16)
@@ -191,38 +204,3 @@ class TestEta:
         sig = d.SampledSignal(samples, 0.05, deriv)
         expected = -beta * np.sum(t * g ** 2)
         assert d.eta(sig, 0.0) == pytest.approx(expected, rel=1e-12)
-
-
-class TestConvolveChannel:
-    def test_identity_filter(self):
-        sig = d.triangle_wave(8)
-        out = d.convolve_channel(sig, [1.0])
-        np.testing.assert_allclose(out.samples, sig.samples)
-
-    def test_unit_delay(self):
-        sig = d.SampledSignal([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 0.0])
-        out = d.convolve_channel(sig, [0.0, 1.0])
-        np.testing.assert_allclose(out.samples, [0.0, 1.0, 2.0, 3.0])
-
-    def test_two_tap_average_of_impulse(self):
-        sig = d.SampledSignal([1.0], 1.0, [0.0])
-        out = d.convolve_channel(sig, [0.5, 0.5])
-        np.testing.assert_allclose(out.samples, [0.5, 0.5])
-        assert out.deriv_method is d.DerivMethod.CENTRAL_DIFFERENCE
-
-    def test_empty_filter_rejected(self):
-        with pytest.raises(ValueError):
-            d.convolve_channel(d.triangle_wave(4), [])
-
-    def test_filtered_signal_feeds_bound_pipeline(self):
-        # known-multipath case: convolve with the channel, then reuse every
-        # bound on the filtered waveform
-        pt, _, _ = make_contained_train(n_p=20, delta=0.2, b=(1.0 - 0.3j,))
-        sig = d.convolve_channel(d.synthesize_pulse_train(pt),
-                                 [0.8, 0.0, 0.3 - 0.2j])
-        sc = d.Scenario(tau0=0.4, f0=0.5, looks_direct=2, looks_reflected=1,
-                        sigma_w2=0.5)
-        known = d.jcrb_known(sig, sc)
-        unknown = d.jcrb_unknown(sig, sc)
-        assert 0 < known.tau0 < unknown.tau0
-        assert unknown.tau0 == pytest.approx(1.5 * known.tau0, rel=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.fim import schur_complement_2x2
+from ddcrb.fim import schur_complement
 from ddcrb.signals import central_difference
 
 from conftest import make_contained_train, rel_err
@@ -122,12 +122,12 @@ class TestVMatrix:
         pt, _, _ = contained_train
         sc = scenario(l=1, p=1)
         v = v_closed(pt, sc)
-        v_num = schur_complement_2x2(d.fim_known_structure(pt, sc))
+        v_num = schur_complement(d.fim_known_structure(pt, sc))
         assert rel_err(v, v_num) <= 1e-10
 
     def test_cross_term_negligible(self, contained_train):
         pt, _, _ = contained_train
-        v_num = schur_complement_2x2(d.fim_known_structure(pt, scenario(l=2, p=3)))
+        v_num = schur_complement(d.fim_known_structure(pt, scenario(l=2, p=3)))
         assert abs(v_num[0, 1]) <= 1e-10 * abs(v_num[0, 0])
 
     def test_large_l_limit(self, contained_train):
@@ -179,7 +179,7 @@ class TestJcrbKnownStructure:
         # separate ones (reciprocal diagonal)
         pt, _, _ = contained_train
         sc = scenario(l=2, p=2)
-        v = schur_complement_2x2(d.fim_known_structure(pt, sc))
+        v = schur_complement(d.fim_known_structure(pt, sc))
         inv = np.linalg.inv(v)
         pair = d.jcrb_structure_known_a(pt, sc)
         assert abs(inv[0, 1]) <= 1e-10 * abs(inv[0, 0])
