@@ -87,6 +87,8 @@ _TYPES = {key: click.types.convert_type(kind)
           for rows in OPTIONS.values() for _, key, kind, _, _ in rows}
 
 SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
+# every point is a row of output; a longer sweep is taken to be a typo
+SWEEP_MAX_POINTS = 100_000
 # the scenario field each single-field sweep axis sets (n0 sets tau0 = n0 delta)
 _SWEEP_FIELDS = {"P": "looks_reflected", "n0": "tau0", "a": "scale", "sigma_w2": "sigma_w2"}
 
@@ -378,6 +380,11 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
                                f"start, stop and step must be integers")
     if step <= 0 or stop < start:
         raise click.UsageError("sweep range must be nonempty with positive step")
+    # counted before np.arange allocates them; (stop - start) / step may be inf
+    points = (stop - start) / step + 1.0
+    if points > SWEEP_MAX_POINTS:
+        raise click.UsageError(f"sweep {spec!r} has about {points:.6g} points; "
+                               f"at most {SWEEP_MAX_POINTS} are allowed")
     values = np.arange(start, stop + step / 2, step)
     if counts:
         values = values.astype(int)

@@ -6,7 +6,9 @@ here build every matrix densely instead: sample gradients by differencing
 stacked means, p explicit N x N covariance derivatives with the trace and
 Kronecker formulas, and the overlap block D with a dense symmetric solve.
 The Kronecker form holds an N^2 x N^2 matrix and the overlap solve is
-O(M^3), so they suit small instances only.
+O(M^3), so they suit small instances only. The one form here that is not
+dense is the per-offset chain elimination of the overlap block, which the
+library's grouped elimination reproduces bit for bit.
 """
 
 import numpy as np
@@ -121,3 +123,29 @@ def overlap_information_dense(of: OverlapFim) -> float:
     if np.linalg.cond(of.d_mat) > SINGULAR_COND:
         raise SingularFimError("sample block of the overlap FIM is singular")
     return of.e - float(of.b_vec @ scipy.linalg.solve(of.d_mat, of.b_vec, assume_a="sym"))
+
+
+def overlap_chain_quadratic(of: OverlapFim) -> float:
+    """b^T D^{-1} b for one offset, eliminated chain by chain from of.b_vec.
+
+    Outside total overlap D = (P/sigma_w2) * (2I + band at +-n0), which
+    splits into chains r, r + n0, r + 2 n0, ... each equal to
+    (P/sigma_w2) * tridiag(1, 2, 1). With the sign flip S = diag((-1)^k),
+    S tridiag(1, 2, 1) S is the second-difference matrix, so for a chain v
+    of length l, v^T tridiag(1, 2, 1)^{-1} v = sum_k (Q_k - mean Q)^2 where
+    Q = (0, cumsum(S v)) has l + 1 entries. Disjoint support (n0 >= M) is
+    the case of chains of length one.
+    """
+    c = of.looks / of.sigma_w2
+    if of.regime == "total":
+        return float(of.b_vec @ of.b_vec) / (4.0 * c)
+    step = min(of.n0, of.m)
+    q, rem = divmod(of.m, step)
+    quad = 0.0
+    # chains starting at r < rem have q + 1 entries, the rest q
+    for length, starts in ((q + 1, np.arange(rem)), (q, np.arange(rem, step))):
+        k = np.arange(length)[:, None]
+        cum = np.cumsum((-1.0) ** k * of.b_vec[starts + step * k], axis=0)
+        cum = np.vstack([np.zeros(starts.size), cum])
+        quad += float(np.sum((cum - cum.mean(axis=0)) ** 2))
+    return quad / c

@@ -174,7 +174,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("spec", ["np=0:2", "L=-1:2", "P=-1:2", "n0=-1:2",
                                       "a=0:2", "sigma_w2=0:1", "a=1:nan", "L=1:3:0.5",
-                                      "n_p=10.5:12"])
+                                      "n_p=10.5:12", "a=0.1:1e9:1e-9"])
     def test_out_of_range_axis_is_usage_error(self, spec):
         code, _ = run_cli(["sweep", "--sweep", spec, *BASE])
         assert code == 1

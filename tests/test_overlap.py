@@ -1,6 +1,8 @@
 """Nonseparated-path tests: FIM structure, regimes, triangle-wave forms, and
-the chain-form elimination against dense and exact rational elimination."""
+the chain-form elimination against dense and exact rational elimination and,
+bit for bit, against a per-offset chain elimination."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.overlap import SINGULAR_RTOL, _closed_form_partial, overlap_regime
+from ddcrb.overlap import SINGULAR_RTOL, _overlap_reports, overlap_regime
 from ddcrb.signals import central_difference
 
-from dense_oracles import overlap_information_dense
+from dense_oracles import overlap_chain_quadratic, overlap_information_dense
 
 
 def scenario(p=1, sigma_w2=1.0):
@@ -129,10 +131,10 @@ class TestCrbOverlap:
 
     def test_deep_partial_is_numeric_only(self):
         sig = d.triangle_wave(16)
-        of = d.fim_overlap(sig, 3, scenario())
-        assert _closed_form_partial(of) is None
-        rep = d.crb_overlap(of)
+        rep = d.crb_overlap(d.fim_overlap(sig, 3, scenario()))
+        # no closed form exists below half the support, so none is attached
         assert rep.method == "schur_numeric"
+        assert "tau0_numeric" not in rep.details
         assert rep.values["tau0"] == pytest.approx(21.0 / 19.0, rel=1e-10)
 
 
@@ -164,10 +166,35 @@ class TestTriangleCurve:
 
     def test_scale_beyond_dense_solves(self):
         # 2049 offsets at M = 2048: each dense solve would be O(M^3)
-        rows = d.triangle_overlap_curve(2048, scenario())
+        tracemalloc.start()
+        try:
+            rows = d.triangle_overlap_curve(2048, scenario())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(rows) == 2049
         for r in rows:
             assert r["singular"] or (np.isfinite(r["crb_tau0"]) and r["crb_tau0"] > 0)
+        # chains are eliminated a bounded block at a time: the peak stays far
+        # below one M x M float64 array (32 MB)
+        assert peak < 8e6, peak
+
+    @settings(max_examples=25, deadline=None)
+    @given(half=st.integers(1, 128), p=st.integers(1, 5), sigma_w2=st.floats(1e-3, 1e3))
+    def test_rows_match_single_offset_reports(self, half, p, sigma_w2):
+        m, sc = 2 * half, scenario(p=p, sigma_w2=sigma_w2)
+        sig = d.triangle_wave(m)
+        for row in d.triangle_overlap_curve(m, sc):
+            rep = d.crb_overlap(d.fim_overlap(sig, row["n0"], sc))
+            assert row == {"n0": row["n0"],
+                           "crb_tau0": None if rep.singular else rep.values["tau0"],
+                           "singular": rep.singular, "method": rep.method,
+                           "regime": rep.details["regime"],
+                           "crb_non": 2.0 * sigma_w2 / (p * m)}
+
+    def test_m128_singular_offsets(self):
+        rows = d.triangle_overlap_curve(128, scenario())
+        assert [r["n0"] for r in rows if r["singular"]] == [0, 1, 2, 4, 8, 16, 32]
 
 
 class TestChainElimination:
@@ -190,6 +217,37 @@ class TestChainElimination:
             assert abs(x - dense) <= 1e-12 * of.e, (n0, x, dense)
             assert rep.singular == (abs(dense) <= SINGULAR_RTOL * of.e), n0
             assert rep.details["regime"] == overlap_regime(n0, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 96), p=st.integers(1, 5),
+           sigma_w2=st.floats(1e-3, 1e3), sign_pattern=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_bit_identical_to_per_offset_elimination(self, m, p, sigma_w2,
+                                                     sign_pattern, seed):
+        rng = np.random.default_rng(seed)
+        deriv = (rng.choice([-1.0, 1.0], m) if sign_pattern
+                 else rng.standard_normal(m))
+        sig = d.SampledSignal(np.zeros(m), 1.0, deriv)
+        sc = scenario(p=p, sigma_w2=sigma_w2)
+        for n0 in range(m + 2):
+            of = d.fim_overlap(sig, n0, sc)
+            x = d.crb_overlap(of).details["information_after_elimination"]
+            assert x == of.e - overlap_chain_quadratic(of), n0
+
+    @pytest.mark.parametrize("m", [31, 49, 62])
+    def test_batch_bit_identical_to_per_offset_elimination(self, m):
+        # all offsets eliminated together: a step's lone chain shares its
+        # block with other steps' chains yet must still sum pairwise, which
+        # changes the last bits for a few of these Gaussian derivatives
+        sc = scenario(p=2, sigma_w2=0.3)
+        for seed in range(30):
+            deriv = np.random.default_rng(seed).standard_normal(m)
+            sig = d.SampledSignal(np.zeros(m), 1.0, deriv)
+            reports = _overlap_reports(deriv, range(m + 2), 2, 0.3)
+            for n0, rep in enumerate(reports):
+                of = d.fim_overlap(sig, n0, sc)
+                assert rep.details["information_after_elimination"] == (
+                    of.e - overlap_chain_quadratic(of)), (seed, n0)
 
     def test_triangle_m16_matches_exact_rational_elimination(self):
         # derivative +-1 with P = sigma_w2 = 1: e, b and D are integers
