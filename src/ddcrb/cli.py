@@ -89,6 +89,11 @@ _TYPES = {key: click.types.convert_type(kind)
 SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
 # every point is a row of output; a longer sweep is taken to be a typo
 SWEEP_MAX_POINTS = 100_000
+# the overlap curve costs O(M^2) (about 2.4 s at M = 8192) and prints M + 1 rows
+OVERLAP_MAX_M = 8192
+# Monte Carlo work grows with each of these settings (500 trials of the
+# default grid take tens of milliseconds); a larger value is taken to be a typo
+MONTECARLO_MAX = {"trials": 1_000_000, "fpoints": 10_000, "tauspan": 10_000}
 # the scenario field each single-field sweep axis sets (n0 sets tau0 = n0 delta)
 _SWEEP_FIELDS = {"P": "looks_reflected", "n0": "tau0", "a": "scale", "sigma_w2": "sigma_w2"}
 
@@ -100,6 +105,13 @@ def _usage_errors():
         yield
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _check_caps(cfg, caps: dict) -> None:
+    """Usage error for any setting above its cap in caps ({config key: cap})."""
+    for key, cap in caps.items():
+        if cfg[key] > cap:
+            raise click.UsageError(f"--{key} {cfg[key]} is above the cap of {cap}")
 
 
 @dataclass
@@ -460,6 +472,7 @@ def cmd_sweep(config_path, **flags):
 def cmd_overlap(config_path, **flags):
     """Delay bound versus overlap offset for the triangle wave."""
     cfg, _ = merge_config(config_path, **flags)
+    _check_caps(cfg, {"M": OVERLAP_MAX_M})
     sc = cfg.scenario()
     # triangle_overlap_curve raises ValueError only for bad input, such as an odd M
     with _usage_errors():
@@ -475,6 +488,7 @@ def cmd_overlap(config_path, **flags):
 def cmd_montecarlo(config_path, **flags):
     """Empirical estimator MSE against the bounds (deterministic by seed)."""
     cfg, given = merge_config(config_path, **flags)
+    _check_caps(cfg, MONTECARLO_MAX)
     if cfg["a"] != 1.0:
         raise click.UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
     delta = _resolve_delta(cfg, given)

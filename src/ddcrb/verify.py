@@ -30,8 +30,9 @@ FD_STEP_SCALE = 1e-6
 # largest phase table built whole (16 MiB); above it each delay is scored from
 # its own Doppler x sample slice, so memory no longer grows with the delay count
 PHASE_TABLE_MAX_BYTES = 1 << 24
-# working set of one block of Monte Carlo trials (1 MiB): per trial its
-# reflected record, its direct window sum and two delay x Doppler statistics
+# working set of one block of Monte Carlo trials (1 MiB): per trial its noise
+# draw, the complex looks of one path, its reflected record, its direct window
+# sum and two delay x Doppler statistics
 TRIAL_BLOCK_BYTES = 1 << 20
 
 
@@ -85,18 +86,35 @@ def _look_means(sig: SampledSignal, sc: Scenario) -> list[tuple[int, np.ndarray 
                                 ("reflected", sc.looks_reflected))]
 
 
-def _draw_looks(rng: np.random.Generator, looks: list, n: int,
-                scale: float) -> list[np.ndarray]:
-    """Each path's looks, (count x n): its mean plus iid circular complex
-    Gaussian noise with standard deviation scale in each part, direct first."""
-    out = []
-    for count, mu in looks:
-        if not count:
-            out.append(np.zeros((0, n), complex))
-            continue
-        noise = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-        out.append(mu[None, :] + scale * noise)
-    return out
+def _draw_noise(seeds, z: np.ndarray) -> None:
+    """Fill z[t], one trial's 2(L+P) x N noise, from default_rng(seeds[t]).
+
+    One draw per trial: the generator fills its output in sequence, so the
+    rows hold what four draws in a row of L x N and then P x N normals would
+    give, in this order: direct real, direct imaginary, reflected real,
+    reflected imaginary.
+    """
+    for t, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=z[t])
+
+
+def _path_looks(z: np.ndarray, looks: list, path: int, scale: float) -> np.ndarray:
+    """One path's looks (T x count x N) from the noise block z: the path's
+    mean plus iid circular complex Gaussian noise with standard deviation
+    scale in each part; path 0 is the direct path, 1 the reflected path."""
+    row = 2 * sum(count for count, _ in looks[:path])
+    count, mu = looks[path]
+    noise = np.multiply(1j, z[:, row + count:row + 2 * count])
+    np.add(z[:, row:row + count], noise, out=noise)
+    np.multiply(scale, noise, out=noise)
+    if mu is not None:
+        np.add(mu, noise, out=noise)
+    return noise
+
+
+def _noise_block(trials: int, sc: Scenario, n: int) -> np.ndarray:
+    """Uninitialised noise block of `trials` trials, (T x 2(L+P) x N)."""
+    return np.empty((trials, 2 * (sc.looks_direct + sc.looks_reflected), n))
 
 
 def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observations:
@@ -105,9 +123,21 @@ def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observation
     The complex noise variance is sigma_w2 per sample, split evenly between
     the real and imaginary parts. Deterministic given the seed.
     """
-    direct, reflected = _draw_looks(np.random.default_rng(seed), _look_means(sig, sc),
-                                    sc.record_samples(sig), np.sqrt(sc.sigma_w2 / 2.0))
+    looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
+    z = _noise_block(1, sc, sc.record_samples(sig))
+    _draw_noise([seed], z)
+    direct, reflected = (_path_looks(z, looks, path, scale)[0] for path in (0, 1))
     return Observations(direct=direct, reflected=reflected, delta=sig.delta, m=sig.m)
+
+
+def _trial_bytes(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> int:
+    """Bytes one trial adds to a block: its noise draw, the complex looks of
+    its larger path, its reflected record and direct window sum, and its two
+    delay x Doppler statistics."""
+    n, looks = sc.record_samples(sig), max(sc.looks_direct, sc.looks_reflected)
+    n_cells = len(cfg.tau_grid) * len(cfg.f_grid)
+    return 16 * ((sc.looks_direct + sc.looks_reflected + looks + 1) * n
+                 + sig.m + 2 * n_cells)
 
 
 def _trial_blocks(sig: SampledSignal, sc: Scenario, cfg: McConfig,
@@ -116,18 +146,18 @@ def _trial_blocks(sig: SampledSignal, sc: Scenario, cfg: McConfig,
 
     Trial k draws what simulate_observations(sig, sc, (cfg.seed, k)) draws and
     keeps two sums of it: u, its direct looks summed over the window (T x M),
-    and r, its reflected looks summed (T x N). The means are built once.
+    and r, its reflected looks summed (T x N). The means and the noise block
+    are built once; each block's looks are formed and summed path by path.
     """
     n, m = sc.record_samples(sig), sig.m
     looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
+    z_all = _noise_block(min(block, cfg.trials), sc, n)
     for start in range(0, cfg.trials, block):
         trials = range(start, min(start + block, cfg.trials))
-        u = np.empty((len(trials), m), complex)
-        r = np.empty((len(trials), n), complex)
-        for t, k in enumerate(trials):
-            direct, reflected = _draw_looks(np.random.default_rng((cfg.seed, k)), looks, n, scale)
-            direct[:, :m].sum(axis=0, out=u[t])
-            reflected.sum(axis=0, out=r[t])
+        z = z_all[:len(trials)]
+        _draw_noise([(cfg.seed, k) for k in trials], z)
+        u = _path_looks(z, looks, 0, scale)[:, :, :m].sum(axis=1)
+        r = _path_looks(z, looks, 1, scale).sum(axis=1)
         yield slice(trials.start, trials.stop), u, r
 
 
@@ -170,17 +200,19 @@ def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
     n_tau, n_f = len(cfg.tau_grid), len(cfg.f_grid)
     table = _phase_table(cfg.tau_grid, cfg.f_grid, m, delta) \
         if n_tau * n_f * m * 16 <= PHASE_TABLE_MAX_BYTES else None
-    weights = [w.conj() for w in (u, s) if w is not None]
-    stats = np.empty((len(weights), r.shape[0], n_tau, n_f))
+    # (E x T x M) weights, and |r|^2 once for every window of the block
+    weights = np.stack([np.broadcast_to(w.conj(), (len(r), m)) for w in (u, s) if w is not None])
+    power = r.real ** 2 + r.imag ** 2 if u is not None else None
+    stats = np.empty(weights.shape[:2] + (n_tau, n_f))
     for i, n0 in enumerate(cfg.tau_grid):
         phases = table[i] if table is not None \
             else _phases(cfg.tau_grid[i:i + 1], cfg.f_grid, m, delta)[0]
         v = r[:, n0:n0 + m]
-        products = np.concatenate([w * v for w in weights]) @ phases.T
+        products = (weights * v).reshape(-1, m) @ phases.T
         stats[:, :, i] = products.real.reshape(len(weights), -1, n_f)
-        if u is not None:
+        if power is not None:
             stats[0, :, i] *= 2.0
-            stats[0, :, i] += np.sum(v.real ** 2 + v.imag ** 2, axis=1)[:, None]
+            stats[0, :, i] += np.sum(power[:, n0:n0 + m], axis=1)[:, None]
     return stats
 
 
@@ -382,8 +414,7 @@ def _mc_estimates(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> np.ndarray
     """(tau_u, f_u, tau_k, f_k) of every trial (trials x 4): profiled ML, then
     the matched filter, scored together one block of trials at a time."""
     _check_profiled(sc)
-    n_cells = len(cfg.tau_grid) * len(cfg.f_grid)
-    block = max(1, TRIAL_BLOCK_BYTES // (16 * (sc.record_samples(sig) + sig.m + 2 * n_cells)))
+    block = max(1, TRIAL_BLOCK_BYTES // _trial_bytes(sig, sc, cfg))
     estimates = np.empty((cfg.trials, 4))
     for trials, u, r in _trial_blocks(sig, sc, cfg, block):
         stats = _grid_statistics(r, cfg, sig.m, sig.delta, u=u, s=sig.samples)

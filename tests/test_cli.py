@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddcrb.cli import main
+from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, main
 
 BASE = ["--np", "60", "--delta", "0.05", "--Q", "2", "--center", "1.5",
         "--width2", "0.09", "--tau0", "0.1", "--f0", "2.0"]
@@ -318,11 +318,41 @@ class TestConfigAndErrors:
         ["montecarlo", "--fpoints", "1"], ["overlap", "--P", "0"],
         ["crb", "--sigma2", "inf"], ["crb", "--tau0", "nan"], ["crb", "--center", "nan"],
         ["crb", "--a", "inf"], ["crb", "--delta", "inf"],
+        ["montecarlo", "--trials", "100000000000"],
+        ["montecarlo", "--trials", str(MONTECARLO_MAX["trials"] + 1)],
+        ["montecarlo", "--fpoints", "1000000000"],
+        ["montecarlo", "--fpoints", str(MONTECARLO_MAX["fpoints"] + 1)],
+        ["montecarlo", "--tauspan", "1000000000"],
+        ["montecarlo", "--tauspan", str(MONTECARLO_MAX["tauspan"] + 1)],
+        ["overlap", "--M", "1000000"], ["overlap", "--M", str(OVERLAP_MAX_M + 2)],
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, args):
         # main must return the usage-error code, not raise the model's ValueError
         code, _ = run_cli(args)
         assert code == 1
+
+    @pytest.mark.parametrize("command, report, config", [
+        ("montecarlo", "monte_carlo_report", {"trials": 10 ** 11}),
+        ("overlap", "triangle_overlap_curve", {"M": 10 ** 6}),
+    ])
+    def test_caps_hold_before_any_work(self, monkeypatch, tmp_path, capsys,
+                                       command, report, config):
+        import ddcrb.cli
+
+        def unreachable(*args):
+            raise AssertionError("work started above the cap")
+        monkeypatch.setattr(ddcrb.cli, report, unreachable)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        # a config-file value is capped like the flag
+        assert run_cli([command, "--config", str(path)])[0] == 1
+        assert "above the cap" in capsys.readouterr().err
+
+    def test_fpoints_at_the_cap_runs(self):
+        code, out = run_cli([*TestMonteCarloCommand.ARGS, "--trials", "2",
+                             "--fpoints", str(MONTECARLO_MAX["fpoints"])])
+        assert code == 0
+        assert len(parse_csv(out)) == 4
 
     def test_numerical_fault_is_not_a_usage_error(self, monkeypatch):
         import ddcrb.cli

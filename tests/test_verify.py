@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -263,9 +264,7 @@ class TestPhaseTableSearch:
 
     def test_fallback_builds_each_slice_once_per_block(self, monkeypatch):
         sig, sc, cfg = mc_setup(trials=20)
-        n_cells = len(cfg.tau_grid) * len(cfg.f_grid)
-        per_trial = 16 * (sc.record_samples(sig) + sig.m + 2 * n_cells)
-        monkeypatch.setattr(verify, "TRIAL_BLOCK_BYTES", 6 * per_trial)
+        monkeypatch.setattr(verify, "TRIAL_BLOCK_BYTES", 6 * verify._trial_bytes(sig, sc, cfg))
         monkeypatch.setattr(verify, "PHASE_TABLE_MAX_BYTES", 0)
         built = []
         phases = verify._phases
@@ -330,6 +329,70 @@ class TestPhaseTableSearch:
         # one block of 25 trials against 25 searches with T = 1
         np.testing.assert_allclose(verify._mc_estimates(sig, sc, cfg), single,
                                    rtol=1e-12, atol=0)
+
+
+def four_draw_observations(sig, sc, seed):
+    """The documented trial draw written out: four normal draws in a row,
+    direct real, direct imaginary, reflected real, reflected imaginary."""
+    rng, n = np.random.default_rng(seed), sc.record_samples(sig)
+    scale = np.sqrt(sc.sigma_w2 / 2.0)
+    looks = []
+    for path, count in (("direct", sc.looks_direct), ("reflected", sc.looks_reflected)):
+        re = rng.standard_normal((count, n))
+        noise = scale * (re + 1j * rng.standard_normal((count, n)))
+        looks.append(d.mean_vector(sig, sc, path)[None, :] + noise if count else noise)
+    return looks
+
+
+class TestTrialDraws:
+    @settings(max_examples=50)
+    @given(a=st.integers(0, 400), b=st.integers(0, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_draw_equals_two_draws_in_a_row(self, a, b, seed):
+        # the property the one-draw-per-trial noise block rests on
+        one = np.empty(a + b)
+        np.random.default_rng((seed, 3)).standard_normal(out=one)
+        rng = np.random.default_rng((seed, 3))
+        two = np.concatenate([rng.standard_normal(a), rng.standard_normal(b)])
+        assert one.tobytes() == two.tobytes()
+
+    @settings(max_examples=40)
+    @given(l=st.integers(0, 6), p=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_simulate_observations_keeps_the_four_draw_order(self, l, p, seed):
+        sig, sc, _ = mc_setup(l=l, p=p, sigma_w2=0.3)
+        obs = d.simulate_observations(sig, sc, (seed, 1))
+        direct, reflected = four_draw_observations(sig, sc, (seed, 1))
+        assert obs.direct.shape == direct.shape and obs.reflected.shape == reflected.shape
+        assert obs.direct.tobytes() == direct.tobytes()
+        assert obs.reflected.tobytes() == reflected.tobytes()
+
+    @settings(max_examples=40)
+    @given(l=st.integers(1, 6), p=st.integers(1, 6), trials=st.integers(1, 12),
+           block=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_equal_simulate_observations_byte_for_byte(self, l, p, trials, block, seed):
+        sig, sc, cfg = mc_setup(l=l, p=p, trials=trials, seed=seed, sigma_w2=0.3)
+        seen = []
+        for span, u, r in verify._trial_blocks(sig, sc, cfg, block):
+            assert u.shape == (span.stop - span.start, sig.m)
+            for t, k in enumerate(range(span.start, span.stop)):
+                obs = d.simulate_observations(sig, sc, (cfg.seed, k))
+                # tobytes also tells +0.0 from -0.0
+                assert u[t].tobytes() == obs.direct[:, :sig.m].sum(axis=0).tobytes()
+                assert r[t].tobytes() == obs.reflected.sum(axis=0).tobytes()
+                seen.append(k)
+        assert seen == list(range(trials))
+
+    def test_block_memory_stays_bounded_at_many_looks(self):
+        # 400 looks of noise per trial: the block size must count the noise
+        # block, or 40 trials are drawn at once (about 9 MB here)
+        sig, sc, cfg = mc_setup(l=200, p=200, trials=40)
+        verify._mc_estimates(sig, sc, dataclasses.replace(cfg, trials=1))  # phase table
+        tracemalloc.start()
+        try:
+            verify._mc_estimates(sig, sc, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * verify.TRIAL_BLOCK_BYTES
 
 
 class TestMonteCarloReport:
