@@ -227,19 +227,44 @@ def _pair_columns(pairs: dict) -> tuple[dict, list[str]]:
     return row, flagged
 
 
+# one compact C encoder per indent depth of write_rows' flat dicts: its item
+# separator carries the newline and indent that json.dumps(indent=2) puts there
+_JSON_ITEM_ENCODERS = {depth: json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+                       for depth in (1, 3)}
+
+
+def _json_flat_dict(d: dict, depth: int) -> str:
+    """json.dumps(d, indent=2) of a dict of scalars, as nested depth deep."""
+    if not d:
+        return "{}"
+    inner = _JSON_ITEM_ENCODERS[depth].encode(d)[1:-1]
+    return "{\n" + "  " * (depth + 1) + inner + "\n" + "  " * depth + "}"
+
+
+def _rows_json(config: dict, rows: list[dict], methods: list[dict],
+               provenance: dict) -> str:
+    """json.dumps(indent=2) of write_rows' payload, byte for byte.
+
+    Every dict of the payload (config, provenance, each row's values and
+    methods) holds scalars only, so each goes through the C encoder whole
+    and only the brackets around them are written here.
+    """
+    items = [f'    {{\n      "values": {_json_flat_dict(row, 3)},\n'
+             f'      "methods": {_json_flat_dict(tags, 3)}\n    }}'
+             for row, tags in zip(rows, methods)]
+    rows_text = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return (f'{{\n  "config": {_json_flat_dict(config, 1)},\n  "rows": {rows_text},\n'
+            f'  "provenance": {_json_flat_dict(provenance, 1)}\n}}')
+
+
 def write_rows(rows: list[dict], methods: list[dict], cfg: RunConfig) -> None:
     """Emit rows as CSV (values only) or JSON (values plus method tags)."""
     if cfg["format"] == "json":
-        payload = {
-            # the output path does not affect any value; leaving it out keeps
-            # re-runs byte-identical wherever they are written
-            "config": {k: cfg.values[k] for k in sorted(cfg.values, key=str)
-                       if k != "out"},
-            "rows": [{"values": row, "methods": tags}
-                     for row, tags in zip(rows, methods)],
-            "provenance": {"version": __version__, "seed": cfg["seed"]},
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        # the output path does not affect any value; leaving it out keeps
+        # re-runs byte-identical wherever they are written
+        config = {k: cfg.values[k] for k in sorted(cfg.values, key=str) if k != "out"}
+        text = _rows_json(config, rows, methods,
+                          {"version": __version__, "seed": cfg["seed"]}) + "\n"
     else:
         buf = io.StringIO()
         if rows:

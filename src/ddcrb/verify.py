@@ -14,6 +14,7 @@ bounds.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -34,6 +35,15 @@ PHASE_TABLE_MAX_BYTES = 1 << 24
 # draw, the complex looks of one path, its reflected record, its direct window
 # sum and two delay x Doppler statistics
 TRIAL_BLOCK_BYTES = 1 << 20
+# numpy's SeedSequence (O'Neill's seed_seq_fe, a pool of four 32-bit words)
+# and PCG64's seeding step: the constants default_rng((seed, k)) hashes with
+_HASH_INIT_A, _HASH_MULT_A = 0x43b0d7e5, 0x931e8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# trial indices are hashed as one 32-bit word each
+MAX_TRIALS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,11 @@ class McConfig:
     refine: bool = True
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "tau_grid", tuple(int(v) for v in self.tau_grid))
         object.__setattr__(self, "f_grid", tuple(float(v) for v in self.f_grid))
         # a one-point axis never estimates its parameter (zero error, ratio 0)
@@ -86,18 +99,6 @@ def _look_means(sig: SampledSignal, sc: Scenario) -> list[tuple[int, np.ndarray 
                                 ("reflected", sc.looks_reflected))]
 
 
-def _draw_noise(seeds, z: np.ndarray) -> None:
-    """Fill z[t], one trial's 2(L+P) x N noise, from default_rng(seeds[t]).
-
-    One draw per trial: the generator fills its output in sequence, so the
-    rows hold what four draws in a row of L x N and then P x N normals would
-    give, in this order: direct real, direct imaginary, reflected real,
-    reflected imaginary.
-    """
-    for t, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=z[t])
-
-
 def _path_looks(z: np.ndarray, looks: list, path: int, scale: float) -> np.ndarray:
     """One path's looks (T x count x N) from the noise block z: the path's
     mean plus iid circular complex Gaussian noise with standard deviation
@@ -113,7 +114,13 @@ def _path_looks(z: np.ndarray, looks: list, path: int, scale: float) -> np.ndarr
 
 
 def _noise_block(trials: int, sc: Scenario, n: int) -> np.ndarray:
-    """Uninitialised noise block of `trials` trials, (T x 2(L+P) x N)."""
+    """Uninitialised noise block of `trials` trials, (T x 2(L+P) x N).
+
+    Each trial fills its row with one standard_normal draw. A generator fills
+    its output in sequence, so the row holds what four draws in a row of
+    L x N and then P x N normals would give, in this order: direct real,
+    direct imaginary, reflected real, reflected imaginary.
+    """
     return np.empty((trials, 2 * (sc.looks_direct + sc.looks_reflected), n))
 
 
@@ -125,7 +132,7 @@ def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observation
     """
     looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
     z = _noise_block(1, sc, sc.record_samples(sig))
-    _draw_noise([seed], z)
+    np.random.default_rng(seed).standard_normal(out=z[0])
     direct, reflected = (_path_looks(z, looks, path, scale)[0] for path in (0, 1))
     return Observations(direct=direct, reflected=reflected, delta=sig.delta, m=sig.m)
 
@@ -140,22 +147,98 @@ def _trial_bytes(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> int:
                  + sig.m + 2 * n_cells)
 
 
+def _uint32_words(n: int) -> list[int]:
+    """A nonnegative n as little-endian 32-bit words; 0 is one zero word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _running_hash(init: int, mult: int, calls: int) -> np.ndarray:
+    """((calls + 1) x 1) values of SeedSequence's running hash constant,
+    init and then init times mult per call, modulo 2^32."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row i of v (c x T, or T for every row) with
+    the running constants h[i] before and h[i + 1] after call i."""
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    v = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return v ^ (v >> np.uint32(16))
+
+
+def _trial_states(seed: int, trials: range) -> list[dict]:
+    """The PCG64 state of np.random.default_rng((seed, k)) for each k in trials.
+
+    default_rng hashes the 32-bit words of seed and then of k with numpy's
+    SeedSequence and seeds PCG64 with four 64-bit words of the hash. Both
+    steps are fixed, so they run here for a whole block of trials at once:
+    the hash on uint32 arrays with one column per trial (its running
+    constants never depend on the data), the PCG64 step on Python ints.
+    Each k must fit one word.
+    """
+    seed_words = _uint32_words(seed)
+    # the entropy words of every trial, zero-padded to the pool's four
+    entropy = np.zeros((max(4, len(seed_words) + 1), len(trials)), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    # hashmix calls: 4 to fill the pool, 12 to mix it, 4 per word past it
+    h = _running_hash(_HASH_INIT_A, _HASH_MULT_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], h[:5])
+    calls = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[calls:calls + 4]))
+        calls += 3
+    # entropy past the pool's four words is mixed into every pool word
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, h[calls:calls + 5]))
+        calls += 4
+    # generate_state(4, uint64): the pool cycled twice, paired low word first
+    half = _hashmix(np.tile(pool, (2, 1)), _running_hash(_HASH_INIT_B, _HASH_MULT_B, 8))
+    half = half.astype(np.uint64)
+    # PCG64 seeding: state from words 0-1, increment from words 2-3, each high word first
+    words = (half[0::2] | half[1::2] << np.uint64(32)).tolist()
+    states = []
+    for w0, w1, w2, w3 in zip(*words):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _trial_blocks(sig: SampledSignal, sc: Scenario, cfg: McConfig,
                   block: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """(trials, u, r) for consecutive blocks of at most `block` trials.
 
     Trial k draws what simulate_observations(sig, sc, (cfg.seed, k)) draws and
     keeps two sums of it: u, its direct looks summed over the window (T x M),
-    and r, its reflected looks summed (T x N). The means and the noise block
-    are built once; each block's looks are formed and summed path by path.
+    and r, its reflected looks summed (T x N). The means, the noise block and
+    one generator are built once; each trial's draw starts from its
+    _trial_states state, and each block's looks are formed and summed path by
+    path.
     """
     n, m = sc.record_samples(sig), sig.m
     looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
     z_all = _noise_block(min(block, cfg.trials), sc, n)
+    rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.trials, block):
         trials = range(start, min(start + block, cfg.trials))
         z = z_all[:len(trials)]
-        _draw_noise([(cfg.seed, k) for k in trials], z)
+        for t, state in enumerate(_trial_states(cfg.seed, trials)):
+            rng.bit_generator.state = state
+            rng.standard_normal(out=z[t])
         u = _path_looks(z, looks, 0, scale)[:, :, :m].sum(axis=1)
         r = _path_looks(z, looks, 1, scale).sum(axis=1)
         yield slice(trials.start, trials.stop), u, r

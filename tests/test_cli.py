@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, main
+from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, _rows_json, main
 
 BASE = ["--np", "60", "--delta", "0.05", "--Q", "2", "--center", "1.5",
         "--width2", "0.09", "--tau0", "0.1", "--f0", "2.0"]
@@ -251,6 +253,25 @@ class TestMonteCarloCommand:
             assert float(r["ratio"]) > 0
 
 
+# every scalar kind a row, a tag or a setting can hold, with the JSON edge cases
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", "\u2603", "\U0001f600"]))
+_JSON_DICTS = st.dictionaries(st.text(), _JSON_SCALARS, max_size=5)
+
+
+@settings(max_examples=200)
+@given(config=_JSON_DICTS, rows=st.lists(st.tuples(_JSON_DICTS, _JSON_DICTS), max_size=4),
+       provenance=_JSON_DICTS)
+def test_rows_json_equals_json_dumps_indent_2(config, rows, provenance):
+    payload = {"config": config,
+               "rows": [{"values": values, "methods": tags} for values, tags in rows],
+               "provenance": provenance}
+    got = _rows_json(config, [v for v, _ in rows], [t for _, t in rows], provenance)
+    assert got == json.dumps(payload, indent=2)
+
+
 class TestCrbCommand:
     def test_single_row_with_structure_columns(self):
         code, out = run_cli(["crb", *BASE])
@@ -325,6 +346,7 @@ class TestConfigAndErrors:
         ["montecarlo", "--tauspan", "1000000000"],
         ["montecarlo", "--tauspan", str(MONTECARLO_MAX["tauspan"] + 1)],
         ["overlap", "--M", "1000000"], ["overlap", "--M", str(OVERLAP_MAX_M + 2)],
+        ["montecarlo", "--seed", "-1"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, args):
         # main must return the usage-error code, not raise the model's ValueError

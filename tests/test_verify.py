@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
@@ -367,7 +367,9 @@ class TestTrialDraws:
 
     @settings(max_examples=40)
     @given(l=st.integers(1, 6), p=st.integers(1, 6), trials=st.integers(1, 12),
-           block=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1))
+           block=st.integers(1, 13), seed=st.integers(0, 2 ** 128))
+    # a seed of four words or more also mixes entropy past the hash's pool
+    @example(l=1, p=2, trials=5, block=2, seed=2 ** 100 + 7)
     def test_blocks_equal_simulate_observations_byte_for_byte(self, l, p, trials, block, seed):
         sig, sc, cfg = mc_setup(l=l, p=p, trials=trials, seed=seed, sigma_w2=0.3)
         seen = []
@@ -380,6 +382,26 @@ class TestTrialDraws:
                 assert r[t].tobytes() == obs.reflected.sum(axis=0).tobytes()
                 seen.append(k)
         assert seen == list(range(trials))
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 256),
+           k=st.one_of(st.integers(0, 10 ** 6), st.just(2 ** 32 - 1)))
+    def test_trial_states_equal_default_rng(self, seed, k):
+        # up to three trials at once, the last of them k
+        trials = range(max(0, k - 2), k + 1)
+        for j, state in zip(trials, verify._trial_states(seed, trials), strict=True):
+            assert state == np.random.default_rng((seed, j)).bit_generator.state
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises((ValueError, TypeError)):
+            d.McConfig(trials=1, seed=seed, tau_grid=(3, 4), f_grid=(0.2, 0.3))
+
+    def test_trial_indices_fit_one_word(self):
+        cfg = d.McConfig(trials=2 ** 32, seed=np.int64(5), tau_grid=(3, 4), f_grid=(0.2, 0.3))
+        assert type(cfg.seed) is int
+        with pytest.raises(ValueError, match="trials"):
+            dataclasses.replace(cfg, trials=2 ** 32 + 1)
 
     def test_block_memory_stays_bounded_at_many_looks(self):
         # 400 looks of noise per trial: the block size must count the noise
