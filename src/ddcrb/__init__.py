@@ -7,7 +7,7 @@ from .signals import (DerivMethod, PulseTrain, SampledSignal, Scenario, eta,
                       mean_vector, pulse_train_fn, synthesize_pulse_train,
                       triangle_wave)
 from .fim import (Bound, BoundPair, CrbReport, FimMatrix, SingularFimError,
-                  schur_complement)
+                  eliminated_pair, schur_complement)
 from .bounds import (crb_separate_unknown, fim_known_signal, fim_unknown_signal,
                      jcrb_known, jcrb_unknown)
 from .structure import (StructureQuantities, fim_known_structure,

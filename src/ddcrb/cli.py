@@ -2,9 +2,10 @@
 
 Subcommands emit machine-readable CSV or JSON rows. JSON output is an
 object {config, rows, provenance} where every numeric cell carries a method
-tag (closed_form | schur_numeric | oracle | monte_carlo); CSV carries the
-same values. Exit codes: 0 success (singularity-flagged rows are data, not
-errors), 1 usage error, 2 I/O error.
+tag (closed_form | schur_numeric | monte_carlo); a bound cell's tag is the
+method of the BoundPair behind it, and a singular pair's cells are null.
+CSV carries the same values. Exit codes: 0 success (singularity-flagged
+rows are data, not errors), 1 usage error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import fim_unknown_signal, signal_bounds
-from .fim import (METHOD_CLOSED_FORM, METHOD_MONTE_CARLO, METHOD_SCHUR_NUMERIC,
-                  invert_bound_matrix, schur_complement)
+from .fim import METHOD_CLOSED_FORM, METHOD_MONTE_CARLO, eliminated_pair
 from .overlap import triangle_overlap_curve
 from .scaled import jcrb_structure_known_a
 from .signals import (PulseTrain, SampledSignal, Scenario, gaussian_pulse_train,
@@ -94,6 +94,9 @@ OVERLAP_MAX_M = 8192
 # Monte Carlo work grows with each of these settings (500 trials of the
 # default grid take tens of milliseconds); a larger value is taken to be a typo
 MONTECARLO_MAX = {"trials": 1_000_000, "fpoints": 10_000, "tauspan": 10_000}
+# table1's bound columns in order: each unknown-signal bound by its known one
+TABLE1_COLUMNS = ("jcrb_tau0_s", "jcrb_tau0", "jcrb_f0_s", "jcrb_f0",
+                  "jcrb_tau0_s_schur", "jcrb_f0_s_schur", "ratio_tau0", "ratio_f0")
 # the scenario field each single-field sweep axis sets (n0 sets tau0 = n0 delta)
 _SWEEP_FIELDS = {"P": "looks_reflected", "n0": "tau0", "a": "scale", "sigma_w2": "sigma_w2"}
 
@@ -124,14 +127,10 @@ class RunConfig:
         return self.values[key]
 
     def scenario(self, **overrides) -> Scenario:
-        params = {
-            "tau0": self["tau0"], "f0": self["f0"],
-            "looks_direct": self["L"], "looks_reflected": self["P"],
-            "sigma_w2": self["sigma2"], "scale": self["a"],
-        }
-        params.update(overrides)
+        params = {"tau0": self["tau0"], "f0": self["f0"], "looks_direct": self["L"],
+                  "looks_reflected": self["P"], "sigma_w2": self["sigma2"], "scale": self["a"]}
         with _usage_errors():
-            return Scenario(**params)
+            return Scenario(**{**params, **overrides})
 
 
 # pulse amplitude b_q per convention: |b_q|^2 = 1 (unit) or 2 (sqrt2), equal phases
@@ -211,20 +210,18 @@ def build_signal(cfg: RunConfig, delta: float,
         return _load_signal_file(kind), None
 
 
-def _pair_columns(pairs: dict) -> tuple[dict, list[str]]:
-    """Columns for {key pattern: BoundPair}, where {} in the pattern is tau0
-    or f0; a singular pair gives None cells and is flagged, a None pair
-    gives None cells."""
-    row, flagged = {}, []
+def _pair_columns(pairs: dict) -> tuple[dict, dict, list[str]]:
+    """Cells of {key pattern: BoundPair}, where {} in the pattern is tau0 or
+    f0: their values, their method tags (each its pair's) and the keys of
+    the singular pairs, whose values are None."""
+    row, tags, flagged = {}, {}, []
     for pattern, pair in pairs.items():
         keys = pattern.format("tau0"), pattern.format("f0")
-        if pair is None or pair.singular:
-            row.update(dict.fromkeys(keys))
-            if pair is not None:
-                flagged += keys
-        else:
-            row.update(zip(keys, (pair.tau0, pair.f0)))
-    return row, flagged
+        tags.update(dict.fromkeys(keys, pair.method))
+        row.update(zip(keys, (None, None) if pair.singular else (pair.tau0, pair.f0)))
+        if pair.singular:
+            flagged += keys
+    return row, tags, flagged
 
 
 # one compact C encoder per indent depth of write_rows' flat dicts: its item
@@ -341,27 +338,13 @@ def cmd_crb(config_path, **flags):
     for convention in conventions:
         sig, pt = build_signal(cfg, delta, convention)
         sc = cfg.scenario()
-        row = {"amp_convention": convention if pt is not None else None,
-               "L": sc.looks_direct, "P": sc.looks_reflected, "a": sc.scale,
-               "sigma_w2": sc.sigma_w2, "tau0": sc.tau0, "f0": sc.f0}
-        # a signal without pulse structure has no known-structure columns
-        cols, flagged = _pair_columns({key: pair for key, pair
-                                       in _bound_pairs(sig, pt, sc).items() if pair is not None})
-        row.update(cols)
-        row["singular"] = ";".join(flagged)
-        rows.append(row)
-        methods.append({k: METHOD_CLOSED_FORM for k in row
-                        if k.startswith(("jcrb", "crb"))})
+        cols, tags, flagged = _pair_columns(_bound_pairs(sig, pt, sc))
+        rows.append({"amp_convention": convention if pt is not None else None,
+                     "L": sc.looks_direct, "P": sc.looks_reflected, "a": sc.scale,
+                     "sigma_w2": sc.sigma_w2, "tau0": sc.tau0, "f0": sc.f0,
+                     **cols, "singular": ";".join(flagged)})
+        methods.append(tags)
     write_rows(rows, methods, cfg)
-
-
-def _schur_pair(sig: SampledSignal, sc: Scenario):
-    fim = fim_unknown_signal(sig, sc)
-    scale = float(np.max(np.abs(fim.submatrix(("tau0", "f0")))))
-    inv = invert_bound_matrix(schur_complement(fim), scale)
-    if inv is None:
-        return None, None
-    return float(inv[0, 0]), float(inv[1, 1])
 
 
 @_command("table1")
@@ -374,8 +357,7 @@ def cmd_table1(config_path, **flags):
     """
     cfg, given = merge_config(config_path, **flags)
     delta = _resolve_delta(cfg, given)
-    conventions = ["unit", "sqrt2"] if cfg["amp_convention"] == "both" \
-        else [cfg["amp_convention"]]
+    conventions = ["unit", "sqrt2"] if cfg["amp_convention"] == "both" else [cfg["amp_convention"]]
     if cfg["signal"] != "gaussian_pulse_train":
         raise click.UsageError("table1 is defined for the gaussian_pulse_train signal")
     rows, methods = [], []
@@ -384,16 +366,12 @@ def cmd_table1(config_path, **flags):
         for looks in (1, 2, 100):
             sc = cfg.scenario(looks_direct=looks, looks_reflected=1, scale=1.0)
             known, unknown, _ = signal_bounds(sig, sc)
-            schur_tau, schur_f = _schur_pair(sig, sc)
+            cols, tags, _ = _pair_columns({
+                "jcrb_{}_s": unknown, "jcrb_{}": known, "ratio_{}": unknown.over(known),
+                "jcrb_{}_s_schur": eliminated_pair(fim_unknown_signal(sig, sc))})
             rows.append({"amp_convention": convention, "L": looks,
-                         "jcrb_tau0_s": unknown.tau0, "jcrb_tau0": known.tau0,
-                         "jcrb_f0_s": unknown.f0, "jcrb_f0": known.f0,
-                         "jcrb_tau0_s_schur": schur_tau, "jcrb_f0_s_schur": schur_f,
-                         "ratio_tau0": unknown.tau0 / known.tau0,
-                         "ratio_f0": unknown.f0 / known.f0})
-            methods.append({k: METHOD_SCHUR_NUMERIC if k.endswith("_schur")
-                            else METHOD_CLOSED_FORM for k in rows[-1]
-                            if k.startswith(("jcrb", "ratio"))})
+                         **{key: cols[key] for key in TABLE1_COLUMNS}})
+            methods.append({key: tags[key] for key in TABLE1_COLUMNS})
     write_rows(rows, methods, cfg)
 
 
@@ -435,14 +413,14 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
 
 def _bound_pairs(sig, pt, sc, tag: str = "") -> dict:
     """{column pattern: BoundPair} for the known-signal, unknown-signal
-    joint and separate, and known-structure bounds (None without a pulse
-    train); tag suffixes all but the known-signal pattern. The known-signal
+    joint and separate, and, given a pulse train, known-structure bounds;
+    tag suffixes all but the known-signal pattern. The known-signal
     reference is the single-look bound at the scenario's reflected scale,
     so the unknown/known ratio is the look factor exactly."""
     known, joint, separate = signal_bounds(sig, sc)
+    structured = {} if pt is None else {f"jcrb_{{}}_b{tag}": jcrb_structure_known_a(pt, sc)}
     return {"jcrb_{}": known.scaled(1.0 / sc.scale ** 2), f"jcrb_{{}}_s{tag}": joint,
-            f"crb_{{}}_s{tag}": separate,
-            f"jcrb_{{}}_b{tag}": None if pt is None else jcrb_structure_known_a(pt, sc)}
+            f"crb_{{}}_s{tag}": separate, **structured}
 
 
 @_command("sweep")
@@ -485,11 +463,9 @@ def cmd_sweep(config_path, **flags):
             # depend on the looks, so every tag gives the same one
             pairs.update((key, pair) for key, pair in _bound_pairs(sig, pt, sc, tag).items()
                          if not key.startswith("crb"))
-        cols, flagged = _pair_columns(pairs)
-        row.update(cols)
-        row["singular"] = ";".join(flagged)
-        rows.append(row)
-        methods.append({k: METHOD_CLOSED_FORM for k in cols})
+        cols, tags, flagged = _pair_columns(pairs)
+        rows.append({**row, **cols, "singular": ";".join(flagged)})
+        methods.append(tags)
     write_rows(rows, methods, cfg)
 
 
@@ -535,9 +511,8 @@ def cmd_montecarlo(config_path, **flags):
              "empirical_mse": row["empirical_mse"], "bound": row["bound"],
              "ratio": row["ratio"], "trials": report.trials,
              "seed": report.seed, "singular": row["singular"]} for row in report.rows]
-    tags = {"empirical_mse": METHOD_MONTE_CARLO, "bound": METHOD_CLOSED_FORM,
-            "ratio": METHOD_MONTE_CARLO}
-    write_rows(rows, [tags] * len(rows), cfg)
+    write_rows(rows, [{"empirical_mse": METHOD_MONTE_CARLO, "bound": row["method"],
+                       "ratio": METHOD_MONTE_CARLO} for row in report.rows], cfg)
 
 
 def main(argv=None) -> int:

@@ -86,8 +86,7 @@ def dc_list(model: StackedModel, sig: SampledSignal, sc: Scenario) -> np.ndarray
     return g.reshape(-1, 2 + 2 * m)
 
 
-def fim_trace_form(model: StackedModel, dc: np.ndarray,
-                   labels: tuple[str, ...] | None = None) -> FimMatrix:
+def fim_trace_form(model: StackedModel, dc: np.ndarray) -> FimMatrix:
     """I_ij = Tr(C^{-1} dC_i C^{-1} dC_j) for dC_i = g_i s^H + s g_i^H.
 
     That is 2 Re[y_i y_j + alpha H_ij] with alpha = s^H C^{-1} s,
@@ -98,6 +97,11 @@ def fim_trace_form(model: StackedModel, dc: np.ndarray,
     so near-gauge entries do not come from cancelling large terms. One
     Cholesky factor of C whitens s and G (p + 1 right-hand sides).
     """
+    return FimMatrix(_trace_form(model, dc), tuple(f"theta_{i}" for i in range(np.shape(dc)[1])))
+
+
+def _trace_form(model: StackedModel, dc: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of fim_trace_form, not yet validated."""
     _check_hermitian(model.c, "C")
     try:
         chol = np.linalg.cholesky(model.c)
@@ -112,9 +116,7 @@ def fim_trace_form(model: StackedModel, dc: np.ndarray,
     resid = w_g - np.outer(w_s, c)
     fim = 2.0 * alpha * (2.0 * alpha * np.outer(c.real, c.real)
                          + (resid.conj().T @ resid).real)
-    if labels is None:
-        labels = tuple(f"theta_{i}" for i in range(g.shape[1]))
-    return FimMatrix(0.5 * (fim + fim.T), labels)
+    return 0.5 * (fim + fim.T)
 
 
 def crb_correlated(model: StackedModel, dc: np.ndarray) -> CrbReport:
@@ -127,11 +129,12 @@ def crb_correlated(model: StackedModel, dc: np.ndarray) -> CrbReport:
     projected out, while any null direction touching (tau0, f0) means the
     delay/Doppler pair itself is not identifiable and the report is flagged
     singular (e.g. no direct-path look: delay trades off against signal
-    timing exactly).
+    timing exactly). The one eigendecomposition also makes the PSD check.
     """
-    fim = fim_trace_form(model, dc)
-    lam, vec = np.linalg.eigh(fim.entries)
-    lam_max = float(lam[-1]) if lam.size else 0.0
+    lam, vec = np.linalg.eigh(_trace_form(model, dc))
+    if lam[0] < -PSD_RTOL * max(float(np.max(np.abs(lam))), 1e-300):
+        raise ValueError(f"FIM not positive semidefinite: lambda_min = {lam[0]:.3e}")
+    lam_max = float(lam[-1])
     null = lam <= lam_max / SINGULAR_COND
     details = {"model": "covariance", "null_directions": int(np.sum(null))}
     if np.any(np.abs(vec[:2, null]) > 1e-6):

@@ -2,9 +2,9 @@
 
 FimMatrix validates the symmetry/positive-semidefiniteness every assembled
 information matrix must satisfy; schur_complement eliminates trailing
-nuisance-parameter blocks; Bound/BoundPair/CrbReport carry bound values
-together with an explicit singularity flag so that rank-deficient scenarios
-(no unbiased estimator) produce flagged results instead of exceptions.
+nuisance blocks and eliminated_pair turns a FIM into delay/Doppler bounds;
+Bound/BoundPair/CrbReport carry bound values, a method tag and a singularity
+flag, so rank-deficient scenarios (no unbiased estimator) give flagged results.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ SINGULAR_COND = 1e12
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_SCHUR_NUMERIC = "schur_numeric"
-METHOD_ORACLE = "oracle"
 METHOD_MONTE_CARLO = "monte_carlo"
 
 
@@ -324,23 +323,45 @@ class Bound:
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Delay and Doppler bounds from one formula path."""
+    """Delay and Doppler bounds from one formula path, tagged with its method."""
 
     tau0: float
     f0: float
     singular: bool = False
     note: str = ""
+    method: str = METHOD_CLOSED_FORM
 
     def __iter__(self) -> Iterator[float]:
         return iter((self.tau0, self.f0))
 
     def scaled(self, factor: float) -> "BoundPair":
         return BoundPair(self.tau0 * factor, self.f0 * factor,
-                         self.singular, self.note)
+                         self.singular, self.note, self.method)
+
+    def over(self, other: "BoundPair") -> "BoundPair":
+        """self / other per coordinate, with self's method; singular when either is."""
+        if self.singular or other.singular:
+            return BoundPair.singular_pair(self.note or other.note, self.method)
+        return BoundPair(self.tau0 / other.tau0, self.f0 / other.f0, method=self.method)
 
     @classmethod
-    def singular_pair(cls, note: str) -> "BoundPair":
-        return cls(tau0=float("inf"), f0=float("inf"), singular=True, note=note)
+    def singular_pair(cls, note: str, method: str = METHOD_CLOSED_FORM) -> "BoundPair":
+        return cls(float("inf"), float("inf"), True, note, method)
+
+
+def eliminated_pair(fim: FimMatrix) -> BoundPair:
+    """(tau0, f0) bounds of fim's first two parameters by eliminating the
+    others and inverting, tagged schur_numeric. A singular nuisance block, or
+    an eliminated block singular against fim's leading one, flags the pair."""
+    try:
+        inv = invert_bound_matrix(schur_complement(fim),
+                                  float(np.max(np.abs(fim.submatrix(fim.labels[:2])))))
+    except SingularFimError:
+        inv = None
+    if inv is None:
+        return BoundPair.singular_pair("eliminated delay/Doppler block is singular",
+                                       METHOD_SCHUR_NUMERIC)
+    return BoundPair(float(inv[0, 0]), float(inv[1, 1]), method=METHOD_SCHUR_NUMERIC)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def _shared_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
     return sq
 
 
-def support_assumption_holds(pt: PulseTrain, rtol: float = SUPPORT_RTOL) -> bool:
+def support_assumption_holds(pt: PulseTrain) -> bool:
     """Whether the pulse is effectively contained in one period.
 
     The simplified (rho, gamma, E_g) forms are exact only when the pulse
@@ -83,7 +83,7 @@ def support_assumption_holds(pt: PulseTrain, rtol: float = SUPPORT_RTOL) -> bool
         return False
     left = max(abs(pt.g[0]), pt.delta * abs(pt.g_deriv[0]))
     right = max(abs(pt.g[-1]), pt.delta * abs(pt.g_deriv[-1]))
-    return right * max(left, right) <= rtol * e_g
+    return right * max(left, right) <= SUPPORT_RTOL * e_g
 
 
 @functools.lru_cache

@@ -62,6 +62,7 @@ class McConfig:
     refine: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "trials", operator.index(self.trials))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
         object.__setattr__(self, "seed", operator.index(self.seed))
@@ -511,22 +512,22 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
 
     Rows compare the empirical MSE of (tau_hat, f_hat) against the
     unknown-signal joint bounds, and of the known-signal matched filter
-    against the known-signal bounds at P looks. A scenario with L = 0 or
-    P = 0 is reported singular without simulating, matching the bounds.
+    against the known-signal bounds at P looks, each with its bound's
+    method. A singular unknown-signal bound (L = 0, P = 0 or a degenerate
+    signal) gives two flagged rows and no simulation.
     """
     details = {"trial_seed_rule": TRIAL_SEED_RULE, "refine": cfg.refine}
-    if sc.looks_direct == 0 or sc.looks_reflected == 0:
-        rows = tuple({"parameter": name, "estimator": est, "empirical_mse": None,
-                      "bound": None, "ratio": None, "singular": True}
-                     for name, est in (("tau0", "profiled_unknown_signal"),
-                                       ("f0", "profiled_unknown_signal")))
+    bound_unknown = bounds.jcrb_unknown(sig, sc)
+    if bound_unknown.singular:
+        rows = tuple({"parameter": name, "estimator": "profiled_unknown_signal",
+                      "empirical_mse": None, "bound": None, "ratio": None,
+                      "method": bound_unknown.method, "singular": True}
+                     for name in ("tau0", "f0"))
         return McReport(rows=rows, trials=0, seed=cfg.seed, singular=True,
-                        details={**details,
-                                 "note": "L = 0 or P = 0: no unbiased estimator exists"})
+                        details={**details, "note": bound_unknown.note})
 
     cfg.check_covers(sc.delay_samples(sig.delta), sc.f0)
 
-    bound_unknown = bounds.jcrb_unknown(sig, sc)
     # single-look known-signal baseline divided by the P looks the matched
     # filter actually uses; recorded so the comparison is unambiguous
     bound_known = bounds.jcrb_known(sig, sc).scaled(1.0 / sc.looks_reflected)
@@ -534,23 +535,22 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
 
     estimates = _mc_estimates(sig, sc, cfg)
     truth = np.array([sc.tau0, sc.f0, sc.tau0, sc.f0])
-    err = estimates - truth[None, :]
-    mse = np.mean(err ** 2, axis=0)
+    mse = np.mean((estimates - truth[None, :]) ** 2, axis=0)
     names = ("tau0", "f0", "tau0_known", "f0_known")
-    estimators = ("profiled_unknown_signal",) * 2 + ("known_signal",) * 2
-    bound_values = (bound_unknown.tau0, bound_unknown.f0,
-                    bound_known.tau0, bound_known.f0)
     rows = []
     for k, name in enumerate(names):
-        bound = bound_values[k]
+        # the known-signal pair is regular too: unknown is a multiple of it
+        pair = (bound_unknown, bound_known)[k // 2]
+        bound = tuple(pair)[k % 2]
         rows.append({
             "parameter": name,
-            "estimator": estimators[k],
+            "estimator": ("profiled_unknown_signal", "known_signal")[k // 2],
             "empirical_mse": float(mse[k]),
             "bound": float(bound),
-            "ratio": float(mse[k] / bound) if np.isfinite(bound) and bound > 0 else None,
+            "ratio": float(mse[k] / bound),
             "mean_estimate": float(np.mean(estimates[:, k])),
             "std_estimate": float(np.std(estimates[:, k], ddof=1)) if cfg.trials > 1 else 0.0,
+            "method": pair.method,
             "singular": False,
         })
     return McReport(rows=tuple(rows), trials=cfg.trials, seed=cfg.seed,

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb.bounds import weighted_sums
-from ddcrb.fim import invert_bound_matrix, schur_complement
+from ddcrb.fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, eliminated_pair,
+                       invert_bound_matrix, schur_complement)
 
 from conftest import make_contained_train
 
@@ -159,6 +160,49 @@ class TestSchurComplement:
         fim = d.FimMatrix(entries, ("tau0", "f0", "x0", "x1"))
         with pytest.raises(d.SingularFimError):
             schur_complement(fim)
+
+
+class TestEliminatedPair:
+    def test_equals_elimination_then_inversion_bit_for_bit(self):
+        sig = small_signal()
+        fim = d.fim_unknown_signal(sig, scenario(l=2, p=3))
+        inv = invert_bound_matrix(schur_complement(fim),
+                                  float(np.max(np.abs(fim.entries[:2, :2]))))
+        pair = eliminated_pair(fim)
+        assert (pair.tau0, pair.f0) == (inv[0, 0], inv[1, 1])
+        assert pair.method == METHOD_SCHUR_NUMERIC and not pair.singular
+
+    def test_agrees_with_the_closed_form(self):
+        sig, sc = small_signal(), scenario(l=2, p=3)
+        pair, closed = eliminated_pair(d.fim_unknown_signal(sig, sc)), d.jcrb_unknown(sig, sc)
+        np.testing.assert_allclose(tuple(pair), tuple(closed), rtol=1e-9)
+        assert closed.method == METHOD_CLOSED_FORM
+
+    @pytest.mark.parametrize("l,p", [(0, 1), (3, 0)])
+    def test_no_delay_doppler_information_is_flagged(self, l, p):
+        pair = eliminated_pair(d.fim_unknown_signal(small_signal(), scenario(l=l, p=p)))
+        assert pair.singular and pair.method == METHOD_SCHUR_NUMERIC
+        assert pair.tau0 == pair.f0 == float("inf")
+
+    def test_singular_nuisance_block_is_flagged_not_raised(self):
+        entries = np.zeros((4, 4))
+        entries[0, 0] = entries[1, 1] = 1.0
+        pair = eliminated_pair(d.FimMatrix(entries, ("tau0", "f0", "x0", "x1")))
+        assert pair.singular and pair.method == METHOD_SCHUR_NUMERIC
+
+    def test_ratio_keeps_the_numerator_method_and_singularity(self):
+        num = d.BoundPair(3.0, 1.0, method=METHOD_SCHUR_NUMERIC)
+        ratio = num.over(d.BoundPair(2.0, 4.0))
+        assert (ratio.tau0, ratio.f0, ratio.method) == (1.5, 0.25, METHOD_SCHUR_NUMERIC)
+        for a, b in ((num, d.BoundPair.singular_pair("no information")),
+                     (d.BoundPair.singular_pair("no information"), num)):
+            ratio = a.over(b)
+            assert ratio.singular and ratio.note == "no information"
+
+    def test_scaling_keeps_the_method(self):
+        pair = d.BoundPair(1.0, 2.0, method=METHOD_SCHUR_NUMERIC).scaled(3.0)
+        assert (pair.tau0, pair.f0, pair.method) == (3.0, 6.0, METHOD_SCHUR_NUMERIC)
+        assert d.BoundPair(1.0, 2.0).method == METHOD_CLOSED_FORM
 
 
 class TestJcrbUnknown:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddcrb import bounds, cli
 from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, _rows_json, main
 
 BASE = ["--np", "60", "--delta", "0.05", "--Q", "2", "--center", "1.5",
@@ -166,6 +167,15 @@ class TestSweep:
             assert row["jcrb_tau0"] == row["jcrb_f0"] == ""
             assert {"jcrb_tau0", "jcrb_f0"} <= set(row["singular"].split(";"))
 
+    def test_non_pulse_signal_has_no_structure_columns(self):
+        code, out = run_cli(["sweep", "--sweep", "a=1:2", "--signal", "triangle", "--M", "16",
+                             "--delta", "0.5", "--tau0", "1.0", "--f0", "0.1",
+                             "--format", "json"])
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert not any("_b" in key for key in (*row["values"], *row["methods"]))
+            assert row["values"]["singular"] == ""
+
     def test_p_zero_row_is_flagged(self):
         code, out = run_cli(["sweep", "--sweep", "P=0:2", *BASE])
         assert code == 0
@@ -251,6 +261,76 @@ class TestMonteCarloCommand:
                                                   "f0_known"}
         for r in rows:
             assert float(r["ratio"]) > 0
+
+
+def _strict_json(text):
+    """json.loads that rejects Infinity, -Infinity and NaN."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _record_pairs(monkeypatch) -> list[dict]:
+    """{cell key: BoundPair} of each row, as the CLI hands the pairs on:
+    to _pair_columns (crb, sweep, table1), or to the Monte Carlo report as
+    its unknown- and known-signal bounds."""
+    seen = []
+    pair_columns = cli._pair_columns
+
+    def spy(pairs):
+        seen.append({pattern.format(part): pair for pattern, pair in pairs.items()
+                     for part in ("tau0", "f0")})
+        return pair_columns(pairs)
+    monkeypatch.setattr(cli, "_pair_columns", spy)
+    for name, params in (("jcrb_unknown", ("tau0", "f0")),
+                         ("jcrb_known", ("tau0_known", "f0_known"))):
+        def recorded(sig, sc, _real=getattr(bounds, name), _params=params):
+            pair = _real(sig, sc)
+            seen.append(dict.fromkeys(_params, pair))
+            return pair
+        monkeypatch.setattr(bounds, name, recorded)
+    return seen
+
+
+DEGENERATE_COMMANDS = {
+    "crb": ["crb", *BASE],
+    "sweep": ["sweep", "--sweep", "a=1:2", *BASE],
+    "table1": ["table1", *BASE],
+    "montecarlo": [*TestMonteCarloCommand.ARGS, "--trials", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEGENERATE_COMMANDS))
+@pytest.mark.parametrize("degenerate", [["--center", "1000"], ["--L", "0"], ["--P", "0"]],
+                         ids=["zero_signal", "no_direct_look", "no_reflected_look"])
+def test_degenerate_bound_cells_are_null_and_tagged_by_their_pair(monkeypatch, command,
+                                                                 degenerate):
+    seen = _record_pairs(monkeypatch)
+    code, out = run_cli([*DEGENERATE_COMMANDS[command], *degenerate, "--format", "json"])
+    assert code == 0
+    rows = _strict_json(out)["rows"]
+    if command == "montecarlo":
+        pairs = {key: pair for row_pairs in seen for key, pair in row_pairs.items()}
+        assert {row["values"]["parameter"] for row in rows} <= set(pairs)
+        for row in rows:
+            values, pair = row["values"], pairs[row["values"]["parameter"]]
+            assert row["methods"]["bound"] == pair.method
+            assert values["singular"] is pair.singular
+            assert (values["bound"] is None) is pair.singular
+        return
+    assert len(seen) == len(rows)
+    for row, pairs in zip(rows, seen):
+        values, tags = row["values"], row["methods"]
+        # every tagged cell is a bound cell, and every bound cell is tagged
+        assert set(tags) == set(pairs)
+        flagged = values.get("singular", "").split(";")
+        for key, pair in pairs.items():
+            assert tags[key] == pair.method
+            if pair.singular:
+                assert values[key] is None
+                assert "singular" not in values or key in flagged
+            else:
+                assert values[key] == getattr(pair, key.split("_")[1])
 
 
 # every scalar kind a row, a tag or a setting can hold, with the JSON edge cases

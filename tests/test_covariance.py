@@ -280,6 +280,45 @@ class TestCrbCorrelated:
         mean_model = d.jcrb_unknown(sig, sc)
         assert 0.01 < rep.values["tau0"] / mean_model.tau0 < 100
 
+    def test_one_decomposition_per_call(self, monkeypatch):
+        sig, sc = small_setup()
+        model = d.build_stacked(sig, sc, random_psd(16, np.random.default_rng(5)))
+        g = d.dc_list(model, sig, sc)
+        calls = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        d.crb_correlated(model, g)
+        assert calls == ["eigh"]
+
+    def test_values_are_those_of_the_validated_fim(self):
+        sig, sc = small_setup(l=2, p=1)
+        model = d.build_stacked(sig, sc, random_psd(24, np.random.default_rng(8)))
+        g = d.dc_list(model, sig, sc)
+        lam, vec = np.linalg.eigh(d.fim_trace_form(model, g).entries)
+        keep = lam > lam[-1] / d.fim.SINGULAR_COND
+        inv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T
+        rep = d.crb_correlated(model, g)
+        assert (rep.values["tau0"], rep.values["f0"]) == (inv[0, 0], inv[1, 1])
+
+    def test_psd_check_reads_the_eigenvalues(self, monkeypatch):
+        sig, sc = small_setup()
+        model = d.build_stacked(sig, sc, np.eye(16, dtype=complex))
+        g = d.dc_list(model, sig, sc)
+        fim = d.fim_trace_form(model, g).entries
+        # one eigenvalue pushed just past the PSD_RTOL tolerance of FimMatrix
+        lam, vec = np.linalg.eigh(fim)
+        lam[0] = -2 * PSD_RTOL * np.max(np.abs(lam))
+        bad = (vec * lam) @ vec.T
+        bad = 0.5 * (bad + bad.T)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            d.FimMatrix(bad, tuple(f"theta_{i}" for i in range(len(bad))))
+        monkeypatch.setattr(d.covariance, "_trace_form", lambda model, dc: bad)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            d.crb_correlated(model, g)
+
     def test_no_direct_look_flags_singular(self):
         rng = np.random.default_rng(13)
         sig, _ = small_setup()

@@ -397,6 +397,15 @@ class TestTrialDraws:
         with pytest.raises((ValueError, TypeError)):
             d.McConfig(trials=1, seed=seed, tau_grid=(3, 4), f_grid=(0.2, 0.3))
 
+    @pytest.mark.parametrize("trials", [2.5, "3", 3.0])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(TypeError):
+            d.McConfig(trials=trials, seed=1, tau_grid=(3, 4), f_grid=(0.2, 0.3))
+
+    def test_integer_like_trials_become_int(self):
+        cfg = d.McConfig(trials=np.int64(3), seed=1, tau_grid=(3, 4), f_grid=(0.2, 0.3))
+        assert type(cfg.trials) is int and cfg.trials == 3
+
     def test_trial_indices_fit_one_word(self):
         cfg = d.McConfig(trials=2 ** 32, seed=np.int64(5), tau_grid=(3, 4), f_grid=(0.2, 0.3))
         assert type(cfg.seed) is int
