@@ -8,14 +8,13 @@ from .signals import (DerivMethod, PulseTrain, SampledSignal, Scenario, eta,
                       triangle_wave)
 from .fim import (Bound, BoundPair, CrbReport, FimMatrix, SingularFimError,
                   eliminated_pair, schur_complement)
-from .bounds import (crb_separate_unknown, fim_known_signal, fim_unknown_signal,
-                     jcrb_known, jcrb_unknown)
+from .bounds import (crb_separate_unknown, fim_known_signal, fim_known_signal_scale,
+                     fim_unknown_signal, jcrb_known, jcrb_unknown)
 from .structure import (StructureQuantities, fim_known_structure,
                         jcrb_known_signal_pulse, structure_quantities,
                         support_assumption_holds)
-from .scaled import (crb_separate_unknown_a, fim_known_signal_scale, fim_unknown_a,
-                     jcrb_scaled_known_a, jcrb_structure_known_a,
-                     jcrb_unknown_a_structure)
+from .scaled import (crb_separate_unknown_a, fim_unknown_a, jcrb_scaled_known_a,
+                     jcrb_structure_known_a, jcrb_unknown_a_structure)
 from .covariance import (StackedModel, build_stacked, crb_correlated, dc_list,
                          fim_trace_form)
 from .overlap import OverlapFim, crb_overlap, fim_overlap, triangle_overlap_curve

@@ -58,6 +58,34 @@ def fim_known_signal(sig: SampledSignal, sc: Scenario) -> FimMatrix:
     return FimMatrix(entries, ("tau0", "f0"))
 
 
+@memoised
+def energy_sums(sig: SampledSignal) -> tuple[float, float]:
+    """(sum |s|^2, sum (s_R s_R' + s_I s_I')) over the sample grid, computed
+    once per signal."""
+    s, d = sig.samples, sig.deriv
+    return float(np.sum(np.abs(s) ** 2)), float(np.sum(s.real * d.real + s.imag * d.imag))
+
+
+def _known_signal_block(sig: SampledSignal, sc: Scenario, scale_known: bool) -> np.ndarray:
+    """a^2 fim_known_signal, the single-look known-signal information of the
+    reflected path, bordered unless the scale is known by the a row
+    I13 = -(2a/sigma_w2) sum (s_R s_R' + s_I s_I'), I23 = 0,
+    I33 = (2/sigma_w2) sum |s|^2. Unvalidated: bordered_fim validates."""
+    a, s2 = sc.scale, sc.sigma_w2
+    block = a * a * fim_known_signal(sig, sc).entries
+    if scale_known:
+        return block
+    s_e, s_x = energy_sums(sig)
+    block = np.pad(block, ((0, 1), (0, 1)))
+    block[2] = block[:, 2] = (-2.0 * a * s_x / s2, 0.0, 2.0 * s_e / s2)
+    return block
+
+
+def fim_known_signal_scale(sig: SampledSignal, sc: Scenario) -> FimMatrix:
+    """3x3 single-look FIM for (tau0, f0, a), signal known, reflected path scale a."""
+    return FimMatrix(_known_signal_block(sig, sc, scale_known=False), ("tau0", "f0", "a"))
+
+
 def jcrb_known(sig: SampledSignal, sc: Scenario) -> BoundPair:
     """Joint delay/Doppler bounds for a known signal (single look).
 
@@ -92,39 +120,38 @@ def signal_bounds(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPai
 
 @functools.lru_cache
 def unknown_signal_labels(m: int) -> tuple[str, ...]:
-    labels = ["tau0", "f0"]
-    for k in range(m):
-        labels += [f"sR_{k}", f"sI_{k}"]
-    return tuple(labels)
+    return ("tau0", "f0", *(f"s{part}_{k}" for k in range(m) for part in "RI"))
 
 
-def bordered_fim(known: FimMatrix, sig: SampledSignal, sc: Scenario,
-                 labels: tuple[str, ...], basis=None, meta=None) -> FimMatrix:
+def bordered_fim(sig: SampledSignal, sc: Scenario, labels: tuple[str, ...],
+                 basis=None, meta=None, scale_known: bool = True) -> FimMatrix:
     """Bordered FIM of (tau0, f0[, a]) and N complex nuisance coefficients.
 
-    known: the single-look known-signal FIM, 2x2 or 3x3 with a; A = P known.
-    labels: those of the FIM without a; known.labels replace the first two.
-    basis: (h, wt, u, v, gram), the derivative, time-weighted (wt u) and
-    plain signal couplings with each basis vector and K (a scalar g for
-    K = g I); None means the raw samples (s', t + tau0, s, s, 1). Border rows
-    -(2a^2 P/s2) h, (4 pi a^2 P/s2) j wt u, (2aP/s2) v in (real, imaginary)
-    columns; C = (2L + 2a^2 P)/s2 (K kron I_2).
+    A is P times the single-look known-signal information of the scaled
+    reflected path (fim_known_signal_scale), without its a row when the
+    scale is known. labels: those of the FIM without a. basis: (h, wt, u, v,
+    gram), the derivative, time-weighted (wt u) and plain signal couplings
+    with each basis vector and K (a scalar g for K = g I); None means the
+    raw samples (s', t + tau0, s, s, 1). Border rows -(2a^2 P/s2) h,
+    (4 pi a^2 P/s2) j wt u, (2aP/s2) v in (real, imaginary) columns;
+    C = (2L + 2a^2 P)/s2 (K kron I_2).
     """
     p, l, a, s2 = sc.looks_reflected, sc.looks_direct, sc.scale, sc.sigma_w2
+    known = _known_signal_block(sig, sc, scale_known)
     k_tau, k_f, k_a = -(2.0 * a * a * p / s2), 4.0 * np.pi * a * a * p / s2, 2.0 * a * p / s2
     h, wt, u, v, gram = basis or (sig.deriv, sig.times + sc.tau0, sig.samples, sig.samples, 1.0)
     rows = [k_tau * h, (k_f * wt) * (1j * u), k_a * v]
     # a complex row viewed as floats interleaves (real, imaginary) columns
-    b_block = np.array(rows[:known.dim]).view(float)
-    border = Border(known.entries * p, b_block, (2.0 * l + 2.0 * a * a * p) / s2, gram)
-    return FimMatrix(None, known.labels + tuple(labels[2:]), meta or {}, border)
+    b_block = np.array(rows[:len(known)]).view(float)
+    border = Border(known * p, b_block, (2.0 * l + 2.0 * a * a * p) / s2, gram)
+    return FimMatrix(None, ("tau0", "f0", "a")[:len(known)] + tuple(labels[2:]), meta or {},
+                     border)
 
 
-def fim_unknown_signal(sig: SampledSignal, sc: Scenario) -> FimMatrix:
-    """(2+2M)x(2+2M) FIM for (tau0, f0, sR_0, sI_0, ..., sI_{M-1})."""
-    if sc.scale != 1.0:
-        raise ValueError("reflected-path scale must be 1 here; see ddcrb.scaled")
-    return bordered_fim(fim_known_signal(sig, sc), sig, sc, unknown_signal_labels(sig.m))
+def fim_unknown_signal(sig: SampledSignal, sc: Scenario, scale_known: bool = True) -> FimMatrix:
+    """(2+2M)x(2+2M) FIM for (tau0, f0, sR_0, sI_0, ..., sI_{M-1}) at the
+    scale sc.scale; scale_known=False adds a as the third parameter."""
+    return bordered_fim(sig, sc, unknown_signal_labels(sig.m), scale_known=scale_known)
 
 
 def jcrb_unknown(sig: SampledSignal, sc: Scenario) -> BoundPair:

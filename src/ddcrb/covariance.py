@@ -131,6 +131,8 @@ def crb_correlated(model: StackedModel, dc: np.ndarray) -> CrbReport:
     singular (e.g. no direct-path look: delay trades off against signal
     timing exactly). The one eigendecomposition also makes the PSD check.
     """
+    if np.ndim(dc) != 2 or np.shape(dc)[1] < 2:
+        raise ValueError("dc needs the tau0 and f0 columns")
     lam, vec = np.linalg.eigh(_trace_form(model, dc))
     if lam[0] < -PSD_RTOL * max(float(np.max(np.abs(lam))), 1e-300):
         raise ValueError(f"FIM not positive semidefinite: lambda_min = {lam[0]:.3e}")

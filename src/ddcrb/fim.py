@@ -208,17 +208,17 @@ class FimMatrix:
                     and self.border.validate()):
                 return
         entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("FIM must be square")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
+            raise ValueError("FIM must be square with at least one parameter")
         if len(labels) != entries.shape[0]:
             raise ValueError("one label per parameter required")
-        scale = float(np.max(np.abs(entries))) if entries.size else 0.0
-        asym = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
+        scale = float(np.max(np.abs(entries)))
+        asym = float(np.max(np.abs(entries - entries.T)))
         if asym > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(f"FIM not symmetric: |A - A^T| = {asym:.3e}")
         eigs = np.linalg.eigvalsh(entries)
         eigmin = float(eigs[0])
-        spec = float(np.max(np.abs(eigs))) if scale else 0.0
+        spec = float(np.max(np.abs(eigs)))
         if eigmin < -PSD_RTOL * max(spec, 1e-300):
             raise ValueError(f"FIM not positive semidefinite: lambda_min = {eigmin:.3e}")
         entries.setflags(write=False)
@@ -287,20 +287,25 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
     return _eliminate(fim.entries, keep)
 
 
-def invert_bound_matrix(reduced: np.ndarray, scale: float | None = None) -> np.ndarray | None:
-    """Invert an eliminated parameter block; None when it is singular.
-
-    scale sets the magnitude against which "singular" is judged (pass the
-    parent FIM's leading-block norm so that an exactly-eliminated block,
-    left as rounding noise, is recognized); defaults to the block's own norm.
-    """
+def invert_bound_matrix(reduced: np.ndarray,
+                        scale: float | np.ndarray | None = None) -> np.ndarray | None:
+    """Invert an eliminated parameter block R; None when it is singular:
+    lambda_min at most 1/SINGULAR_COND of a reference. A float scale is the
+    reference (the parent FIM's leading-block norm recognises an exactly
+    eliminated block left as rounding noise), by default R's own norm. An
+    array scale is the parent's leading diagonal d: D^-1/2 R D^-1/2 is judged
+    against 1, free of the parameters' units, and d <= 0 is no information."""
     if not np.all(np.isfinite(reduced)):
         return None
-    if scale is None:
-        scale = float(np.max(np.abs(reduced)))
     sym = 0.5 * (reduced + reduced.T)
-    eigs = np.linalg.eigvalsh(sym)
-    if np.min(eigs) <= max(scale, 1e-300) / SINGULAR_COND:
+    judged, ref = sym, scale
+    if np.ndim(scale) == 1:
+        if not np.all(scale > 0.0):
+            return None
+        judged, ref = sym / np.sqrt(np.outer(scale, scale)), 1.0
+    elif scale is None:
+        ref = float(np.max(np.abs(reduced)))
+    if np.min(np.linalg.eigvalsh(judged)) <= max(ref, 1e-300) / SINGULAR_COND:
         return None
     return np.linalg.inv(sym)
 
@@ -352,10 +357,11 @@ class BoundPair:
 def eliminated_pair(fim: FimMatrix) -> BoundPair:
     """(tau0, f0) bounds of fim's first two parameters by eliminating the
     others and inverting, tagged schur_numeric. A singular nuisance block, or
-    an eliminated block singular against fim's leading one, flags the pair."""
+    an eliminated block singular against the diagonal of fim's leading one
+    (a rule free of the time unit), flags the pair."""
     try:
         inv = invert_bound_matrix(schur_complement(fim),
-                                  float(np.max(np.abs(fim.submatrix(fim.labels[:2])))))
+                                  np.diag(fim.submatrix(fim.labels[:2])))
     except SingularFimError:
         inv = None
     if inv is None:

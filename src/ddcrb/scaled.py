@@ -12,37 +12,11 @@ bound loses its explicit L dependence.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .bounds import (DEGENERACY_RTOL, TWO_PI2, bordered_fim, signal_bounds,
-                     unknown_signal_labels, weighted_sums)
+from .bounds import (DEGENERACY_RTOL, TWO_PI2, energy_sums, fim_unknown_signal,
+                     signal_bounds, weighted_sums)
 from .fim import Bound, BoundPair, FimMatrix
-from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
-from .structure import _shared_quantities, pulse_basis, structure_labels
-
-
-@memoised
-def energy_sums(sig: SampledSignal) -> tuple[float, float]:
-    """(sum |s|^2, sum (s_R s_R' + s_I s_I')) over the sample grid, computed
-    once per signal."""
-    s, d = sig.samples, sig.deriv
-    s_e = float(np.sum(np.abs(s) ** 2))
-    s_x = float(np.sum(s.real * d.real + s.imag * d.imag))
-    return s_e, s_x
-
-
-def fim_known_signal_scale(sig: SampledSignal, sc: Scenario) -> FimMatrix:
-    """3x3 single-look FIM for (tau0, f0, a) with the signal known."""
-    a = sc.scale
-    s2 = sc.sigma_w2
-    s_dd, s_ww, e = weighted_sums(sig, sc.tau0)
-    s_e, s_x = energy_sums(sig)
-    entries = np.array([
-        [2.0 * a * a * s_dd / s2, 4.0 * np.pi * a * a * e / s2, -2.0 * a * s_x / s2],
-        [4.0 * np.pi * a * a * e / s2, TWO_PI2 * a * a * s_ww / s2, 0.0],
-        [-2.0 * a * s_x / s2, 0.0, 2.0 * s_e / s2],
-    ])
-    return FimMatrix(entries, ("tau0", "f0", "a"))
+from .signals import PulseTrain, SampledSignal, Scenario
+from .structure import _shared_quantities, fim_known_structure
 
 
 def jcrb_scaled_known_a(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPair]:
@@ -65,12 +39,8 @@ def fim_unknown_a(source: SampledSignal | PulseTrain, sc: Scenario,
     """
     if sc.looks_reflected < 1:
         raise ValueError("need at least one reflected-path look")
-    if not structure:
-        return bordered_fim(fim_known_signal_scale(source, sc), source, sc,
-                            unknown_signal_labels(source.m))
-    sig = synthesize_pulse_train(source)
-    return bordered_fim(fim_known_signal_scale(sig, sc), sig, sc,
-                        structure_labels(source.n_pulses), *pulse_basis(source, sig, sc.tau0))
+    build = fim_known_structure if structure else fim_unknown_signal
+    return build(source, sc, scale_known=False)
 
 
 def _structure_pair(pt: PulseTrain, sc: Scenario, scale_known: bool) -> BoundPair:

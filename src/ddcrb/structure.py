@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import TWO_PI2, bordered_fim, fim_known_signal
+from .bounds import TWO_PI2, bordered_fim
 from .fim import BoundPair, FimMatrix
 from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
 
@@ -88,10 +88,7 @@ def support_assumption_holds(pt: PulseTrain) -> bool:
 
 @functools.lru_cache
 def structure_labels(n_pulses: int) -> tuple[str, ...]:
-    labels = ["tau0", "f0"]
-    for q in range(1, n_pulses + 1):
-        labels += [f"b{q}R", f"b{q}I"]
-    return tuple(labels)
+    return ("tau0", "f0", *(f"b{q}{part}" for q in range(1, n_pulses + 1) for part in "RI"))
 
 
 def pulse_basis(pt: PulseTrain, sig: SampledSignal, tau0: float) -> tuple[tuple, dict]:
@@ -115,20 +112,15 @@ def pulse_basis(pt: PulseTrain, sig: SampledSignal, tau0: float) -> tuple[tuple,
     return (h, 1.0, u, v, gram), {"blocks": "general"}
 
 
-def fim_known_structure(pt: PulseTrain, sc: Scenario) -> FimMatrix:
-    """(2+2Q) FIM for (tau0, f0, b_1R, b_1I, ..., b_QR, b_QI).
-
-    The delay/Doppler block is the known-signal FIM of the synthesized
-    train scaled by P; the amplitude couplings come from pulse_basis and
-    meta records its block form.
-    """
-    if sc.scale != 1.0:
-        raise ValueError("reflected-path scale must be 1 here; see ddcrb.scaled")
+def fim_known_structure(pt: PulseTrain, sc: Scenario, scale_known: bool = True) -> FimMatrix:
+    """(2+2Q) FIM for (tau0, f0, b_1R, b_1I, ..., b_QR, b_QI) at the scale
+    sc.scale; scale_known=False adds a as the third parameter. The
+    amplitude couplings come from pulse_basis and meta records its form."""
     if sc.looks_reflected < 1:
         raise ValueError("need at least one reflected-path look")
     sig = synthesize_pulse_train(pt)
-    return bordered_fim(fim_known_signal(sig, sc), sig, sc, structure_labels(pt.n_pulses),
-                        *pulse_basis(pt, sig, sc.tau0))
+    return bordered_fim(sig, sc, structure_labels(pt.n_pulses), *pulse_basis(pt, sig, sc.tau0),
+                        scale_known=scale_known)
 
 
 def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:

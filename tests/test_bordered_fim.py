@@ -1,9 +1,11 @@
 """Bordered FIMs: structured validation and elimination match the dense path.
 
 Every unknown-signal builder returns a FIM kept as blocks A, B and
-C = c (K kron I_2). The reference here is today's dense code: the same
-matrix rebuilt from `.entries` as a dense FimMatrix, validated with a full
-eigendecomposition and eliminated with a dense solve.
+C = c (K kron I_2), at any reflected-path scale a, with a as a parameter or
+not. The reference here is today's dense code: the same matrix rebuilt from
+`.entries` as a dense FimMatrix, validated with a full eigendecomposition
+and eliminated with a dense solve. Where the closed forms hold (raw samples
+and contained pulse trains) they must agree with the eliminated FIMs.
 """
 
 import numpy as np
@@ -13,31 +15,39 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 import ddcrb.fim as fim_module
-from ddcrb.fim import (Border, FimMatrix, SingularFimError, invert_bound_matrix,
-                       schur_complement)
+from ddcrb.fim import (Border, FimMatrix, SingularFimError, eliminated_pair,
+                       invert_bound_matrix, schur_complement)
 
 from conftest import make_contained_train
 
 KINDS = ("samples", "contained", "truncated")
 
 
-def build_fim(kind, with_a, l, p, a, sigma_w2, seed):
+def build_source(kind, l, p, a, sigma_w2, seed):
+    """(source, scenario): random samples, or a one-to-three-pulse train."""
     rng = np.random.default_rng(seed)
     sc = d.Scenario(tau0=0.5, f0=0.7, looks_direct=l, looks_reflected=p,
-                    sigma_w2=sigma_w2, scale=a if with_a else 1.0)
+                    sigma_w2=sigma_w2, scale=a)
     if kind == "samples":
         m = int(rng.integers(2, 12))
-        sig = d.SampledSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), 0.25,
-                              rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        return d.fim_unknown_a(sig, sc) if with_a else d.fim_unknown_signal(sig, sc)
+        return d.SampledSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), 0.25,
+                               rng.standard_normal(m) + 1j * rng.standard_normal(m)), sc
     q = int(rng.integers(1, 4))
     b = rng.standard_normal(q) + 1j * rng.standard_normal(q)
     if kind == "contained":
-        pt, _, _ = make_contained_train(n_p=12, delta=0.4, b=tuple(b))
-    else:
-        # centred near the period edge and wide: adjacent copies overlap
-        pt = d.gaussian_pulse_train(16, 0.25, 3.0, 1.5, b)
-    fim = d.fim_unknown_a(pt, sc, structure=True) if with_a else d.fim_known_structure(pt, sc)
+        return make_contained_train(n_p=12, delta=0.4, b=tuple(b))[0], sc
+    # centred near the period edge and wide: adjacent copies overlap
+    return d.gaussian_pulse_train(16, 0.25, 3.0, 1.5, b), sc
+
+
+def build_fim(kind, with_a, l, p, a, sigma_w2, seed):
+    """The bordered FIM of a build_source case at the scale a, with a as an
+    unknown when with_a."""
+    source, sc = build_source(kind, l, p, a, sigma_w2, seed)
+    if kind == "samples":
+        return d.fim_unknown_a(source, sc) if with_a else d.fim_unknown_signal(source, sc)
+    fim = (d.fim_unknown_a(source, sc, structure=True) if with_a
+           else d.fim_known_structure(source, sc))
     assert fim.meta["blocks"] == ("simplified" if kind == "contained" else "general")
     return fim
 
@@ -123,3 +133,35 @@ def test_gram_schur_computed_once_per_fim(monkeypatch):
     np.testing.assert_array_equal(schur_complement(fim, 2), first)
     assert len(calls) == 2
     assert not fim.border.schur.flags.writeable
+
+
+@settings(max_examples=120)
+@given(kind=st.sampled_from(("samples", "contained")), l=st.integers(1, 6),
+       p=st.integers(1, 6), a=st.floats(0.25, 4.0), sigma_w2=st.floats(0.1, 3.0),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_known_scale_closed_forms_match_elimination(kind, l, p, a, sigma_w2, seed):
+    """The pairs behind jcrb_{}_s, jcrb_{}_b and jcrb_unknown_a_structure
+    against eliminated_pair of their bordered FIMs. Truncated trains are left
+    out: the structured closed forms do not hold there (ROADMAP item 1)."""
+    source, sc = build_source(kind, l, p, a, sigma_w2, seed)
+    sig = source if kind == "samples" else d.synthesize_pulse_train(source)
+    cases = [(d.jcrb_unknown(sig, sc), d.fim_unknown_signal(sig, sc))]
+    if kind == "contained":
+        cases += [(d.jcrb_structure_known_a(source, sc), d.fim_known_structure(source, sc)),
+                  (d.jcrb_unknown_a_structure(source, sc)[0],
+                   d.fim_unknown_a(source, sc, structure=True))]
+    for closed, fim in cases:
+        numeric = eliminated_pair(fim)
+        assert closed.singular == numeric.singular
+        if not closed.singular:
+            assert numeric.tau0 == pytest.approx(closed.tau0, rel=1e-9)
+            assert numeric.f0 == pytest.approx(closed.f0, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("a", (0.25, 1.0, 4.0))
+def test_known_scale_fim_is_the_unknown_a_fim_without_a(kind, a):
+    known, unknown = (build_fim(kind, with_a, 2, 3, a, 0.7, seed=11) for with_a in (False, True))
+    dropped = unknown.drop("a")
+    assert known.labels == dropped.labels
+    np.testing.assert_array_equal(known.entries, dropped.entries)

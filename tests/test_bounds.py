@@ -116,9 +116,11 @@ class TestUnknownSignalFim:
             b[0, 0::2], -(2 * 2 / sc.sigma_w2) * sig.deriv.real, rtol=1e-14)
         np.testing.assert_allclose(b[0, 1::2], 0.0, atol=0)
 
-    def test_nonunit_scale_rejected(self):
-        with pytest.raises(ValueError):
-            d.fim_unknown_signal(small_signal(), scenario(scale=2.0))
+    def test_nonunit_scale_is_the_unknown_a_fim_without_a(self):
+        sig, sc = small_signal(), scenario(scale=2.0)
+        fim, with_a = d.fim_unknown_signal(sig, sc), d.fim_unknown_a(sig, sc).drop("a")
+        assert fim.labels == with_a.labels
+        np.testing.assert_array_equal(fim.entries, with_a.entries)
 
     def test_psd(self):
         sig = small_signal()

@@ -52,6 +52,17 @@ class TestTable1:
             schur = float(row["jcrb_tau0_s_schur"])
             assert abs(closed - schur) <= 1e-8 * closed
 
+    def test_schur_cells_do_not_depend_on_the_time_unit(self):
+        # microsecond-scale pulse: tau0 and f0 information differ by ~1e26
+        code, out = run_cli(["table1", "--delta", "1e-7", "--center", "4e-5",
+                             "--width2", "9e-12", "--tau0", "5e-7",
+                             "--amp-convention", "unit", "--format", "csv"])
+        assert code == 0
+        for row in parse_csv(out):
+            for coord in ("tau0", "f0"):
+                closed, schur = float(row[f"jcrb_{coord}_s"]), row[f"jcrb_{coord}_s_schur"]
+                assert schur and float(schur) == pytest.approx(closed, rel=1e-9)
+
     def test_both_conventions(self):
         code, out = run_cli(["table1", *BASE, "--amp-convention", "both"])
         rows = parse_csv(out)

@@ -293,6 +293,13 @@ class TestCrbCorrelated:
         d.crb_correlated(model, g)
         assert calls == ["eigh"]
 
+    @pytest.mark.parametrize("columns", (0, 1))
+    def test_fewer_than_two_columns_rejected(self, columns):
+        sig, sc = small_setup()
+        model = d.build_stacked(sig, sc, np.eye(16, dtype=complex))
+        with pytest.raises(ValueError, match="tau0 and f0"):
+            d.crb_correlated(model, np.zeros((16, columns), dtype=complex))
+
     def test_values_are_those_of_the_validated_fim(self):
         sig, sc = small_setup(l=2, p=1)
         model = d.build_stacked(sig, sc, random_psd(24, np.random.default_rng(8)))

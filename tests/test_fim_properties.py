@@ -30,8 +30,8 @@ def test_every_fim_builder_is_symmetric_psd(l, p, a, sigma_w2, f0, seed):
     sc_a = d.Scenario(tau0=0.8, f0=f0, looks_direct=l, looks_reflected=p,
                       sigma_w2=sigma_w2, scale=a)
     d.fim_known_signal(sig, sc)
-    d.fim_unknown_signal(sig, sc)
-    d.fim_known_structure(pt, sc)
+    d.fim_unknown_signal(sig, sc_a)
+    d.fim_known_structure(pt, sc_a)
     d.fim_known_signal_scale(sig, sc_a)
     d.fim_unknown_a(sig, sc_a, structure=False)
     d.fim_unknown_a(pt, sc_a, structure=True)
@@ -71,3 +71,8 @@ def test_fim_matrix_rejects_asymmetry_and_indefiniteness():
         d.FimMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]), ("x", "y"))
     with pytest.raises(ValueError, match="square"):
         d.FimMatrix(np.zeros((2, 3)), ("x", "y"))
+
+
+def test_fim_matrix_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="at least one parameter"):
+        d.FimMatrix(np.zeros((0, 0)), ())

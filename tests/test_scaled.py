@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb.fim import invert_bound_matrix, schur_complement
-from ddcrb.scaled import energy_sums, fim_known_signal_scale, jcrb_structure_known_a
-from ddcrb.bounds import weighted_sums
+from ddcrb.scaled import jcrb_structure_known_a
+from ddcrb.bounds import energy_sums, fim_known_signal_scale, weighted_sums
 
 from conftest import make_contained_train, rel_err
 

@@ -1,0 +1,70 @@
+"""A change of time unit changes no singular flag and rescales every bound.
+
+Measuring time in a unit s times smaller multiplies delta, tau0 and the
+pulse times by s and divides f0 and every time derivative by s. A delay
+variance then scales by s^2 and a Doppler variance by s^-2, whichever path
+computed it: the closed forms, or the eliminated pairs of the three bordered
+models (unknown samples, known structure, unknown scale with either basis).
+"""
+
+import numpy as np
+import pytest
+
+import ddcrb as d
+from ddcrb.bounds import signal_bounds
+from ddcrb.fim import eliminated_pair
+
+from conftest import make_contained_train
+
+UNITS = [10.0 ** k for k in range(-9, 4)]
+B = (0.8 + 0.5j, -0.3 + 1.1j)
+
+
+def train(kind, s):
+    if kind == "contained":
+        return make_contained_train(n_p=12, delta=0.4 * s, b=B)[0]
+    # wide and centred near the period edge: adjacent copies overlap
+    return d.gaussian_pulse_train(16, 0.25 * s, 3.0 * s, 1.5 * s * s, np.array(B))
+
+
+def bounds_at(kind, s, l, p, a):
+    """{name: (tau0 variance, f0 variance or None, singular)} at unit s."""
+    pt = train(kind, s)
+    sig = d.synthesize_pulse_train(pt)
+    sc = d.Scenario(tau0=0.8 * s, f0=0.3 / s, looks_direct=l, looks_reflected=p,
+                    sigma_w2=0.5, scale=a)
+    pairs = dict(zip(("known", "unknown", "separate"), signal_bounds(sig, sc)))
+    pairs.update({
+        "unknown_signal_schur": eliminated_pair(d.fim_unknown_signal(sig, sc)),
+        "known_structure_schur": eliminated_pair(d.fim_known_structure(pt, sc)),
+        "unknown_a_samples_schur": eliminated_pair(d.fim_unknown_a(sig, sc)),
+        "unknown_a_structure_schur": eliminated_pair(d.fim_unknown_a(pt, sc, structure=True)),
+    })
+    if kind == "contained":
+        pairs.update(structure_known_a=d.jcrb_structure_known_a(pt, sc),
+                     unknown_a_structure=d.jcrb_unknown_a_structure(pt, sc)[0],
+                     known_signal_pulse=d.jcrb_known_signal_pulse(pt, sc))
+    out = {name: (pair.tau0, pair.f0, pair.singular) for name, pair in pairs.items()}
+    sep = d.crb_separate_unknown_a(sig, sc)
+    out["separate_unknown_a"] = (sep.value, None, sep.singular)
+    return out
+
+
+@pytest.mark.parametrize("kind", ("contained", "truncated"))
+@pytest.mark.parametrize("l,p,a", [(2, 1, 1.0), (1, 3, 1.5), (0, 1, 0.5)])
+def test_flags_hold_and_bounds_scale_with_the_time_unit(kind, l, p, a):
+    base = bounds_at(kind, 1.0, l, p, a)
+    # L = 0: no unbiased joint estimator once the samples are unknown
+    expect_singular = {"unknown", "separate", "unknown_signal_schur"} if l == 0 else set()
+    assert expect_singular <= {name for name, (_, _, flag) in base.items() if flag}
+    if l:
+        assert not any(flag for _, _, flag in base.values())
+    for s in UNITS:
+        for name, (tau0, f0, flag) in bounds_at(kind, s, l, p, a).items():
+            ref_tau0, ref_f0, ref_flag = base[name]
+            assert flag == ref_flag, (name, s)
+            if flag:
+                continue
+            assert tau0 == pytest.approx(ref_tau0 * s * s, rel=1e-9), (name, s)
+            if f0 is not None:
+                assert f0 == pytest.approx(ref_f0 / (s * s), rel=1e-9), (name, s)
