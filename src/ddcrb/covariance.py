@@ -52,6 +52,8 @@ def build_stacked(sig: SampledSignal, sc: Scenario, sigma_cn: np.ndarray) -> Sta
     """Stack the look means and form C = s s^H + Sigma_cn."""
     n = sc.record_samples(sig)
     looks = sc.looks_direct + sc.looks_reflected
+    if looks == 0:
+        raise ValueError("need at least one look to stack: L = 0 and P = 0")
     sigma_cn = np.asarray(sigma_cn, dtype=complex)
     if sigma_cn.shape != (n * looks, n * looks):
         raise ValueError(

@@ -1,8 +1,13 @@
 """Labeled Fisher information matrices and bound-report containers.
 
-FimMatrix validates the symmetry/positive-semidefiniteness every assembled
-information matrix must satisfy; schur_complement eliminates trailing
-nuisance blocks and eliminated_pair turns a FIM into delay/Doppler bounds;
+Every FimMatrix is one bordered matrix [[A, B], [B^T, C]] (a Border): A over
+the parameters of interest, B its border with N nuisance coefficients and
+C = c (K kron I_2), empty (N = 0) for a matrix given densely. One rule
+validates every FIM: A symmetric and A - B C^{-1} B^T PSD, to tolerances
+relative to |A|_F + |B|_F + |c| |K|_1. Validation and schur_complement use
+the FIM's own blocks while C is positive definite, else (L = P = 0, say) the
+dense matrix taken as a border with C empty; so does a schur_complement that
+keeps more than A. eliminated_pair turns a FIM into delay/Doppler bounds;
 Bound/BoundPair/CrbReport carry bound values, a method tag and a singularity
 flag, so rank-deficient scenarios (no unbiased estimator) give flagged results.
 """
@@ -11,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -101,6 +106,15 @@ class Border:
     c: float
     gram: float | np.ndarray = 1.0
 
+    @classmethod
+    def of(cls, entries) -> "Border":
+        """A matrix given densely: a read-only copy as A, no nuisance columns."""
+        a = np.array(entries, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise ValueError("FIM must be square with at least one parameter")
+        a.setflags(write=False)
+        return cls(a, np.zeros((len(a), 0)), 0.0)
+
     def dense(self) -> np.ndarray:
         k, n = len(self.a), self.b.shape[1] // 2
         size = k + 2 * n
@@ -123,7 +137,7 @@ class Border:
     @functools.cached_property
     def gram_norm(self) -> float:
         """|K|_1, an upper bound on the largest eigenvalue of K."""
-        return band_norm1(np.atleast_2d(self.gram))
+        return abs(float(self.gram)) if np.ndim(self.gram) == 0 else band_norm1(self.gram)
 
     @functools.cached_property
     def gram_singular(self) -> bool:
@@ -143,8 +157,12 @@ class Border:
     def schur(self) -> np.ndarray | None:
         """Read-only A - B C^{-1} B^T, or None when C is not positive definite.
 
-        Computed on first use and shared by validation and elimination.
+        Computed on first use and shared by validation and elimination. With
+        no nuisance columns it is A as given, not symmetrised, so a dense
+        matrix is eliminated exactly as it was built.
         """
+        if not self.b.size:
+            return self.a
         if np.ndim(self.gram) == 0:
             ck = self.c * self.gram
             if not ck > 0.0:
@@ -163,8 +181,9 @@ class Border:
         out.setflags(write=False)
         return out
 
-    def validate(self) -> bool:
-        """Symmetry and PSD checks; False (nothing decided) if C is not PD.
+    def validate(self) -> None:
+        """Symmetry and PSD checks, the one rule for every FIM; needs a
+        positive definite C (schur not None).
 
         Haynsworth inertia additivity: the matrix is PSD iff C is PD and
         A - B C^{-1} B^T is PSD. Tolerances scale with |A|_F + |B|_F + |C|_1,
@@ -176,74 +195,46 @@ class Border:
         asym = np.max(np.abs(self.a - self.a.T))
         if asym > SYMMETRY_RTOL * spec:
             raise ValueError(f"FIM not symmetric: |A - A^T| = {asym:.3e}")
-        reduced = self.schur
-        if reduced is None:
-            return False
-        eigmin = float(np.linalg.eigvalsh(reduced)[0])
+        eigmin = float(np.linalg.eigvalsh(self.schur)[0])
         if eigmin < -PSD_RTOL * spec:
             raise ValueError(f"FIM not positive semidefinite: Schur lambda_min = {eigmin:.3e}")
-        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FimMatrix:
-    """Real symmetric PSD Fisher information matrix with parameter labels.
+    """Labeled FIM: FimMatrix(dense, labels) or FimMatrix(None, labels, meta,
+    border). The dense entries are built on first use, cached and read-only."""
 
-    A bordered one (entries None) builds its read-only entries on first use.
-    """
-
-    entries: np.ndarray | None
+    dense: InitVar[np.ndarray | None]
     labels: tuple[str, ...]
-    meta: dict = field(default_factory=dict, compare=False)
-    border: Border | None = field(default=None, compare=False, repr=False)
+    meta: dict = field(default_factory=dict)
+    border: Border | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if self.border is not None:
-            object.__delattr__(self, "entries")  # built by __getattr__ on demand
-            # a label mismatch or a C that is not positive definite falls
-            # through to the checks on the dense matrix
-            if (len(labels) == len(self.border.a) + self.border.b.shape[1]
-                    and self.border.validate()):
-                return
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
-            raise ValueError("FIM must be square with at least one parameter")
-        if len(labels) != entries.shape[0]:
+    def __post_init__(self, dense):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if self.border is None:
+            object.__setattr__(self, "border", Border.of(dense))
+        if len(self.labels) != len(self.border.a) + self.border.b.shape[1]:
             raise ValueError("one label per parameter required")
-        scale = float(np.max(np.abs(entries)))
-        asym = float(np.max(np.abs(entries - entries.T)))
-        if asym > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise ValueError(f"FIM not symmetric: |A - A^T| = {asym:.3e}")
-        eigs = np.linalg.eigvalsh(entries)
-        eigmin = float(eigs[0])
-        spec = float(np.max(np.abs(eigs)))
-        if eigmin < -PSD_RTOL * max(spec, 1e-300):
-            raise ValueError(f"FIM not positive semidefinite: lambda_min = {eigmin:.3e}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        self.solvable.validate()
 
-    def __getattr__(self, name):
-        # reached only for the entries of a bordered FIM before first use
-        if name != "entries" or self.border is None:
-            raise AttributeError(name)
-        entries = self.border.dense()
-        object.__setattr__(self, "entries", entries)
-        return entries
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        return self.border.dense() if self.border.b.size else self.border.a
+
+    @functools.cached_property
+    def solvable(self) -> Border:
+        """Its own border while C is positive definite, else the dense matrix's."""
+        return self.border if self.border.schur is not None else Border.of(self.entries)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def submatrix(self, labels) -> np.ndarray:
-        idx = [self.index(lbl) for lbl in labels]
-        if self.border is not None and max(idx) < len(self.border.a):
-            return self.border.a[np.ix_(idx, idx)]
-        return self.entries[np.ix_(idx, idx)]
+        idx = [self.labels.index(lbl) for lbl in labels]
+        source = self.border.a if max(idx) < len(self.border.a) else self.entries
+        return source[np.ix_(idx, idx)]
 
     def drop(self, label: str) -> "FimMatrix":
         """FIM with one parameter removed (treated as known, not eliminated)."""
@@ -272,19 +263,15 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
     keep is the size of the leading parameter block that survives. Raises
     SingularFimError when the nuisance block C is not invertible
     (condition estimate above 1e12); a singular *result* is legitimate
-    and left to the caller to detect. A bordered FIM with keep <= k and C
-    positive definite eliminates C from its blocks, then k - keep rows densely.
+    and left to the caller to detect. C goes first, then the rows of A
+    beyond keep, densely (the quotient property of Schur complements).
     """
     if keep < 1 or keep > fim.dim:
         raise ValueError("keep must be between 1 and the FIM dimension")
-    border = fim.border
-    if border is not None and keep <= len(border.a):
-        reduced = border.schur
-        if reduced is not None:
-            if border.gram_singular:
-                raise SingularFimError("nuisance block is singular")
-            return _eliminate(reduced, keep, border.c * border.gram_norm)
-    return _eliminate(fim.entries, keep)
+    border = fim.solvable if keep <= len(fim.solvable.a) else Border.of(fim.entries)
+    if border.gram_singular:
+        raise SingularFimError("nuisance block is singular")
+    return _eliminate(border.schur, keep, border.c * border.gram_norm)
 
 
 def invert_bound_matrix(reduced: np.ndarray,
@@ -354,20 +341,22 @@ class BoundPair:
         return cls(float("inf"), float("inf"), True, note, method)
 
 
-def eliminated_pair(fim: FimMatrix) -> BoundPair:
+def eliminated_pair(fim: FimMatrix, separate: bool = False) -> BoundPair:
     """(tau0, f0) bounds of fim's first two parameters by eliminating the
-    others and inverting, tagged schur_numeric. A singular nuisance block, or
-    an eliminated block singular against the diagonal of fim's leading one
-    (a rule free of the time unit), flags the pair."""
+    others, tagged schur_numeric: the diagonal of the eliminated block's
+    inverse (joint), or with separate its reciprocal diagonal. A singular
+    nuisance block, or an eliminated block singular against the diagonal of
+    fim's leading one (a rule free of the time unit), flags the pair."""
     try:
-        inv = invert_bound_matrix(schur_complement(fim),
-                                  np.diag(fim.submatrix(fim.labels[:2])))
+        reduced = schur_complement(fim)
+        inv = invert_bound_matrix(reduced, np.diag(fim.submatrix(fim.labels[:2])))
     except SingularFimError:
         inv = None
     if inv is None:
         return BoundPair.singular_pair("eliminated delay/Doppler block is singular",
                                        METHOD_SCHUR_NUMERIC)
-    return BoundPair(float(inv[0, 0]), float(inv[1, 1]), method=METHOD_SCHUR_NUMERIC)
+    pair = 1.0 / np.diag(reduced) if separate else np.diag(inv)
+    return BoundPair(float(pair[0]), float(pair[1]), method=METHOD_SCHUR_NUMERIC)
 
 
 @dataclass(frozen=True)

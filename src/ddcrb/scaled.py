@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .bounds import (DEGENERACY_RTOL, TWO_PI2, energy_sums, fim_unknown_signal,
                      signal_bounds, weighted_sums)
-from .fim import Bound, BoundPair, FimMatrix
+from .fim import Bound, BoundPair, FimMatrix, eliminated_pair
 from .signals import PulseTrain, SampledSignal, Scenario
-from .structure import _shared_quantities, fim_known_structure
+from .structure import _shared_quantities, fim_known_structure, support_assumption_holds
 
 
 def jcrb_scaled_known_a(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPair]:
@@ -86,14 +86,20 @@ def jcrb_unknown_a_structure(pt: PulseTrain, sc: Scenario) -> tuple[BoundPair, B
     tau0: the known-a form at weight 1, sigma_w2 E_g / (2 a^2 P sum|b|^2
     (E_g sum g'^2 - rho^2)), which no longer depends on L; f0: the known-a
     form. The delay/Doppler block of the eliminated FIM stays diagonal, so
-    separate equals joint for both coordinates.
+    separate equals joint for both coordinates. These forms need the pulse
+    contained in its period; otherwise joint is eliminated_pair of
+    fim_unknown_a(pt, sc, structure=True) and separate the reciprocal
+    diagonal of the same eliminated block, both tagged schur_numeric.
     """
     if sc.looks_direct == 0 or sc.looks_reflected == 0:
         sing = BoundPair.singular_pair(
             "L = 0 or P = 0: scale and amplitudes are not jointly identifiable")
         return sing, sing
-    joint = _structure_pair(pt, sc, scale_known=False)
-    return joint, joint
+    if support_assumption_holds(pt):
+        joint = _structure_pair(pt, sc, scale_known=False)
+        return joint, joint
+    fim = fim_unknown_a(pt, sc, structure=True)
+    return eliminated_pair(fim), eliminated_pair(fim, separate=True)
 
 
 def crb_separate_unknown_a(sig: SampledSignal, sc: Scenario) -> Bound:

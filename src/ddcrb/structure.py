@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import TWO_PI2, bordered_fim
+from .bounds import TWO_PI2, bordered_fim, jcrb_known
 from .fim import BoundPair, FimMatrix
 from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
 
@@ -129,8 +129,11 @@ def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:
     tau0: sigma_w2 / (2 sum|b|^2 sum g'^2);
     f0:   sigma_w2 / (8 pi^2 sum_q w_q |b_q|^2).
     Agrees with the sample-form known-signal bounds whenever the pulse is
-    contained in its period.
+    contained in its period, and is that sample form (jcrb_known of the
+    synthesized train) otherwise.
     """
+    if not support_assumption_holds(pt):
+        return jcrb_known(synthesize_pulse_train(pt), sc)
     sq = _shared_quantities(pt, sc.tau0)
     den_tau = 2.0 * pt.amp_energy * sq.dg2
     den_f = TWO_PI2 * sq.w_b2

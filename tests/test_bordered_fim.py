@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 import ddcrb.fim as fim_module
-from ddcrb.fim import (Border, FimMatrix, SingularFimError, eliminated_pair,
-                       invert_bound_matrix, schur_complement)
+from ddcrb.fim import (METHOD_SCHUR_NUMERIC, PSD_RTOL, Border, FimMatrix, SingularFimError,
+                       eliminated_pair, invert_bound_matrix, schur_complement)
 
 from conftest import make_contained_train
 
@@ -99,6 +99,22 @@ def test_validation_errors_match_dense(kind, with_a):
             FimMatrix(None, fim.labels, border=bad)
         with pytest.raises(ValueError, match=message):
             FimMatrix(bad.dense(), fim.labels)
+    # B = 0: the Schur complement is A itself and both norms are |A|_F to
+    # within 0.1 % (C is small beside A), so one rule gives one verdict with
+    # lambda_min just inside or just outside -PSD_RTOL spec
+    eye = np.eye(len(border.a))
+    lam = np.linalg.eigvalsh(border.a)[0]
+    spec = np.linalg.norm(border.a - lam * eye)
+    for theta, accepted in ((0.99, True), (1.01, False)):
+        a_block = border.a - (lam + theta * PSD_RTOL * spec) * eye
+        flat = Border(a_block, np.zeros_like(border.b), border.c, border.gram)
+        for build in (lambda: FimMatrix(None, fim.labels, border=flat),
+                      lambda: FimMatrix(flat.dense(), fim.labels)):
+            if accepted:
+                build()
+            else:
+                with pytest.raises(ValueError, match="semidefinite"):
+                    build()
 
 
 def test_entries_built_lazily_and_read_only():
@@ -156,6 +172,34 @@ def test_known_scale_closed_forms_match_elimination(kind, l, p, a, sigma_w2, see
         if not closed.singular:
             assert numeric.tau0 == pytest.approx(closed.tau0, rel=1e-9)
             assert numeric.f0 == pytest.approx(closed.f0, rel=1e-9)
+
+
+@settings(max_examples=60)
+@given(l=st.integers(1, 6), p=st.integers(1, 6), a=st.floats(0.25, 4.0),
+       sigma_w2=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_truncated_train_bounds_are_eliminated(l, p, a, sigma_w2, seed):
+    """Past the support assumption the pulse-form bounds are numeric: the
+    unknown-scale pair against dense elimination (the separate pair against
+    eliminating tau0 or f0 alone), the known-signal pair against the sample
+    form of the synthesized train."""
+    pt, sc = build_source("truncated", l, p, a, sigma_w2, seed)
+    assert not d.support_assumption_holds(pt)
+    fim = d.fim_unknown_a(pt, sc, structure=True)
+    dense = FimMatrix(fim.entries, fim.labels)
+    joint, separate = d.jcrb_unknown_a_structure(pt, sc)
+    assert joint.method == separate.method == METHOD_SCHUR_NUMERIC
+    expected = eliminated_pair(dense)
+    assert joint.singular == separate.singular == expected.singular
+    if not expected.singular:
+        assert joint.tau0 == pytest.approx(expected.tau0, rel=1e-9)
+        assert joint.f0 == pytest.approx(expected.f0, rel=1e-9)
+        for coord, other in (("tau0", "f0"), ("f0", "tau0")):
+            info = schur_complement(dense.drop(other), keep=1)[0, 0]
+            assert getattr(separate, coord) == pytest.approx(1.0 / info, rel=1e-9)
+    known = d.jcrb_known_signal_pulse(pt, sc)
+    inverse = np.linalg.inv(d.fim_known_signal(d.synthesize_pulse_train(pt), sc).entries)
+    assert known.tau0 == pytest.approx(inverse[0, 0], rel=1e-9)
+    assert known.f0 == pytest.approx(inverse[1, 1], rel=1e-9)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -57,6 +57,11 @@ class TestBuildStacked:
         with pytest.raises(ValueError, match="Sigma_cn"):
             d.build_stacked(sig, sc, np.eye(10, dtype=complex))
 
+    def test_no_looks_rejected(self):
+        sc = d.Scenario(tau0=0.0, f0=0.1, looks_direct=0, looks_reflected=0, sigma_w2=1.0)
+        with pytest.raises(ValueError, match="L = 0 and P = 0"):
+            d.build_stacked(d.triangle_wave(8, 1.0), sc, np.zeros((0, 0)))
+
     def test_non_hermitian_rejected(self):
         sig, sc = small_setup()
         bad = np.eye(16, dtype=complex)

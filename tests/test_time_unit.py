@@ -40,10 +40,12 @@ def bounds_at(kind, s, l, p, a):
         "unknown_a_samples_schur": eliminated_pair(d.fim_unknown_a(sig, sc)),
         "unknown_a_structure_schur": eliminated_pair(d.fim_unknown_a(pt, sc, structure=True)),
     })
+    pairs.update(zip(("unknown_a_structure", "unknown_a_structure_separate"),
+                     d.jcrb_unknown_a_structure(pt, sc)),
+                 known_signal_pulse=d.jcrb_known_signal_pulse(pt, sc))
     if kind == "contained":
-        pairs.update(structure_known_a=d.jcrb_structure_known_a(pt, sc),
-                     unknown_a_structure=d.jcrb_unknown_a_structure(pt, sc)[0],
-                     known_signal_pulse=d.jcrb_known_signal_pulse(pt, sc))
+        # its truncated-train form is still the closed form (ROADMAP item 1)
+        pairs.update(structure_known_a=d.jcrb_structure_known_a(pt, sc))
     out = {name: (pair.tau0, pair.f0, pair.singular) for name, pair in pairs.items()}
     sep = d.crb_separate_unknown_a(sig, sc)
     out["separate_unknown_a"] = (sep.value, None, sep.singular)
