@@ -43,19 +43,17 @@ def look_factor(sc: Scenario) -> float | None:
 
 
 def fim_known_signal(sig: SampledSignal, sc: Scenario) -> FimMatrix:
-    """2x2 information matrix for (tau0, f0) with the signal known, one look.
+    """2x2 information matrix for (tau0, f0) with the signal known, one look."""
+    return FimMatrix(_known_signal_info(sig, sc), ("tau0", "f0"))
 
-    I11 = (2/sigma_w2) sum |ds/dt|^2,
-    I22 = (8 pi^2/sigma_w2) sum (t+tau0)^2 |s|^2,
-    I12 = (4 pi/sigma_w2) eta.
-    """
+
+def _known_signal_info(sig: SampledSignal, sc: Scenario) -> np.ndarray:
+    """The unvalidated array of fim_known_signal: I11 = (2/sigma_w2) sum |ds/dt|^2,
+    I22 = (8 pi^2/sigma_w2) sum (t+tau0)^2 |s|^2, I12 = (4 pi/sigma_w2) eta."""
     s_dd, s_ww, e = weighted_sums(sig, sc.tau0)
     s2 = sc.sigma_w2
-    entries = np.array([
-        [2.0 * s_dd / s2, 4.0 * np.pi * e / s2],
-        [4.0 * np.pi * e / s2, TWO_PI2 * s_ww / s2],
-    ])
-    return FimMatrix(entries, ("tau0", "f0"))
+    return np.array([[2.0 * s_dd / s2, 4.0 * np.pi * e / s2],
+                     [4.0 * np.pi * e / s2, TWO_PI2 * s_ww / s2]])
 
 
 @memoised
@@ -67,12 +65,12 @@ def energy_sums(sig: SampledSignal) -> tuple[float, float]:
 
 
 def _known_signal_block(sig: SampledSignal, sc: Scenario, scale_known: bool) -> np.ndarray:
-    """a^2 fim_known_signal, the single-look known-signal information of the
+    """a^2 _known_signal_info, the single-look known-signal information of the
     reflected path, bordered unless the scale is known by the a row
     I13 = -(2a/sigma_w2) sum (s_R s_R' + s_I s_I'), I23 = 0,
     I33 = (2/sigma_w2) sum |s|^2. Unvalidated: bordered_fim validates."""
     a, s2 = sc.scale, sc.sigma_w2
-    block = a * a * fim_known_signal(sig, sc).entries
+    block = a * a * _known_signal_info(sig, sc)
     if scale_known:
         return block
     s_e, s_x = energy_sums(sig)

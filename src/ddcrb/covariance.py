@@ -136,7 +136,8 @@ def crb_correlated(model: StackedModel, dc: np.ndarray) -> CrbReport:
     if np.ndim(dc) != 2 or np.shape(dc)[1] < 2:
         raise ValueError("dc needs the tau0 and f0 columns")
     lam, vec = np.linalg.eigh(_trace_form(model, dc))
-    if lam[0] < -PSD_RTOL * max(float(np.max(np.abs(lam))), 1e-300):
+    # Border.validate's spec |A|_F, which is |lambda|_2 for a symmetric A
+    if lam[0] < -PSD_RTOL * max(float(np.linalg.norm(lam)), 1e-300):
         raise ValueError(f"FIM not positive semidefinite: lambda_min = {lam[0]:.3e}")
     lam_max = float(lam[-1])
     null = lam <= lam_max / SINGULAR_COND

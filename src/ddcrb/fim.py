@@ -4,10 +4,12 @@ Every FimMatrix is one bordered matrix [[A, B], [B^T, C]] (a Border): A over
 the parameters of interest, B its border with N nuisance coefficients and
 C = c (K kron I_2), empty (N = 0) for a matrix given densely. One rule
 validates every FIM: A symmetric and A - B C^{-1} B^T PSD, to tolerances
-relative to |A|_F + |B|_F + |c| |K|_1. Validation and schur_complement use
-the FIM's own blocks while C is positive definite, else (L = P = 0, say) the
-dense matrix taken as a border with C empty; so does a schur_complement that
-keeps more than A. eliminated_pair turns a FIM into delay/Doppler bounds;
+relative to |A|_F + |B|_F + |c| |K|_1. submatrix, drop and the keep of
+schur_complement act on the parameters of interest only, through the blocks.
+The dense matrix is built only as FimMatrix.entries, on request, and as the
+fallback of FimMatrix.solvable when C has no Cholesky factor (L = P = 0, or
+a singular K): validation and elimination then take it as a border with C
+empty. eliminated_pair turns a FIM into delay/Doppler bounds;
 Bound/BoundPair/CrbReport carry bound values, a method tag and a singularity
 flag, so rank-deficient scenarios (no unbiased estimator) give flagged results.
 """
@@ -231,16 +233,22 @@ class FimMatrix:
     def dim(self) -> int:
         return len(self.labels)
 
+    def _index(self, label: str) -> int:
+        if label not in self.labels[:len(self.border.a)]:
+            raise ValueError(f"{label!r} is not a parameter of interest")
+        return self.labels.index(label)
+
     def submatrix(self, labels) -> np.ndarray:
-        idx = [self.labels.index(lbl) for lbl in labels]
-        source = self.border.a if max(idx) < len(self.border.a) else self.entries
-        return source[np.ix_(idx, idx)]
+        idx = [self._index(lbl) for lbl in labels]
+        return self.border.a[np.ix_(idx, idx)]
 
     def drop(self, label: str) -> "FimMatrix":
-        """FIM with one parameter removed (treated as known, not eliminated)."""
-        keep = [i for i, lbl in enumerate(self.labels) if lbl != label]
-        return FimMatrix(self.entries[np.ix_(keep, keep)],
-                         tuple(self.labels[i] for i in keep), dict(self.meta))
+        """FIM with one parameter of interest removed (treated as known, not
+        eliminated): A loses its row and column (kept read-only), B its row."""
+        i, bd = self._index(label), self.border
+        a = Border.of(np.delete(np.delete(bd.a, i, 0), i, 1)).a
+        return FimMatrix(None, self.labels[:i] + self.labels[i + 1:], dict(self.meta),
+                         Border(a, np.delete(bd.b, i, 0), bd.c, bd.gram))
 
 
 def _eliminate(e: np.ndarray, keep: int, outer: float = 0.0) -> np.ndarray:
@@ -260,15 +268,15 @@ def _eliminate(e: np.ndarray, keep: int, outer: float = 0.0) -> np.ndarray:
 def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
     """Eliminate the trailing nuisance block: A - B C^{-1} B^T.
 
-    keep is the size of the leading parameter block that survives. Raises
-    SingularFimError when the nuisance block C is not invertible
-    (condition estimate above 1e12); a singular *result* is legitimate
-    and left to the caller to detect. C goes first, then the rows of A
-    beyond keep, densely (the quotient property of Schur complements).
+    keep is the size of the leading block of the parameters of interest
+    that survives. Raises SingularFimError when the nuisance block C is not
+    invertible (condition estimate above 1e12); a singular *result* is
+    legitimate and left to the caller to detect. C goes first, then the rows
+    of A beyond keep, densely (the quotient property of Schur complements).
     """
-    if keep < 1 or keep > fim.dim:
-        raise ValueError("keep must be between 1 and the FIM dimension")
-    border = fim.solvable if keep <= len(fim.solvable.a) else Border.of(fim.entries)
+    border = fim.solvable
+    if not 1 <= keep <= len(border.a):
+        raise ValueError("keep must be between 1 and the number of parameters of interest")
     if border.gram_singular:
         raise SingularFimError("nuisance block is singular")
     return _eliminate(border.schur, keep, border.c * border.gram_norm)

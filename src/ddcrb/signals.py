@@ -303,8 +303,6 @@ def synthesize_pulse_train(pt: PulseTrain) -> SampledSignal:
     Built once per train and kept (see memoised): every FIM of the train
     shares the one frozen signal and the sums kept on it.
     """
-    if pt.n_pulses < 1:
-        raise ValueError("need at least one pulse")
     m = pt.m
     samples = np.zeros(m, dtype=complex)
     deriv = np.zeros(m, dtype=complex)

@@ -51,15 +51,13 @@ class McConfig:
     """Monte Carlo setup: deterministic seeds and the 2-D search grids.
 
     tau_grid holds candidate delays in samples (integers); f_grid holds
-    Doppler candidates. refine turns on quadratic peak interpolation around
-    the grid maximum on both axes.
+    Doppler candidates.
     """
 
     trials: int
     seed: int
     tau_grid: tuple[int, ...]
     f_grid: tuple[float, ...]
-    refine: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "trials", operator.index(self.trials))
@@ -323,9 +321,9 @@ def _refine_axis(vals: np.ndarray, k0: np.ndarray, lines: np.ndarray) -> np.ndar
 def _peaks(stats: np.ndarray, cfg: McConfig, delta: float) -> np.ndarray:
     """(tau_hat, f_hat) in physical units at each grid's maximum (... x 2).
 
-    The maximum is the first largest cell; with cfg.refine each axis moves
-    by the offset of the parabola through the maximum and its two
-    neighbours on that axis, at most half a step, unless it sits on an edge.
+    The maximum is the first largest cell; each axis moves by the offset of
+    the parabola through the maximum and its two neighbours on that axis, at
+    most half a step, unless it sits on an edge.
     """
     n_tau, n_f = stats.shape[-2:]
     grids = stats.reshape(-1, n_tau, n_f)
@@ -333,11 +331,8 @@ def _peaks(stats: np.ndarray, cfg: McConfig, delta: float) -> np.ndarray:
     rows = np.arange(len(grids))
     tau_vals = np.asarray(cfg.tau_grid, dtype=float)
     f_vals = np.asarray(cfg.f_grid, dtype=float)
-    if cfg.refine:
-        n0_hat = _refine_axis(tau_vals, i0, grids[rows, :, j0])
-        f_hat = _refine_axis(f_vals, j0, grids[rows, i0])
-    else:
-        n0_hat, f_hat = tau_vals[i0], f_vals[j0]
+    n0_hat = _refine_axis(tau_vals, i0, grids[rows, :, j0])
+    f_hat = _refine_axis(f_vals, j0, grids[rows, i0])
     return np.stack([n0_hat * delta, f_hat], axis=-1).reshape(stats.shape[:-2] + (2,))
 
 
@@ -516,7 +511,7 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
     method. A singular unknown-signal bound (L = 0, P = 0 or a degenerate
     signal) gives two flagged rows and no simulation.
     """
-    details = {"trial_seed_rule": TRIAL_SEED_RULE, "refine": cfg.refine}
+    details = {"trial_seed_rule": TRIAL_SEED_RULE}
     bound_unknown = bounds.jcrb_unknown(sig, sc)
     if bound_unknown.singular:
         rows = tuple({"parameter": name, "estimator": "profiled_unknown_signal",

@@ -60,10 +60,12 @@ def eliminate(fim, keep):
 
 
 @settings(max_examples=150)
-@given(kind=st.sampled_from(KINDS), with_a=st.booleans(), keep=st.sampled_from((2, 3)),
+@given(kind=st.sampled_from(KINDS), with_a=st.booleans(), keep_a=st.booleans(),
        l=st.integers(0, 4), p=st.integers(0, 4), a=st.floats(0.5, 2.0),
        sigma_w2=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 31 - 1))
-def test_structured_elimination_matches_dense(kind, with_a, keep, l, p, a, sigma_w2, seed):
+def test_structured_elimination_matches_dense(kind, with_a, keep_a, l, p, a, sigma_w2, seed):
+    # keep counts parameters of interest only: a is one when with_a
+    keep = 2 + (with_a and keep_a)
     if p == 0 and (with_a or kind != "samples"):
         with pytest.raises(ValueError):
             build_fim(kind, with_a, l, p, a, sigma_w2, seed)
@@ -136,6 +138,45 @@ def test_no_look_nuisance_block_falls_back_to_dense():
     assert fim.border.schur is None
     with pytest.raises(SingularFimError):
         schur_complement(fim)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("with_a", (False, True))
+def test_each_builder_validates_once(kind, with_a, monkeypatch):
+    calls = []
+    validate = FimMatrix.__post_init__
+    monkeypatch.setattr(FimMatrix, "__post_init__",
+                        lambda self, dense: calls.append(1) or validate(self, dense))
+    build_fim(kind, with_a, 2, 1, 1.3, 0.5, seed=5)
+    assert len(calls) == 1
+
+
+def test_drop_a_eliminates_on_the_blocks():
+    """At the CLI default train neither FIM builds its dense (2 + 2M)^2
+    matrix, and dropping a leaves the known-scale FIM bit for bit."""
+    pt = d.gaussian_pulse_train(500, 0.01, 4.0, 9.0, np.ones(2, dtype=complex))
+    sig = d.synthesize_pulse_train(pt)
+    sc = d.Scenario(tau0=0.05, f0=20.0, looks_direct=1, looks_reflected=1,
+                    sigma_w2=1.0, scale=1.5)
+    with_a, plain = d.fim_unknown_a(sig, sc), d.fim_unknown_signal(sig, sc)
+    dropped = with_a.drop("a")
+    pair = eliminated_pair(dropped)
+    assert sig.m == 1000 and dropped.labels == plain.labels
+    assert "entries" not in vars(with_a) and "entries" not in vars(dropped)
+    assert pair == eliminated_pair(plain)
+
+
+def test_cuts_outside_the_parameters_of_interest_rejected():
+    fim = build_fim("samples", False, 2, 1, 1.3, 0.5, seed=5)
+    for label in ("sR_0", "a", "nope"):
+        with pytest.raises(ValueError, match="parameter of interest"):
+            fim.drop(label)
+        with pytest.raises(ValueError, match="parameter of interest"):
+            fim.submatrix(("tau0", label))
+    for keep in (0, 3):
+        with pytest.raises(ValueError, match="parameters of interest"):
+            schur_complement(fim, keep)
+    assert "entries" not in vars(fim)
 
 
 def test_gram_schur_computed_once_per_fim(monkeypatch):

@@ -331,6 +331,20 @@ class TestCrbCorrelated:
         with pytest.raises(ValueError, match="positive semidefinite"):
             d.crb_correlated(model, g)
 
+    def test_psd_tolerance_is_that_of_the_fim_matrix(self, monkeypatch):
+        # 81 unit eigenvalues: |lambda|_2 = 9 max |lambda|, so lambda_min =
+        # -1.5 PSD_RTOL lies inside the |A|_F tolerance but not inside a
+        # max |lambda| one
+        sig, sc = small_setup()
+        model = d.build_stacked(sig, sc, np.eye(16, dtype=complex))
+        g = d.dc_list(model, sig, sc)
+        bad = np.diag([1.0] * 81 + [-1.5 * PSD_RTOL])
+        d.FimMatrix(bad, tuple(f"theta_{i}" for i in range(len(bad))))
+        monkeypatch.setattr(d.covariance, "_trace_form", lambda model, dc: bad)
+        rep = d.crb_correlated(model, g)
+        assert not rep.singular and rep.details["null_directions"] == 1
+        assert (rep.values["tau0"], rep.values["f0"]) == (1.0, 1.0)
+
     def test_no_direct_look_flags_singular(self):
         rng = np.random.default_rng(13)
         sig, _ = small_setup()

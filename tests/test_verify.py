@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -131,17 +132,6 @@ class TestProfileMl:
             d.profile_ml_estimate(obs, sc0, cfg)
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
-    def test_refine_off_stays_on_grid(self, estimator):
-        sig, sc, cfg = mc_setup(sigma_w2=1e-4)
-        cfg_raw = d.McConfig(trials=cfg.trials, seed=cfg.seed,
-                             tau_grid=cfg.tau_grid, f_grid=cfg.f_grid,
-                             refine=False)
-        obs = d.simulate_observations(sig, sc, 7)
-        tau_hat, f_hat = ESTIMATORS[estimator](obs, sig, sc, cfg_raw)
-        assert tau_hat in [n0 * sig.delta for n0 in cfg.tau_grid]
-        assert f_hat in cfg.f_grid
-
-    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_window_leaving_the_record_rejected(self, estimator):
         sig, sc, cfg = mc_setup(n0=4)
         # the record ends at n0 + 4 + M, so a delay of n0 + 5 samples overruns it
@@ -181,10 +171,7 @@ def loop_grid_search(obs, cfg, stat_row):
         v = obs.reflected[:, n0c:n0c + m].sum(axis=0)
         stat[i] = stat_row(v, np.outer(f_vals, (np.arange(m) + n0c) * obs.delta))
     i0, j0 = np.unravel_index(int(np.argmax(stat)), stat.shape)
-    if cfg.refine:
-        n0_hat, f_hat = scalar_refine(stat, i0, j0, tau_vals, f_vals)
-    else:
-        n0_hat, f_hat = float(tau_vals[i0]), float(f_vals[j0])
+    n0_hat, f_hat = scalar_refine(stat, i0, j0, tau_vals, f_vals)
     return n0_hat * obs.delta, f_hat
 
 
@@ -201,7 +188,7 @@ LOOP_ESTIMATORS = {
 
 SEARCH_CASES = dict(
     l=st.integers(1, 3), p=st.integers(1, 10), n0=st.integers(0, 12),
-    n_tau=st.integers(3, 15), n_f=st.integers(3, 41), refine=st.booleans(),
+    n_tau=st.integers(3, 15), n_f=st.integers(3, 41),
     log_sigma=st.sampled_from([-4, -2, 0]), seed=st.integers(0, 2 ** 32 - 1))
 
 # the batched search expands |u + p v|^2 and so agrees with the loop only up
@@ -209,20 +196,21 @@ SEARCH_CASES = dict(
 REFINE_TOL_STEPS = 1e-9
 
 
-def check_against_loop(l, p, n0, n_tau, n_f, refine, log_sigma, seed):
+def check_against_loop(l, p, n0, n_tau, n_f, log_sigma, seed):
     sig, sc, _ = mc_setup(sigma_w2=10.0 ** log_sigma, l=l, p=p, n0=n0)
     lo = max(0, n0 - n_tau // 2)
     sc = d.Scenario(tau0=sc.tau0, f0=sc.f0, looks_direct=l, looks_reflected=p,
                     sigma_w2=sc.sigma_w2, record_length=lo + n_tau - 1 + sig.m)
     cfg = d.McConfig(trials=1, seed=seed, tau_grid=tuple(range(lo, lo + n_tau)),
-                     f_grid=tuple(np.linspace(sc.f0 - 0.1, sc.f0 + 0.1, n_f)),
-                     refine=refine)
-    raw = dataclasses.replace(cfg, refine=False)
+                     f_grid=tuple(np.linspace(sc.f0 - 0.1, sc.f0 + 0.1, n_f)))
     obs = d.simulate_observations(sig, sc, seed)
     steps = np.array([sig.delta, cfg.f_grid[1] - cfg.f_grid[0]])
     for name, estimate in ESTIMATORS.items():
-        # the same grid cell, so the same unrefined estimate bit for bit
-        assert estimate(obs, sig, sc, raw) == LOOP_ESTIMATORS[name](obs, sig, sc, raw), name
+        # the same grid cell, so the same estimate before the refine bit for bit
+        with mock.patch.object(verify, "_refine_axis", lambda vals, k0, lines: vals[k0]), \
+                mock.patch.object(sys.modules[__name__], "scalar_refine",
+                                  lambda stat, i0, j0, tau, f: (tau[i0], f[j0])):
+            assert estimate(obs, sig, sc, cfg) == LOOP_ESTIMATORS[name](obs, sig, sc, cfg), name
         got = np.array(estimate(obs, sig, sc, cfg))
         want = np.array(LOOP_ESTIMATORS[name](obs, sig, sc, cfg))
         assert np.all(np.abs(got - want) <= REFINE_TOL_STEPS * steps), (name, got - want)
