@@ -44,11 +44,18 @@ def band_cholesky(band: np.ndarray) -> np.ndarray | None:
     main one, zero past the end (LAPACK pbtrf 'L' layout); the factor L
     comes back in the same layout. Column by column, each column updated by
     the b before it (Golub and Van Loan, Matrix Computations, band Cholesky
-    in 4.3): O(N b^2).
+    in 4.3): O(N b^2), on Python floats. A tridiagonal K (b = 1, the pulse
+    Gram matrix) takes the written-out recurrence c0 = K[j, j] - l^2,
+    piv = sqrt(c0), l = K[j + 1, j] / piv: the general loop's operations in
+    its order, so the factor is the same bit for bit (tests/test_band.py
+    compares the bytes of both paths).
     """
-    # Python floats: for the narrow bands here a scalar loop beats a few
-    # numpy calls per column
     f = np.asarray(band, dtype=float).tolist()
+    return _cholesky_tridiagonal(*f) if len(f) == 2 else _cholesky_loop(f)
+
+
+def _cholesky_loop(f: list) -> np.ndarray | None:
+    """band_cholesky of the band rows f (lists, overwritten), any b."""
     nb, n = len(f), len(f[0])
     for j in range(n):
         top = min(nb, n - j)  # rows j .. j + top - 1 of column j
@@ -66,12 +73,37 @@ def band_cholesky(band: np.ndarray) -> np.ndarray | None:
     return np.array(f)
 
 
+def _cholesky_tridiagonal(diag: list, sub: list) -> np.ndarray | None:
+    """band_cholesky of the b = 1 band rows (diag, sub)."""
+    pivs, low, l = [], [], 0.0
+    for dj, ej in zip(diag, sub):
+        c0 = dj - l * l  # dj - 0.0 is dj in the first column
+        if not c0 > 0.0:
+            return None
+        piv = math.sqrt(c0)
+        l = ej / piv
+        pivs.append(piv)
+        low.append(l)
+    if low:
+        low[-1] = sub[-1]  # no row below the last column: kept as given
+    return np.array([pivs, low])
+
+
 def band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Y with L Y = rhs by forward substitution, L a band_cholesky factor
-    and rhs N x r: O(N b r)."""
+    and rhs N x r: O(N b r). For b = 1 each column of rhs runs the
+    recurrence y[i] = (rhs[i] - L[i, i - 1] y[i - 1]) / L[i, i], the general
+    loop's operations in its order, so Y is the same bit for bit (and
+    C-ordered, as the general loop returns it)."""
     f = factor.tolist()
+    rhs = np.asarray(rhs, dtype=float)
+    return _solve_tridiagonal(*f, rhs) if len(f) == 2 else _solve_loop(f, rhs)
+
+
+def _solve_loop(f: list, rhs: np.ndarray) -> np.ndarray:
+    """band_solve by the factor's band rows f, any b: one row of Y at a time."""
     nb, n = len(f), len(f[0])
-    y = np.asarray(rhs, dtype=float).tolist()
+    y = rhs.tolist()
     for i in range(n):
         row = y[i]
         for m in range(1, min(nb, i + 1)):
@@ -80,6 +112,19 @@ def band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         piv = f[0][i]
         y[i] = [a / piv for a in row]
     return np.array(y)
+
+
+def _solve_tridiagonal(pivs: list, sub: list, rhs: np.ndarray) -> np.ndarray:
+    """band_solve by the b = 1 factor rows (pivs, sub): one column at a time."""
+    out = []
+    for r in rhs.T.tolist():
+        yi = r[0] / pivs[0]
+        col = [yi]
+        for ri, li, piv in zip(r[1:], sub, pivs[1:]):
+            yi = (ri - li * yi) / piv
+            col.append(yi)
+        out.append(col)
+    return np.array(out).T.copy()
 
 
 def band_norm1(band: np.ndarray) -> float:
@@ -178,7 +223,9 @@ class Border:
                 return None
             k = len(self.a)
             y = band_solve(factor, np.hstack([self.b[:, 0::2].T, self.b[:, 1::2].T]))
-            out = self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
+            # as written, on a C-ordered y: numpy may send another layout or
+            # product form to another BLAS routine, which can move the last bits
+            out =self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
         out = 0.5 * (out + out.T)
         out.setflags(write=False)
         return out
