@@ -14,8 +14,8 @@ import functools
 
 import numpy as np
 
-from .fim import Border, BoundPair, FimMatrix
-from .signals import SampledSignal, Scenario, eta, memoised
+from .fim import Border, BoundPair, FimMatrix, PairColumns
+from .signals import SampledSignal, Scenario, ScenarioColumns, eta, memoised
 
 TWO_PI2 = 8.0 * np.pi ** 2
 # Cauchy-Schwarz determinants this far below their natural scale are treated
@@ -32,14 +32,6 @@ def weighted_sums(sig: SampledSignal, tau0: float) -> tuple[float, float, float]
     s_dd = float(np.sum(np.abs(sig.deriv) ** 2))
     s_ww = float(np.sum(w ** 2 * np.abs(sig.samples) ** 2))
     return s_dd, s_ww, eta(sig, tau0)
-
-
-def look_factor(sc: Scenario) -> float | None:
-    """(L + a^2 P)/(L P), or None when either look count is zero."""
-    l, p = sc.looks_direct, sc.looks_reflected
-    if l == 0 or p == 0:
-        return None
-    return (l + sc.scale ** 2 * p) / (l * p)
 
 
 def fim_known_signal(sig: SampledSignal, sc: Scenario) -> FimMatrix:
@@ -94,26 +86,46 @@ def jcrb_known(sig: SampledSignal, sc: Scenario) -> BoundPair:
 
 
 def signal_bounds(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPair, BoundPair]:
-    """(jcrb_known, jcrb_unknown, crb_separate_unknown) from one set of weighted sums."""
-    s_dd, s_ww, e = weighted_sums(sig, sc.tau0)
-    den = s_dd * s_ww - e * e
-    if den <= DEGENERACY_RTOL * s_dd * s_ww or s_dd <= 0.0:
-        known = BoundPair.singular_pair("degenerate signal: zero information determinant")
-    else:
-        known = BoundPair(tau0=sc.sigma_w2 * s_ww / (2.0 * den),
-                          f0=sc.sigma_w2 * s_dd / (TWO_PI2 * den))
-    factor = look_factor(sc)
-    if factor is None:
-        return (known,
-                BoundPair.singular_pair("L = 0 or P = 0: no unbiased joint estimator"),
-                BoundPair.singular_pair("L = 0 or P = 0: no unbiased estimator"))
-    a2 = sc.scale ** 2
-    if s_dd <= 0.0 or s_ww <= 0.0:
-        separate = BoundPair.singular_pair("degenerate signal: zero information")
-    else:
-        separate = BoundPair(tau0=factor * sc.sigma_w2 / (2.0 * a2 * s_dd),
-                             f0=factor * sc.sigma_w2 / (TWO_PI2 * a2 * s_ww))
-    return known, known.scaled(factor / a2), separate
+    """(jcrb_known, jcrb_unknown, crb_separate_unknown) from one set of weighted
+    sums: the one-point case of signal_bound_columns."""
+    return tuple(col.pair() for col in signal_bound_columns([sig], ScenarioColumns.of(sc)))
+
+
+def signal_bound_columns(signals: list[SampledSignal],
+                         pts: ScenarioColumns) -> tuple[PairColumns, ...]:
+    """(known, joint, separate) bounds of every row of pts, from the weighted
+    sums of each row's signal at its delay: signals holds one signal per row
+    and pts one delay, or one signal for every row.
+
+    known: sigma_w2 sum (t+tau0)^2|s|^2 / (2 den) and sigma_w2 sum|s'|^2 /
+    (8 pi^2 den), den = sum|s'|^2 sum (t+tau0)^2|s|^2 - eta^2, singular when
+    den is not above DEGENERACY_RTOL of its lead or sum|s'|^2 is not positive.
+    joint: known times (L + a^2 P)/(L P) / a^2. separate: that look factor
+    times sigma_w2/(2 a^2 sum|s'|^2) and sigma_w2/(8 pi^2 a^2 sum
+    (t+tau0)^2|s|^2). L = 0 or P = 0 flags joint and separate. Python's
+    operations in the scalar forms' order, so each row is those forms' value
+    bit for bit.
+    """
+    tau0s = pts.tau0.tolist()
+    s_dd, s_ww, e = np.array([weighted_sums(sig, t) for sig in signals for t in tau0s]).T
+    l, p, s2, a2 = pts.looks_direct, pts.looks_reflected, pts.sigma_w2, pts.scale2
+    no_looks = (l == 0) | (p == 0)
+    with np.errstate(all="ignore"):
+        den = s_dd * s_ww - e * e
+        known = PairColumns.flagged(
+            s2 * s_ww / (2.0 * den), s2 * s_dd / (TWO_PI2 * den),
+            ((den <= DEGENERACY_RTOL * s_dd * s_ww) | (s_dd <= 0.0),
+             "degenerate signal: zero information determinant"))
+        factor = (l + a2 * p) / (l * p)
+        joint = PairColumns.flagged(
+            known.tau0 * (factor / a2), known.f0 * (factor / a2),
+            (no_looks, "L = 0 or P = 0: no unbiased joint estimator"),
+            (known.notes != "", known.notes))
+        separate = PairColumns.flagged(
+            factor * s2 / (2.0 * a2 * s_dd), factor * s2 / (TWO_PI2 * a2 * s_ww),
+            (no_looks, "L = 0 or P = 0: no unbiased estimator"),
+            ((s_dd <= 0.0) | (s_ww <= 0.0), "degenerate signal: zero information"))
+    return known, joint, separate
 
 
 @functools.lru_cache

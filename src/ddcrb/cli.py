@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -22,12 +23,14 @@ import click
 import numpy as np
 
 from . import __version__
-from .bounds import fim_unknown_signal, signal_bounds
-from .fim import METHOD_CLOSED_FORM, METHOD_MONTE_CARLO, eliminated_pair
+from .bounds import fim_unknown_signal, signal_bound_columns
+from .fim import (METHOD_CLOSED_FORM, METHOD_MONTE_CARLO, OVERFLOW_NOTE, PairColumns,
+                  eliminated_pair)
 from .overlap import triangle_overlap_curve
-from .scaled import jcrb_structure_known_a
-from .signals import (PulseTrain, SampledSignal, Scenario, gaussian_pulse_train,
-                      synthesize_pulse_train, triangle_wave)
+from .scaled import structure_bound_columns
+from .signals import (PulseTrain, SampledSignal, Scenario, ScenarioColumns,
+                      gaussian_pulse_train, load_signal_file, synthesize_pulse_train,
+                      triangle_wave)
 from .verify import McConfig, monte_carlo_report
 
 
@@ -94,6 +97,8 @@ OVERLAP_MAX_M = 8192
 # Monte Carlo work grows with each of these settings (500 trials of the
 # default grid take tens of milliseconds); a larger value is taken to be a typo
 MONTECARLO_MAX = {"trials": 1_000_000, "fpoints": 10_000, "tauspan": 10_000}
+# samples n0 + tauspan + M of one look record, of which each trial keeps a few per look
+MONTECARLO_MAX_RECORD = 1_000_000
 # table1's bound columns in order: each unknown-signal bound by its known one
 TABLE1_COLUMNS = ("jcrb_tau0_s", "jcrb_tau0", "jcrb_f0_s", "jcrb_f0",
                   "jcrb_tau0_s_schur", "jcrb_f0_s_schur", "ratio_tau0", "ratio_f0")
@@ -110,11 +115,11 @@ def _usage_errors():
         raise click.UsageError(str(exc)) from exc
 
 
-def _check_caps(cfg, caps: dict) -> None:
-    """Usage error for any setting above its cap in caps ({config key: cap})."""
+def _check_caps(values, caps: dict) -> None:
+    """Usage error for any of values (a config) above its cap in caps ({key: cap})."""
     for key, cap in caps.items():
-        if cfg[key] > cap:
-            raise click.UsageError(f"--{key} {cfg[key]} is above the cap of {cap}")
+        if values[key] > cap:
+            raise click.UsageError(f"{key} = {values[key]:.6g} is above the cap of {cap}")
 
 
 @dataclass
@@ -147,50 +152,6 @@ def _resolve_delta(cfg: RunConfig, given: dict) -> float:
     return derived
 
 
-def _load_signal_file(path: str) -> SampledSignal:
-    """Samples, delta and optional derivative from a .npz file (complex
-    arrays) or a .json file (one object of real and optional imaginary
-    parts)."""
-    if path.endswith(".npz"):
-        data, part = np.load(path), ""
-    else:
-        with open(path) as fh:
-            try:
-                data, part = json.load(fh), "_real"
-            except ValueError as exc:
-                raise click.UsageError(f"signal file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise click.UsageError(f"signal file {path} must hold one JSON object")
-    for key in ("samples" + part, "delta"):
-        if key not in data:
-            raise click.UsageError(f"signal file {path} has no {key!r}")
-
-    def array(key, dtype, ndim):
-        try:
-            arr = np.asarray(data[key], dtype)
-        except (TypeError, ValueError):
-            arr = None
-        if arr is None or arr.ndim != ndim:
-            shape = "a number" if ndim == 0 else "a 1-D array of numbers"
-            raise click.UsageError(f"signal file {path}: {key!r} must be {shape}")
-        return arr
-
-    def values(name):
-        if not part:
-            return array(name, complex, 1)
-        real = array(name + part, float, 1)
-        imag = array(name + "_imag", float, 1) if name + "_imag" in data else np.zeros(real.shape)
-        if imag.shape != real.shape:
-            raise click.UsageError(f"signal file {path}: {name + '_imag'!r} and "
-                                   f"{name + part!r} differ in length")
-        return real + 1j * imag
-
-    samples, delta = values("samples"), float(array("delta", float, 0))
-    if "deriv" + part in data:
-        return SampledSignal(samples, delta, values("deriv"))
-    return SampledSignal.from_samples(samples, delta)
-
-
 def build_signal(cfg: RunConfig, delta: float,
                  convention: str | None = None) -> tuple[SampledSignal, PulseTrain | None]:
     """Signal selected by the config: pulse train, triangle, or file."""
@@ -207,21 +168,36 @@ def build_signal(cfg: RunConfig, delta: float,
             return synthesize_pulse_train(pt), pt
         if kind == "triangle":
             return triangle_wave(cfg["M"], delta), None
-        return _load_signal_file(kind), None
+        return load_signal_file(kind), None
 
 
-def _pair_columns(pairs: dict) -> tuple[dict, dict, list[str]]:
-    """Cells of {key pattern: BoundPair}, where {} in the pattern is tau0 or
-    f0: their values, their method tags (each its pair's) and the keys of
-    the singular pairs, whose values are None."""
-    row, tags, flagged = {}, {}, []
-    for pattern, pair in pairs.items():
-        keys = pattern.format("tau0"), pattern.format("f0")
-        tags.update(dict.fromkeys(keys, pair.method))
-        row.update(zip(keys, (None, None) if pair.singular else (pair.tau0, pair.f0)))
-        if pair.singular:
-            flagged += keys
-    return row, tags, flagged
+def _rows(lead: dict, columns: dict, keys=None) -> tuple[list[dict], list[dict]]:
+    """Rows of the lead cells ({key: one value per row, or one for all}),
+    the cells of {key pattern: PairColumns} ({} is tau0 or f0) and the
+    singular keys, as keys (default all) picks them; and each row's tags.
+    A bound cell that is not finite and positive prints as None and is
+    listed as singular; a note on stderr names those of pairs not singular."""
+    n = max(col.tau0.size for col in columns.values())
+    cells = {key: value if isinstance(value, list) else [value] * n
+             for key, value in lead.items()}
+    tags, bad, overflowed = {}, {}, []
+    for pattern, col in columns.items():
+        for part in ("tau0", "f0"):
+            key, values = pattern.format(part), getattr(col, part)
+            if values.size != n:  # one row stands for every row
+                values = np.repeat(values, n)
+            bad[key] = ~((values > 0.0) & (values < np.inf))
+            cells[key], tags[key] = values.tolist(), col.method
+            for i in np.flatnonzero(bad[key]):
+                cells[key][i] = None
+            overflowed += [key] * bool(np.any(bad[key] & (col.notes == "")))
+    if overflowed:
+        click.echo(f"note: {', '.join(overflowed)}: {OVERFLOW_NOTE}; printed as null", err=True)
+    cells["singular"] = [";".join(itertools.compress(bad, row))
+                         for row in zip(*(mask.tolist() for mask in bad.values()))]
+    keys = keys or list(cells)
+    tags = {key: tags[key] for key in keys if key in tags}
+    return [dict(zip(keys, row)) for row in zip(*(cells[key] for key in keys))], [tags] * n
 
 
 # one compact C encoder per indent depth of write_rows' flat dicts: its item
@@ -244,10 +220,13 @@ def _rows_json(config: dict, rows: list[dict], methods: list[dict],
 
     Every dict of the payload (config, provenance, each row's values and
     methods) holds scalars only, so each goes through the C encoder whole
-    and only the brackets around them are written here.
+    and only the brackets around them are written here. Rows that share one
+    tag dict (every row of a bound table) share its text.
     """
+    shared = {id(tags): tags for tags in methods}
+    tag_texts = {key: _json_flat_dict(tags, 3) for key, tags in shared.items()}
     items = [f'    {{\n      "values": {_json_flat_dict(row, 3)},\n'
-             f'      "methods": {_json_flat_dict(tags, 3)}\n    }}'
+             f'      "methods": {tag_texts[id(tags)]}\n    }}'
              for row, tags in zip(rows, methods)]
     rows_text = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
     return (f'{{\n  "config": {_json_flat_dict(config, 1)},\n  "rows": {rows_text},\n'
@@ -334,17 +313,13 @@ def cmd_crb(config_path, **flags):
     conventions = ["unit", "sqrt2"] if (cfg["amp_convention"] == "both"
                                         and cfg["signal"] == "gaussian_pulse_train") \
         else [cfg["amp_convention"]]
-    rows, methods = [], []
-    for convention in conventions:
-        sig, pt = build_signal(cfg, delta, convention)
-        sc = cfg.scenario()
-        cols, tags, flagged = _pair_columns(_bound_pairs(sig, pt, sc))
-        rows.append({"amp_convention": convention if pt is not None else None,
-                     "L": sc.looks_direct, "P": sc.looks_reflected, "a": sc.scale,
-                     "sigma_w2": sc.sigma_w2, "tau0": sc.tau0, "f0": sc.f0,
-                     **cols, "singular": ";".join(flagged)})
-        methods.append(tags)
-    write_rows(rows, methods, cfg)
+    signals = [build_signal(cfg, delta, convention) for convention in conventions]
+    sc = cfg.scenario()
+    lead = {"amp_convention": [c if pt is not None else None
+                               for c, (_, pt) in zip(conventions, signals)],
+            "L": sc.looks_direct, "P": sc.looks_reflected, "a": sc.scale,
+            "sigma_w2": sc.sigma_w2, "tau0": sc.tau0, "f0": sc.f0}
+    write_rows(*_rows(lead, _bound_columns(signals, ScenarioColumns.of(sc))), cfg)
 
 
 @_command("table1")
@@ -356,23 +331,22 @@ def cmd_table1(config_path, **flags):
     the unknown/known ratio, which equals (L+P)/(L*P).
     """
     cfg, given = merge_config(config_path, **flags)
-    delta = _resolve_delta(cfg, given)
-    conventions = ["unit", "sqrt2"] if cfg["amp_convention"] == "both" else [cfg["amp_convention"]]
     if cfg["signal"] != "gaussian_pulse_train":
         raise click.UsageError("table1 is defined for the gaussian_pulse_train signal")
-    rows, methods = [], []
-    for convention in conventions:
-        sig, _ = build_signal(cfg, delta, convention)
-        for looks in (1, 2, 100):
-            sc = cfg.scenario(looks_direct=looks, looks_reflected=1, scale=1.0)
-            known, unknown, _ = signal_bounds(sig, sc)
-            cols, tags, _ = _pair_columns({
-                "jcrb_{}_s": unknown, "jcrb_{}": known, "ratio_{}": unknown.over(known),
-                "jcrb_{}_s_schur": eliminated_pair(fim_unknown_signal(sig, sc))})
-            rows.append({"amp_convention": convention, "L": looks,
-                         **{key: cols[key] for key in TABLE1_COLUMNS}})
-            methods.append({key: tags[key] for key in TABLE1_COLUMNS})
-    write_rows(rows, methods, cfg)
+    delta = _resolve_delta(cfg, given)
+    conventions = ["unit", "sqrt2"] if cfg["amp_convention"] == "both" else [cfg["amp_convention"]]
+    signals = {c: build_signal(cfg, delta, c)[0] for c in conventions}
+    lead = {"amp_convention": [c for c in conventions for _ in range(3)],
+            "L": [1, 2, 100] * len(conventions)}
+    scenarios = [cfg.scenario(looks_direct=n, looks_reflected=1, scale=1.0) for n in lead["L"]]
+    cols = _bound_columns([(signals[c], None) for c in lead["amp_convention"]],
+                          ScenarioColumns.of(scenarios[0], looks_direct=lead["L"]))
+    cols["ratio_{}"] = cols["jcrb_{}_s"].over(cols["jcrb_{}"])
+    # the independent check: each row's FIM eliminated numerically
+    cols["jcrb_{}_s_schur"] = PairColumns.stack(
+        [eliminated_pair(fim_unknown_signal(signals[c], sc))
+         for c, sc in zip(lead["amp_convention"], scenarios)])
+    write_rows(*_rows(lead, cols, keys=("amp_convention", "L", *TABLE1_COLUMNS)), cfg)
 
 
 def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
@@ -401,6 +375,8 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
         raise click.UsageError(f"sweep {spec!r} has about {points:.6g} points; "
                                f"at most {SWEEP_MAX_POINTS} are allowed")
     values = np.arange(start, stop + step / 2, step)
+    if not values.size:  # start == stop, and stop + step/2 rounded back to stop
+        raise click.UsageError(f"sweep {spec!r} has no points at float precision")
     if counts:
         values = values.astype(int)
     # the counts have a least value; a and sigma_w2 must be positive
@@ -411,16 +387,20 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     return axis, values
 
 
-def _bound_pairs(sig, pt, sc, tag: str = "") -> dict:
-    """{column pattern: BoundPair} for the known-signal, unknown-signal
-    joint and separate, and, given a pulse train, known-structure bounds;
-    tag suffixes all but the known-signal pattern. The known-signal
-    reference is the single-look bound at the scenario's reflected scale,
-    so the unknown/known ratio is the look factor exactly."""
-    known, joint, separate = signal_bounds(sig, sc)
-    structured = {} if pt is None else {f"jcrb_{{}}_b{tag}": jcrb_structure_known_a(pt, sc)}
-    return {"jcrb_{}": known.scaled(1.0 / sc.scale ** 2), f"jcrb_{{}}_s{tag}": joint,
-            f"crb_{{}}_s{tag}": separate, **structured}
+def _bound_columns(signals: list, pts: ScenarioColumns, tag: str = "") -> dict:
+    """{column pattern: PairColumns} of the known-signal (at the row's scale,
+    so the unknown/known ratio is the look factor), unknown-signal joint and
+    separate and, given trains, known-structure bounds at every row of pts:
+    each family once. signals: one (signal, train or None) per row and pts
+    one delay, or one for every row; tag suffixes all but the known-signal
+    pattern."""
+    sigs, trains = zip(*signals)
+    known, joint, separate = signal_bound_columns(sigs, pts)
+    columns = {"jcrb_{}": known.scaled(1.0 / pts.scale2), f"jcrb_{{}}_s{tag}": joint,
+               f"crb_{{}}_s{tag}": separate}
+    if trains[0] is not None:
+        columns[f"jcrb_{{}}_b{tag}"] = structure_bound_columns(trains, pts)
+    return columns
 
 
 @_command("sweep")
@@ -429,44 +409,36 @@ def cmd_sweep(config_path, **flags):
 
     The L axis emits both the P=1 and the P=L families; the n_p axis
     rebuilds the pulse train per point (with delta = Tp/np when --Tp is
-    given); other axes vary one scenario field.
+    given); other axes vary one scenario field. Each bound family is
+    evaluated once over the axis.
     """
     cfg, given = merge_config(config_path, **flags)
     if not cfg["sweep"]:
         raise click.UsageError("sweep requires --sweep axis=start:stop[:step]")
     axis, values = _parse_sweep(cfg["sweep"])
-    if axis != "n_p":
-        # only the n_p axis changes the signal
-        delta = _resolve_delta(cfg, given)
-        sig, pt = build_signal(cfg, delta)
-    rows, methods = [], []
-    for value in values:
-        if axis == "n_p":
-            local = RunConfig({**cfg.values, "np": int(value)})
-            delta = _resolve_delta(local, given)
-            sig, pt = build_signal(local, delta)
-            row, scenarios = {"n_p": int(value), "delta": delta}, {"": local.scenario()}
-        elif axis == "L":
-            looks = int(value)
-            row = {"L": looks}
-            scenarios = {f"_{tag}": cfg.scenario(looks_direct=looks, looks_reflected=p_val)
-                         for tag, p_val in (("p1", 1), ("pl", max(looks, 1)))}
-        else:
-            point = value.item()
-            row = {axis: point}
-            if axis == "n0":
-                row["tau0"] = point = point * delta
-            scenarios = {"": cfg.scenario(**{_SWEEP_FIELDS[axis]: point})}
-        pairs = {}
-        for tag, sc in scenarios.items():
-            # sweeps omit the separate bounds; the known-signal pair does not
-            # depend on the looks, so every tag gives the same one
-            pairs.update((key, pair) for key, pair in _bound_pairs(sig, pt, sc, tag).items()
-                         if not key.startswith("crb"))
-        cols, tags, flagged = _pair_columns(pairs)
-        rows.append({**row, **cols, "singular": ";".join(flagged)})
-        methods.append(tags)
-    write_rows(rows, methods, cfg)
+    lead = {axis: values.tolist()}
+    # only the n_p axis changes the signal: one train per row
+    configs = [RunConfig({**cfg.values, "np": n}) for n in lead[axis]] if axis == "n_p" else [cfg]
+    deltas = [_resolve_delta(local, given) for local in configs]
+    signals = [build_signal(local, delta) for local, delta in zip(configs, deltas)]
+    if axis == "n_p":
+        lead["delta"] = deltas
+    if axis == "n0":
+        values = values * deltas[0]
+        lead["tau0"] = values.tolist()
+    families = {"": {_SWEEP_FIELDS[axis]: values} if axis in _SWEEP_FIELDS else {}}
+    if axis == "L":
+        families = {f"_{tag}": {"looks_direct": values, "looks_reflected": p_val}
+                    for tag, p_val in (("p1", 1), ("pl", np.maximum(values, 1)))}
+    columns = {}
+    for tag, fields in families.items():
+        with _usage_errors():
+            pts = ScenarioColumns.of(cfg.scenario(), **fields)
+        # sweeps omit the separate bounds; the known-signal pair does not
+        # depend on the looks, so every tag gives the same one
+        columns.update((key, col) for key, col in _bound_columns(signals, pts, tag).items()
+                       if not key.startswith("crb"))
+    write_rows(*_rows(lead, columns), cfg)
 
 
 @_command("overlap")
@@ -494,6 +466,9 @@ def cmd_montecarlo(config_path, **flags):
         raise click.UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
     delta = _resolve_delta(cfg, given)
     sig, _ = build_signal(cfg, delta)
+    record = "look record n0 + tauspan + M"  # tau0/delta may be inf
+    _check_caps({record: cfg["tau0"] / delta + cfg["tauspan"] + sig.m},
+                {record: MONTECARLO_MAX_RECORD})
     with _usage_errors():
         # an off-grid --tau0 is an error, not snapped to the sample grid
         n0 = cfg.scenario().delay_samples(delta)

@@ -396,6 +396,70 @@ class BoundPair:
         return cls(float("inf"), float("inf"), True, note, method)
 
 
+# why a value a closed form computed from finite inputs is flagged anyway
+OVERFLOW_NOTE = "no finite positive bound: the sums or the bound overflowed"
+
+
+@dataclass(frozen=True)
+class PairColumns:
+    """BoundPairs of many points from one formula path, as columns: row i is
+    pair(i). notes[i] says why pair i is singular ("" when it is not), and a
+    singular pair's values are inf. A column of length 1 stands for every row."""
+
+    tau0: np.ndarray
+    f0: np.ndarray
+    notes: np.ndarray
+    method: str = METHOD_CLOSED_FORM
+
+    @classmethod
+    def flagged(cls, tau0, f0, *conditions, method: str = METHOD_CLOSED_FORM) -> "PairColumns":
+        """Values with the rows of each (mask, note) condition made singular;
+        where several hold, the first one's note is kept. A note may be one
+        per row."""
+        if np.shape(tau0) != np.shape(f0):
+            tau0, f0 = np.broadcast_arrays(tau0, f0)
+        notes = np.full(np.shape(tau0), "", dtype=object)
+        singular = np.zeros(notes.shape, dtype=bool)
+        for mask, note in reversed(conditions):
+            if mask.any():
+                mask = np.broadcast_to(mask, notes.shape)
+                notes[mask] = np.broadcast_to(np.asarray(note, dtype=object), notes.shape)[mask]
+                singular |= mask
+        if not singular.any():
+            return cls(tau0, f0, notes, method)
+        return cls(np.where(singular, np.inf, tau0), np.where(singular, np.inf, f0),
+                   notes, method)
+
+    @classmethod
+    def stack(cls, pairs: list[BoundPair]) -> "PairColumns":
+        """The columns of pairs that share one method."""
+        return cls(np.array([p.tau0 for p in pairs]), np.array([p.f0 for p in pairs]),
+                   np.array([p.note if p.singular else "" for p in pairs], dtype=object),
+                   pairs[0].method)
+
+    def scaled(self, factor) -> "PairColumns":
+        with np.errstate(all="ignore"):
+            return PairColumns.flagged(self.tau0 * factor, self.f0 * factor,
+                                       (self.notes != "", self.notes), method=self.method)
+
+    def over(self, other: "PairColumns") -> "PairColumns":
+        """self / other per coordinate, with self's method; singular when either is."""
+        notes = np.where(self.notes != "", self.notes, other.notes)
+        with np.errstate(all="ignore"):
+            return PairColumns.flagged(self.tau0 / other.tau0, self.f0 / other.f0,
+                                       (notes != "", notes), method=self.method)
+
+    def pair(self, i: int = 0) -> BoundPair:
+        """Row i as a BoundPair, singular also when a value is not finite and
+        positive."""
+        tau0, f0, note = float(self.tau0[i]), float(self.f0[i]), self.notes[i]
+        if not note and not (0.0 < tau0 < math.inf and 0.0 < f0 < math.inf):
+            note = OVERFLOW_NOTE
+        if note:
+            return BoundPair.singular_pair(note, self.method)
+        return BoundPair(tau0, f0, method=self.method)
+
+
 def eliminated_pair(fim: FimMatrix, separate: bool = False) -> BoundPair:
     """(tau0, f0) bounds of fim's first two parameters by eliminating the
     others, tagged schur_numeric: the diagonal of the eliminated block's

@@ -12,10 +12,12 @@ bound loses its explicit L dependence.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bounds import (DEGENERACY_RTOL, TWO_PI2, energy_sums, fim_unknown_signal,
                      signal_bounds, weighted_sums)
-from .fim import Bound, BoundPair, FimMatrix, eliminated_pair
-from .signals import PulseTrain, SampledSignal, Scenario
+from .fim import Bound, BoundPair, FimMatrix, PairColumns, eliminated_pair
+from .signals import PulseTrain, SampledSignal, Scenario, ScenarioColumns, squares
 from .structure import _shared_quantities, fim_known_structure, support_assumption_holds
 
 
@@ -43,28 +45,39 @@ def fim_unknown_a(source: SampledSignal | PulseTrain, sc: Scenario,
     return build(source, sc, scale_known=False)
 
 
-def _structure_pair(pt: PulseTrain, sc: Scenario, scale_known: bool) -> BoundPair:
-    """1/V11 and 1/V22 of the eliminated structured block:
+def structure_bound_columns(trains: list[PulseTrain], pts: ScenarioColumns,
+                            scale_known: bool = True) -> PairColumns:
+    """1/V11 and 1/V22 of the eliminated structured block at every row of pts,
+    from the pulse sums of each row's train at its delay: trains holds one
+    train per row and pts one delay, or one train for every row:
 
     V11 = (2 a^2 P/s2) sum|b|^2 (sum g'^2 - k rho^2/E_g),
     V22 = (8 pi^2 a^2 P/s2) (sum_q w_q |b_q|^2 - pfrac sum_q gamma_q^2 |b_q|^2/E_g),
     pfrac = a^2 P/(L + a^2 P); k = pfrac for a known scale, 1 for an unknown one.
-    Flagged singular when a difference falls to DEGENERACY_RTOL of its lead.
+    Flagged singular for P = 0 or a zero pulse, and when a difference falls
+    to DEGENERACY_RTOL of its lead. Python's operations in the scalar form's
+    order, so each row is that form's value bit for bit.
     """
-    l, p = sc.looks_direct, sc.looks_reflected
-    sq = _shared_quantities(pt, sc.tau0)
-    if p == 0 or sq.e_g <= 0.0:
-        return BoundPair.singular_pair("P = 0 or zero pulse: no delay/Doppler information")
-    a2 = sc.scale ** 2
-    pfrac = a2 * p / (l + a2 * p)
-    d11 = sq.dg2 - (pfrac if scale_known else 1.0) * sq.rho ** 2 / sq.e_g
-    d22 = sq.w_b2 - pfrac * sq.gamma2_b2 / sq.e_g
-    if d11 <= DEGENERACY_RTOL * sq.dg2 or d22 <= DEGENERACY_RTOL * sq.w_b2:
-        return BoundPair.singular_pair(
-            "degenerate pulse: amplitude block absorbs all delay/Doppler information")
-    v11 = (2.0 * a2 * p / sc.sigma_w2) * pt.amp_energy * d11
-    v22 = (TWO_PI2 * a2 * p / sc.sigma_w2) * d22
-    return BoundPair(tau0=1.0 / v11, f0=1.0 / v22)
+    sqs = [(_shared_quantities(pt, t), pt.amp_energy) for pt in trains for t in pts.tau0.tolist()]
+    rho, e_g, dg2, w_b2, gamma2_b2, amp_energy = np.array(
+        [(sq.rho, sq.e_g, sq.dg2, sq.w_b2, sq.gamma2_b2, amp) for sq, amp in sqs]).T
+    l, p, s2, a2 = pts.looks_direct, pts.looks_reflected, pts.sigma_w2, pts.scale2
+    with np.errstate(all="ignore"):
+        pfrac = a2 * p / (l + a2 * p)
+        d11 = dg2 - (pfrac if scale_known else 1.0) * squares(rho) / e_g
+        d22 = w_b2 - pfrac * gamma2_b2 / e_g
+        v11 = (2.0 * a2 * p / s2) * amp_energy * d11
+        v22 = (TWO_PI2 * a2 * p / s2) * d22
+        return PairColumns.flagged(
+            1.0 / v11, 1.0 / v22,
+            ((p == 0) | (e_g <= 0.0), "P = 0 or zero pulse: no delay/Doppler information"),
+            ((d11 <= DEGENERACY_RTOL * dg2) | (d22 <= DEGENERACY_RTOL * w_b2),
+             "degenerate pulse: amplitude block absorbs all delay/Doppler information"))
+
+
+def _structure_pair(pt: PulseTrain, sc: Scenario, scale_known: bool) -> BoundPair:
+    """The one-point case of structure_bound_columns."""
+    return structure_bound_columns([pt], ScenarioColumns.of(sc), scale_known).pair()
 
 
 def jcrb_structure_known_a(pt: PulseTrain, sc: Scenario) -> BoundPair:

@@ -4,13 +4,16 @@ Everything downstream works on uniformly sampled complex baseband signals
 carrying their own time-derivative samples, on amplitude-modulated pulse
 trains built from a known real pulse shape, and on the scenario parameters
 (delay, Doppler, look counts, noise power) of a direct-path/reflected-path
-observation geometry.
+observation geometry, one scenario at a time or many as columns
+(ScenarioColumns). Sampled signals also load from .npz and .json files.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import json
+import math
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Literal
 
@@ -254,6 +257,50 @@ class Scenario:
         return n
 
 
+def squares(x) -> np.ndarray:
+    """x ** 2 of each element as Python squares a float (libm pow), inf where
+    that overflows. numpy's x ** 2 is x * x, which differs from pow in the
+    last bit for about one double in a thousand; the column forms square
+    this way so that they equal the scalar forms bit for bit."""
+    out = []
+    for v in np.asarray(x, dtype=float).tolist():
+        try:
+            out.append(v ** 2)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+@dataclass(frozen=True)
+class ScenarioColumns:
+    """The numbers the closed-form bounds read from many scenarios, one float
+    array per field: row i is scenario i, and a column of length 1 stands
+    for every row."""
+
+    tau0: np.ndarray
+    looks_direct: np.ndarray
+    looks_reflected: np.ndarray
+    sigma_w2: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, sc: Scenario, **columns) -> "ScenarioColumns":
+        """sc's numbers, the named fields replaced by one value per row. Each
+        Scenario rule holds one field to an interval, so checking the
+        scenarios at every column's least and greatest value checks every
+        row (ValueError, as Scenario raises it)."""
+        cols = {f.name: np.array(columns.get(f.name, getattr(sc, f.name)), dtype=float, ndmin=1)
+                for f in fields(cls)}
+        for pick in (np.min, np.max) if columns else ():
+            replace(sc, **{name: pick(cols[name]).item() for name in columns})
+        return cls(**cols)
+
+    @functools.cached_property
+    def scale2(self) -> np.ndarray:
+        """a^2 of each row, squared as the scalar forms square it."""
+        return squares(self.scale)
+
+
 def gaussian_pulse(n_p: int, delta: float, center: float,
                    width2: float) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Gaussian pulse-shape samples and their analytic derivative.
@@ -352,6 +399,50 @@ def triangle_wave(m: int, delta: float = 1.0) -> SampledSignal:
     deriv = np.where(n < m // 2, 1.0, -1.0)
     return SampledSignal(samples.astype(complex), delta, deriv.astype(complex),
                          DerivMethod.ANALYTIC)
+
+
+def load_signal_file(path: str) -> SampledSignal:
+    """Samples, delta and optional derivative from a .npz file (complex
+    arrays) or a .json file (one object of real and optional imaginary
+    parts); ValueError, naming the file, when it is malformed."""
+    if path.endswith(".npz"):
+        data, part = np.load(path), ""
+    else:
+        with open(path) as fh:
+            try:
+                data, part = json.load(fh), "_real"
+            except ValueError as exc:
+                raise ValueError(f"signal file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"signal file {path} must hold one JSON object")
+    for key in ("samples" + part, "delta"):
+        if key not in data:
+            raise ValueError(f"signal file {path} has no {key!r}")
+
+    def array(key, dtype, ndim):
+        try:
+            arr = np.asarray(data[key], dtype)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != ndim:
+            shape = "a number" if ndim == 0 else "a 1-D array of numbers"
+            raise ValueError(f"signal file {path}: {key!r} must be {shape}")
+        return arr
+
+    def values(name):
+        if not part:
+            return array(name, complex, 1)
+        real = array(name + part, float, 1)
+        imag = array(name + "_imag", float, 1) if name + "_imag" in data else np.zeros(real.shape)
+        if imag.shape != real.shape:
+            raise ValueError(f"signal file {path}: {name + '_imag'!r} and "
+                             f"{name + part!r} differ in length")
+        return real + 1j * imag
+
+    samples, delta = values("samples"), float(array("delta", float, 0))
+    if "deriv" + part in data:
+        return SampledSignal(samples, delta, values("deriv"))
+    return SampledSignal.from_samples(samples, delta)
 
 
 def mean_vector(sig: SampledSignal, sc: Scenario,

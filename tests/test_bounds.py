@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb.bounds import weighted_sums
-from ddcrb.fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, eliminated_pair,
+from ddcrb.fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, OVERFLOW_NOTE, eliminated_pair,
                        invert_bound_matrix, schur_complement)
 
 from conftest import make_contained_train
@@ -332,3 +332,14 @@ class TestSeparateUnknown:
             inv = np.linalg.inv(scaled_fim.entries)
             assert inv[0, 0] == pytest.approx(single.tau0 / r, rel=1e-12)
             assert inv[1, 1] == pytest.approx(single.f0 / r, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_sums_give_singular_pairs(self):
+        # sum (t + tau0)^2 |s|^2 is inf: the separate and structured Doppler
+        # bounds would read 0.0 and nan
+        pt, _, _ = make_contained_train()
+        sc = scenario(l=2, p=3, tau0=1e200)
+        for pair in (d.crb_separate_unknown(d.synthesize_pulse_train(pt), sc),
+                     d.jcrb_structure_known_a(pt, sc)):
+            assert pair.singular and pair.note == OVERFLOW_NOTE
+            assert pair.tau0 == pair.f0 == float("inf")

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from ddcrb import bounds, cli
 from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, _rows_json, main
 
+from dense_oracles import cli_rows
+
 BASE = ["--np", "60", "--delta", "0.05", "--Q", "2", "--center", "1.5",
         "--width2", "0.09", "--tau0", "0.1", "--f0", "2.0"]
 
@@ -124,7 +126,7 @@ class TestSweep:
         ("P=1:5", 1, 5)])
     def test_pulse_sums_computed_once_per_pulse(self, monkeypatch, spec, pulses, scenarios):
         from ddcrb import bounds, scaled, structure
-        calls, sums = [], []
+        calls, sums, evaluations = [], [], []
         quantities, eta = structure.structure_quantities, bounds.eta
         monkeypatch.setattr(structure, "structure_quantities",
                             lambda pt, tau0: calls.append(tau0) or quantities(pt, tau0))
@@ -133,7 +135,15 @@ class TestSweep:
         code, out = run_cli(["sweep", "--sweep", spec, *BASE])
         assert code == 0
         assert len(calls) == len(sums) == pulses
-        # without the memos every point computes its own sums, to the same bytes
+
+        # each family of the sweep is one column evaluation over its scenarios
+        def counted(signals, pts, _real=cli.signal_bound_columns):
+            columns = _real(signals, pts)
+            evaluations.append(columns[1].tau0.size)
+            return columns
+        monkeypatch.setattr(cli, "signal_bound_columns", counted)
+        # without the memos each evaluation reads each pulse's sums once, not
+        # once per scenario, to the same bytes
         fresh = bounds.weighted_sums.__wrapped__
         for module in (structure, scaled):
             monkeypatch.setattr(module, "_shared_quantities", structure.structure_quantities)
@@ -142,7 +152,8 @@ class TestSweep:
         calls.clear()
         sums.clear()
         assert run_cli(["sweep", "--sweep", spec, *BASE]) == (code, out)
-        assert len(calls) == len(sums) == scenarios
+        assert sum(evaluations) == scenarios
+        assert len(calls) == len(sums) == pulses * len(evaluations)
 
     def test_np_sweep_with_fixed_period(self):
         code, out = run_cli(["sweep", "--sweep", "n_p=10:20", "--Tp", "4",
@@ -201,6 +212,21 @@ class TestSweep:
     def test_out_of_range_axis_is_usage_error(self, spec):
         code, _ = run_cli(["sweep", "--sweep", spec, *BASE])
         assert code == 1
+
+    @pytest.mark.parametrize("spec", ["a=1e17:1e17", "sigma_w2=1e17:1e17:3"])
+    def test_range_that_rounds_to_no_point_is_usage_error(self, capsys, spec):
+        # stop + step/2 rounds back to stop, so np.arange holds no value
+        assert run_cli(["sweep", "--sweep", spec, *BASE]) == (1, "")
+        assert "has no points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,values", [
+        ("a=1e15:1e15", [1e15]), ("a=0.5:0.5", [0.5]), ("n0=3:3", [3]),
+        ("a=0.1:0.35:0.1", np.arange(0.1, 0.35 + 0.1 / 2, 0.1).tolist())])
+    def test_nonempty_ranges_keep_their_values(self, spec, values):
+        axis = spec.split("=")[0]
+        code, out = run_cli(["sweep", "--sweep", spec, *BASE, "--format", "json"])
+        assert code == 0
+        assert [row["values"][axis] for row in json.loads(out)["rows"]] == values
 
     def test_missing_axis_is_usage_error(self):
         code, _ = run_cli(["sweep", *BASE])
@@ -282,17 +308,9 @@ def _strict_json(text):
 
 
 def _record_pairs(monkeypatch) -> list[dict]:
-    """{cell key: BoundPair} of each row, as the CLI hands the pairs on:
-    to _pair_columns (crb, sweep, table1), or to the Monte Carlo report as
-    its unknown- and known-signal bounds."""
+    """{parameter: BoundPair} of the unknown- and known-signal bounds the
+    Monte Carlo report is handed."""
     seen = []
-    pair_columns = cli._pair_columns
-
-    def spy(pairs):
-        seen.append({pattern.format(part): pair for pattern, pair in pairs.items()
-                     for part in ("tau0", "f0")})
-        return pair_columns(pairs)
-    monkeypatch.setattr(cli, "_pair_columns", spy)
     for name, params in (("jcrb_unknown", ("tau0", "f0")),
                          ("jcrb_known", ("tau0_known", "f0_known"))):
         def recorded(sig, sc, _real=getattr(bounds, name), _params=params):
@@ -316,8 +334,11 @@ DEGENERATE_COMMANDS = {
                          ids=["zero_signal", "no_direct_look", "no_reflected_look"])
 def test_degenerate_bound_cells_are_null_and_tagged_by_their_pair(monkeypatch, command,
                                                                  degenerate):
-    seen = _record_pairs(monkeypatch)
-    code, out = run_cli([*DEGENERATE_COMMANDS[command], *degenerate, "--format", "json"])
+    argv = [*DEGENERATE_COMMANDS[command], *degenerate]
+    # crb, sweep and table1: each row's pairs as the per-row oracle makes them
+    seen = (_record_pairs(monkeypatch) if command == "montecarlo"
+            else [cells for _, _, cells in cli_rows(argv)])
+    code, out = run_cli([*argv, "--format", "json"])
     assert code == 0
     rows = _strict_json(out)["rows"]
     if command == "montecarlo":
@@ -361,6 +382,77 @@ def test_rows_json_equals_json_dumps_indent_2(config, rows, provenance):
                "provenance": provenance}
     got = _rows_json(config, [v for v, _ in rows], [t for _, t in rows], provenance)
     assert got == json.dumps(payload, indent=2)
+
+
+# each axis with a base that keeps every sum finite; a and sigma_w2 are not dyadic
+_SWEEP_CASES = st.one_of(
+    st.tuples(st.sampled_from(["L", "P", "n0"]), st.integers(0, 6), st.integers(1, 3),
+              st.integers(0, 5)),
+    st.tuples(st.just("n_p"), st.integers(2, 40), st.integers(1, 7), st.integers(0, 5)),
+    st.tuples(st.sampled_from(["a", "sigma_w2"]), st.floats(0.05, 7.0), st.floats(0.01, 3.0),
+              st.integers(0, 5)))
+
+
+@settings(max_examples=60)
+@given(case=_SWEEP_CASES, n_p=st.integers(4, 40), q=st.integers(1, 3),
+       delta=st.floats(0.01, 0.5), center=st.floats(0.0, 1.0), width=st.floats(0.05, 1.0),
+       tau0=st.floats(0.0, 10.0), f0=st.floats(-5.0, 5.0), looks=st.tuples(
+           st.integers(0, 4), st.integers(0, 4)), a=st.floats(0.1, 5.0),
+       sigma2=st.floats(1e-3, 10.0), amp=st.sampled_from(["unit", "sqrt2"]))
+def test_sweep_rows_equal_the_per_row_oracle(case, n_p, q, delta, center, width, tau0, f0,
+                                            looks, a, sigma2, amp):
+    axis, start, step, count = case
+    stop = start + count * step
+    span = n_p * delta
+    argv = ["sweep", "--sweep", f"{axis}={start!r}:{stop!r}:{step!r}", "--np", str(n_p),
+            "--Q", str(q), "--delta", repr(delta), "--center", repr(center * span),
+            "--width2", repr((width * span) ** 2), "--tau0", repr(tau0), "--f0", repr(f0),
+            "--L", str(looks[0]), "--P", str(looks[1]), "--a", repr(a),
+            "--sigma2", repr(sigma2), "--amp-convention", amp]
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    expected = [(values, methods) for values, methods, _ in cli_rows(argv)]
+    got = [(row["values"], row["methods"]) for row in json.loads(out)["rows"]]
+    # bit for bit, in key order: the JSON text of both
+    assert json.dumps(got) == json.dumps(expected)
+
+
+# scales whose libm square a ** 2 and product a * a differ in the last bit
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sweep", "a=1.1819892991055851:3.653940296573571:2.472950997467986"],
+    ["sweep", "--sweep", "L=0:3", "--a", "2.6120266406451877"],
+    ["crb", "--a", "3.3215893189776295"]], ids=["a-axis", "L-axis", "crb"])
+def test_scale_is_squared_as_python_squares_it(argv):
+    argv = [*argv, *BASE]
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    got = [(row["values"], row["methods"]) for row in json.loads(out)["rows"]]
+    assert json.dumps(got) == json.dumps([(v, m) for v, m, _ in cli_rows(argv)])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv,flagged", [
+    # sum (t + tau0)^2 |s|^2 overflows: the separate and structured Doppler
+    # bounds read 0.0 and nan; the known and joint pairs are flagged degenerate
+    (["crb", "--tau0", "1e200"], ["crb_f0_s", "jcrb_f0_b"]),
+    # the sample times overflow: every known and joint sum is nan
+    (["sweep", "--sweep", "n0=0:2", "--delta", "1e200"],
+     ["jcrb_tau0", "jcrb_f0", "jcrb_tau0_s", "jcrb_f0_s", "jcrb_f0_b"]),
+])
+def test_overflowed_cells_are_null_flagged_and_noted(capsys, argv, flagged):
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    for row in _strict_json(out)["rows"]:
+        values = row["values"]
+        singular = values["singular"].split(";")
+        for key, value in values.items():
+            if key in row["methods"]:
+                assert (value is None) is (key in singular)
+                assert value is None or 0.0 < value < float("inf")
+        assert set(flagged) <= set(singular)
+    err = capsys.readouterr().err
+    assert "overflowed" in err and all(key in err for key in flagged)
 
 
 class TestCrbCommand:
@@ -447,6 +539,9 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("command, report, config", [
         ("montecarlo", "monte_carlo_report", {"trials": 10 ** 11}),
         ("overlap", "triangle_overlap_curve", {"M": 10 ** 6}),
+        # n0 = tau0/delta is about 5e298 samples
+        ("montecarlo", "monte_carlo_report", {"delta": 1e-300}),
+        ("montecarlo", "monte_carlo_report", {"tau0": 1e7, "delta": 1.0}),
     ])
     def test_caps_hold_before_any_work(self, monkeypatch, tmp_path, capsys,
                                        command, report, config):
@@ -470,9 +565,9 @@ class TestConfigAndErrors:
     def test_numerical_fault_is_not_a_usage_error(self, monkeypatch):
         import ddcrb.cli
 
-        def broken(sig, sc):
+        def broken(signals, pts):
             raise ValueError("FIM not positive semidefinite")
-        monkeypatch.setattr(ddcrb.cli, "signal_bounds", broken)
+        monkeypatch.setattr(ddcrb.cli, "signal_bound_columns", broken)
         with pytest.raises(ValueError, match="semidefinite"):
             run_cli(["crb", *BASE])
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import ddcrb as d
 from ddcrb.fim import invert_bound_matrix, schur_complement
 from ddcrb.scaled import jcrb_structure_known_a
-from ddcrb.bounds import energy_sums, fim_known_signal_scale, weighted_sums
+from ddcrb.bounds import energy_sums, fim_known_signal_scale, signal_bounds, weighted_sums
 
 from conftest import make_contained_train, rel_err
+from dense_oracles import signal_bounds as scalar_signal_bounds, structure_pair
 
 
 def scenario(l=2, p=3, a=1.0, tau0=0.5, f0=0.4, sigma_w2=0.7):
@@ -288,3 +289,24 @@ class TestSeparateUnknownA:
         reduced = entries[:1, :1] - entries[:1, 1:] @ np.linalg.solve(
             entries[1:, 1:], entries[1:, :1])
         assert 1.0 / reduced[0, 0] == pytest.approx(sep_known_a.f0, rel=1e-10)
+
+
+# a includes scales whose libm square a ** 2 and product a * a differ in the last bit
+@settings(max_examples=60)
+@given(l=st.integers(0, 5), p=st.integers(0, 5), tau0=st.floats(0.0, 5.0),
+       a=st.one_of(st.floats(0.1, 5.0), st.sampled_from([1.1819892991055851, 3.653940296573571])),
+       sigma_w2=st.floats(1e-3, 10.0), n_p=st.integers(4, 30), flat=st.booleans())
+def test_one_point_bounds_equal_the_scalar_forms(l, p, tau0, a, sigma_w2, n_p, flat):
+    """The library's scalar bounds are the one-point case of the column forms,
+    bit for bit the per-scenario Python-float forms, singular notes included
+    (flat: a constant signal, whose known and separate pairs are singular)."""
+    pt, _, _ = make_contained_train(n_p=n_p)
+    sig = d.synthesize_pulse_train(pt)
+    if flat:
+        sig = d.SampledSignal.from_samples(np.ones(n_p), 0.25)
+    sc = scenario(l=l, p=p, a=a, tau0=tau0, sigma_w2=sigma_w2)
+    assert signal_bounds(sig, sc) == scalar_signal_bounds(sig, sc)
+    assert jcrb_structure_known_a(pt, sc) == structure_pair(pt, sc)
+    if l and p:
+        joint, _ = d.jcrb_unknown_a_structure(pt, sc)
+        assert joint == structure_pair(pt, sc, scale_known=False)
