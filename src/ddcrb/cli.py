@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -46,48 +45,44 @@ class _FiniteFloat(click.types.FloatParamType):
 
 FLOAT = _FiniteFloat()
 
-# One row per setting: (flag, config key, click type, default, help). The
-# config key is also the click parameter name and the key in the JSON
-# output's config block; "all" rows go to every subcommand.
-OPTIONS = {
-    "all": (
-        ("--signal", "signal", str, "gaussian_pulse_train",
-         "gaussian_pulse_train | triangle | path to .npz/.json"),
-        ("--delta", "delta", FLOAT, 0.01, "sampling interval"),
-        ("--np", "np", int, 500, "samples per pulse"),
-        ("--Q", "Q", int, 2, "pulse count"),
-        ("--Tp", "Tp", FLOAT, None, "pulse period; sets delta = Tp/np"),
-        ("--tau0", "tau0", FLOAT, 0.05, "reflected-path delay"),
-        ("--f0", "f0", FLOAT, 20.0, "Doppler shift"),
-        ("--L", "L", int, 1, "direct-path looks"),
-        ("--P", "P", int, 1, "reflected-path looks"),
-        ("--a", "a", FLOAT, 1.0, "reflected-path amplitude scale"),
-        ("--sigma2", "sigma2", FLOAT, 1.0, "clutter-plus-noise variance"),
-        ("--amp-convention", "amp_convention", click.Choice(["unit", "sqrt2", "both"]),
-         "unit", "|b_q|^2 = 1, 2, or emit both (crb and table1 only)"),
-        ("--center", "center", FLOAT, 4.0, "Gaussian pulse center"),
-        ("--width2", "width2", FLOAT, 9.0, "Gaussian squared width"),
-        ("--M", "M", int, 16, "triangle-wave sample count"),
-        ("--format", "format", click.Choice(["csv", "json"]), "csv", None),
-        ("--out", "out", str, None, "output path (default stdout)"),
-        ("--seed", "seed", int, 42, "base RNG seed"),
-        ("--trials", "trials", int, 200, "Monte Carlo trials"),
-    ),
-    "sweep": (
-        ("--sweep", "sweep", str, None,
-         "axis=start:stop[:step]; axis in L|P|n_p|n0|a|sigma_w2"),
-    ),
-    "montecarlo": (
-        ("--fspan", "fspan", FLOAT, 0.05, "Doppler search half-span"),
-        ("--fpoints", "fpoints", int, 41, "Doppler grid size"),
-        ("--tauspan", "tauspan", int, 5, "delay search half-span, samples"),
-    ),
-}
-_CONFIG_OPTION = ("--config", "config_path", str, None,
-                  "JSON config file; flags override its keys.")
-DEFAULTS = {key: default for rows in OPTIONS.values() for _, key, _, default, _ in rows}
-_TYPES = {key: click.types.convert_type(kind)
-          for rows in OPTIONS.values() for _, key, kind, _, _ in rows}
+# the subcommands that read each setting: table1 fixes the pulse train, its
+# looks and its scale, and the overlap curve reads only M, P and sigma2
+_SCENARIO = ("crb", "sweep", "montecarlo")
+_PULSE, _CURVE = ("table1", *_SCENARIO), ("overlap", *_SCENARIO)
+_ALL = ("overlap", *_PULSE)
+# One row per setting: (flag, config key, click type, default, help, the
+# subcommands that take it). The config key is also the click parameter name
+# and the key in the JSON output's config block, which lists every setting.
+OPTIONS = (
+    ("--signal", "signal", str, "gaussian_pulse_train",
+     "gaussian_pulse_train | triangle | path to .npz/.json", _SCENARIO),
+    ("--delta", "delta", FLOAT, 0.01, "sampling interval", _PULSE),
+    ("--np", "np", int, 500, "samples per pulse", _PULSE),
+    ("--Q", "Q", int, 2, "pulse count", _PULSE),
+    ("--Tp", "Tp", FLOAT, None, "pulse period; sets delta = Tp/np", _PULSE),
+    ("--tau0", "tau0", FLOAT, 0.05, "reflected-path delay", _PULSE),
+    ("--f0", "f0", FLOAT, 20.0, "Doppler shift", _PULSE),
+    ("--L", "L", int, 1, "direct-path looks", _SCENARIO),
+    ("--P", "P", int, 1, "reflected-path looks", _CURVE),
+    ("--a", "a", FLOAT, 1.0, "reflected-path amplitude scale", _SCENARIO),
+    ("--sigma2", "sigma2", FLOAT, 1.0, "clutter-plus-noise variance", _ALL),
+    ("--amp-convention", "amp_convention", click.Choice(["unit", "sqrt2", "both"]),
+     "unit", "|b_q|^2 = 1, 2, or emit both (crb and table1 only)", _PULSE),
+    ("--center", "center", FLOAT, 4.0, "Gaussian pulse center", _PULSE),
+    ("--width2", "width2", FLOAT, 9.0, "Gaussian squared width", _PULSE),
+    ("--M", "M", int, 16, "triangle-wave sample count", _CURVE),
+    ("--format", "format", click.Choice(["csv", "json"]), "csv", None, _ALL),
+    ("--out", "out", str, None, "output path (default stdout)", _ALL),
+    ("--seed", "seed", int, 42, "base RNG seed", ("montecarlo",)),
+    ("--trials", "trials", int, 200, "Monte Carlo trials", ("montecarlo",)),
+    ("--sweep", "sweep", str, None,
+     "axis=start:stop[:step]; axis in L|P|n_p|n0|a|sigma_w2", ("sweep",)),
+    ("--fspan", "fspan", FLOAT, 0.05, "Doppler search half-span", ("montecarlo",)),
+    ("--fpoints", "fpoints", int, 41, "Doppler grid size", ("montecarlo",)),
+    ("--tauspan", "tauspan", int, 5, "delay search half-span, samples", ("montecarlo",)),
+)
+DEFAULTS = {key: default for _, key, _, default, _, _ in OPTIONS}
+_TYPES = {key: click.types.convert_type(kind) for _, key, kind, _, _, _ in OPTIONS}
 
 SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
 # every point is a row of output; a longer sweep is taken to be a typo
@@ -122,14 +117,8 @@ def _check_caps(values, caps: dict) -> None:
             raise click.UsageError(f"{key} = {values[key]:.6g} is above the cap of {cap}")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(dict):
     """Merged defaults, config-file values and explicit flags for one run."""
-
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
 
     def scenario(self, **overrides) -> Scenario:
         params = {"tau0": self["tau0"], "f0": self["f0"], "looks_direct": self["L"],
@@ -176,12 +165,13 @@ def _rows(lead: dict, columns: dict, keys=None) -> tuple[list[dict], list[dict]]
     the cells of {key pattern: PairColumns} ({} is tau0 or f0) and the
     singular keys, as keys (default all) picks them; and each row's tags.
     A bound cell that is not finite and positive prints as None and is
-    listed as singular; a note on stderr names those of pairs not singular."""
+    listed as singular; a note on stderr names those of pairs not singular or overflowed."""
     n = max(col.tau0.size for col in columns.values())
     cells = {key: value if isinstance(value, list) else [value] * n
              for key, value in lead.items()}
     tags, bad, overflowed = {}, {}, []
     for pattern, col in columns.items():
+        named = (col.notes == "") | (col.notes == OVERFLOW_NOTE)
         for part in ("tau0", "f0"):
             key, values = pattern.format(part), getattr(col, part)
             if values.size != n:  # one row stands for every row
@@ -190,7 +180,7 @@ def _rows(lead: dict, columns: dict, keys=None) -> tuple[list[dict], list[dict]]
             cells[key], tags[key] = values.tolist(), col.method
             for i in np.flatnonzero(bad[key]):
                 cells[key][i] = None
-            overflowed += [key] * bool(np.any(bad[key] & (col.notes == "")))
+            overflowed += [key] * bool(np.any(bad[key] & named))
     if overflowed:
         click.echo(f"note: {', '.join(overflowed)}: {OVERFLOW_NOTE}; printed as null", err=True)
     cells["singular"] = [";".join(itertools.compress(bad, row))
@@ -238,7 +228,7 @@ def write_rows(rows: list[dict], methods: list[dict], cfg: RunConfig) -> None:
     if cfg["format"] == "json":
         # the output path does not affect any value; leaving it out keeps
         # re-runs byte-identical wherever they are written
-        config = {k: cfg.values[k] for k in sorted(cfg.values, key=str) if k != "out"}
+        config = {k: cfg[k] for k in sorted(cfg, key=str) if k != "out"}
         text = _rows_json(config, rows, methods,
                           {"version": __version__, "seed": cfg["seed"]}) + "\n"
     else:
@@ -257,9 +247,10 @@ def write_rows(rows: list[dict], methods: list[dict], cfg: RunConfig) -> None:
         click.echo(text, nl=False)
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, keys) -> dict:
     """Config-file values, each converted as if typed after its flag; null
-    counts as omitted."""
+    counts as omitted, and a key outside keys (the command's settings) is a
+    usage error."""
     with open(path) as fh:
         try:
             values = json.load(fh)
@@ -267,9 +258,9 @@ def _read_config(path: str) -> dict:
             raise click.UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise click.UsageError(f"config file {path} must hold one JSON object")
-    unknown = set(values) - set(DEFAULTS)
+    unknown = set(values) - set(keys)
     if unknown:
-        raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise click.UsageError(f"config keys this command does not take: {sorted(unknown)}")
     given = {}
     for key, value in values.items():
         if value is not None:
@@ -281,9 +272,10 @@ def _read_config(path: str) -> dict:
 
 
 def merge_config(config_path: str | None, **flags) -> tuple[RunConfig, dict]:
-    """Defaults overridden by the config file, then by explicit flags; the
-    second result holds the settings the file or a flag gave."""
-    given = _read_config(config_path) if config_path else {}
+    """Defaults overridden by the config file, then by explicit flags (one
+    per setting of the command); the second result holds the settings the
+    file or a flag gave."""
+    given = _read_config(config_path, flags) if config_path else {}
     given.update((key, value) for key, value in flags.items() if value is not None)
     return RunConfig({**DEFAULTS, **given}), given
 
@@ -294,13 +286,14 @@ def cli():
 
 
 def _command(name: str):
-    """A subcommand whose options are its own OPTIONS rows, --config, then
-    the rows every subcommand takes."""
-    rows = (*OPTIONS.get(name, ()), _CONFIG_OPTION, *OPTIONS["all"])
-
+    """A subcommand whose options are --config and the OPTIONS rows that
+    name it."""
     def decorate(fn):
-        for flag, key, kind, _, text in reversed(rows):
-            fn = click.option(flag, key, type=kind, default=None, help=text)(fn)
+        for flag, key, kind, _, text, commands in reversed(OPTIONS):
+            if name in commands:
+                fn = click.option(flag, key, type=kind, default=None, help=text)(fn)
+        fn = click.option("--config", "config_path", type=str, default=None, help=(
+            "JSON config file of this command's settings; flags override its keys."))(fn)
         return cli.command(name)(fn)
     return decorate
 
@@ -310,9 +303,8 @@ def cmd_crb(config_path, **flags):
     """One-shot bound evaluation for the configured scenario."""
     cfg, given = merge_config(config_path, **flags)
     delta = _resolve_delta(cfg, given)
-    conventions = ["unit", "sqrt2"] if (cfg["amp_convention"] == "both"
-                                        and cfg["signal"] == "gaussian_pulse_train") \
-        else [cfg["amp_convention"]]
+    both = cfg["amp_convention"] == "both" and cfg["signal"] == "gaussian_pulse_train"
+    conventions = ["unit", "sqrt2"] if both else [cfg["amp_convention"]]
     signals = [build_signal(cfg, delta, convention) for convention in conventions]
     sc = cfg.scenario()
     lead = {"amp_convention": [c if pt is not None else None
@@ -331,14 +323,12 @@ def cmd_table1(config_path, **flags):
     the unknown/known ratio, which equals (L+P)/(L*P).
     """
     cfg, given = merge_config(config_path, **flags)
-    if cfg["signal"] != "gaussian_pulse_train":
-        raise click.UsageError("table1 is defined for the gaussian_pulse_train signal")
     delta = _resolve_delta(cfg, given)
     conventions = ["unit", "sqrt2"] if cfg["amp_convention"] == "both" else [cfg["amp_convention"]]
     signals = {c: build_signal(cfg, delta, c)[0] for c in conventions}
     lead = {"amp_convention": [c for c in conventions for _ in range(3)],
             "L": [1, 2, 100] * len(conventions)}
-    scenarios = [cfg.scenario(looks_direct=n, looks_reflected=1, scale=1.0) for n in lead["L"]]
+    scenarios = [cfg.scenario(looks_direct=n) for n in lead["L"]]
     cols = _bound_columns([(signals[c], None) for c in lead["amp_convention"]],
                           ScenarioColumns.of(scenarios[0], looks_direct=lead["L"]))
     cols["ratio_{}"] = cols["jcrb_{}_s"].over(cols["jcrb_{}"])
@@ -418,7 +408,7 @@ def cmd_sweep(config_path, **flags):
     axis, values = _parse_sweep(cfg["sweep"])
     lead = {axis: values.tolist()}
     # only the n_p axis changes the signal: one train per row
-    configs = [RunConfig({**cfg.values, "np": n}) for n in lead[axis]] if axis == "n_p" else [cfg]
+    configs = [RunConfig(cfg, np=n) for n in lead[axis]] if axis == "n_p" else [cfg]
     deltas = [_resolve_delta(local, given) for local in configs]
     signals = [build_signal(local, delta) for local, delta in zip(configs, deltas)]
     if axis == "n_p":

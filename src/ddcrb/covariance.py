@@ -29,10 +29,11 @@ def _check_hermitian(mat: np.ndarray, name: str) -> float:
     return scale
 
 
-def _check_hermitian_psd(mat: np.ndarray, name: str) -> None:
-    """lambda_min > -t, t = PSD_RTOL max|mat|, iff mat + t I is positive
-    definite (Sylvester's law of inertia): one Cholesky, no eigenvalues."""
-    shift = PSD_RTOL * max(_check_hermitian(mat, name), 1e-300)
+def _check_hermitian_psd(mat: np.ndarray, name: str, scale: float | None = None) -> None:
+    """lambda_min > -t, t = PSD_RTOL scale (default max|mat|, Hermitian checked),
+    iff mat + t I is positive definite (Sylvester's law of inertia): one
+    Cholesky, no eigenvalues."""
+    shift = PSD_RTOL * max(_check_hermitian(mat, name) if scale is None else scale, 1e-300)
     try:
         np.linalg.cholesky(mat + shift * np.eye(len(mat)))
     except np.linalg.LinAlgError as exc:
@@ -131,16 +132,20 @@ def crb_correlated(model: StackedModel, dc: np.ndarray) -> CrbReport:
     projected out, while any null direction touching (tau0, f0) means the
     delay/Doppler pair itself is not identifiable and the report is flagged
     singular (e.g. no direct-path look: delay trades off against signal
-    timing exactly). The one eigendecomposition also makes the PSD check.
+    timing exactly). The PSD check is Border.validate's, against |I|_F. The
+    null directions and the inverse come from one eigendecomposition of
+    D^-1/2 I D^-1/2, D = diag(I), whose eigenvalues are exact to eps p (those
+    of I only to eps lambda_max): (lambda, v) is null when lambda <=
+    1/SINGULAR_COND, so a change of time unit changes no null direction.
     """
     if np.ndim(dc) != 2 or np.shape(dc)[1] < 2:
         raise ValueError("dc needs the tau0 and f0 columns")
-    lam, vec = np.linalg.eigh(_trace_form(model, dc))
-    # Border.validate's spec |A|_F, which is |lambda|_2 for a symmetric A
-    if lam[0] < -PSD_RTOL * max(float(np.linalg.norm(lam)), 1e-300):
-        raise ValueError(f"FIM not positive semidefinite: lambda_min = {lam[0]:.3e}")
-    lam_max = float(lam[-1])
-    null = lam <= lam_max / SINGULAR_COND
+    fim = _trace_form(model, dc)
+    _check_hermitian_psd(fim, "FIM", float(np.linalg.norm(fim)))
+    # a diagonal entry not above 0 is a zero row of a PSD matrix: left unscaled
+    d = np.sqrt(np.where(np.diag(fim) > 0.0, np.diag(fim), 1.0))
+    lam, vec = np.linalg.eigh(fim / np.outer(d, d))
+    null = lam <= 1.0 / SINGULAR_COND
     details = {"model": "covariance", "null_directions": int(np.sum(null))}
     if np.any(np.abs(vec[:2, null]) > 1e-6):
         return CrbReport(values={"tau0": float("inf"), "f0": float("inf")},
@@ -148,6 +153,6 @@ def crb_correlated(model: StackedModel, dc: np.ndarray) -> CrbReport:
                          details={**details,
                                   "note": "delay/Doppler not identifiable in this model"})
     keep = ~null
-    inv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T
+    inv = (vec[:2, keep] / lam[keep]) @ vec[:2, keep].T / np.outer(d[:2], d[:2])
     return CrbReport(values={"tau0": float(inv[0, 0]), "f0": float(inv[1, 1])},
                      method=METHOD_SCHUR_NUMERIC, details=details)

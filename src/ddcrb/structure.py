@@ -47,6 +47,7 @@ class StructureQuantities:
     gamma2_b2: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the bounds flag such sums
 def structure_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
     """The pulse sums, taken from g, g', the period and b alone (no synthesis)."""
     g2, b2 = pt.g ** 2, np.abs(pt.b) ** 2

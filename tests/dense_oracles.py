@@ -244,7 +244,7 @@ def _command_rows(name: str, cfg, given) -> list[tuple[dict, dict]]:
     out = []
     for value in values:
         if axis == "n_p":
-            local = cli.RunConfig({**cfg.values, "np": int(value)})
+            local = cli.RunConfig(cfg, np=int(value))
             delta = cli._resolve_delta(local, given)
             sig, pt = cli.build_signal(local, delta)
             row, scenarios = {"n_p": int(value), "delta": delta}, {"": local.scenario()}

@@ -333,13 +333,13 @@ class TestSeparateUnknown:
             assert inv[0, 0] == pytest.approx(single.tau0 / r, rel=1e-12)
             assert inv[1, 1] == pytest.approx(single.f0 / r, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowed_sums_give_singular_pairs(self):
         # sum (t + tau0)^2 |s|^2 is inf: the separate and structured Doppler
-        # bounds would read 0.0 and nan
+        # bounds would read 0.0 and nan, and the known pair's determinant
+        # test inf <= inf would call the signal degenerate
         pt, _, _ = make_contained_train()
-        sc = scenario(l=2, p=3, tau0=1e200)
-        for pair in (d.crb_separate_unknown(d.synthesize_pulse_train(pt), sc),
-                     d.jcrb_structure_known_a(pt, sc)):
+        sig, sc = d.synthesize_pulse_train(pt), scenario(l=2, p=3, tau0=1e200)
+        for pair in (d.crb_separate_unknown(sig, sc), d.jcrb_structure_known_a(pt, sc),
+                     d.jcrb_known(sig, sc), d.jcrb_unknown(sig, sc)):
             assert pair.singular and pair.note == OVERFLOW_NOTE
             assert pair.tau0 == pair.f0 == float("inf")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ddcrb import bounds, cli
 from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, _rows_json, main
+from ddcrb.fim import OVERFLOW_NOTE
 
 from dense_oracles import cli_rows
 
@@ -94,14 +95,6 @@ class TestTable1:
                 if isinstance(value, float) and key != "amp_convention":
                     assert jrow["methods"].get(key) in (
                         "closed_form", "schur_numeric", "oracle", "monte_carlo")
-
-    def test_provenance_block(self, tmp_path):
-        path = tmp_path / "t.json"
-        run_cli(["table1", *BASE, "--format", "json", "--seed", "7",
-                 "--out", str(path)])
-        payload = json.loads(path.read_text())
-        assert payload["provenance"]["seed"] == 7
-        assert "version" in payload["provenance"]
 
 
 class TestSweep:
@@ -291,6 +284,13 @@ class TestMonteCarloCommand:
         code, _ = run_cli([*self.ARGS, "--a", "2"])
         assert code == 1
 
+    def test_provenance_block(self, tmp_path):
+        path = tmp_path / "t.json"
+        run_cli([*self.ARGS, "--format", "json", "--seed", "7", "--out", str(path)])
+        payload = json.loads(path.read_text())
+        assert payload["provenance"]["seed"] == 7
+        assert "version" in payload["provenance"]
+
     def test_ratio_columns_present(self):
         code, out = run_cli(self.ARGS)
         rows = parse_csv(out)
@@ -329,12 +329,19 @@ DEGENERATE_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(DEGENERATE_COMMANDS))
-@pytest.mark.parametrize("degenerate", [["--center", "1000"], ["--L", "0"], ["--P", "0"]],
-                         ids=["zero_signal", "no_direct_look", "no_reflected_look"])
+DEGENERATE_INPUTS = {"zero_signal": ["--center", "1000"], "no_direct_look": ["--L", "0"],
+                     "no_reflected_look": ["--P", "0"]}
+# table1 fixes its looks, so it takes only the zero signal
+DEGENERATE_CASES = [(name, command) for name in DEGENERATE_INPUTS
+                    for command in sorted(DEGENERATE_COMMANDS)
+                    if name == "zero_signal" or command != "table1"]
+
+
+@pytest.mark.parametrize("degenerate,command", DEGENERATE_CASES,
+                         ids=["-".join(case) for case in DEGENERATE_CASES])
 def test_degenerate_bound_cells_are_null_and_tagged_by_their_pair(monkeypatch, command,
                                                                  degenerate):
-    argv = [*DEGENERATE_COMMANDS[command], *degenerate]
+    argv = [*DEGENERATE_COMMANDS[command], *DEGENERATE_INPUTS[degenerate]]
     # crb, sweep and table1: each row's pairs as the per-row oracle makes them
     seen = (_record_pairs(monkeypatch) if command == "montecarlo"
             else [cells for _, _, cells in cli_rows(argv)])
@@ -430,12 +437,11 @@ def test_scale_is_squared_as_python_squares_it(argv):
     assert json.dumps(got) == json.dumps([(v, m) for v, m, _ in cli_rows(argv)])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("argv,flagged", [
     # sum (t + tau0)^2 |s|^2 overflows: the separate and structured Doppler
-    # bounds read 0.0 and nan; the known and joint pairs are flagged degenerate
-    (["crb", "--tau0", "1e200"], ["crb_f0_s", "jcrb_f0_b"]),
+    # bounds read 0.0 and nan, and the known and joint pairs are flagged
+    (["crb", "--tau0", "1e200"],
+     ["jcrb_tau0", "jcrb_f0", "jcrb_tau0_s", "jcrb_f0_s", "crb_f0_s", "jcrb_f0_b"]),
     # the sample times overflow: every known and joint sum is nan
     (["sweep", "--sweep", "n0=0:2", "--delta", "1e200"],
      ["jcrb_tau0", "jcrb_f0", "jcrb_tau0_s", "jcrb_f0_s", "jcrb_f0_b"]),
@@ -450,9 +456,10 @@ def test_overflowed_cells_are_null_flagged_and_noted(capsys, argv, flagged):
             if key in row["methods"]:
                 assert (value is None) is (key in singular)
                 assert value is None or 0.0 < value < float("inf")
-        assert set(flagged) <= set(singular)
-    err = capsys.readouterr().err
-    assert "overflowed" in err and all(key in err for key in flagged)
+        assert set(flagged) == set(singular)
+    # one note naming every null cell, and no numpy warning before it
+    note = f"note: {', '.join(flagged)}: {OVERFLOW_NOTE}; printed as null\n"
+    assert capsys.readouterr().err == note
 
 
 class TestCrbCommand:
@@ -591,21 +598,23 @@ class TestConfigAndErrors:
         ('{"format": "xml"}', None, "'format'"),
         ('{"L": "x"}', None, "'L'"),
         ('{"sigma2": "2"}', ["--sigma2", "2"], None),
-        ('{"seed": 1.5}', None, "'seed'"),
+        ('{"seed": 1.5}', None, "config key 'seed'"),
         ('{"a": Infinity}', None, "'a': 'inf' is not a finite number"),
         ("7", None, "one JSON object"),
         ('{"L": 1', None, "not valid JSON"),
     ], ids=["bad-choice", "bad-int", "string-float", "float-seed", "infinite-float",
             "not-object", "malformed"])
     def test_config_values_read_as_flags(self, tmp_path, capsys, text, flags, message):
+        # the seed is montecarlo's alone
+        base = TestMonteCarloCommand.ARGS if "seed" in text else ["crb", *BASE]
         path = tmp_path / "cfg.json"
         path.write_text(text)
-        code, out = run_cli(["crb", *BASE, "--config", str(path)])
+        code, out = run_cli([*base, "--config", str(path)])
         if flags is None:
             assert (code, out) == (1, "")
             assert message in capsys.readouterr().err
         else:
-            assert (code, out) == run_cli(["crb", *BASE, *flags])
+            assert (code, out) == run_cli([*base, *flags])
 
     def test_null_config_value_counts_as_omitted(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -690,11 +699,49 @@ CONTRACT_BASE = {"M": ["overlap"], "sweep": ["sweep", *BASE],
 
 def _option_rows():
     from ddcrb.cli import OPTIONS
-    return [row[:2] for rows in OPTIONS.values() for row in rows]
+    return [row[:2] for row in OPTIONS]
 
 
 def test_contract_values_cover_every_setting():
     assert sorted(key for _, key in _option_rows()) == sorted(CONTRACT_VALUES)
+
+
+# the settings each subcommand reads, --config's config_path among them
+_SCENARIO_SETTINGS = {"config_path", "signal", "delta", "np", "Q", "Tp", "tau0", "f0", "L",
+                      "P", "a", "sigma2", "amp_convention", "center", "width2", "M",
+                      "format", "out"}
+COMMAND_SETTINGS = {
+    "crb": _SCENARIO_SETTINGS,
+    "table1": _SCENARIO_SETTINGS - {"signal", "L", "P", "a", "M"},
+    "sweep": _SCENARIO_SETTINGS | {"sweep"},
+    "overlap": {"config_path", "M", "P", "sigma2", "format", "out"},
+    "montecarlo": _SCENARIO_SETTINGS | {"seed", "trials", "fspan", "fpoints", "tauspan"},
+}
+
+
+def test_each_subcommand_takes_only_the_settings_it_reads():
+    taken = {name: {param.name for param in command.params}
+             for name, command in cli.cli.commands.items()}
+    assert taken == COMMAND_SETTINGS
+    assert {name: len(keys) for name, keys in taken.items()} == {
+        "crb": 18, "table1": 13, "sweep": 19, "overlap": 6, "montecarlo": 23}
+
+
+@pytest.mark.parametrize("args,config", [
+    (["overlap", "--np", "5"], None), (["table1", "--L", "0"], None),
+    (["crb", "--trials", "3"], None), (["crb"], {"seed": 1}),
+    (["overlap"], {"a": 0}), (["table1"], {"signal": "triangle"}),
+], ids=["overlap-np", "table1-L", "crb-trials", "crb-config-seed", "overlap-config-a",
+        "table1-config-signal"])
+def test_setting_outside_the_command_is_usage_error(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
+    assert run_cli(args) == (1, "")
+    err = capsys.readouterr().err
+    assert ("No such option" in err if config is None
+            else f"does not take: {sorted(config)}" in err)
 
 
 @pytest.mark.parametrize("flag,key", _option_rows(), ids=lambda v: v)

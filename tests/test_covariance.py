@@ -309,9 +309,13 @@ class TestCrbCorrelated:
         sig, sc = small_setup(l=2, p=1)
         model = d.build_stacked(sig, sc, random_psd(24, np.random.default_rng(8)))
         g = d.dc_list(model, sig, sc)
-        lam, vec = np.linalg.eigh(d.fim_trace_form(model, g).entries)
-        keep = lam > lam[-1] / d.fim.SINGULAR_COND
-        inv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T
+        fim = d.fim_trace_form(model, g).entries
+        # inverted as the FIM scaled to a unit diagonal, one null direction
+        scale = np.sqrt(np.diag(fim))
+        lam, vec = np.linalg.eigh(fim / np.outer(scale, scale))
+        keep = lam > 1.0 / d.fim.SINGULAR_COND
+        assert np.sum(~keep) == 1
+        inv = (vec[:2, keep] / lam[keep]) @ vec[:2, keep].T / np.outer(scale[:2], scale[:2])
         rep = d.crb_correlated(model, g)
         assert (rep.values["tau0"], rep.values["f0"]) == (inv[0, 0], inv[1, 1])
 

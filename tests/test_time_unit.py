@@ -70,3 +70,28 @@ def test_flags_hold_and_bounds_scale_with_the_time_unit(kind, l, p, a):
             assert tau0 == pytest.approx(ref_tau0 * s * s, rel=1e-9), (name, s)
             if f0 is not None:
                 assert f0 == pytest.approx(ref_f0 / (s * s), rel=1e-9), (name, s)
+
+
+def covariance_report(s, l):
+    """crb_correlated of triangle_wave(40) at spacing s, white Sigma = 0.5 I."""
+    base = d.triangle_wave(40)
+    sig = d.SampledSignal(base.samples, s, base.deriv / s)
+    sc = d.Scenario(tau0=2 * s, f0=0.1 / s, looks_direct=l, looks_reflected=1, sigma_w2=0.5)
+    dim = (l + 1) * sc.record_samples(sig)
+    model = d.build_stacked(sig, sc, 0.5 * np.eye(dim, dtype=complex))
+    return d.crb_correlated(model, d.dc_list(model, sig, sc))
+
+
+@pytest.mark.parametrize("l", [1, 0])
+def test_covariance_null_directions_hold_at_every_time_unit(l):
+    # L = 1: the common-phase gauge is the one null direction; L = 0: delay
+    # trades off against signal timing, so the pair is not identifiable
+    base = covariance_report(1.0, l)
+    assert base.singular is (l == 0)
+    for s in UNITS:
+        rep = covariance_report(s, l)
+        assert rep.singular is base.singular, s
+        if l:
+            assert rep.details["null_directions"] == 1, s
+            assert rep.values["tau0"] == pytest.approx(base.values["tau0"] * s * s, rel=1e-9)
+            assert rep.values["f0"] == pytest.approx(base.values["f0"] / (s * s), rel=1e-9)
