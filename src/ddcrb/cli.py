@@ -1,4 +1,4 @@
-"""Command-line surface: bound tables, sweeps, overlap curves, Monte Carlo.
+"""Delay/Doppler bounds for unknown signals: tables, sweeps, overlap curves, Monte Carlo.
 
 Subcommands emit machine-readable CSV or JSON rows. JSON output is an
 object {config, rows, provenance} where every numeric cell carries a method
@@ -18,7 +18,6 @@ import json
 import math
 import sys
 
-import click
 import numpy as np
 
 from . import __version__
@@ -33,56 +32,61 @@ from .signals import (PulseTrain, SampledSignal, Scenario, ScenarioColumns,
 from .verify import McConfig, monte_carlo_report
 
 
-class _FiniteFloat(click.types.FloatParamType):
-    """A float setting; inf and nan are usage errors."""
-
-    def convert(self, value, param, ctx):
-        out = super().convert(value, param, ctx)
-        if not math.isfinite(out):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        return out
+class UsageError(Exception):
+    """A bad command line, config file or setting value: exit code 1."""
 
 
-FLOAT = _FiniteFloat()
+def _convert(kind, text: str, where: str):
+    """The value of text typed after a flag of kind; where names it in a UsageError."""
+    try:
+        value = kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+        if kind is not float or math.isfinite(value):
+            return value
+        valid = "a finite number"
+    except ValueError:
+        valid = (f"one of {', '.join(map(repr, kind))}" if isinstance(kind, tuple)
+                 else f"a valid {'integer' if kind is int else 'float'}")
+    raise UsageError(f"{where}: {text!r} is not {valid}")
+
 
 # the subcommands that read each setting: table1 fixes the pulse train, its
 # looks and its scale, and the overlap curve reads only M, P and sigma2
 _SCENARIO = ("crb", "sweep", "montecarlo")
 _PULSE, _CURVE = ("table1", *_SCENARIO), ("overlap", *_SCENARIO)
 _ALL = ("overlap", *_PULSE)
-# One row per setting: (flag, config key, click type, default, help, the
-# subcommands that take it). The config key is also the click parameter name
-# and the key in the JSON output's config block, which lists every setting.
+# One row per setting: (flag, config key, kind (int, float (finite), str or a tuple
+# of choices), default, help, the subcommands that take it). The config key is also the
+# callback's keyword and the key in the JSON output's config block, listing every setting.
 OPTIONS = (
     ("--signal", "signal", str, "gaussian_pulse_train",
      "gaussian_pulse_train | triangle | path to .npz/.json", _SCENARIO),
-    ("--delta", "delta", FLOAT, 0.01, "sampling interval", _PULSE),
+    ("--delta", "delta", float, 0.01, "sampling interval", _PULSE),
     ("--np", "np", int, 500, "samples per pulse", _PULSE),
     ("--Q", "Q", int, 2, "pulse count", _PULSE),
-    ("--Tp", "Tp", FLOAT, None, "pulse period; sets delta = Tp/np", _PULSE),
-    ("--tau0", "tau0", FLOAT, 0.05, "reflected-path delay", _PULSE),
-    ("--f0", "f0", FLOAT, 20.0, "Doppler shift", _PULSE),
+    ("--Tp", "Tp", float, None, "pulse period; sets delta = Tp/np", _PULSE),
+    ("--tau0", "tau0", float, 0.05, "reflected-path delay", _PULSE),
+    ("--f0", "f0", float, 20.0, "Doppler shift", _PULSE),
     ("--L", "L", int, 1, "direct-path looks", _SCENARIO),
     ("--P", "P", int, 1, "reflected-path looks", _CURVE),
-    ("--a", "a", FLOAT, 1.0, "reflected-path amplitude scale", _SCENARIO),
-    ("--sigma2", "sigma2", FLOAT, 1.0, "clutter-plus-noise variance", _ALL),
-    ("--amp-convention", "amp_convention", click.Choice(["unit", "sqrt2", "both"]),
+    ("--a", "a", float, 1.0, "reflected-path amplitude scale", _SCENARIO),
+    ("--sigma2", "sigma2", float, 1.0, "clutter-plus-noise variance", _ALL),
+    ("--amp-convention", "amp_convention", ("unit", "sqrt2", "both"),
      "unit", "|b_q|^2 = 1, 2, or emit both (crb and table1 only)", _PULSE),
-    ("--center", "center", FLOAT, 4.0, "Gaussian pulse center", _PULSE),
-    ("--width2", "width2", FLOAT, 9.0, "Gaussian squared width", _PULSE),
+    ("--center", "center", float, 4.0, "Gaussian pulse center", _PULSE),
+    ("--width2", "width2", float, 9.0, "Gaussian squared width", _PULSE),
     ("--M", "M", int, 16, "triangle-wave sample count", _CURVE),
-    ("--format", "format", click.Choice(["csv", "json"]), "csv", None, _ALL),
+    ("--format", "format", ("csv", "json"), "csv", "output format", _ALL),
     ("--out", "out", str, None, "output path (default stdout)", _ALL),
     ("--seed", "seed", int, 42, "base RNG seed", ("montecarlo",)),
     ("--trials", "trials", int, 200, "Monte Carlo trials", ("montecarlo",)),
     ("--sweep", "sweep", str, None,
      "axis=start:stop[:step]; axis in L|P|n_p|n0|a|sigma_w2", ("sweep",)),
-    ("--fspan", "fspan", FLOAT, 0.05, "Doppler search half-span", ("montecarlo",)),
+    ("--fspan", "fspan", float, 0.05, "Doppler search half-span", ("montecarlo",)),
     ("--fpoints", "fpoints", int, 41, "Doppler grid size", ("montecarlo",)),
     ("--tauspan", "tauspan", int, 5, "delay search half-span, samples", ("montecarlo",)),
 )
 DEFAULTS = {key: default for _, key, _, default, _, _ in OPTIONS}
-_TYPES = {key: click.types.convert_type(kind) for _, key, kind, _, _, _ in OPTIONS}
+_KINDS = {key: kind for _, key, kind, _, _, _ in OPTIONS}
 
 SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
 # every point is a row of output; a longer sweep is taken to be a typo
@@ -107,14 +111,14 @@ def _usage_errors():
     try:
         yield
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 def _check_caps(values, caps: dict) -> None:
     """Usage error for any of values (a config) above its cap in caps ({key: cap})."""
     for key, cap in caps.items():
         if values[key] > cap:
-            raise click.UsageError(f"{key} = {values[key]:.6g} is above the cap of {cap}")
+            raise UsageError(f"{key} = {values[key]:.6g} is above the cap of {cap}")
 
 
 class RunConfig(dict):
@@ -137,7 +141,7 @@ def _resolve_delta(cfg: RunConfig, given: dict) -> float:
         return cfg["delta"]
     derived = cfg["Tp"] / cfg["np"]
     if "delta" in given and abs(given["delta"] - derived) > 1e-12:
-        raise click.UsageError("--delta conflicts with --Tp/--np; give only one")
+        raise UsageError("--delta conflicts with --Tp/--np; give only one")
     return derived
 
 
@@ -150,8 +154,8 @@ def build_signal(cfg: RunConfig, delta: float,
             convention = convention or cfg["amp_convention"]
             if convention not in _AMPLITUDES:
                 # crb and table1 pass each convention of "both" in turn
-                raise click.UsageError("--amp-convention both is expanded only by crb and "
-                                       "table1; give unit or sqrt2")
+                raise UsageError("--amp-convention both is expanded only by crb and "
+                                 "table1; give unit or sqrt2")
             b = np.full(cfg["Q"], _AMPLITUDES[convention], dtype=complex)
             pt = gaussian_pulse_train(cfg["np"], delta, cfg["center"], cfg["width2"], b)
             return synthesize_pulse_train(pt), pt
@@ -182,7 +186,7 @@ def _rows(lead: dict, columns: dict, keys=None) -> tuple[list[dict], list[dict]]
                 cells[key][i] = None
             overflowed += [key] * bool(np.any(bad[key] & named))
     if overflowed:
-        click.echo(f"note: {', '.join(overflowed)}: {OVERFLOW_NOTE}; printed as null", err=True)
+        print(f"note: {', '.join(overflowed)}: {OVERFLOW_NOTE}; printed as null", file=sys.stderr)
     cells["singular"] = [";".join(itertools.compress(bad, row))
                          for row in zip(*(mask.tolist() for mask in bad.values()))]
     keys = keys or list(cells)
@@ -204,15 +208,11 @@ def _json_flat_dict(d: dict, depth: int) -> str:
     return "{\n" + "  " * (depth + 1) + inner + "\n" + "  " * depth + "}"
 
 
-def _rows_json(config: dict, rows: list[dict], methods: list[dict],
-               provenance: dict) -> str:
-    """json.dumps(indent=2) of write_rows' payload, byte for byte.
-
-    Every dict of the payload (config, provenance, each row's values and
-    methods) holds scalars only, so each goes through the C encoder whole
-    and only the brackets around them are written here. Rows that share one
-    tag dict (every row of a bound table) share its text.
-    """
+def _rows_json(config: dict, rows: list[dict], methods: list[dict], provenance: dict) -> str:
+    """json.dumps(indent=2) of write_rows' payload, byte for byte. Every dict
+    of it (config, provenance, each row's values and methods) holds scalars
+    only, so each goes through the C encoder whole and only the brackets
+    around them are written here; rows that share a tag dict share its text."""
     shared = {id(tags): tags for tags in methods}
     tag_texts = {key: _json_flat_dict(tags, 3) for key, tags in shared.items()}
     items = [f'    {{\n      "values": {_json_flat_dict(row, 3)},\n'
@@ -232,70 +232,76 @@ def write_rows(rows: list[dict], methods: list[dict], cfg: RunConfig) -> None:
         text = _rows_json(config, rows, methods,
                           {"version": __version__, "seed": cfg["seed"]}) + "\n"
     else:
+        # every row has the first row's keys in order; csv writes None as ""
         buf = io.StringIO()
-        if rows:
-            writer = csv.writer(buf)
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(["" if row[k] is None else row[k] for k in header])
+        csv.writer(buf).writerows([list(rows[0]), *(row.values() for row in rows)] if rows else [])
         text = buf.getvalue()
-    if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _read_config(path: str, keys) -> dict:
-    """Config-file values, each converted as if typed after its flag; null
-    counts as omitted, and a key outside keys (the command's settings) is a
-    usage error."""
-    with open(path) as fh:
-        try:
-            values = json.load(fh)
-        except ValueError as exc:
-            raise click.UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(values, dict):
-        raise click.UsageError(f"config file {path} must hold one JSON object")
-    unknown = set(values) - set(keys)
-    if unknown:
-        raise click.UsageError(f"config keys this command does not take: {sorted(unknown)}")
-    given = {}
-    for key, value in values.items():
-        if value is not None:
-            try:
-                given[key] = _TYPES[key].convert(str(value), None, None)
-            except click.BadParameter as exc:
-                raise click.UsageError(f"config key {key!r}: {exc.message}") from exc
-    return given
+    with open(cfg["out"], "w") if cfg["out"] else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def merge_config(config_path: str | None, **flags) -> tuple[RunConfig, dict]:
-    """Defaults overridden by the config file, then by explicit flags (one
-    per setting of the command); the second result holds the settings the
-    file or a flag gave."""
-    given = _read_config(config_path, flags) if config_path else {}
+    """Defaults overridden by the config file, then by explicit flags (one per
+    setting of the command), and the settings the file or a flag gave. A file
+    value is converted as if typed after its flag; null counts as omitted."""
+    given = {}
+    if config_path:
+        with open(config_path) as fh:
+            try:
+                values = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise UsageError(f"config file {config_path} must hold one JSON object")
+        if unknown := set(values) - set(flags):
+            raise UsageError(f"config keys this command does not take: {sorted(unknown)}")
+        given = {key: _convert(_KINDS[key], str(value), f"config key {key!r}")
+                 for key, value in values.items() if value is not None}
     given.update((key, value) for key, value in flags.items() if value is not None)
     return RunConfig({**DEFAULTS, **given}), given
 
 
-@click.group()
-def cli():
-    """Delay/Doppler estimation bounds for unknown transmitted signals."""
+class Command:
+    """A subcommand: --config, --help and the OPTIONS rows that name it. main
+    looks callback up on every call, so a wrapper set in its place runs."""
+
+    def __init__(self, name: str, callback):
+        self.name, self.callback, self.doc = name, callback, callback.__doc__
+        self.options = {"--config": ("config_path", str, "JSON settings file; flags override it")}
+        self.options.update((flag, (key, kind, text)) for flag, key, kind, _, text, commands
+                            in OPTIONS if name in commands)
+
+    def parse(self, args: list) -> dict | None:
+        """The callback's keywords from args, --flag value or --flag=value (the last
+        repeat wins, None if not given); None, with the help printed, if --help is given."""
+        if "--help" in args:
+            print(self.help())
+            return None
+        params, args = dict.fromkeys(key for key, _, _ in self.options.values()), iter(args)
+        for arg in args:
+            flag, eq, text = arg.partition("=")
+            if flag not in self.options:
+                raise UsageError(f"No such option {flag!r}" if arg.startswith("-")
+                                 else f"Got unexpected extra argument ({arg})")
+            if not eq and (text := next(args, None)) is None:
+                raise UsageError(f"Option {flag!r} requires an argument")
+            key, kind, _ = self.options[flag]
+            params[key] = _convert(kind, text, f"Invalid value for {flag!r}")
+        return params
+
+    def help(self) -> str:
+        rows = [(flag, text) for flag, (_, _, text) in self.options.items()]
+        rows.append(("--help", "show this message and exit"))
+        doc = [line.strip() for line in self.doc.strip().splitlines()]
+        return "\n".join([f"Usage: ddcrb {self.name} [OPTIONS]", "", *doc, "", "Options:",
+                          *(f"  {flag:<18}{text}" for flag, text in rows)])
+
+
+COMMANDS: dict[str, Command] = {}
 
 
 def _command(name: str):
-    """A subcommand whose options are --config and the OPTIONS rows that
-    name it."""
-    def decorate(fn):
-        for flag, key, kind, _, text, commands in reversed(OPTIONS):
-            if name in commands:
-                fn = click.option(flag, key, type=kind, default=None, help=text)(fn)
-        fn = click.option("--config", "config_path", type=str, default=None, help=(
-            "JSON config file of this command's settings; flags override its keys."))(fn)
-        return cli.command(name)(fn)
-    return decorate
+    return lambda fn: COMMANDS.setdefault(name, Command(name, fn))
 
 
 @_command("crb")
@@ -342,48 +348,45 @@ def cmd_table1(config_path, **flags):
 def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     try:
         axis, rng = spec.split("=", 1)
-        parts = rng.split(":")
-        start, stop = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) > 2 else 1.0
-    except (ValueError, IndexError) as exc:
-        raise click.UsageError(f"bad sweep spec {spec!r}; use axis=start:stop[:step]") from exc
+        start, stop, step = map(float, (rng.split(":") + ["1"])[:3])  # step 1 by default
+    except ValueError as exc:
+        raise UsageError(f"bad sweep spec {spec!r}; use axis=start:stop[:step]") from exc
     axis = {"np": "n_p"}.get(axis, axis)
     if axis not in SWEEP_AXES:
-        raise click.UsageError(f"sweep axis must be one of {SWEEP_AXES}")
+        raise UsageError(f"sweep axis must be one of {SWEEP_AXES}")
     bounds = (start, stop, step)
     if not all(map(math.isfinite, bounds)):
-        raise click.UsageError(f"sweep range must be finite; got {spec!r}")
+        raise UsageError(f"sweep range must be finite; got {spec!r}")
     counts = axis in ("L", "P", "n_p", "n0")
     if counts and any(x != int(x) for x in bounds):
-        raise click.UsageError(f"sweep axis {axis} counts samples or looks; its "
-                               f"start, stop and step must be integers")
+        raise UsageError(f"sweep axis {axis} counts samples or looks; its "
+                         f"start, stop and step must be integers")
     if step <= 0 or stop < start:
-        raise click.UsageError("sweep range must be nonempty with positive step")
+        raise UsageError("sweep range must be nonempty with positive step")
     # counted before np.arange allocates them; (stop - start) / step may be inf
     points = (stop - start) / step + 1.0
     if points > SWEEP_MAX_POINTS:
-        raise click.UsageError(f"sweep {spec!r} has about {points:.6g} points; "
-                               f"at most {SWEEP_MAX_POINTS} are allowed")
+        raise UsageError(f"sweep {spec!r} has about {points:.6g} points; "
+                         f"at most {SWEEP_MAX_POINTS} are allowed")
     values = np.arange(start, stop + step / 2, step)
     if not values.size:  # start == stop, and stop + step/2 rounded back to stop
-        raise click.UsageError(f"sweep {spec!r} has no points at float precision")
+        raise UsageError(f"sweep {spec!r} has no points at float precision")
     if counts:
         values = values.astype(int)
     # the counts have a least value; a and sigma_w2 must be positive
     low = {"n_p": 1, "L": 0, "P": 0, "n0": 0}.get(axis)
     if (values[0] < low) if low is not None else (values[0] <= 0):
         need = f"at least {low}" if low is not None else "positive"
-        raise click.UsageError(f"sweep axis {axis} must be {need}; got {values[0]}")
+        raise UsageError(f"sweep axis {axis} must be {need}; got {values[0]}")
     return axis, values
 
 
 def _bound_columns(signals: list, pts: ScenarioColumns, tag: str = "") -> dict:
-    """{column pattern: PairColumns} of the known-signal (at the row's scale,
-    so the unknown/known ratio is the look factor), unknown-signal joint and
-    separate and, given trains, known-structure bounds at every row of pts:
-    each family once. signals: one (signal, train or None) per row and pts
-    one delay, or one for every row; tag suffixes all but the known-signal
-    pattern."""
+    """{column pattern: PairColumns} of the known-signal (at the row's scale, so
+    the unknown/known ratio is the look factor), unknown-signal joint and separate
+    and, given trains, known-structure bounds at every row of pts: each family
+    once. signals: one (signal, train or None) per row and pts one delay, or one
+    for every row; tag suffixes all but the known-signal pattern."""
     sigs, trains = zip(*signals)
     known, joint, separate = signal_bound_columns(sigs, pts)
     columns = {"jcrb_{}": known.scaled(1.0 / pts.scale2), f"jcrb_{{}}_s{tag}": joint,
@@ -404,7 +407,7 @@ def cmd_sweep(config_path, **flags):
     """
     cfg, given = merge_config(config_path, **flags)
     if not cfg["sweep"]:
-        raise click.UsageError("sweep requires --sweep axis=start:stop[:step]")
+        raise UsageError("sweep requires --sweep axis=start:stop[:step]")
     axis, values = _parse_sweep(cfg["sweep"])
     lead = {axis: values.tolist()}
     # only the n_p axis changes the signal: one train per row
@@ -436,13 +439,11 @@ def cmd_overlap(config_path, **flags):
     """Delay bound versus overlap offset for the triangle wave."""
     cfg, _ = merge_config(config_path, **flags)
     _check_caps(cfg, {"M": OVERLAP_MAX_M})
-    sc = cfg.scenario()
     # triangle_overlap_curve raises ValueError only for bad input, such as an odd M
     with _usage_errors():
-        curve = triangle_overlap_curve(cfg["M"], sc)
-    rows = [{"M": cfg["M"], "n0": row["n0"], "crb_tau0": row["crb_tau0"],
-             "singular": row["singular"], "regime": row["regime"],
-             "crb_non": row["crb_non"]} for row in curve]
+        curve = triangle_overlap_curve(cfg["M"], cfg.scenario())
+    keys = ("n0", "crb_tau0", "singular", "regime", "crb_non")
+    rows = [{"M": cfg["M"], **{key: row[key] for key in keys}} for row in curve]
     write_rows(rows, [{"crb_tau0": row["method"], "crb_non": METHOD_CLOSED_FORM}
                       for row in curve], cfg)
 
@@ -453,7 +454,7 @@ def cmd_montecarlo(config_path, **flags):
     cfg, given = merge_config(config_path, **flags)
     _check_caps(cfg, MONTECARLO_MAX)
     if cfg["a"] != 1.0:
-        raise click.UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
+        raise UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
     delta = _resolve_delta(cfg, given)
     sig, _ = build_signal(cfg, delta)
     record = "look record n0 + tauspan + M"  # tau0/delta may be inf
@@ -461,15 +462,11 @@ def cmd_montecarlo(config_path, **flags):
                 {record: MONTECARLO_MAX_RECORD})
     with _usage_errors():
         # an off-grid --tau0 is an error, not snapped to the sample grid
-        n0 = cfg.scenario().delay_samples(delta)
-        span = cfg["tauspan"]
-        tau_lo = max(0, n0 - span)
+        n0, span = cfg.scenario().delay_samples(delta), cfg["tauspan"]
         sc = cfg.scenario(tau0=n0 * delta, record_length=n0 + span + sig.m)
-        f_grid = np.linspace(cfg["f0"] - cfg["fspan"], cfg["f0"] + cfg["fspan"],
-                             cfg["fpoints"])
-        mc = McConfig(trials=cfg["trials"], seed=cfg["seed"],
-                      tau_grid=tuple(range(tau_lo, n0 + span + 1)),
-                      f_grid=tuple(f_grid))
+        f_grid = np.linspace(cfg["f0"] - cfg["fspan"], cfg["f0"] + cfg["fspan"], cfg["fpoints"])
+        mc = McConfig(trials=cfg["trials"], seed=cfg["seed"], f_grid=tuple(f_grid),
+                      tau_grid=tuple(range(max(0, n0 - span), n0 + span + 1)))
         mc.check_covers(n0, sc.f0)
     report = monte_carlo_report(sig, sc, mc)
     rows = [{"parameter": row["parameter"], "estimator": row["estimator"],
@@ -482,22 +479,25 @@ def cmd_montecarlo(config_path, **flags):
 
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
+    name, *args = (sys.argv[1:] if argv is None else list(argv)) or [None]
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
+        if name in COMMANDS:
+            if (params := COMMANDS[name].parse(args)) is not None:
+                COMMANDS[name].callback(**params)
+        elif name in (None, "--help"):  # with no command at all, help is a usage error
+            print(f"Usage: ddcrb COMMAND [OPTIONS] with COMMAND one of {', '.join(COMMANDS)}\n"
+                  f"\n{__doc__}", end="", file=sys.stderr if name is None else sys.stdout)
+            return 1 if name is None else 0
+        else:
+            raise UsageError(f"No such command {name!r}")
+    except (UsageError, KeyboardInterrupt) as exc:
+        print(f"Error: {str(exc) or 'interrupted'}", file=sys.stderr)
         return 1
     except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -271,7 +271,7 @@ def cli_rows(argv: list[str]) -> list[tuple[dict, dict, dict]]:
     sweep or table1 command of argv prints, made one scenario at a time: a
     singular pair's cells are None and listed in the row's singular keys."""
     name, *args = argv
-    params = cli.cli.commands[name].make_context(name, list(args)).params
+    params = cli.COMMANDS[name].parse(list(args))
     cfg, given = cli.merge_config(params.pop("config_path"), **params)
     out = []
     for lead, pairs in _command_rows(name, cfg, given):

@@ -720,11 +720,49 @@ COMMAND_SETTINGS = {
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    taken = {name: {param.name for param in command.params}
-             for name, command in cli.cli.commands.items()}
+    # the keywords each callback is given: every setting, None when not given
+    taken = {name: set(command.parse([])) for name, command in cli.COMMANDS.items()}
     assert taken == COMMAND_SETTINGS
     assert {name: len(keys) for name, keys in taken.items()} == {
         "crb": 18, "table1": 13, "sweep": 19, "overlap": 6, "montecarlo": 23}
+
+
+# (argv, exit code, stdout empty, text stderr holds) of the argument contract;
+# an accepted argv prints the bytes of its spelled-out form in ARGV_SPELLED_OUT
+ARGV_SPELLED_OUT = {("crb", "--f0", "-1e-3"): ["crb", "--f0=-0.001"],
+                    ("crb", "--f0=-2"): ["crb", "--f0", "-2"],
+                    ("crb", "--np", "60", "--np", "70"): ["crb", "--np", "70"]}
+
+
+@pytest.mark.parametrize("argv,code,quiet,message", [
+    ([], 1, True, "Usage"),
+    (["--help"], 0, False, ""),
+    (["crb", "--help"], 0, False, ""),
+    (["sweep", "--help"], 0, False, ""),
+    (["nosuch"], 1, True, "No such command"),
+    (["crb", "--np"], 1, True, "requires an argument"),
+    (["crb", "--np", "x"], 1, True, "not a valid integer"),
+    (["crb", "--format", "xml"], 1, True, "not one of"),
+    (["crb", "--delta", "inf"], 1, True, "not a finite number"),
+    (["crb", "extra"], 1, True, "unexpected extra argument"),
+    # a flag's prefix is not expanded to the flag
+    (["crb", "--sig", "triangle"], 1, True, "No such option"),
+    *((list(argv), 0, False, "") for argv in ARGV_SPELLED_OUT),
+], ids=lambda v: (" ".join(v) or "no-args") if isinstance(v, list) else None)
+def test_argument_contract(capsys, argv, code, quiet, message):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out == "") == quiet
+    assert message in err
+    if "--help" in argv:
+        command = argv[0] if len(argv) > 1 else None
+        # the group's help names every command; a command's, every flag it takes
+        names = (list(cli.COMMANDS) if command is None else
+                 ["--config", "--help", *(flag for flag, *_, commands in cli.OPTIONS
+                                          if command in commands)])
+        assert all(name in out for name in names)
+    if tuple(argv) in ARGV_SPELLED_OUT:
+        assert (code, out) == run_cli(ARGV_SPELLED_OUT[tuple(argv)])
 
 
 @pytest.mark.parametrize("args,config", [

@@ -1,9 +1,10 @@
-"""Start-up cost: the package never imports scipy.
+"""Start-up cost: the package never imports scipy or click.
 
 Each check runs in a fresh interpreter, because the test process itself has
 imported scipy long before (the dense oracles use it).
 """
 
+import functools
 import json
 import os
 import pathlib
@@ -17,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUNS_SCRIPT = r"""
 import importlib.util, json, os, sys
 import ddcrb, ddcrb.cli
-loaded = [("import", "scipy" in sys.modules)]
+loaded = [("import", 0, "scipy" in sys.modules, "click" in sys.modules)]
 spec = importlib.util.spec_from_file_location("reproduce_results", sys.argv[1])
 reproduce = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(reproduce)
@@ -26,7 +27,7 @@ for name, args in reproduce.RUNS:
     if "--trials" in args:
         args[args.index("--trials") + 1] = "3"
     code = ddcrb.cli.main([*args, "--format", "json", "--out", os.devnull])
-    loaded.append((name, code, "scipy" in sys.modules))
+    loaded.append((name, code, "scipy" in sys.modules, "click" in sys.modules))
 print(json.dumps(loaded))
 """
 
@@ -60,14 +61,22 @@ def run_fresh(script, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_cli_runs_never_import_scipy():
+@functools.cache
+def fresh_runs():
+    """[(step, exit code, scipy loaded, click loaded)] of the import and each run."""
     loaded = run_fresh(RUNS_SCRIPT, str(ROOT / "scripts" / "reproduce_results.py"))
-    assert loaded[0] == ["import", False]
-    assert [name for name, *_ in loaded[1:]] == [
-        "table1", "sweep_L", "sweep_np", "sweep_a", "overlap_m16", "montecarlo"]
-    for name, code, scipy_loaded in loaded[1:]:
-        assert code == 0, name
-        assert not scipy_loaded, name
+    assert [name for name, *_ in loaded] == [
+        "import", "table1", "sweep_L", "sweep_np", "sweep_a", "overlap_m16", "montecarlo"]
+    assert all(code == 0 for _, code, _, _ in loaded[1:])
+    return loaded
+
+
+def test_cli_runs_never_import_scipy():
+    assert not any(scipy_loaded for _, _, scipy_loaded, _ in fresh_runs())
+
+
+def test_cli_runs_never_import_click():
+    assert not any(click_loaded for _, _, _, click_loaded in fresh_runs())
 
 
 def test_no_solve_imports_scipy():
