@@ -6,8 +6,8 @@ from .signals import (DerivMethod, PulseTrain, SampledSignal, Scenario, eta,
                       gaussian_fn, gaussian_pulse, gaussian_pulse_train,
                       mean_vector, pulse_train_fn, synthesize_pulse_train,
                       triangle_wave)
-from .fim import (Bound, BoundPair, CrbReport, FimMatrix, SingularFimError,
-                  eliminated_pair, schur_complement)
+from .fim import (BoundPair, CrbReport, FimMatrix, SingularFimError, eliminated_pair,
+                  schur_complement)
 from .bounds import (crb_separate_unknown, fim_known_signal, fim_known_signal_scale,
                      fim_unknown_signal, jcrb_known, jcrb_unknown)
 from .structure import (StructureQuantities, fim_known_structure,

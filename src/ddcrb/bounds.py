@@ -14,13 +14,10 @@ import functools
 
 import numpy as np
 
-from .fim import OVERFLOW_NOTE, Border, BoundPair, FimMatrix, PairColumns
+from .fim import OVERFLOW_NOTE, SINGULAR_COND, Border, BoundPair, FimMatrix, PairColumns
 from .signals import SampledSignal, Scenario, ScenarioColumns, eta, memoised
 
 TWO_PI2 = 8.0 * np.pi ** 2
-# Cauchy-Schwarz determinants this far below their natural scale are treated
-# as exactly zero (rank-deficient FIM, no finite bound)
-DEGENERACY_RTOL = 1e-12
 
 
 @memoised
@@ -100,7 +97,7 @@ def signal_bound_columns(signals: list[SampledSignal],
 
     known: sigma_w2 sum (t+tau0)^2|s|^2 / (2 den) and sigma_w2 sum|s'|^2 /
     (8 pi^2 den), den = sum|s'|^2 sum (t+tau0)^2|s|^2 - eta^2, singular when
-    den is not above DEGENERACY_RTOL of its lead or sum|s'|^2 is not positive,
+    den is not above its lead / SINGULAR_COND or sum|s'|^2 is not positive,
     and with OVERFLOW_NOTE first when a sum is not finite.
     joint: known times (L + a^2 P)/(L P) / a^2. separate: that look factor
     times sigma_w2/(2 a^2 sum|s'|^2) and sigma_w2/(8 pi^2 a^2 sum
@@ -117,7 +114,7 @@ def signal_bound_columns(signals: list[SampledSignal],
         known = PairColumns.flagged(
             s2 * s_ww / (2.0 * den), s2 * s_dd / (TWO_PI2 * den),
             (~np.isfinite([s_dd, s_ww, e]).all(axis=0), OVERFLOW_NOTE),
-            ((den <= DEGENERACY_RTOL * s_dd * s_ww) | (s_dd <= 0.0),
+            ((den <= s_dd * s_ww / SINGULAR_COND) | (s_dd <= 0.0),
              "degenerate signal: zero information determinant"))
         factor = (l + a2 * p) / (l * p)
         joint = PairColumns.flagged(

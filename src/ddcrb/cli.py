@@ -96,8 +96,9 @@ OVERLAP_MAX_M = 8192
 # Monte Carlo work grows with each of these settings (500 trials of the
 # default grid take tens of milliseconds); a larger value is taken to be a typo
 MONTECARLO_MAX = {"trials": 1_000_000, "fpoints": 10_000, "tauspan": 10_000}
-# samples n0 + tauspan + M of one look record, of which each trial keeps a few per look
-MONTECARLO_MAX_RECORD = 1_000_000
+# samples of one look record (n0 + tauspan + M, of which each trial keeps a few per
+# look) and of one synthesized signal (Q n_p of a pulse train, M of the triangle)
+MONTECARLO_MAX_RECORD = SIGNAL_MAX_SAMPLES = 1_000_000
 # table1's bound columns in order: each unknown-signal bound by its known one
 TABLE1_COLUMNS = ("jcrb_tau0_s", "jcrb_tau0", "jcrb_f0_s", "jcrb_f0",
                   "jcrb_tau0_s_schur", "jcrb_f0_s_schur", "ratio_tau0", "ratio_f0")
@@ -114,11 +115,10 @@ def _usage_errors():
         raise UsageError(str(exc)) from exc
 
 
-def _check_caps(values, caps: dict) -> None:
-    """Usage error for any of values (a config) above its cap in caps ({key: cap})."""
-    for key, cap in caps.items():
-        if values[key] > cap:
-            raise UsageError(f"{key} = {values[key]:.6g} is above the cap of {cap}")
+def _check_cap(key: str, value, cap) -> None:
+    """Usage error when value, the setting or size key names, is above cap."""
+    if value > cap:
+        raise UsageError(f"{key} = {value:.6g} is above the cap of {cap}")
 
 
 class RunConfig(dict):
@@ -136,9 +136,13 @@ _AMPLITUDES = {"unit": (1.0 + 1.0j) / np.sqrt(2.0), "sqrt2": 1.0 + 1.0j}
 
 
 def _resolve_delta(cfg: RunConfig, given: dict) -> float:
-    """Sampling interval, optionally derived from a fixed pulse period."""
+    """delta (Tp/np given Tp) once the signal fits: Q n_p samples (n_p + 1 for Q < 1) or M."""
+    size = {"gaussian_pulse_train": max(cfg["Q"], 1) * cfg["np"], "triangle": cfg["M"]}
+    _check_cap("signal samples", size.get(cfg["signal"], 0), SIGNAL_MAX_SAMPLES)
     if cfg["Tp"] is None:
         return cfg["delta"]
+    if cfg["np"] < 1:
+        raise UsageError("n_p must be at least 1")
     derived = cfg["Tp"] / cfg["np"]
     if "delta" in given and abs(given["delta"] - derived) > 1e-12:
         raise UsageError("--delta conflicts with --Tp/--np; give only one")
@@ -153,7 +157,6 @@ def build_signal(cfg: RunConfig, delta: float,
         if kind == "gaussian_pulse_train":
             convention = convention or cfg["amp_convention"]
             if convention not in _AMPLITUDES:
-                # crb and table1 pass each convention of "both" in turn
                 raise UsageError("--amp-convention both is expanded only by crb and "
                                  "table1; give unit or sqrt2")
             b = np.full(cfg["Q"], _AMPLITUDES[convention], dtype=complex)
@@ -313,8 +316,7 @@ def cmd_crb(config_path, **flags):
     conventions = ["unit", "sqrt2"] if both else [cfg["amp_convention"]]
     signals = [build_signal(cfg, delta, convention) for convention in conventions]
     sc = cfg.scenario()
-    lead = {"amp_convention": [c if pt is not None else None
-                               for c, (_, pt) in zip(conventions, signals)],
+    lead = {"amp_convention": [c if pt else None for c, (_, pt) in zip(conventions, signals)],
             "L": sc.looks_direct, "P": sc.looks_reflected, "a": sc.scale,
             "sigma_w2": sc.sigma_w2, "tau0": sc.tau0, "f0": sc.f0}
     write_rows(*_rows(lead, _bound_columns(signals, ScenarioColumns.of(sc))), cfg)
@@ -354,11 +356,10 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     axis = {"np": "n_p"}.get(axis, axis)
     if axis not in SWEEP_AXES:
         raise UsageError(f"sweep axis must be one of {SWEEP_AXES}")
-    bounds = (start, stop, step)
-    if not all(map(math.isfinite, bounds)):
+    if not all(map(math.isfinite, (start, stop, step))):
         raise UsageError(f"sweep range must be finite; got {spec!r}")
     counts = axis in ("L", "P", "n_p", "n0")
-    if counts and any(x != int(x) for x in bounds):
+    if counts and any(x != int(x) for x in (start, stop, step)):
         raise UsageError(f"sweep axis {axis} counts samples or looks; its "
                          f"start, stop and step must be integers")
     if step <= 0 or stop < start:
@@ -438,7 +439,7 @@ def cmd_sweep(config_path, **flags):
 def cmd_overlap(config_path, **flags):
     """Delay bound versus overlap offset for the triangle wave."""
     cfg, _ = merge_config(config_path, **flags)
-    _check_caps(cfg, {"M": OVERLAP_MAX_M})
+    _check_cap("M", cfg["M"], OVERLAP_MAX_M)
     # triangle_overlap_curve raises ValueError only for bad input, such as an odd M
     with _usage_errors():
         curve = triangle_overlap_curve(cfg["M"], cfg.scenario())
@@ -452,14 +453,14 @@ def cmd_overlap(config_path, **flags):
 def cmd_montecarlo(config_path, **flags):
     """Empirical estimator MSE against the bounds (deterministic by seed)."""
     cfg, given = merge_config(config_path, **flags)
-    _check_caps(cfg, MONTECARLO_MAX)
+    for key, cap in MONTECARLO_MAX.items():
+        _check_cap(key, cfg[key], cap)
     if cfg["a"] != 1.0:
         raise UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
     delta = _resolve_delta(cfg, given)
     sig, _ = build_signal(cfg, delta)
-    record = "look record n0 + tauspan + M"  # tau0/delta may be inf
-    _check_caps({record: cfg["tau0"] / delta + cfg["tauspan"] + sig.m},
-                {record: MONTECARLO_MAX_RECORD})
+    _check_cap("look record n0 + tauspan + M",  # tau0/delta may be inf
+               cfg["tau0"] / delta + cfg["tauspan"] + sig.m, MONTECARLO_MAX_RECORD)
     with _usage_errors():
         # an off-grid --tau0 is an error, not snapped to the sample grid
         n0, span = cfg.scenario().delay_samples(delta), cfg["tauspan"]
@@ -469,10 +470,9 @@ def cmd_montecarlo(config_path, **flags):
                       tau_grid=tuple(range(max(0, n0 - span), n0 + span + 1)))
         mc.check_covers(n0, sc.f0)
     report = monte_carlo_report(sig, sc, mc)
-    rows = [{"parameter": row["parameter"], "estimator": row["estimator"],
-             "empirical_mse": row["empirical_mse"], "bound": row["bound"],
-             "ratio": row["ratio"], "trials": report.trials,
-             "seed": report.seed, "singular": row["singular"]} for row in report.rows]
+    keys = ("parameter", "estimator", "empirical_mse", "bound", "ratio")
+    rows = [{**{key: row[key] for key in keys}, "trials": report.trials, "seed": report.seed,
+             "singular": row["singular"]} for row in report.rows]
     write_rows(rows, [{"empirical_mse": METHOD_MONTE_CARLO, "bound": row["method"],
                        "ratio": METHOD_MONTE_CARLO} for row in report.rows], cfg)
 

@@ -9,9 +9,10 @@ schur_complement act on the parameters of interest only, through the blocks.
 The dense matrix is built only as FimMatrix.entries, on request, and as the
 fallback of FimMatrix.solvable when C has no Cholesky factor (L = P = 0, or
 a singular K): validation and elimination then take it as a border with C
-empty. eliminated_pair turns a FIM into delay/Doppler bounds;
-Bound/BoundPair/CrbReport carry bound values, a method tag and a singularity
+empty. eliminated_pair turns a FIM into delay/Doppler bounds; BoundPair,
+PairColumns and CrbReport carry bound values, a method tag and a singularity
 flag, so rank-deficient scenarios (no unbiased estimator) give flagged results.
+SINGULAR_COND is the one threshold of "no information" for every model.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ class Border:
             y = band_solve(factor, np.hstack([self.b[:, 0::2].T, self.b[:, 1::2].T]))
             # as written, on a C-ordered y: numpy may send another layout or
             # product form to another BLAS routine, which can move the last bits
-            out =self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
+            out = self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
         out = 0.5 * (out + out.T)
         out.setflags(write=False)
         return out
@@ -350,22 +351,6 @@ def invert_bound_matrix(reduced: np.ndarray,
     if np.min(np.linalg.eigvalsh(judged)) <= max(ref, 1e-300) / SINGULAR_COND:
         return None
     return np.linalg.inv(sym)
-
-
-@dataclass(frozen=True)
-class Bound:
-    """A single variance lower bound; infinite and flagged when singular."""
-
-    value: float
-    singular: bool = False
-    note: str = ""
-
-    def __float__(self) -> float:
-        return self.value
-
-    @classmethod
-    def singular_bound(cls, note: str) -> "Bound":
-        return cls(value=float("inf"), singular=True, note=note)
 
 
 @dataclass(frozen=True)

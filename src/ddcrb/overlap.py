@@ -22,7 +22,6 @@ from .fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, CrbReport,
                   SingularFimError, SINGULAR_COND)
 from .signals import SampledSignal, Scenario, triangle_wave
 
-SINGULAR_RTOL = 1e-10
 # Most chain entries eliminated in one block. One offset's chains are never
 # split, so working memory is a few arrays of max(CHAIN_BLOCK, about 2M)
 # entries, however many offsets a curve has.
@@ -171,15 +170,10 @@ def _chain_sums(d: np.ndarray, neg_c: float, steps: np.ndarray):
                 colsum[j] = np.add.reduce(cum[:, j])
         cum -= colsum / (size + 1)
         np.square(cum, out=cum)
-        # lay each run's (size + 1) x count block out row after row, so that
-        # it sums pairwise as one contiguous array
-        dest = np.multiply.outer(np.arange(size + 1), np.repeat(n, n))
-        dest += np.repeat(edges[:-1] * (size + 1), n) + within
-        flat = np.empty(cum.size)
-        flat[dest] = cum
-        del cum, dest
-        ends = (edges * (size + 1)).tolist()
-        quad[runs] += [np.add.reduce(flat[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+        # each run's (size + 1) x count block, row after row, sums pairwise
+        # as one contiguous array
+        ends = edges.tolist()
+        quad[runs] += [np.add.reduce(cum[:, a:b].ravel()) for a, b in zip(ends[:-1], ends[1:])]
     return quad, pairs, singles
 
 
@@ -226,7 +220,7 @@ def _report(n0: int, m: int, x: float, e: float, den: float, looks: int,
             sigma_w2: float, sum_d2: float) -> CrbReport:
     regime = overlap_regime(n0, m)
     details = {"regime": regime, "n0": n0, "information_after_elimination": x}
-    if abs(x) <= SINGULAR_RTOL * max(e, 1e-300):
+    if abs(x) <= e / SINGULAR_COND:
         return CrbReport(values={"tau0": float("inf")},
                          method=METHOD_SCHUR_NUMERIC, singular=True,
                          details={**details, "note": "overlap leaves no delay information"})

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import (DEGENERACY_RTOL, TWO_PI2, energy_sums, fim_unknown_signal,
+from .bounds import (TWO_PI2, energy_sums, fim_unknown_signal, signal_bound_columns,
                      signal_bounds, weighted_sums)
-from .fim import Bound, BoundPair, FimMatrix, PairColumns, eliminated_pair
+from .fim import SINGULAR_COND, BoundPair, FimMatrix, PairColumns, eliminated_pair
 from .signals import PulseTrain, SampledSignal, Scenario, ScenarioColumns, squares
 from .structure import _shared_quantities, fim_known_structure, support_assumption_holds
 
@@ -55,7 +55,7 @@ def structure_bound_columns(trains: list[PulseTrain], pts: ScenarioColumns,
     V22 = (8 pi^2 a^2 P/s2) (sum_q w_q |b_q|^2 - pfrac sum_q gamma_q^2 |b_q|^2/E_g),
     pfrac = a^2 P/(L + a^2 P); k = pfrac for a known scale, 1 for an unknown one.
     Flagged singular for P = 0 or a zero pulse, and when a difference falls
-    to DEGENERACY_RTOL of its lead. Python's operations in the scalar form's
+    to its lead / SINGULAR_COND. Python's operations in the scalar form's
     order, so each row is that form's value bit for bit.
     """
     sqs = [(_shared_quantities(pt, t), pt.amp_energy) for pt in trains for t in pts.tau0.tolist()]
@@ -71,7 +71,7 @@ def structure_bound_columns(trains: list[PulseTrain], pts: ScenarioColumns,
         return PairColumns.flagged(
             1.0 / v11, 1.0 / v22,
             ((p == 0) | (e_g <= 0.0), "P = 0 or zero pulse: no delay/Doppler information"),
-            ((d11 <= DEGENERACY_RTOL * dg2) | (d22 <= DEGENERACY_RTOL * w_b2),
+            ((d11 <= dg2 / SINGULAR_COND) | (d22 <= w_b2 / SINGULAR_COND),
              "degenerate pulse: amplitude block absorbs all delay/Doppler information"))
 
 
@@ -115,16 +115,23 @@ def jcrb_unknown_a_structure(pt: PulseTrain, sc: Scenario) -> tuple[BoundPair, B
     return eliminated_pair(fim), eliminated_pair(fim, separate=True)
 
 
-def crb_separate_unknown_a(sig: SampledSignal, sc: Scenario) -> Bound:
-    """Single-look delay bound baseline with signal, f0-free, a unknown.
+def crb_separate_unknown_a(sig: SampledSignal, sc: Scenario) -> BoundPair:
+    """Separate bounds with the signal unknown when the scale a is estimated too.
 
-    sigma_w2 sum|s|^2 / (2 a^2 (sum|s'|^2 sum|s|^2 - (sum s_R s_R'+s_I s_I')^2)).
-    Multiply by (L + a^2 P)/(L P) for the multi-look bound. Flagged singular
-    at Schwartz equality (signal proportional to its derivative).
+    tau0: crb_separate_unknown's times the energy-flow correction
+    sum|s'|^2 sum|s|^2 / (sum|s'|^2 sum|s|^2 - (sum s_R s_R' + s_I s_I')^2),
+    i.e. (L + a^2 P)/(L P) sigma_w2 sum|s|^2 / (2 a^2 (that denominator));
+    f0: crb_separate_unknown's, which estimating a leaves unchanged. Flagged
+    singular as crb_separate_unknown is (L = 0 or P = 0) and at Schwartz
+    equality (signal proportional to its derivative).
     """
+    separate = signal_bound_columns([sig], ScenarioColumns.of(sc))[2]
     s_dd, _, _ = weighted_sums(sig, sc.tau0)
     s_e, s_x = energy_sums(sig)
-    den = s_dd * s_e - s_x ** 2
-    if den <= DEGENERACY_RTOL * s_dd * s_e or s_e <= 0.0:
-        return Bound.singular_bound("signal proportional to its derivative (Schwartz equality)")
-    return Bound(value=sc.sigma_w2 * s_e / (2.0 * sc.scale ** 2 * den))
+    lead = s_dd * s_e
+    den = np.array([lead - s_x * s_x])
+    with np.errstate(all="ignore"):
+        return PairColumns.flagged(
+            separate.tau0 * (lead / den), separate.f0, (separate.notes != "", separate.notes),
+            ((den <= lead / SINGULAR_COND) | (s_e <= 0.0),
+             "signal proportional to its derivative (Schwartz equality)")).pair()

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import TWO_PI2, bordered_fim, jcrb_known
-from .fim import BoundPair, FimMatrix
+from .fim import BoundPair, FimMatrix, PairColumns
 from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
 
 SUPPORT_RTOL = 1e-9
@@ -136,8 +136,8 @@ def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:
     if not support_assumption_holds(pt):
         return jcrb_known(synthesize_pulse_train(pt), sc)
     sq = _shared_quantities(pt, sc.tau0)
-    den_tau = 2.0 * pt.amp_energy * sq.dg2
-    den_f = TWO_PI2 * sq.w_b2
-    if den_tau <= 0.0 or den_f <= 0.0:
-        return BoundPair.singular_pair("degenerate pulse: zero information")
-    return BoundPair(tau0=sc.sigma_w2 / den_tau, f0=sc.sigma_w2 / den_f)
+    den_tau, den_f = np.array([[2.0 * pt.amp_energy * sq.dg2], [TWO_PI2 * sq.w_b2]])
+    with np.errstate(divide="ignore"):
+        return PairColumns.flagged(sc.sigma_w2 / den_tau, sc.sigma_w2 / den_f,
+                                   ((den_tau <= 0.0) | (den_f <= 0.0),
+                                    "degenerate pulse: zero information")).pair()

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from ddcrb import cli
-from ddcrb.bounds import DEGENERACY_RTOL, TWO_PI2, fim_unknown_signal, weighted_sums
+from ddcrb.bounds import TWO_PI2, fim_unknown_signal, weighted_sums
 from ddcrb.covariance import StackedModel, build_stacked
 from ddcrb.fim import SINGULAR_COND, BoundPair, FimMatrix, SingularFimError, eliminated_pair
 from ddcrb.overlap import OverlapFim
@@ -163,7 +163,7 @@ def signal_bounds(sig, sc) -> tuple[BoundPair, BoundPair, BoundPair]:
     """(known, joint, separate) of one scenario on Python floats."""
     s_dd, s_ww, e = weighted_sums(sig, sc.tau0)
     den = s_dd * s_ww - e * e
-    if den <= DEGENERACY_RTOL * s_dd * s_ww or s_dd <= 0.0:
+    if den <= s_dd * s_ww / SINGULAR_COND or s_dd <= 0.0:
         known = BoundPair.singular_pair("degenerate signal: zero information determinant")
     else:
         known = BoundPair(tau0=sc.sigma_w2 * s_ww / (2.0 * den),
@@ -193,7 +193,7 @@ def structure_pair(pt, sc, scale_known: bool = True) -> BoundPair:
     pfrac = a2 * p / (l + a2 * p)
     d11 = sq.dg2 - (pfrac if scale_known else 1.0) * sq.rho ** 2 / sq.e_g
     d22 = sq.w_b2 - pfrac * sq.gamma2_b2 / sq.e_g
-    if d11 <= DEGENERACY_RTOL * sq.dg2 or d22 <= DEGENERACY_RTOL * sq.w_b2:
+    if d11 <= sq.dg2 / SINGULAR_COND or d22 <= sq.w_b2 / SINGULAR_COND:
         return BoundPair.singular_pair(
             "degenerate pulse: amplitude block absorbs all delay/Doppler information")
     v11 = (2.0 * a2 * p / sc.sigma_w2) * pt.amp_energy * d11

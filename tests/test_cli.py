@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddcrb import bounds, cli
-from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, _rows_json, main
+from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, SIGNAL_MAX_SAMPLES, _rows_json, main
 from ddcrb.fim import OVERFLOW_NOTE
 
 from dense_oracles import cli_rows
@@ -34,6 +34,12 @@ def run_cli(args, tmp_path=None):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+# --np 0 with --Tp asks for delta = Tp/0
+ZERO_NP_WITH_TP = [["crb", "--np", "0", "--Tp", "4"], ["table1", "--np", "0", "--Tp", "4"],
+                   ["montecarlo", "--np", "0", "--Tp", "4"],
+                   ["sweep", "--sweep", "L=1:3", "--np", "0", "--Tp", "1"]]
 
 
 class TestTable1:
@@ -537,11 +543,42 @@ class TestConfigAndErrors:
         ["montecarlo", "--tauspan", str(MONTECARLO_MAX["tauspan"] + 1)],
         ["overlap", "--M", "1000000"], ["overlap", "--M", str(OVERLAP_MAX_M + 2)],
         ["montecarlo", "--seed", "-1"],
+        *ZERO_NP_WITH_TP,
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, args):
         # main must return the usage-error code, not raise the model's ValueError
         code, _ = run_cli(args)
         assert code == 1
+
+    @pytest.mark.parametrize("args", ZERO_NP_WITH_TP, ids=" ".join)
+    def test_zero_np_with_tp_is_the_library_rule(self, capsys, args):
+        # Tp/np is not divided by zero: the pulse's own rule is reported
+        assert run_cli(args)[0] == 1
+        assert capsys.readouterr().err == "Error: n_p must be at least 1\n"
+
+    # signals of about 1e13 samples, which no machine allocates, and signals just
+    # above the cap: each fails before any signal is made
+    @pytest.mark.parametrize("args", [
+        ["crb", "--np", "10000000000000"], ["table1", "--np", "10000000000000"],
+        ["sweep", "--sweep", "L=1:2", "--Q", "10000000000000"],
+        ["crb", "--signal", "triangle", "--M", "10000000000000"],
+        ["crb", "--Q", "1", "--np", str(SIGNAL_MAX_SAMPLES + 1)],
+        ["crb", "--signal", "triangle", "--M", str(SIGNAL_MAX_SAMPLES + 2)],
+        # the pulse alone has n_p + 1 samples, whatever the pulse count
+        ["crb", "--Q", "0", "--np", "10000000000000"],
+        # every row of an n_p sweep is checked before the first signal is made
+        ["sweep", "--sweep", f"n_p=1:{SIGNAL_MAX_SAMPLES + 1}:{SIGNAL_MAX_SAMPLES}", "--Q", "1"],
+        ["montecarlo", "--np", "10000000000000"],
+    ], ids=" ".join)
+    def test_signal_cap_holds_before_any_signal_is_made(self, monkeypatch, capsys, args):
+        import ddcrb.cli
+
+        def unreachable(*args):
+            raise AssertionError("a signal was made above the cap")
+        for name in ("gaussian_pulse_train", "triangle_wave"):
+            monkeypatch.setattr(ddcrb.cli, name, unreachable)
+        assert run_cli(args)[0] == 1
+        assert "signal samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, report, config", [
         ("montecarlo", "monte_carlo_report", {"trials": 10 ** 11}),

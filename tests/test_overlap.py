@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.overlap import SINGULAR_RTOL, _overlap_reports, overlap_regime
+from ddcrb.fim import SINGULAR_COND
+from ddcrb.overlap import _overlap_reports, overlap_regime
 from ddcrb.signals import central_difference
 
 from dense_oracles import overlap_chain_quadratic, overlap_information_dense
@@ -215,7 +216,7 @@ class TestChainElimination:
             dense = overlap_information_dense(of)
             x = rep.details["information_after_elimination"]
             assert abs(x - dense) <= 1e-12 * of.e, (n0, x, dense)
-            assert rep.singular == (abs(dense) <= SINGULAR_RTOL * of.e), n0
+            assert rep.singular == (abs(dense) <= of.e / SINGULAR_COND), n0
             assert rep.details["regime"] == overlap_regime(n0, m)
 
     @settings(max_examples=40, deadline=None)

@@ -238,8 +238,10 @@ class TestSeparateUnknownA:
         sc = scenario(a=1.5)
         bound = d.crb_separate_unknown_a(sig, sc)
         s_dd, _, _ = weighted_sums(sig, sc.tau0)
-        assert bound.value == pytest.approx(
-            sc.sigma_w2 / (2 * 1.5 ** 2 * s_dd), rel=1e-12)
+        factor = (2 + 1.5 ** 2 * 3) / (2 * 3)
+        assert bound.tau0 == pytest.approx(
+            factor * sc.sigma_w2 / (2 * 1.5 ** 2 * s_dd), rel=1e-12)
+        assert bound.f0 == d.crb_separate_unknown(sig, sc).f0
 
     def test_strictly_larger_than_known_a_baseline(self):
         # a truncated pulse has a nonzero energy-flow term sum(s s'), so the
@@ -250,16 +252,14 @@ class TestSeparateUnknownA:
         assert abs(s_x) > 1e-3 * s_e
         sc = scenario(a=1.2)
         unknown_a = d.crb_separate_unknown_a(sig, sc)
-        known_a = sc.sigma_w2 / (2 * sc.scale ** 2 * weighted_sums(sig, sc.tau0)[0])
-        assert unknown_a.value > 1.001 * known_a
+        assert unknown_a.tau0 > 1.001 * d.crb_separate_unknown(sig, sc).tau0
 
     def test_matches_dense_elimination_for_real_signal(self):
         sig = d.triangle_wave(12, delta=0.4)
         _, s_x = energy_sums(sig)
         assert s_x != 0.0
         sc = scenario(l=3, p=2, a=1.4)
-        baseline = d.crb_separate_unknown_a(sig, sc)
-        factor = (3 + 1.4 ** 2 * 2) / (3 * 2)
+        bound = d.crb_separate_unknown_a(sig, sc)
         # oracle: drop the Doppler row from the full unknown-a FIM, then
         # eliminate the scale and every signal sample
         fim = d.fim_unknown_a(sig, sc, structure=False).drop("f0")
@@ -268,7 +268,7 @@ class TestSeparateUnknownA:
         cross = entries[:1, 1:]
         nuis = entries[1:, 1:]
         reduced = keep - cross @ np.linalg.solve(nuis, cross.T)
-        assert factor * baseline.value == pytest.approx(1.0 / reduced[0, 0], rel=1e-9)
+        assert bound.tau0 == pytest.approx(1.0 / reduced[0, 0], rel=1e-9)
 
     def test_schwartz_equality_singular(self):
         # s' proportional to s makes scale and delay indistinguishable
@@ -276,6 +276,11 @@ class TestSeparateUnknownA:
         samples = np.exp(-0.7 * t)
         sig = d.SampledSignal(samples, 0.3, -0.7 * samples)
         assert d.crb_separate_unknown_a(sig, scenario()).singular
+
+    @pytest.mark.parametrize("l,p", [(0, 2), (3, 0)])
+    def test_no_looks_singular(self, l, p):
+        pair = d.crb_separate_unknown_a(d.triangle_wave(12, delta=0.4), scenario(l=l, p=p))
+        assert pair.singular and pair.note.startswith("L = 0 or P = 0")
 
     def test_separate_doppler_bound_unchanged_by_unknown_scale(self):
         # the Doppler row decouples from the scale row, so estimating a does
@@ -289,6 +294,7 @@ class TestSeparateUnknownA:
         reduced = entries[:1, :1] - entries[:1, 1:] @ np.linalg.solve(
             entries[1:, 1:], entries[1:, :1])
         assert 1.0 / reduced[0, 0] == pytest.approx(sep_known_a.f0, rel=1e-10)
+        assert d.crb_separate_unknown_a(sig, sc).f0 == sep_known_a.f0
 
 
 # a includes scales whose libm square a ** 2 and product a * a differ in the last bit

@@ -28,7 +28,7 @@ def train(kind, s):
 
 
 def bounds_at(kind, s, l, p, a):
-    """{name: (tau0 variance, f0 variance or None, singular)} at unit s."""
+    """{name: (tau0 variance, f0 variance, singular)} at unit s."""
     pt = train(kind, s)
     sig = d.synthesize_pulse_train(pt)
     sc = d.Scenario(tau0=0.8 * s, f0=0.3 / s, looks_direct=l, looks_reflected=p,
@@ -42,14 +42,12 @@ def bounds_at(kind, s, l, p, a):
     })
     pairs.update(zip(("unknown_a_structure", "unknown_a_structure_separate"),
                      d.jcrb_unknown_a_structure(pt, sc)),
-                 known_signal_pulse=d.jcrb_known_signal_pulse(pt, sc))
+                 known_signal_pulse=d.jcrb_known_signal_pulse(pt, sc),
+                 separate_unknown_a=d.crb_separate_unknown_a(sig, sc))
     if kind == "contained":
         # its truncated-train form is still the closed form (ROADMAP item 1)
         pairs.update(structure_known_a=d.jcrb_structure_known_a(pt, sc))
-    out = {name: (pair.tau0, pair.f0, pair.singular) for name, pair in pairs.items()}
-    sep = d.crb_separate_unknown_a(sig, sc)
-    out["separate_unknown_a"] = (sep.value, None, sep.singular)
-    return out
+    return {name: (pair.tau0, pair.f0, pair.singular) for name, pair in pairs.items()}
 
 
 @pytest.mark.parametrize("kind", ("contained", "truncated"))
@@ -57,7 +55,8 @@ def bounds_at(kind, s, l, p, a):
 def test_flags_hold_and_bounds_scale_with_the_time_unit(kind, l, p, a):
     base = bounds_at(kind, 1.0, l, p, a)
     # L = 0: no unbiased joint estimator once the samples are unknown
-    expect_singular = {"unknown", "separate", "unknown_signal_schur"} if l == 0 else set()
+    expect_singular = ({"unknown", "separate", "unknown_signal_schur", "separate_unknown_a"}
+                       if l == 0 else set())
     assert expect_singular <= {name for name, (_, _, flag) in base.items() if flag}
     if l:
         assert not any(flag for _, _, flag in base.values())
@@ -68,8 +67,7 @@ def test_flags_hold_and_bounds_scale_with_the_time_unit(kind, l, p, a):
             if flag:
                 continue
             assert tau0 == pytest.approx(ref_tau0 * s * s, rel=1e-9), (name, s)
-            if f0 is not None:
-                assert f0 == pytest.approx(ref_f0 / (s * s), rel=1e-9), (name, s)
+            assert f0 == pytest.approx(ref_f0 / (s * s), rel=1e-9), (name, s)
 
 
 def covariance_report(s, l):
