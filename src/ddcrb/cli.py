@@ -135,10 +135,14 @@ class RunConfig(dict):
 _AMPLITUDES = {"unit": (1.0 + 1.0j) / np.sqrt(2.0), "sqrt2": 1.0 + 1.0j}
 
 
+def _signal_samples(cfg: RunConfig) -> int:
+    return {"gaussian_pulse_train": max(cfg["Q"], 1) * cfg["np"],
+            "triangle": cfg["M"]}.get(cfg["signal"], 0)
+
+
 def _resolve_delta(cfg: RunConfig, given: dict) -> float:
     """delta (Tp/np given Tp) once the signal fits: Q n_p samples (n_p + 1 for Q < 1) or M."""
-    size = {"gaussian_pulse_train": max(cfg["Q"], 1) * cfg["np"], "triangle": cfg["M"]}
-    _check_cap("signal samples", size.get(cfg["signal"], 0), SIGNAL_MAX_SAMPLES)
+    _check_cap("signal samples", _signal_samples(cfg), SIGNAL_MAX_SAMPLES)
     if cfg["Tp"] is None:
         return cfg["delta"]
     if cfg["np"] < 1:
@@ -399,20 +403,16 @@ def _bound_columns(signals: list, pts: ScenarioColumns, tag: str = "") -> dict:
 
 @_command("sweep")
 def cmd_sweep(config_path, **flags):
-    """Bound curves along one swept axis.
-
-    The L axis emits both the P=1 and the P=L families; the n_p axis
-    rebuilds the pulse train per point (with delta = Tp/np when --Tp is
-    given); other axes vary one scenario field. Each bound family is
-    evaluated once over the axis.
-    """
+    """Bound curves along one swept axis (L: the P=1 and P=L families; n_p: one train per
+    point, delta = Tp/np given --Tp; others: one scenario field), each family evaluated once."""
     cfg, given = merge_config(config_path, **flags)
     if not cfg["sweep"]:
         raise UsageError("sweep requires --sweep axis=start:stop[:step]")
     axis, values = _parse_sweep(cfg["sweep"])
     lead = {axis: values.tolist()}
-    # only the n_p axis changes the signal: one train per row
+    # only the n_p axis changes the signal: one train per row, each kept to the end
     configs = [RunConfig(cfg, np=n) for n in lead[axis]] if axis == "n_p" else [cfg]
+    _check_cap("all rows' signal samples", sum(map(_signal_samples, configs)), SIGNAL_MAX_SAMPLES)
     deltas = [_resolve_delta(local, given) for local in configs]
     signals = [build_signal(local, delta) for local, delta in zip(configs, deltas)]
     if axis == "n_p":

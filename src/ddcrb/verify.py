@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bounds
 from .fim import FimMatrix
@@ -31,10 +32,9 @@ FD_STEP_SCALE = 1e-6
 # largest phase table built whole (16 MiB); above it each delay is scored from
 # its own Doppler x sample slice, so memory no longer grows with the delay count
 PHASE_TABLE_MAX_BYTES = 1 << 24
-# working set of one block of Monte Carlo trials (1 MiB): per trial its noise
-# draw, the complex looks of one path, its reflected record, its direct window
-# sum and two delay x Doppler statistics
-TRIAL_BLOCK_BYTES = 1 << 20
+# working set of one block of Monte Carlo trials (_trial_bytes each): one
+# core's L2 cache (2 MiB), the fastest budget measured on the 500-trial search
+TRIAL_BLOCK_BYTES = 1 << 21
 # numpy's SeedSequence (O'Neill's seed_seq_fe, a pool of four 32-bit words)
 # and PCG64's seeding step: the constants default_rng((seed, k)) hashes with
 _HASH_INIT_A, _HASH_MULT_A = 0x43b0d7e5, 0x931e8875
@@ -113,13 +113,10 @@ def _path_looks(z: np.ndarray, looks: list, path: int, scale: float) -> np.ndarr
 
 
 def _noise_block(trials: int, sc: Scenario, n: int) -> np.ndarray:
-    """Uninitialised noise block of `trials` trials, (T x 2(L+P) x N).
-
-    Each trial fills its row with one standard_normal draw. A generator fills
-    its output in sequence, so the row holds what four draws in a row of
-    L x N and then P x N normals would give, in this order: direct real,
-    direct imaginary, reflected real, reflected imaginary.
-    """
+    """Uninitialised noise block of `trials` trials, (T x 2(L+P) x N). A trial
+    fills its row with one standard_normal draw, which a generator fills in
+    sequence: what four draws in a row of L x N and then P x N normals give,
+    direct real, direct imaginary, reflected real, reflected imaginary."""
     return np.empty((trials, 2 * (sc.looks_direct + sc.looks_reflected), n))
 
 
@@ -137,13 +134,14 @@ def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observation
 
 
 def _trial_bytes(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> int:
-    """Bytes one trial adds to a block: its noise draw, the complex looks of
-    its larger path, its reflected record and direct window sum, and its two
-    delay x Doppler statistics."""
-    n, looks = sc.record_samples(sig), max(sc.looks_direct, sc.looks_reflected)
-    n_cells = len(cfg.tau_grid) * len(cfg.f_grid)
-    return 16 * ((sc.looks_direct + sc.looks_reflected + looks + 1) * n
-                 + sig.m + 2 * n_cells)
+    """Bytes one trial adds to a block, in 16-byte words: its noise draw ((L + P) N),
+    its larger path's complex looks, r (N), u and conj(u) (M each), two weighted
+    windows (2M), one delay's products (2F) and two I x F float statistics; and
+    |r|^2, a temporary and the norms over the windows' span S (3S floats)."""
+    n, m, n_f = sc.record_samples(sig), sig.m, len(cfg.f_grid)
+    looks = sc.looks_direct + sc.looks_reflected + max(sc.looks_direct, sc.looks_reflected)
+    span = cfg.tau_grid[-1] - cfg.tau_grid[0] + m
+    return 16 * ((looks + 1) * n + 4 * m + len(cfg.tau_grid) * n_f + 2 * n_f) + 24 * span
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -225,8 +223,7 @@ def _trial_blocks(sig: SampledSignal, sc: Scenario, cfg: McConfig,
     keeps two sums of it: u, its direct looks summed over the window (T x M),
     and r, its reflected looks summed (T x N). The means, the noise block and
     one generator are built once; each trial's draw starts from its
-    _trial_states state, and each block's looks are formed and summed path by
-    path.
+    _trial_states state, and each block's looks are summed path by path.
     """
     n, m = sc.record_samples(sig), sig.m
     looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
@@ -253,11 +250,8 @@ def _phases(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
 @functools.lru_cache(maxsize=4)
 def _phase_table(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
                  delta: float) -> np.ndarray:
-    """Read-only _phases table of the whole grid.
-
-    It depends on the grids and the window only, never on the data, so one
-    table serves every trial of a Monte Carlo run.
-    """
+    """Read-only _phases table of the whole grid: it depends on the grids and
+    the window only, never on the data, so one table serves every trial."""
     table = _phases(tau_grid, f_grid, m, delta)
     table.flags.writeable = False
     return table
@@ -273,28 +267,33 @@ def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
     statistic is the profiled one, ||v||^2 + 2 Re sum_m conj(u) p v: that is
     sum_m |u + p v|^2 less ||u||^2, which is the same in every cell of a
     trial. Given the signal samples s (M), the last is the matched filter
-    Re sum_m v conj(s) p. Each delay takes one product of its F x M phases
-    with the E*T weighted windows, whether the phases are a row of the cached
-    _phase_table or, above PHASE_TABLE_MAX_BYTES, a slice built for this call.
+    Re sum_m v conj(s) p. Each delay writes conj(u) v and conj(s) v into
+    one reused E x T x M buffer and multiplies it by its F x M phases (a row
+    of the cached _phase_table or, above PHASE_TABLE_MAX_BYTES, a slice
+    built for this call); ||v||^2 of every delay is one sum after the loop.
     """
     if any(n0 < 0 or n0 + m > r.shape[1] for n0 in cfg.tau_grid):
         raise ValueError("tau_grid candidates must keep the delayed window inside the record")
     n_tau, n_f = len(cfg.tau_grid), len(cfg.f_grid)
     table = _phase_table(cfg.tau_grid, cfg.f_grid, m, delta) \
         if n_tau * n_f * m * 16 <= PHASE_TABLE_MAX_BYTES else None
-    # (E x T x M) weights, and |r|^2 once for every window of the block
-    weights = np.stack([np.broadcast_to(w.conj(), (len(r), m)) for w in (u, s) if w is not None])
-    power = r.real ** 2 + r.imag ** 2 if u is not None else None
-    stats = np.empty(weights.shape[:2] + (n_tau, n_f))
+    weights = [w.conj() for w in (u, s) if w is not None]
+    windows = np.empty((len(weights), len(r), m), dtype=complex)
+    products = np.empty((len(weights) * len(r), n_f), dtype=complex)
+    stats = np.empty(windows.shape[:2] + (n_tau, n_f))
     for i, n0 in enumerate(cfg.tau_grid):
         phases = table[i] if table is not None \
             else _phases(cfg.tau_grid[i:i + 1], cfg.f_grid, m, delta)[0]
-        v = r[:, n0:n0 + m]
-        products = (weights * v).reshape(-1, m) @ phases.T
+        for w, out in zip(weights, windows):
+            np.multiply(w, r[:, n0:n0 + m], out=out)
+        np.matmul(windows.reshape(-1, m), phases.T, out=products)
         stats[:, :, i] = products.real.reshape(len(weights), -1, n_f)
-        if power is not None:
-            stats[0, :, i] *= 2.0
-            stats[0, :, i] += np.sum(power[:, n0:n0 + m], axis=1)[:, None]
+    if u is not None:
+        lo, hi = cfg.tau_grid[0], cfg.tau_grid[-1] + m  # the span of the windows
+        power = r.real[:, lo:hi] ** 2 + r.imag[:, lo:hi] ** 2
+        norms = sliding_window_view(power, m, axis=1).sum(-1)
+        stats[0] *= 2.0
+        stats[0] += norms[:, np.subtract(cfg.tau_grid, lo), None]
     return stats
 
 
@@ -496,9 +495,11 @@ def _mc_estimates(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> np.ndarray
     block = max(1, TRIAL_BLOCK_BYTES // _trial_bytes(sig, sc, cfg))
     estimates = np.empty((cfg.trials, 4))
     for trials, u, r in _trial_blocks(sig, sc, cfg, block):
-        stats = _grid_statistics(r, cfg, sig.m, sig.delta, u=u, s=sig.samples)
+        # unnamed, a block's statistics are freed before the next block is drawn
+        peaks = _peaks(_grid_statistics(r, cfg, sig.m, sig.delta, u=u, s=sig.samples),
+                       cfg, sig.delta)
         # (estimator x trial x 2) -> one row (tau_u, f_u, tau_k, f_k) per trial
-        estimates[trials] = _peaks(stats, cfg, sig.delta).transpose(1, 0, 2).reshape(-1, 4)
+        estimates[trials] = peaks.transpose(1, 0, 2).reshape(-1, 4)
     return estimates
 
 
@@ -512,7 +513,7 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
     signal) gives two flagged rows and no simulation.
     """
     details = {"trial_seed_rule": TRIAL_SEED_RULE}
-    bound_unknown = bounds.jcrb_unknown(sig, sc)
+    known, bound_unknown, _ = bounds.signal_bounds(sig, sc)
     if bound_unknown.singular:
         rows = tuple({"parameter": name, "estimator": "profiled_unknown_signal",
                       "empirical_mse": None, "bound": None, "ratio": None,
@@ -525,7 +526,7 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
 
     # single-look known-signal baseline divided by the P looks the matched
     # filter actually uses; recorded so the comparison is unambiguous
-    bound_known = bounds.jcrb_known(sig, sc).scaled(1.0 / sc.looks_reflected)
+    bound_known = known.scaled(1.0 / sc.looks_reflected)
     details["known_signal_bound_looks"] = sc.looks_reflected
 
     estimates = _mc_estimates(sig, sc, cfg)
@@ -548,5 +549,4 @@ def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McRep
             "method": pair.method,
             "singular": False,
         })
-    return McReport(rows=tuple(rows), trials=cfg.trials, seed=cfg.seed,
-                    details=details)
+    return McReport(rows=tuple(rows), trials=cfg.trials, seed=cfg.seed, details=details)

@@ -317,13 +317,13 @@ def _record_pairs(monkeypatch) -> list[dict]:
     """{parameter: BoundPair} of the unknown- and known-signal bounds the
     Monte Carlo report is handed."""
     seen = []
-    for name, params in (("jcrb_unknown", ("tau0", "f0")),
-                         ("jcrb_known", ("tau0_known", "f0_known"))):
-        def recorded(sig, sc, _real=getattr(bounds, name), _params=params):
-            pair = _real(sig, sc)
-            seen.append(dict.fromkeys(_params, pair))
-            return pair
-        monkeypatch.setattr(bounds, name, recorded)
+
+    def recorded(sig, sc, _real=bounds.signal_bounds):
+        known, unknown, separate = _real(sig, sc)
+        seen.append({**dict.fromkeys(("tau0", "f0"), unknown),
+                     **dict.fromkeys(("tau0_known", "f0_known"), known)})
+        return known, unknown, separate
+    monkeypatch.setattr(bounds, "signal_bounds", recorded)
     return seen
 
 
@@ -568,6 +568,8 @@ class TestConfigAndErrors:
         ["crb", "--Q", "0", "--np", "10000000000000"],
         # every row of an n_p sweep is checked before the first signal is made
         ["sweep", "--sweep", f"n_p=1:{SIGNAL_MAX_SAMPLES + 1}:{SIGNAL_MAX_SAMPLES}", "--Q", "1"],
+        # each row of an n_p sweep fits, but the rows' signals are all kept at once
+        ["sweep", "--sweep", "n_p=600000:600001", "--Q", "1"],
         ["montecarlo", "--np", "10000000000000"],
     ], ids=" ".join)
     def test_signal_cap_holds_before_any_signal_is_made(self, monkeypatch, capsys, args):
@@ -577,7 +579,7 @@ class TestConfigAndErrors:
             raise AssertionError("a signal was made above the cap")
         for name in ("gaussian_pulse_train", "triangle_wave"):
             monkeypatch.setattr(ddcrb.cli, name, unreachable)
-        assert run_cli(args)[0] == 1
+        assert run_cli(args) == (1, "")
         assert "signal samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, report, config", [

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb import verify
+from ddcrb import bounds, verify
 from ddcrb.cli import main
 
 from conftest import make_contained_train, rel_err
+from test_results import _reproduce_module
 
 
 def mc_setup(sigma_w2=1e-3, l=1, p=1, n0=4, f0=0.3, trials=20, seed=11,
@@ -28,6 +29,17 @@ def mc_setup(sigma_w2=1e-3, l=1, p=1, n0=4, f0=0.3, trials=20, seed=11,
                      tau_grid=tuple(range(max(0, n0 - 4), n0 + 5)),
                      f_grid=tuple(np.linspace(f0 - fspan, f0 + fspan, fpoints)))
     return sig, sc, cfg
+
+
+def workload_setup(seed):
+    """(sig, sc, cfg) that the montecarlo run of scripts/reproduce_results.py (500
+    trials, M = 64, an 11 x 41 grid) hands the search at seed."""
+    handed = []
+    with mock.patch.object(verify, "_mc_estimates",
+                           lambda *args: handed.append(args) or np.zeros((args[2].trials, 4))):
+        assert main([*dict(_reproduce_module().RUNS)["montecarlo"], "--seed", str(seed),
+                     "--out", os.devnull]) == 0
+    return handed[0]
 
 
 # both grid-search estimators under one call shape
@@ -414,6 +426,41 @@ class TestTrialDraws:
         assert peak < 1.5 * verify.TRIAL_BLOCK_BYTES
 
 
+class TestTrialBlocks:
+    @pytest.mark.parametrize("seed", [42, 2718])
+    def test_workload_estimates_equal_for_every_block_size(self, monkeypatch, seed):
+        sig, sc, cfg = workload_setup(seed)
+        assert cfg.trials == 500
+        trial = verify._trial_bytes(sig, sc, cfg)
+        budget = verify.TRIAL_BLOCK_BYTES // trial
+        # the budget's blocks are larger than the 50 trials of a 1 MiB budget, and several
+        assert 50 < budget < cfg.trials
+        runs = []
+        for block in (2, 50, budget, cfg.trials):
+            monkeypatch.setattr(verify, "TRIAL_BLOCK_BYTES", block * trial)
+            runs.append(verify._mc_estimates(sig, sc, cfg).tobytes())
+        assert runs[1:] == runs[:-1]
+
+    # one case led by each large term of _trial_bytes: the statistics (9 x 2001
+    # cells), the noise (L = P = 200) and the windows (M = 2000)
+    @pytest.mark.parametrize("case", [
+        "workload", dict(fpoints=2001), dict(l=200, p=200), dict(n_p=2000, fpoints=5)],
+        ids=["workload", "statistics", "looks", "window"])
+    def test_one_block_peak_is_its_counted_working_set(self, case):
+        sig, sc, cfg = workload_setup(42) if case == "workload" else mc_setup(**case)
+        trial = verify._trial_bytes(sig, sc, cfg)
+        block = dataclasses.replace(cfg, trials=max(1, verify.TRIAL_BLOCK_BYTES // trial))
+        verify._mc_estimates(sig, sc, dataclasses.replace(cfg, trials=1))  # phase table
+        tracemalloc.start()
+        try:
+            verify._mc_estimates(sig, sc, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a count that doubled the statistics reads about 0.6 on that case
+        assert 0.75 <= peak / (block.trials * trial) <= 1.25
+
+
 class TestMonteCarloReport:
     def test_report_structure_and_determinism(self):
         sig, sc, cfg = mc_setup(trials=8)
@@ -424,6 +471,17 @@ class TestMonteCarloReport:
         assert names == ["tau0", "f0", "tau0_known", "f0_known"]
         for row in rep1.rows:
             assert row["ratio"] > 0
+
+    def test_both_bound_pairs_come_from_one_evaluation(self, monkeypatch):
+        sig, sc, cfg = mc_setup(trials=2)
+        calls, real = [], bounds.signal_bounds
+        monkeypatch.setattr(bounds, "signal_bounds", lambda *args: calls.append(args) or real(*args))
+        rows = {row["parameter"]: row for row in d.monte_carlo_report(sig, sc, cfg).rows}
+        assert len(calls) == 1
+        known, unknown = d.jcrb_known(sig, sc), d.jcrb_unknown(sig, sc)
+        assert (rows["tau0"]["bound"], rows["f0"]["bound"]) == tuple(unknown)
+        assert (rows["tau0_known"]["bound"], rows["f0_known"]["bound"]) \
+            == tuple(known.scaled(1.0 / sc.looks_reflected))
 
     def test_singular_scenario_reports_flag(self):
         sig, sc, cfg = mc_setup()
