@@ -93,11 +93,9 @@ SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
 SWEEP_MAX_POINTS = 100_000
 # the overlap curve costs O(M^2) (about 2.4 s at M = 8192) and prints M + 1 rows
 OVERLAP_MAX_M = 8192
-# Monte Carlo work grows with each of these settings (500 trials of the
-# default grid take tens of milliseconds); a larger value is taken to be a typo
+# Monte Carlo work grows with each (500 trials of the default grid take tens of ms); more is a typo
 MONTECARLO_MAX = {"trials": 1_000_000, "fpoints": 10_000, "tauspan": 10_000}
-# samples of one look record (n0 + tauspan + M, of which each trial keeps a few per
-# look) and of one synthesized signal (Q n_p of a pulse train, M of the triangle)
+# samples of one look record (n0 + tauspan + M) and of one synthesized signal (Q n_p or M)
 MONTECARLO_MAX_RECORD = SIGNAL_MAX_SAMPLES = 1_000_000
 # table1's bound columns in order: each unknown-signal bound by its known one
 TABLE1_COLUMNS = ("jcrb_tau0_s", "jcrb_tau0", "jcrb_f0_s", "jcrb_f0",
@@ -403,18 +401,21 @@ def _bound_columns(signals: list, pts: ScenarioColumns, tag: str = "") -> dict:
 
 @_command("sweep")
 def cmd_sweep(config_path, **flags):
-    """Bound curves along one swept axis (L: the P=1 and P=L families; n_p: one train per
-    point, delta = Tp/np given --Tp; others: one scenario field), each family evaluated once."""
+    """Bound curves along one swept axis (L: the P=1 and P=L families; n_p: one signal per
+    train or delta, delta = Tp/np given --Tp; others: one scenario field), each family once."""
     cfg, given = merge_config(config_path, **flags)
     if not cfg["sweep"]:
         raise UsageError("sweep requires --sweep axis=start:stop[:step]")
     axis, values = _parse_sweep(cfg["sweep"])
     lead = {axis: values.tolist()}
-    # only the n_p axis changes the signal: one train per row, each kept to the end
     configs = [RunConfig(cfg, np=n) for n in lead[axis]] if axis == "n_p" else [cfg]
-    _check_cap("all rows' signal samples", sum(map(_signal_samples, configs)), SIGNAL_MAX_SAMPLES)
     deltas = [_resolve_delta(local, given) for local in configs]
-    signals = [build_signal(local, delta) for local, delta in zip(configs, deltas)]
+    keys = [{"gaussian_pulse_train": (c["np"], d), "triangle": d}.get(cfg["signal"])
+            for c, d in zip(configs, deltas)]  # a file's signal never changes
+    distinct = dict(zip(keys, zip(configs, deltas)))  # one signal each, kept and counted once
+    _check_cap("all rows' signal samples", sum(_signal_samples(c) for c, _ in distinct.values()),
+               SIGNAL_MAX_SAMPLES)
+    signals = list(map({key: build_signal(*row) for key, row in distinct.items()}.get, keys))
     if axis == "n_p":
         lead["delta"] = deltas
     if axis == "n0":
@@ -428,8 +429,7 @@ def cmd_sweep(config_path, **flags):
     for tag, fields in families.items():
         with _usage_errors():
             pts = ScenarioColumns.of(cfg.scenario(), **fields)
-        # sweeps omit the separate bounds; the known-signal pair does not
-        # depend on the looks, so every tag gives the same one
+        # no separate bounds in sweeps; the known pair ignores the looks, so all tags share it
         columns.update((key, col) for key, col in _bound_columns(signals, pts, tag).items()
                        if not key.startswith("crb"))
     write_rows(*_rows(lead, columns), cfg)

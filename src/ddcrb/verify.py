@@ -1,14 +1,13 @@
 """Independent verification paths: finite-difference FIMs and Monte Carlo.
 
-The finite-difference oracle rebuilds every information matrix in the
-package from nothing but the stacked observation means, by central
-differences of smooth continuous-time signal models. The Monte Carlo
-harness checks achievability: the 2+2M-parameter likelihood is concentrated
-in closed form over the unknown signal samples (for each delay/Doppler
-candidate the per-sample least-squares signal estimate is the average of
-the L direct looks and the P delay-aligned, phase-derotated reflected
-looks), leaving a 2-D grid search whose empirical error is compared to the
-bounds.
+The finite-difference oracle rebuilds every information matrix in the package
+from nothing but the stacked observation means, by central differences of
+smooth continuous-time signal models. The Monte Carlo harness checks
+achievability: the 2+2M-parameter likelihood is concentrated in closed form
+over the unknown signal samples (for each delay/Doppler candidate the
+per-sample least-squares signal estimate is the average of the L direct looks
+and the P delay-aligned, phase-derotated reflected looks), leaving a 2-D grid
+search whose empirical error is compared to the bounds.
 """
 
 from __future__ import annotations
@@ -32,9 +31,12 @@ FD_STEP_SCALE = 1e-6
 # largest phase table built whole (16 MiB); above it each delay is scored from
 # its own Doppler x sample slice, so memory no longer grows with the delay count
 PHASE_TABLE_MAX_BYTES = 1 << 24
-# working set of one block of Monte Carlo trials (_trial_bytes each): one
-# core's L2 cache (2 MiB), the fastest budget measured on the 500-trial search
-TRIAL_BLOCK_BYTES = 1 << 21
+# one core's L2 cache (2 MiB), and the working set of one block of Monte Carlo
+# trials (_trial_bytes each): the fastest budget measured on the 500-trial search
+CACHE_BYTES = TRIAL_BLOCK_BYTES = 1 << 21
+# trials in one real matrix product: BLAS picks its kernel, so its rounding, by the
+# product's shape (OpenBLAS: gemv for one row, small-matrix dgemm kernels on AVX-512)
+PRODUCT_ROWS = 8
 # numpy's SeedSequence (O'Neill's seed_seq_fe, a pool of four 32-bit words)
 # and PCG64's seeding step: the constants default_rng((seed, k)) hashes with
 _HASH_INIT_A, _HASH_MULT_A = 0x43b0d7e5, 0x931e8875
@@ -48,11 +50,8 @@ MAX_TRIALS = 1 << 32
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo setup: deterministic seeds and the 2-D search grids.
-
-    tau_grid holds candidate delays in samples (integers); f_grid holds
-    Doppler candidates.
-    """
+    """Monte Carlo setup: deterministic seeds and the 2-D search grids, candidate
+    delays in samples (integers) in tau_grid and Doppler candidates in f_grid."""
 
     trials: int
     seed: int
@@ -113,19 +112,16 @@ def _path_looks(z: np.ndarray, looks: list, path: int, scale: float) -> np.ndarr
 
 
 def _noise_block(trials: int, sc: Scenario, n: int) -> np.ndarray:
-    """Uninitialised noise block of `trials` trials, (T x 2(L+P) x N). A trial
-    fills its row with one standard_normal draw, which a generator fills in
-    sequence: what four draws in a row of L x N and then P x N normals give,
-    direct real, direct imaginary, reflected real, reflected imaginary."""
+    """Uninitialised noise block (T x 2(L+P) x N). A trial fills its row with one
+    standard_normal draw, filled in sequence as four draws in a row of L x N and
+    P x N normals: direct real, direct imaginary, reflected real, reflected imaginary."""
     return np.empty((trials, 2 * (sc.looks_direct + sc.looks_reflected), n))
 
 
 def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observations:
-    """Draw the look means plus iid circular complex Gaussian noise.
-
-    The complex noise variance is sigma_w2 per sample, split evenly between
-    the real and imaginary parts. Deterministic given the seed.
-    """
+    """Draw the look means plus iid circular complex Gaussian noise: variance
+    sigma_w2 per sample, split evenly between the real and imaginary parts.
+    Deterministic given the seed."""
     looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
     z = _noise_block(1, sc, sc.record_samples(sig))
     np.random.default_rng(seed).standard_normal(out=z[0])
@@ -135,13 +131,12 @@ def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observation
 
 def _trial_bytes(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> int:
     """Bytes one trial adds to a block, in 16-byte words: its noise draw ((L + P) N),
-    its larger path's complex looks, r (N), u and conj(u) (M each), two weighted
-    windows (2M), one delay's products (2F) and two I x F float statistics; and
-    |r|^2, a temporary and the norms over the windows' span S (3S floats)."""
+    its larger path's complex looks, r (N), u, conj(u) and the profiled window (M
+    each), two I x F float statistics; |r|^2, a temporary and norms over the windows' span S."""
     n, m, n_f = sc.record_samples(sig), sig.m, len(cfg.f_grid)
     looks = sc.looks_direct + sc.looks_reflected + max(sc.looks_direct, sc.looks_reflected)
     span = cfg.tau_grid[-1] - cfg.tau_grid[0] + m
-    return 16 * ((looks + 1) * n + 4 * m + len(cfg.tau_grid) * n_f + 2 * n_f) + 24 * span
+    return 16 * ((looks + 1) * n + 3 * m + len(cfg.tau_grid) * n_f) + 24 * span
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -177,13 +172,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _trial_states(seed: int, trials: range) -> list[dict]:
     """The PCG64 state of np.random.default_rng((seed, k)) for each k in trials.
 
-    default_rng hashes the 32-bit words of seed and then of k with numpy's
-    SeedSequence and seeds PCG64 with four 64-bit words of the hash. Both
-    steps are fixed, so they run here for a whole block of trials at once:
-    the hash on uint32 arrays with one column per trial (its running
-    constants never depend on the data), the PCG64 step on Python ints.
-    Each k must fit one word.
-    """
+    default_rng hashes the 32-bit words of seed and then of k (one word) with
+    numpy's SeedSequence and seeds PCG64 with four 64-bit words of the hash.
+    Both steps are fixed, so they run for a whole block at once: the hash on
+    uint32 arrays, one column per trial (its running constants never depend on
+    the data), the PCG64 step on Python ints."""
     seed_words = _uint32_words(seed)
     # the entropy words of every trial, zero-padded to the pool's four
     entropy = np.zeros((max(4, len(seed_words) + 1), len(trials)), dtype=np.uint32)
@@ -220,11 +213,9 @@ def _trial_blocks(sig: SampledSignal, sc: Scenario, cfg: McConfig,
     """(trials, u, r) for consecutive blocks of at most `block` trials.
 
     Trial k draws what simulate_observations(sig, sc, (cfg.seed, k)) draws and
-    keeps two sums of it: u, its direct looks summed over the window (T x M),
-    and r, its reflected looks summed (T x N). The means, the noise block and
-    one generator are built once; each trial's draw starts from its
-    _trial_states state, and each block's looks are summed path by path.
-    """
+    keeps u, its direct looks summed over the window (T x M), and r, its
+    reflected looks summed (T x N). The means, the noise block and one generator
+    are built once; each draw starts from its _trial_states state."""
     n, m = sc.record_samples(sig), sig.m
     looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
     z_all = _noise_block(min(block, cfg.trials), sc, n)
@@ -247,12 +238,22 @@ def _phases(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
     return np.exp(-2j * np.pi * (np.asarray(f_grid)[None, :, None] * t[:, None, :]))
 
 
+def _real_tables(tau_grid: tuple, f_grid: tuple, m: int, delta: float, s) -> np.ndarray:
+    """Rows Re, -Im per sample of p = _phases (E x I x 2M x F), then given s of q = conj(s) p."""
+    conj_p = np.conj(_phases(tau_grid, f_grid, m, delta))
+    tables = np.empty((1 + (s is not None), len(tau_grid), 2 * m, len(f_grid)))
+    tables[0] = np.swapaxes(conj_p.view(float), -1, -2)
+    if s is not None:  # conj(q) = s conj(p), formed in place
+        tables[1] = np.swapaxes(np.multiply(s, conj_p, out=conj_p).view(float), -1, -2)
+    return tables
+
+
 @functools.lru_cache(maxsize=4)
-def _phase_table(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
-                 delta: float) -> np.ndarray:
-    """Read-only _phases table of the whole grid: it depends on the grids and
-    the window only, never on the data, so one table serves every trial."""
-    table = _phases(tau_grid, f_grid, m, delta)
+def _phase_table(tau_grid: tuple, f_grid: tuple, m: int, delta: float, signal=b"") -> np.ndarray:
+    """Read-only _real_tables of the whole grid and the signal samples (as bytes,
+    or none): never data-dependent, so one table serves every trial."""
+    s = np.frombuffer(signal, dtype=complex) if signal else None
+    table = _real_tables(tau_grid, f_grid, m, delta, s)
     table.flags.writeable = False
     return table
 
@@ -261,33 +262,38 @@ def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
                      u: np.ndarray | None = None, s: np.ndarray | None = None) -> np.ndarray:
     """Search statistics of T trials on the whole grid, (E x T x I x F).
 
-    r holds each trial's reflected looks summed (T x N); v is its window
-    r[n0:n0 + M] at a delay candidate n0, and p = exp(-2j pi f (m + n0) delta).
-    Given u, the direct looks summed over the window (T x M), the first
-    statistic is the profiled one, ||v||^2 + 2 Re sum_m conj(u) p v: that is
-    sum_m |u + p v|^2 less ||u||^2, which is the same in every cell of a
-    trial. Given the signal samples s (M), the last is the matched filter
-    Re sum_m v conj(s) p. Each delay writes conj(u) v and conj(s) v into
-    one reused E x T x M buffer and multiplies it by its F x M phases (a row
-    of the cached _phase_table or, above PHASE_TABLE_MAX_BYTES, a slice
-    built for this call); ||v||^2 of every delay is one sum after the loop.
-    """
+    r: each trial's reflected looks summed (T x N), v its window r[n0:n0 + M] at delay
+    candidate n0, p = exp(-2j pi f (m + n0) delta). Given u, the direct looks summed over
+    the window (T x M), the first statistic is the profiled ||v||^2 + 2 Re sum_m conj(u) v p
+    (sum_m |u + p v|^2 less ||u||^2, the same in every cell of a trial); given the signal
+    s (M), the last is the matched filter Re sum_m v q, q = conj(s) p. Each is a real
+    product, PRODUCT_ROWS trials at a time, of the window (conj(u) v in a reused buffer, or
+    v in place) as 2M floats with the delay's 2M x F _real_tables (the cached _phase_table's,
+    or past PHASE_TABLE_MAX_BYTES for both built here); ||v||^2 of every delay is one sum
+    after the loop."""
     if any(n0 < 0 or n0 + m > r.shape[1] for n0 in cfg.tau_grid):
         raise ValueError("tau_grid candidates must keep the delayed window inside the record")
     n_tau, n_f = len(cfg.tau_grid), len(cfg.f_grid)
-    table = _phase_table(cfg.tau_grid, cfg.f_grid, m, delta) \
-        if n_tau * n_f * m * 16 <= PHASE_TABLE_MAX_BYTES else None
-    weights = [w.conj() for w in (u, s) if w is not None]
-    windows = np.empty((len(weights), len(r), m), dtype=complex)
-    products = np.empty((len(weights) * len(r), n_f), dtype=complex)
-    stats = np.empty(windows.shape[:2] + (n_tau, n_f))
+    # trials past the last whole product go through one product padded with zeros
+    rows = len(r) - (tail := len(r) % PRODUCT_ROWS)
+    tail_in, tail_out = np.zeros((PRODUCT_ROWS, 2 * m)), np.empty((PRODUCT_ROWS, n_f))
+    grid = cfg.tau_grid, cfg.f_grid, m, delta
+    whole = _phase_table(*grid, b"" if s is None else s.tobytes()) \
+        if n_tau * n_f * m * 16 * (1 + (s is not None)) <= PHASE_TABLE_MAX_BYTES else None
+    weight, window = (None, None) if u is None else (u.conj(), np.empty_like(u))
+    stats = np.empty(((u is not None) + (s is not None), len(r), n_tau, n_f))
     for i, n0 in enumerate(cfg.tau_grid):
-        phases = table[i] if table is not None \
-            else _phases(cfg.tau_grid[i:i + 1], cfg.f_grid, m, delta)[0]
-        for w, out in zip(weights, windows):
-            np.multiply(w, r[:, n0:n0 + m], out=out)
-        np.matmul(windows.reshape(-1, m), phases.T, out=products)
-        stats[:, :, i] = products.real.reshape(len(weights), -1, n_f)
+        tables = whole[:, i] if whole is not None \
+            else _real_tables(cfg.tau_grid[i:i + 1], *grid[1:], s)[:, 0]
+        windows = [r.view(float)[:, 2 * n0:2 * (n0 + m)]] * (s is not None)
+        if u is not None:
+            windows.insert(0, np.multiply(weight, r[:, n0:n0 + m], out=window).view(float))
+        for e, (w, table) in enumerate(zip(windows, tables[u is None:])):
+            np.matmul(w[:rows].reshape(-1, PRODUCT_ROWS, 2 * m), table,
+                      out=stats[e, :rows, i].reshape(-1, PRODUCT_ROWS, n_f))
+            if tail:
+                tail_in[:tail] = w[rows:]
+                stats[e, rows:, i] = np.matmul(tail_in, table, out=tail_out)[:tail]
     if u is not None:
         lo, hi = cfg.tau_grid[0], cfg.tau_grid[-1] + m  # the span of the windows
         power = r.real[:, lo:hi] ** 2 + r.imag[:, lo:hi] ** 2
@@ -318,12 +324,9 @@ def _refine_axis(vals: np.ndarray, k0: np.ndarray, lines: np.ndarray) -> np.ndar
 
 
 def _peaks(stats: np.ndarray, cfg: McConfig, delta: float) -> np.ndarray:
-    """(tau_hat, f_hat) in physical units at each grid's maximum (... x 2).
-
-    The maximum is the first largest cell; each axis moves by the offset of
-    the parabola through the maximum and its two neighbours on that axis, at
-    most half a step, unless it sits on an edge.
-    """
+    """(tau_hat, f_hat) in physical units at each grid's maximum (... x 2): the
+    first largest cell, each axis moved by the offset of the parabola through it
+    and its two neighbours on that axis, at most half a step, unless on an edge."""
     n_tau, n_f = stats.shape[-2:]
     grids = stats.reshape(-1, n_tau, n_f)
     i0, j0 = np.divmod(np.argmax(grids.reshape(len(grids), -1), axis=1), n_f)
@@ -353,24 +356,19 @@ def _search_one(obs: Observations, cfg: McConfig, **weights) -> tuple[float, flo
 
 
 def profile_ml_estimate(obs: Observations, sc: Scenario, cfg: McConfig) -> tuple[float, float]:
-    """Maximum-likelihood delay/Doppler with the signal profiled out.
-
-    For each candidate (n0, f) the concentrated statistic is
-    sum_m |sum_l x_dl[m] + sum_p x_rp[m+n0] e^{-j 2 pi f (m+n0) delta}|^2;
-    maximizing it is exactly ML because the per-sample signal estimate is
-    linear-Gaussian. Returns (tau_hat, f_hat) in physical units.
-    """
+    """Maximum-likelihood (tau_hat, f_hat), in physical units, with the signal
+    profiled out: the maximum over the grid of sum_m |sum_l x_dl[m] + sum_p
+    x_rp[m+n0] e^{-j 2 pi f (m+n0) delta}|^2, exactly ML because the per-sample
+    signal estimate is linear-Gaussian."""
     _check_profiled(sc)
     return _search_one(obs, cfg, u=obs.direct[:, :obs.m].sum(axis=0)[None])
 
 
 def ml_estimate_known(obs: Observations, sig: SampledSignal,
                       cfg: McConfig) -> tuple[float, float]:
-    """Matched-filter delay/Doppler estimate with the signal given.
-
-    Maximizes Re sum_m conj(sum_p x_rp[m+n0]) s[m] e^{j 2 pi f (m+n0) delta}
-    over the grid; the direct looks carry no delay/Doppler information.
-    """
+    """Matched-filter delay/Doppler estimate with the signal given: the maximum of
+    Re sum_m conj(sum_p x_rp[m+n0]) s[m] e^{j 2 pi f (m+n0) delta} over the grid
+    (the direct looks carry no delay/Doppler information)."""
     return _search_one(obs, cfg, s=sig.samples)
 
 
@@ -492,7 +490,11 @@ def _mc_estimates(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> np.ndarray
     """(tau_u, f_u, tau_k, f_k) of every trial (trials x 4): profiled ML, then
     the matched filter, scored together one block of trials at a time."""
     _check_profiled(sc)
-    block = max(1, TRIAL_BLOCK_BYTES // _trial_bytes(sig, sc, cfg))
+    # a block streams both tables, from memory past the cache: it then holds their bytes
+    tables = 32 * len(cfg.tau_grid) * len(cfg.f_grid) * sig.m
+    budget = max(TRIAL_BLOCK_BYTES, min(tables, PHASE_TABLE_MAX_BYTES) * (tables > CACHE_BYTES))
+    block = max(1, budget // _trial_bytes(sig, sc, cfg))
+    block -= block % PRODUCT_ROWS if block > PRODUCT_ROWS else 0
     estimates = np.empty((cfg.trials, 4))
     for trials, u, r in _trial_blocks(sig, sc, cfg, block):
         # unnamed, a block's statistics are freed before the next block is drawn
@@ -506,12 +508,10 @@ def _mc_estimates(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> np.ndarray
 def monte_carlo_report(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> McReport:
     """Run the profiled and known-signal estimators over cfg.trials batches.
 
-    Rows compare the empirical MSE of (tau_hat, f_hat) against the
-    unknown-signal joint bounds, and of the known-signal matched filter
-    against the known-signal bounds at P looks, each with its bound's
-    method. A singular unknown-signal bound (L = 0, P = 0 or a degenerate
-    signal) gives two flagged rows and no simulation.
-    """
+    Rows compare the empirical MSE of (tau_hat, f_hat) against the unknown-signal
+    joint bounds, and of the known-signal matched filter against the known-signal
+    bounds at P looks, each with its bound's method. A singular unknown-signal
+    bound (L = 0, P = 0 or a degenerate signal) gives two flagged rows, no simulation."""
     details = {"trial_seed_rule": TRIAL_SEED_RULE}
     known, bound_unknown, _ = bounds.signal_bounds(sig, sc)
     if bound_unknown.singular:

@@ -227,6 +227,38 @@ class TestSweep:
         assert code == 0
         assert [row["values"][axis] for row in json.loads(out)["rows"]] == values
 
+    def test_n_p_sweep_makes_one_signal_per_distinct_delta(self, monkeypatch, tmp_path):
+        import ddcrb.cli
+        made = []
+        triangle, load = ddcrb.cli.triangle_wave, ddcrb.cli.load_signal_file
+        monkeypatch.setattr(ddcrb.cli, "triangle_wave",
+                            lambda m, delta: made.append(delta) or triangle(m, delta))
+        monkeypatch.setattr(ddcrb.cli, "load_signal_file",
+                            lambda path: made.append(path) or load(path))
+        # n_p leaves a triangle alone without --Tp: 20 rows share one signal of
+        # 1e5 samples, where 20 copies (2e6 samples) were over the cap
+        code, out = run_cli(["sweep", "--sweep", "n_p=1:20", "--signal", "triangle",
+                             "--M", "100000"])
+        assert (code, made) == (0, [0.01])
+        rows = parse_csv(out)
+        assert [row["n_p"] for row in rows] == [str(n) for n in range(1, 21)]
+        small = ["--signal", "triangle", "--M", "16", "--format", "json"]
+        values = [row["values"] for row in json.loads(run_cli(["sweep", "--sweep", "n_p=1:3",
+                                                               *small])[1])["rows"]]
+        crb = json.loads(run_cli(["crb", *small])[1])["rows"][0]["values"]
+        assert all(row[key] == crb[key] for row in values for key in crb if "jcrb" in key)
+        # given --Tp each row has its own delta, so its own triangle
+        made.clear()
+        assert run_cli(["sweep", "--sweep", "n_p=1:3", "--Tp", "4", *small])[0] == 0
+        assert made == [4.0, 2.0, 4.0 / 3.0]
+        # a file's samples and delta come from the file: one load for every row
+        made.clear()
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"delta": 0.5, "samples_real": [0.0, 0.5, 1.0, 0.5, 0.0]}))
+        assert run_cli(["sweep", "--sweep", "n_p=1:4", "--signal", str(path),
+                        "--tau0", "1.0"])[0] == 0
+        assert made == [str(path)]
+
     def test_missing_axis_is_usage_error(self):
         code, _ = run_cli(["sweep", *BASE])
         assert code == 1

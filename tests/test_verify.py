@@ -228,7 +228,48 @@ def check_against_loop(l, p, n0, n_tau, n_f, log_sigma, seed):
         assert np.all(np.abs(got - want) <= REFINE_TOL_STEPS * steps), (name, got - want)
 
 
+def complex_statistics(r, cfg, m, delta, u, s):
+    """README "Monte Carlo search" written out with complex products, one delay
+    at a time: sum_m |u + p v|^2 - ||u||^2 = ||v||^2 + 2 Re sum_m conj(u) v p
+    and Re sum_m v conj(s) p, p = exp(-2j pi f (m + n0) delta); and each
+    cell's sum_m |w_m| over its summands w_m (E x T x I x F both)."""
+    shape = ((u is not None) + (s is not None), len(r), len(cfg.tau_grid), len(cfg.f_grid))
+    stats, scale = np.empty(shape), np.empty(shape)
+    for i, n0 in enumerate(cfg.tau_grid):
+        p = np.exp(-2j * np.pi * np.outer(cfg.f_grid, (np.arange(m) + n0) * delta))
+        v = r[:, n0:n0 + m]
+        terms = []
+        if u is not None:
+            norm = np.sum(np.abs(v) ** 2, axis=1)[:, None]
+            terms.append((norm + 2.0 * np.real((u.conj() * v) @ p.T),
+                          norm + 2.0 * np.abs(u * v).sum(axis=1)[:, None]))
+        if s is not None:
+            terms.append((np.real((v * s.conj()) @ p.T), np.abs(v * s).sum(axis=1)[:, None]))
+        for e, (stat, size) in enumerate(terms):
+            stats[e, :, i], scale[e, :, i] = stat, size
+    return stats, scale
+
+
 class TestPhaseTableSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(l=st.integers(1, 3), p=st.integers(1, 3), trials=st.integers(1, 20),
+           n_f=st.integers(2, 41), which=st.sampled_from(["both", "profiled", "matched"]),
+           whole=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_real_products_equal_the_complex_form(self, l, p, trials, n_f, which, whole, seed):
+        # blocks of one trial and of any remainder past whole products, both
+        # statistics alone and together, the cached tables and the per-delay ones
+        sig, sc, cfg = mc_setup(l=l, p=p, trials=trials, seed=seed, sigma_w2=0.3, fpoints=n_f)
+        [(_, u, r)] = verify._trial_blocks(sig, sc, cfg, trials)
+        # a complex signal, so that conj(s) and s differ
+        s = sig.samples * np.exp(2j * np.pi * np.random.default_rng(seed).random(sig.m))
+        u, s = (u if which != "matched" else None), (s if which != "profiled" else None)
+        with mock.patch.object(verify, "PHASE_TABLE_MAX_BYTES",
+                               verify.PHASE_TABLE_MAX_BYTES if whole else 0):
+            got = verify._grid_statistics(r, cfg, sig.m, sig.delta, u=u, s=s)
+        want, scale = complex_statistics(r, cfg, sig.m, sig.delta, u, s)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
     @settings(max_examples=60)
     @given(**SEARCH_CASES)
     def test_matches_per_delay_loop_bit_for_bit(self, **case):
@@ -258,9 +299,10 @@ class TestPhaseTableSearch:
         d.profile_ml_estimate(d.simulate_observations(sig, sc, 1), sc, cfg)
         table = verify._phase_table(cfg.tau_grid, cfg.f_grid, sig.m, sig.delta)
         assert table is verify._phase_table(cfg.tau_grid, cfg.f_grid, sig.m, sig.delta)
-        assert table.shape == (len(cfg.tau_grid), len(cfg.f_grid), sig.m)
+        # the profiled statistic's real table alone: 2M rows (Re p, -Im p) by F
+        assert table.shape == (1, len(cfg.tau_grid), 2 * sig.m, len(cfg.f_grid))
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0, 0] = 0.0
+            table[0, 0, 0, 0] = 0.0
 
     def test_fallback_builds_each_slice_once_per_block(self, monkeypatch):
         sig, sc, cfg = mc_setup(trials=20)
@@ -326,9 +368,9 @@ class TestPhaseTableSearch:
         for k in range(cfg.trials):
             obs = d.simulate_observations(sig, sc, (cfg.seed, k))
             single.append(d.profile_ml_estimate(obs, sc, cfg) + d.ml_estimate_known(obs, sig, cfg))
-        # one block of 25 trials against 25 searches with T = 1
-        np.testing.assert_allclose(verify._mc_estimates(sig, sc, cfg), single,
-                                   rtol=1e-12, atol=0)
+        # one block of 25 trials against 25 searches with T = 1: every product
+        # has PRODUCT_ROWS rows, so the same BLAS kernel rounds both alike
+        np.testing.assert_array_equal(verify._mc_estimates(sig, sc, cfg), single)
 
 
 def four_draw_observations(sig, sc, seed):
@@ -440,6 +482,26 @@ class TestTrialBlocks:
             monkeypatch.setattr(verify, "TRIAL_BLOCK_BYTES", block * trial)
             runs.append(verify._mc_estimates(sig, sc, cfg).tobytes())
         assert runs[1:] == runs[:-1]
+
+    def test_blocks_hold_the_tables_that_miss_the_cache(self, monkeypatch):
+        seen = []
+        trial_blocks = verify._trial_blocks
+        monkeypatch.setattr(verify, "_trial_blocks", lambda sig, sc, cfg, block: seen.append(
+            (block, verify._trial_bytes(sig, sc, cfg), 32 * len(cfg.tau_grid)
+             * len(cfg.f_grid) * sig.m)) or trial_blocks(sig, sc, cfg, block))
+        # the CLI default (M = 1000, 11 x 41 grid): 14.4 MB of tables, streamed
+        # from memory once a block, so a block holds as many bytes, in whole products
+        assert main(["montecarlo", "--trials", "2", "--out", os.devnull]) == 0
+        block, trial, tables = seen.pop()
+        assert tables > verify.CACHE_BYTES and block % verify.PRODUCT_ROWS == 0
+        assert tables - verify.PRODUCT_ROWS * trial < block * trial <= tables
+        # the workload's 0.9 MB of tables fit the cache: its blocks keep the budget
+        sig, sc, cfg = workload_setup(42)
+        verify._mc_estimates(sig, sc, dataclasses.replace(cfg, trials=1))
+        block, trial, tables = seen.pop()
+        assert tables < verify.CACHE_BYTES
+        rows = verify.PRODUCT_ROWS
+        assert block == verify.TRIAL_BLOCK_BYTES // trial // rows * rows
 
     # one case led by each large term of _trial_bytes: the statistics (9 x 2001
     # cells), the noise (L = P = 200) and the windows (M = 2000)
