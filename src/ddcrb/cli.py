@@ -91,7 +91,7 @@ _KINDS = {key: kind for _, key, kind, _, _, _ in OPTIONS}
 SWEEP_AXES = ("L", "P", "n_p", "n0", "a", "sigma_w2")
 # every point is a row of output; a longer sweep is taken to be a typo
 SWEEP_MAX_POINTS = 100_000
-# the overlap curve costs O(M^2) (about 2.4 s at M = 8192) and prints M + 1 rows
+# the overlap curve costs O(M^2) (about 1.8 s at M = 8192, JSON out) and prints M + 1 rows
 OVERLAP_MAX_M = 8192
 # Monte Carlo work grows with each (500 trials of the default grid take tens of ms); more is a typo
 MONTECARLO_MAX = {"trials": 1_000_000, "fpoints": 10_000, "tauspan": 10_000}

@@ -5,27 +5,32 @@ noise, and only the delay plus the M signal samples are estimated. The FIM
 bordering structure depends on how far the copies overlap: disjoint support
 gives a diagonal nuisance block, total overlap (zero delay) makes the delay
 unidentifiable, and partial overlap couples samples n and n - n0. The
-nuisance block splits into tridiagonal chains that are eliminated exactly in
-O(M) at every depth, with chains of one length from all offsets eliminated
-together; overlap of at most half the support (2*n0 >= M) also has a short
-closed form.
+nuisance block splits into chains r, r + n0, r + 2 n0, ..., each
+(P/sigma_w2) tridiag(1, 2, 1), and Sherman-Morrison leaves the delay
+information (P/sigma_w2) S in closed form at every offset: S sums
+A^2 / (l + 1) over the chains, A the chain's alternating slope sum and l its
+length. Overlap of at most half the support (2*n0 >= M) is the case of
+chains of one and two entries.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, CrbReport,
+from .fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, OVERFLOW_NOTE, CrbReport,
                   SingularFimError, SINGULAR_COND)
 from .signals import SampledSignal, Scenario, triangle_wave
 
-# Most chain entries eliminated in one block. One offset's chains are never
-# split, so working memory is a few arrays of max(CHAIN_BLOCK, about 2M)
-# entries, however many offsets a curve has.
-CHAIN_BLOCK = 1 << 12
+# Most signed derivative entries binned at once. A step's M entries are never
+# split, so working memory is a few arrays of max(STEP_BLOCK, M) entries,
+# however many offsets a curve has.
+STEP_BLOCK = 1 << 14
+
+TOTAL_NOTE = "total overlap leaves no delay information"
+CHAIN_NOTE = ("every chain's alternating slope sum is zero "
+              "(S <= sum s'^2 / SINGULAR_COND)")
 
 
 @dataclass(frozen=True)
@@ -95,150 +100,91 @@ def fim_overlap(sig: SampledSignal, n0: int, sc: Scenario) -> OverlapFim:
                       deriv=d, sigma_w2=s2, looks=p)
 
 
-def _chain_runs(steps: np.ndarray, m: int):
-    """Chains of every step, as runs (length, step index, first start, count).
+def _alternating_sums(d: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """S per step s in 1..M: the sum over the chains r, r + s, r + 2s, ...
+    of A^2 / (l + 1), A = sum_j (-1)^j s'(r + js) and l the chain's length.
 
-    At step s the chains start at r = 0..s-1 and visit r, r + s, r + 2s, ...
-    below M; the first M mod s of them have floor(M/s) + 1 entries, the
-    rest floor(M/s). Runs come sorted by length, in step order within one.
+    At step s the first M mod s chains have floor(M/s) + 1 entries, the rest
+    floor(M/s). For a block of steps one bincount sums the signed derivative
+    into chains, each along its own order, and one sums A^2 into each step's
+    long and short chains in order of r, so a step's sums do not depend on
+    the block it falls in. The long sum is added first: for 2s >= M the
+    chains are pairs and singletons and S = pairs / 3 + singles / 2.
     """
+    m = d.size
     q, rem = np.divmod(m, steps)
-    long_ = np.flatnonzero(rem > 0)
-    length = np.concatenate([q[long_] + 1, q])
-    which = np.concatenate([long_, np.arange(steps.size)])
-    first = np.concatenate([np.zeros(long_.size, dtype=int), rem])
-    count = np.concatenate([rem[long_], steps - rem])
-    order = np.argsort(length, kind="stable")
-    return length[order], which[order], first[order], count[order]
+    sums = np.empty(2 * steps.size)
+    # int32 division takes about 60 % of the time of int64
+    n = np.arange(m, dtype=np.int32)
+    per = max(1, STEP_BLOCK // m)
+    for lo in range(0, steps.size, per):
+        step = steps[lo:lo + per]
+        # sample n at step s is entry j of chain r, numbered first + r
+        j, r = np.divmod(n, step[:, None].astype(np.int32))
+        first = np.cumsum(step) - step
+        a = np.bincount((r + first[:, None]).ravel(), np.where(j & 1, -d, d).ravel())
+        # chain first + r is long when r < M mod s
+        which = np.repeat(np.arange(step.size), step)
+        short = np.arange(a.size) >= np.repeat(first + rem[lo:lo + per], step)
+        sums[2 * lo:2 * lo + 2 * step.size] = np.bincount(2 * which + short, a * a,
+                                                          minlength=2 * step.size)
+    return sums[0::2] / (q + 2) + sums[1::2] / (q + 1)
 
 
-def _blocks(length: np.ndarray, count: np.ndarray):
-    """Slices of runs that share a length and together hold at most
-    CHAIN_BLOCK entries; a run is never split, so a larger one is alone."""
-    start, total, lengths = 0, 0, length.tolist()
-    for i, (size, n) in enumerate(zip(lengths, count.tolist())):
-        if total and (size != lengths[start] or total + (size + 1) * n > CHAIN_BLOCK):
-            yield start, i
-            start, total = i, 0
-        total += (size + 1) * n
-    if total:
-        yield start, len(lengths)
+def _overlap_columns(d: np.ndarray, n0s: np.ndarray, looks: int, sigma_w2: float):
+    """Per offset n0: S, the delay bound (inf when singular) and why it is
+    singular ("" when it is not).
 
-
-def _chain_sums(d: np.ndarray, neg_c: float, steps: np.ndarray):
-    """Per step s: (P/sigma_w2) b^T D^{-1} b, and the two closed-form sums.
-
-    Each chain v (b along r, r + s, ...) gives sum_k (Q_k - mean Q)^2 with
-    Q = (0, cumsum(S v)), S = diag((-1)^k); b_vec @ D^{-1} b_vec is that sum
-    over all chains divided by P/sigma_w2. Chains of one length are
-    eliminated together, a block of columns at a time, with the operations
-    and summation order of a one-step elimination: columns reduce one row
-    after another, a step's lone chain pairwise, and each step's squares in
-    one pairwise sum. For 2s >= M the chains have one or two entries, and
-    the same gathered samples give sum (s'(n) - s'(n-s))^2 over the pairs
-    and sum s'(n)^2 over the singletons.
+    The chain of length l through s' carries b = -(P/sigma_w2) J s' with J
+    the lower bidiagonal of ones, and its block of D is (P/sigma_w2)(J J^T +
+    e_0 e_0^T); so b^T D^{-1} b = (P/sigma_w2)(s'^T s' - A^2 / (l + 1)), and
+    the information left is (P/sigma_w2) S: the bound is (sigma_w2/P) / S.
+    Total overlap leaves S = 0; no overlap keeps its closed form
+    2 sigma_w2 / (P sum s'^2). An offset is singular when S <= sum s'^2 /
+    SINGULAR_COND, P/sigma_w2 cancelled from both sides, so no scale
+    overflows or underflows the test. The sample block is singular when its
+    condition number, set by the longest chain of length l through the
+    eigenvalues 2 + 2 cos(k pi / (l + 1)) of tridiag(1, 2, 1), exceeds
+    SINGULAR_COND.
     """
     m = d.size
-    quad, pairs, singles = np.zeros((3, steps.size))
-    closed_form = (2 * steps >= m) & (steps < m)
-    length, which, first, count = _chain_runs(steps, m)
-    for lo, hi in _blocks(length, count):
-        size, runs, n = int(length[lo]), which[lo:hi], count[lo:hi]
-        edges = np.concatenate([[0], np.cumsum(n)])
-        within = np.arange(edges[-1]) - np.repeat(edges[:-1], n)
-        gathered = d[np.repeat(first[lo:hi], n) + within
-                     + np.repeat(steps[runs], n) * np.arange(size)[:, None]]
-        if size <= 2:
-            terms = (gathered[1] - gathered[0]) ** 2 if size == 2 else gathered[0] ** 2
-            target, ends = (pairs if size == 2 else singles), edges.tolist()
-            for j in np.flatnonzero(closed_form[runs]).tolist():
-                target[runs[j]] = np.add.reduce(terms[ends[j]:ends[j + 1]])
-        base = neg_c * gathered
-        del gathered
-        # Q = (0, cumsum(S v)) in place, v(n) = base(n) + base(n - s) after
-        # a chain's first entry
-        cum = np.zeros((size + 1, edges[-1]))
-        cum[1] = base[0]
-        np.add(base[1:], base[:-1], out=cum[2:])
-        del base
-        cum[2::2] *= -1.0
-        np.cumsum(cum[1:], axis=0, out=cum[1:])
-        colsum = np.add.reduce(cum, axis=0)
-        if hi - lo > 1:
-            # a lone column reduces pairwise, as it would on its own
-            for j in edges[:-1][n == 1].tolist():
-                colsum[j] = np.add.reduce(cum[:, j])
-        cum -= colsum / (size + 1)
-        np.square(cum, out=cum)
-        # each run's (size + 1) x count block, row after row, sums pairwise
-        # as one contiguous array
-        ends = edges.tolist()
-        quad[runs] += [np.add.reduce(cum[:, a:b].ravel()) for a, b in zip(ends[:-1], ends[1:])]
-    return quad, pairs, singles
-
-
-def _overlap_reports(d: np.ndarray, offsets, looks: int, sigma_w2: float) -> Iterator[CrbReport]:
-    """Delay bound reports for one real derivative d at every offset n0, in
-    order (made one at a time, so a long curve holds its rows, not reports).
-
-    No overlap has the closed form (2P/P^2) sigma_w2 / sum s'^2; total
-    overlap makes e - b^T D^{-1} b exactly zero (no finite bound exists);
-    partial overlap is eliminated through the chain form of D, with the
-    short closed form
-        (sigma_w2/P) / [ 1/3 sum_{n=n0}^{M-1} (s'(n d) - s'((n-n0) d))^2
-                       + 1/2 sum_{n=M-n0}^{n0-1} s'(n d)^2 ]
-    attached and preferred when 2*n0 >= M. The sample block is singular
-    when its condition number, set by the longest chain of length l
-    through the eigenvalues 2 + 2 cos(k pi / (l + 1)) of tridiag(1, 2, 1),
-    exceeds SINGULAR_COND.
-    """
-    m = d.size
-    n0s = np.asarray(offsets, dtype=int)
-    c = looks / sigma_w2
-    sum_d2 = float(np.sum(d ** 2))
-    e = c * sum_d2
     chained = n0s > 0
     steps = np.minimum(n0s[chained], m)
     longest = -(-m // steps)
     cos1 = np.cos(np.pi / (longest + 1))
     if np.any((1.0 + cos1) / (1.0 - cos1) > SINGULAR_COND):
         raise SingularFimError("sample block of the overlap FIM is singular")
-    x = np.empty(n0s.size)
-    if not chained.all():
-        b = 2.0 * (-c * d)
-        x[~chained] = e - float(b @ b) / (4.0 * c)
-    quad, pairs, singles = _chain_sums(d, -c, steps)
-    x[chained] = e - quad / c
-    # closed-form denominators; _report reads them only where 2*n0 >= M
-    den = np.zeros(n0s.size)
-    den[chained] = pairs / 3.0 + singles / 2.0
-    for n0, xi, di in zip(n0s.tolist(), x.tolist(), den.tolist()):
-        yield _report(n0, m, xi, e, di, looks, sigma_w2, sum_d2)
-
-
-def _report(n0: int, m: int, x: float, e: float, den: float, looks: int,
-            sigma_w2: float, sum_d2: float) -> CrbReport:
-    regime = overlap_regime(n0, m)
-    details = {"regime": regime, "n0": n0, "information_after_elimination": x}
-    if abs(x) <= e / SINGULAR_COND:
-        return CrbReport(values={"tau0": float("inf")},
-                         method=METHOD_SCHUR_NUMERIC, singular=True,
-                         details={**details, "note": "overlap leaves no delay information"})
-    numeric = 1.0 / x
-    if regime == "none":
-        value = 2.0 * sigma_w2 / (looks * sum_d2)
-        return CrbReport(values={"tau0": value}, method=METHOD_CLOSED_FORM,
-                         details={**details, "tau0_numeric": numeric})
-    if 2 * n0 >= m and den > 0.0:
-        return CrbReport(values={"tau0": sigma_w2 / looks / den}, method=METHOD_CLOSED_FORM,
-                         details={**details, "tau0_numeric": numeric})
-    return CrbReport(values={"tau0": numeric}, method=METHOD_SCHUR_NUMERIC, details=details)
+    s = np.zeros(n0s.size)
+    s[chained] = _alternating_sums(d, steps)
+    sum_d2 = np.sum(d ** 2)
+    with np.errstate(all="ignore"):  # such bounds are flagged below
+        bound = sigma_w2 / looks / s
+        bound[n0s >= m] = 2.0 * sigma_w2 / (looks * sum_d2)
+    notes = np.full(n0s.size, "", dtype=object)
+    notes[~((bound > 0.0) & (bound < np.inf))] = OVERFLOW_NOTE
+    notes[s <= sum_d2 / SINGULAR_COND] = CHAIN_NOTE
+    notes[n0s == 0] = TOTAL_NOTE
+    bound[notes != ""] = np.inf
+    return s, bound, notes
 
 
 def crb_overlap(of: OverlapFim) -> CrbReport:
     """Delay bound after eliminating the signal samples: the one-offset case
-    of _overlap_reports, which recomputes b from of.deriv bit for bit."""
-    return next(_overlap_reports(of.deriv, (of.n0,), of.looks, of.sigma_w2))
+    of the overlap curve's columns, with b and D read through of.deriv."""
+    m, n0, looks, sigma_w2 = of.m, of.n0, of.looks, of.sigma_w2
+    s, bound, notes = _overlap_columns(of.deriv, np.array([n0]), looks, sigma_w2)
+    s, bound, note = float(s[0]), float(bound[0]), notes[0]
+    regime = overlap_regime(n0, m)
+    # S = 0 stays 0 however large P/sigma_w2 is
+    details = {"regime": regime, "n0": n0,
+               "information_after_elimination": looks / sigma_w2 * s if s > 0.0 else 0.0}
+    if note:
+        return CrbReport(values={"tau0": bound}, method=METHOD_SCHUR_NUMERIC,
+                         singular=True, details={**details, "note": note})
+    if 2 * n0 >= m:
+        return CrbReport(values={"tau0": bound}, method=METHOD_CLOSED_FORM,
+                         details={**details, "tau0_numeric": sigma_w2 / looks / s})
+    return CrbReport(values={"tau0": bound}, method=METHOD_SCHUR_NUMERIC, details=details)
 
 
 def triangle_overlap_curve(m: int, sc: Scenario) -> list[dict]:
@@ -252,10 +198,12 @@ def triangle_overlap_curve(m: int, sc: Scenario) -> list[dict]:
     # validates P >= 1 before the reference divides by it
     _check_signal(sig, sc)
     crb_non = 2.0 * sc.sigma_w2 / (sc.looks_reflected * m)
-    reports = _overlap_reports(sig.deriv.real, range(m + 1), sc.looks_reflected, sc.sigma_w2)
+    n0s = np.arange(m + 1)
+    _, bound, notes = _overlap_columns(sig.deriv.real, n0s, sc.looks_reflected, sc.sigma_w2)
+    singular = (notes != "").tolist()
     return [{"n0": n0,
-             "crb_tau0": None if report.singular else report.values["tau0"],
-             "singular": report.singular,
-             "method": report.method,
-             "regime": report.details["regime"],
-             "crb_non": crb_non} for n0, report in enumerate(reports)]
+             "crb_tau0": None if flag else value,
+             "singular": flag,
+             "method": METHOD_SCHUR_NUMERIC if flag or 2 * n0 < m else METHOD_CLOSED_FORM,
+             "regime": overlap_regime(n0, m),
+             "crb_non": crb_non} for n0, value, flag in zip(n0s.tolist(), bound.tolist(), singular)]

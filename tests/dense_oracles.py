@@ -1,17 +1,17 @@
 """Dense reference forms that the structured library paths are tested against.
 
 The library evaluates the covariance-model FIM through the rank-two structure
-of dC_i and eliminates the overlap sample block chain by chain. The forms
-here build every matrix densely instead: sample gradients by differencing
-stacked means, p explicit N x N covariance derivatives with the trace and
-Kronecker formulas, and the overlap block D with a dense symmetric solve.
-The Kronecker form holds an N^2 x N^2 matrix and the overlap solve is
-O(M^3), so they suit small instances only. The forms here that are not
-dense are the per-offset chain elimination of the overlap block, which the
-library's grouped elimination reproduces bit for bit, and the per-row
-closed-form bounds of the crb, sweep and table1 commands, on Python floats
-one scenario at a time, which the library's column evaluation reproduces
-bit for bit.
+of dC_i and the overlap bound through the alternating chain sums of the
+derivative. The forms here build every matrix densely instead: sample
+gradients by differencing stacked means, p explicit N x N covariance
+derivatives with the trace and Kronecker formulas, and the overlap block D
+with a dense symmetric solve. The Kronecker form holds an N^2 x N^2 matrix
+and the overlap solve is O(M^3), so they suit small instances only. The
+forms here that are not dense are the per-offset chain elimination of the
+overlap block, which the library's closed form matches to 1e-12 of e, and
+the per-row closed-form bounds of the crb, sweep and table1 commands, on
+Python floats one scenario at a time, which the library's column
+evaluation reproduces bit for bit.
 """
 
 import numpy as np

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from ddcrb import bounds, cli
 from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, SIGNAL_MAX_SAMPLES, _rows_json, main
 from ddcrb.fim import OVERFLOW_NOTE
+from ddcrb.overlap import _overlap_columns
+from ddcrb.signals import triangle_wave
 
 from dense_oracles import cli_rows
 
@@ -293,6 +295,21 @@ class TestOverlapCommand:
     def test_odd_m_usage_error(self):
         code, _ = run_cli(["overlap", "--M", "15"])
         assert code == 1
+
+    @pytest.mark.parametrize("sigma2, p", [("1e300", "1"), ("1e-320", "1"), ("1", "1000000000000")])
+    def test_extreme_scales(self, sigma2, p):
+        # P/sigma_w2 overflows at 1e-320 and its square underflows at 1e300;
+        # the bound reads only the scale-free chain sums S
+        code, out = run_cli(["overlap", "--M", "16", "--P", p, "--sigma2", sigma2,
+                             "--format", "json"])
+        assert code == 0
+        rows = [row["values"] for row in json.loads(out)["rows"]]
+        assert [r["n0"] for r in rows if r["singular"]] == [0, 1, 2, 4]
+        s = _overlap_columns(triangle_wave(16).deriv.real, np.arange(17), 1, 1.0)[0]
+        for row in rows[:16]:
+            if not row["singular"]:
+                assert row["crb_tau0"] == float(sigma2) / int(p) / s[row["n0"]], row
+        assert rows[16]["crb_tau0"] == 2.0 * float(sigma2) / (int(p) * 16)
 
 
 class TestMonteCarloCommand:

@@ -1,8 +1,9 @@
 """Nonseparated-path tests: FIM structure, regimes, triangle-wave forms, and
-the chain-form elimination against dense and exact rational elimination and,
-bit for bit, against a per-offset chain elimination."""
+the alternating chain sums S against dense, per-offset chain and exact
+rational elimination, at extreme scales, and bit for bit across block sizes."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.fim import SINGULAR_COND
-from ddcrb.overlap import _overlap_reports, overlap_regime
+from ddcrb.fim import OVERFLOW_NOTE, SINGULAR_COND
+from ddcrb import overlap
+from ddcrb.overlap import CHAIN_NOTE, _overlap_columns, overlap_regime
 from ddcrb.signals import central_difference
 
 from dense_oracles import overlap_chain_quadratic, overlap_information_dense
@@ -198,6 +200,48 @@ class TestTriangleCurve:
         assert [r["n0"] for r in rows if r["singular"]] == [0, 1, 2, 4, 8, 16, 32]
 
 
+class TestExtremeScales:
+    # P/sigma_w2 overflows at 1e-320 and its square underflows at 1e300
+    @pytest.mark.parametrize("sigma_w2, p", [(1e300, 1), (1e-320, 1), (1.0, 10 ** 12)])
+    def test_scale_free_information(self, sigma_w2, p):
+        m = 16
+        sig = d.triangle_wave(m)
+        sc = scenario(p=p, sigma_w2=sigma_w2)
+        # the blocks e and b themselves overflow at 1e-320; the bound never reads them
+        with np.errstate(all="ignore"):
+            fims = [d.fim_overlap(sig, n0, sc) for n0 in range(m + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = d.triangle_overlap_curve(m, sc)
+            reports = [d.crb_overlap(of) for of in fims]
+        s = _overlap_columns(sig.deriv.real, np.arange(m + 1), 1, 1.0)[0]
+        assert [r["n0"] for r in rows if r["singular"]] == [0, 1, 2, 4]
+        assert [n0 for n0, rep in enumerate(reports) if rep.singular] == [0, 1, 2, 4]
+        for row, rep, s_n0 in zip(rows, reports, s.tolist()):
+            if not row["singular"] and row["regime"] != "none":
+                assert row["crb_tau0"] == rep.values["tau0"] == sigma_w2 / p / s_n0, row
+        assert rows[m]["crb_tau0"] == 2.0 * sigma_w2 / (p * m)
+
+    def test_underflowed_bound_is_flagged(self):
+        # sigma_w2 / P underflows to 0: no bound is positive, so every row is
+        # flagged, not printed as 0
+        sc = scenario(p=10 ** 6, sigma_w2=1e-320)
+        rows = d.triangle_overlap_curve(16, sc)
+        assert all(r["singular"] and r["crb_tau0"] is None for r in rows)
+        with np.errstate(all="ignore"):
+            of = d.fim_overlap(d.triangle_wave(16), 8, sc)
+        rep = d.crb_overlap(of)
+        assert rep.singular and rep.details["note"] == OVERFLOW_NOTE
+
+    @pytest.mark.parametrize("n0", [1, 2, 4])
+    def test_singular_note_names_the_chain_sums(self, n0):
+        rep = d.crb_overlap(d.fim_overlap(d.triangle_wave(16), n0, scenario()))
+        assert rep.singular
+        assert rep.details["note"] == CHAIN_NOTE
+        assert "alternating slope sum is zero" in CHAIN_NOTE
+        assert rep.details["information_after_elimination"] == 0.0
+
+
 class TestChainElimination:
     @settings(max_examples=40)
     @given(m=st.integers(2, 64), p=st.integers(1, 5),
@@ -223,8 +267,7 @@ class TestChainElimination:
     @given(m=st.integers(2, 96), p=st.integers(1, 5),
            sigma_w2=st.floats(1e-3, 1e3), sign_pattern=st.booleans(),
            seed=st.integers(0, 2 ** 31 - 1))
-    def test_bit_identical_to_per_offset_elimination(self, m, p, sigma_w2,
-                                                     sign_pattern, seed):
+    def test_matches_chain_elimination_oracle(self, m, p, sigma_w2, sign_pattern, seed):
         rng = np.random.default_rng(seed)
         deriv = (rng.choice([-1.0, 1.0], m) if sign_pattern
                  else rng.standard_normal(m))
@@ -233,22 +276,36 @@ class TestChainElimination:
         for n0 in range(m + 2):
             of = d.fim_overlap(sig, n0, sc)
             x = d.crb_overlap(of).details["information_after_elimination"]
-            assert x == of.e - overlap_chain_quadratic(of), n0
+            assert abs(x - (of.e - overlap_chain_quadratic(of))) <= 1e-12 * of.e, n0
 
-    @pytest.mark.parametrize("m", [31, 49, 62])
-    def test_batch_bit_identical_to_per_offset_elimination(self, m):
-        # all offsets eliminated together: a step's lone chain shares its
-        # block with other steps' chains yet must still sum pairwise, which
-        # changes the last bits for a few of these Gaussian derivatives
-        sc = scenario(p=2, sigma_w2=0.3)
-        for seed in range(30):
-            deriv = np.random.default_rng(seed).standard_normal(m)
-            sig = d.SampledSignal(np.zeros(m), 1.0, deriv)
-            reports = _overlap_reports(deriv, range(m + 2), 2, 0.3)
-            for n0, rep in enumerate(reports):
-                of = d.fim_overlap(sig, n0, sc)
-                assert rep.details["information_after_elimination"] == (
-                    of.e - overlap_chain_quadratic(of)), (seed, n0)
+    @settings(max_examples=15, deadline=None)
+    @given(m=st.integers(2, 256), seed=st.integers(0, 2 ** 31 - 1))
+    def test_unit_slopes_within_16_ulp_of_exact(self, m, seed):
+        # +-1 slopes with P = sigma_w2 = 1: x is S, and the exact rational
+        # comes from an LDL^T elimination of each chain over the integers
+        deriv = np.random.default_rng(seed).choice([-1.0, 1.0], m)
+        sig = d.SampledSignal(np.zeros(m), 1.0, deriv)
+        for n0 in range(m + 1):
+            of = d.fim_overlap(sig, n0, scenario())
+            x = d.crb_overlap(of).details["information_after_elimination"]
+            exact = _exact_chain_information(deriv, n0)
+            if m <= 10:
+                assert exact == _exact_information(of), n0
+            if exact == 0:
+                assert x == 0.0, n0
+            else:
+                assert abs(Fraction(x) - exact) <= 16 * np.spacing(float(exact)), (n0, x, exact)
+
+    def test_block_size_leaves_every_bit(self, monkeypatch):
+        def run():
+            deriv = np.random.default_rng(3).standard_normal(61)
+            cols = _overlap_columns(deriv, np.arange(63), 2, 0.3)
+            return [col.tobytes() for col in cols[:2]], repr(d.triangle_overlap_curve(128, scenario()))
+
+        batched = run()
+        # one step per block
+        monkeypatch.setattr(overlap, "STEP_BLOCK", 1)
+        assert run() == batched
 
     def test_triangle_m16_matches_exact_rational_elimination(self):
         # derivative +-1 with P = sigma_w2 = 1: e, b and D are integers
@@ -266,6 +323,32 @@ class TestChainElimination:
             if x != 0:
                 bound = float(1 / x)
                 assert abs(row["crb_tau0"] - bound) <= 4 * np.spacing(bound), row
+
+
+def _exact_chain_information(deriv, n0):
+    """e - b^T D^{-1} b at P = sigma_w2 = 1 for an integer derivative.
+
+    Chain by chain (r, r + n0, ...; D and b split along them outside total
+    overlap): LDL^T of tridiag(1, 2, 1) has pivots (k + 2)/(k + 1), so
+    z_k = (k + 1) y_k = (k + 1) b_k - z_{k-1} stays an integer and the chain
+    adds sum_k z_k^2 / ((k + 1)(k + 2)) to b^T D^{-1} b.
+    """
+    ints = [int(v) for v in deriv]
+    m = len(ints)
+    e = sum(v * v for v in ints)
+    if n0 == 0:
+        # b = -2 s', D = 4 I
+        return Fraction(e) - Fraction(sum(4 * v * v for v in ints), 4)
+    quad = Fraction(0)
+    for r in range(min(n0, m)):
+        z, num, den = 0, 0, 1
+        for k, n in enumerate(range(r, m, n0)):
+            b = -ints[n] - (ints[n - n0] if k else 0)
+            z = (k + 1) * b - z
+            term_den = (k + 1) * (k + 2)
+            num, den = num * term_den + z * z * den, den * term_den
+        quad += Fraction(num, den)
+    return e - quad
 
 
 def _exact_information(of):
