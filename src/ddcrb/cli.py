@@ -13,10 +13,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import sys
+from itertools import compress
 
 import numpy as np
 
@@ -102,6 +102,7 @@ TABLE1_COLUMNS = ("jcrb_tau0_s", "jcrb_tau0", "jcrb_f0_s", "jcrb_f0",
                   "jcrb_tau0_s_schur", "jcrb_f0_s_schur", "ratio_tau0", "ratio_f0")
 # the scenario field each single-field sweep axis sets (n0 sets tau0 = n0 delta)
 _SWEEP_FIELDS = {"P": "looks_reflected", "n0": "tau0", "a": "scale", "sigma_w2": "sigma_w2"}
+_NULL_NOTE = "note: {}: " + OVERFLOW_NOTE + "; printed as null"  # {}: the cells' keys
 
 
 @contextlib.contextmanager
@@ -169,77 +170,71 @@ def build_signal(cfg: RunConfig, delta: float,
         return load_signal_file(kind), None
 
 
-def _rows(lead: dict, columns: dict, keys=None) -> tuple[list[dict], list[dict]]:
-    """Rows of the lead cells ({key: one value per row, or one for all}),
-    the cells of {key pattern: PairColumns} ({} is tau0 or f0) and the
-    singular keys, as keys (default all) picks them; and each row's tags.
-    A bound cell that is not finite and positive prints as None and is
-    listed as singular; a note on stderr names those of pairs not singular or overflowed."""
+def _rows(lead: dict, columns: dict, keys=None) -> tuple[dict, dict]:
+    """Columns of the lead cells ({key: one value per row, or one for all}), the cells of
+    {key pattern: PairColumns} ({} is tau0 or f0) and the singular keys, as keys (default
+    all) picks them; and each bound column's tag. A bound cell that is not finite and
+    positive is None and singular; a stderr note names those of pairs not singular."""
     n = max(col.tau0.size for col in columns.values())
     cells = {key: value if isinstance(value, list) else [value] * n
              for key, value in lead.items()}
     tags, bad, overflowed = {}, {}, []
     for pattern, col in columns.items():
-        named = (col.notes == "") | (col.notes == OVERFLOW_NOTE)
         for part in ("tau0", "f0"):
             key, values = pattern.format(part), getattr(col, part)
             if values.size != n:  # one row stands for every row
                 values = np.repeat(values, n)
-            bad[key] = ~((values > 0.0) & (values < np.inf))
             cells[key], tags[key] = values.tolist(), col.method
-            for i in np.flatnonzero(bad[key]):
-                cells[key][i] = None
-            overflowed += [key] * bool(np.any(bad[key] & named))
+            if (mask := ~((values > 0.0) & (values < np.inf))).any():
+                bad[key], cells[key] = mask, np.where(mask, None, values).tolist()
+                named = (col.notes == "") | (col.notes == OVERFLOW_NOTE)
+                overflowed += [key] * bool(np.any(mask & named))
     if overflowed:
-        print(f"note: {', '.join(overflowed)}: {OVERFLOW_NOTE}; printed as null", file=sys.stderr)
-    cells["singular"] = [";".join(itertools.compress(bad, row))
-                         for row in zip(*(mask.tolist() for mask in bad.values()))]
-    keys = keys or list(cells)
-    tags = {key: tags[key] for key in keys if key in tags}
-    return [dict(zip(keys, row)) for row in zip(*(cells[key] for key in keys))], [tags] * n
+        print(_NULL_NOTE.format(", ".join(overflowed)), file=sys.stderr)
+    if keys is None:  # each row's singular keys, joined only when some cell is null
+        keys, rows = [*cells, "singular"], zip(*(mask.tolist() for mask in bad.values()))
+        cells["singular"] = [";".join(compress(bad, r)) for r in rows] if bad else [""] * n
+    return {key: cells[key] for key in keys}, {key: tags[key] for key in keys if key in tags}
 
 
-# one compact C encoder per indent depth of write_rows' flat dicts: its item
-# separator carries the newline and indent that json.dumps(indent=2) puts there
-_JSON_ITEM_ENCODERS = {depth: json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
-                       for depth in (1, 3)}
+# compact C encoders. _CELLS puts a newline between a list's items, and no JSON scalar's
+# text holds a raw newline (strings escape control characters), so a column's text splits
+# into cells; _FLAT's item separator is the newline and indent of a config block's item
+_CELLS, _FLAT = (json.JSONEncoder(separators=(sep, ": ")) for sep in ("\n", ",\n    "))
 
 
-def _json_flat_dict(d: dict, depth: int) -> str:
-    """json.dumps(d, indent=2) of a dict of scalars, as nested depth deep."""
-    if not d:
-        return "{}"
-    inner = _JSON_ITEM_ENCODERS[depth].encode(d)[1:-1]
-    return "{\n" + "  " * (depth + 1) + inner + "\n" + "  " * depth + "}"
+def _dict_format(columns: dict) -> tuple[str, list]:
+    """A %-format of json.dumps(d, indent=2), as nested in a row, of each row's dict d of
+    columns, and its %s texts: a list column's cells (any other value is in the format)."""
+    fields, texts = [], []
+    for key, column in columns.items():
+        head = "\n        " + _CELLS.encode(key).replace("%", "%%") + ": "
+        if isinstance(column, list):
+            fields.append(head + "%s")
+            texts.append(_CELLS.encode(column)[1:-1].split("\n") if column else [])
+        else:
+            fields.append(head + _CELLS.encode(column).replace("%", "%%"))
+    return ("{" + ",".join(fields) + "\n      }" if fields else "{}"), texts
 
 
-def _rows_json(config: dict, rows: list[dict], methods: list[dict], provenance: dict) -> str:
-    """json.dumps(indent=2) of write_rows' payload, byte for byte. Every dict
-    of it (config, provenance, each row's values and methods) holds scalars
-    only, so each goes through the C encoder whole and only the brackets
-    around them are written here; rows that share a tag dict share its text."""
-    shared = {id(tags): tags for tags in methods}
-    tag_texts = {key: _json_flat_dict(tags, 3) for key, tags in shared.items()}
-    items = [f'    {{\n      "values": {_json_flat_dict(row, 3)},\n'
-             f'      "methods": {tag_texts[id(tags)]}\n    }}'
-             for row, tags in zip(rows, methods)]
-    rows_text = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-    return (f'{{\n  "config": {_json_flat_dict(config, 1)},\n  "rows": {rows_text},\n'
-            f'  "provenance": {_json_flat_dict(provenance, 1)}\n}}')
-
-
-def write_rows(rows: list[dict], methods: list[dict], cfg: RunConfig) -> None:
-    """Emit rows as CSV (values only) or JSON (values plus method tags)."""
+def write_rows(values: dict, methods: dict, cfg: RunConfig) -> None:
+    """Emit columns ({key: one cell per row}) as CSV, or as JSON rows with the method
+    tags ({key: one tag, or one per row}), byte for byte json.dumps(payload, indent=2)."""
     if cfg["format"] == "json":
         # the output path does not affect any value; leaving it out keeps
         # re-runs byte-identical wherever they are written
-        config = {k: cfg[k] for k in sorted(cfg, key=str) if k != "out"}
-        text = _rows_json(config, rows, methods,
-                          {"version": __version__, "seed": cfg["seed"]}) + "\n"
+        config = _FLAT.encode({k: cfg[k] for k in sorted(cfg, key=str) if k != "out"})
+        provenance = _FLAT.encode({"version": __version__, "seed": cfg["seed"]})
+        (vfmt, vtexts), (mfmt, mtexts) = _dict_format(values), _dict_format(methods)
+        row = f'    {{\n      "values": {vfmt},\n      "methods": {mfmt}\n    }}'
+        rows = [row % cells for cells in zip(*vtexts, *mtexts)]
+        text = (f'{{\n  "config": {{\n    {config[1:-1]}\n  }},\n  "rows": '
+                + ("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
+                + f',\n  "provenance": {{\n    {provenance[1:-1]}\n  }}\n}}\n')
     else:
-        # every row has the first row's keys in order; csv writes None as ""
-        buf = io.StringIO()
-        csv.writer(buf).writerows([list(rows[0]), *(row.values() for row in rows)] if rows else [])
+        # csv writes None as ""; no rows print nothing, not even the header
+        rows = [list(values), *zip(*values.values())] if any(values.values()) else []
+        csv.writer(buf := io.StringIO()).writerows(rows)
         text = buf.getvalue()
     with open(cfg["out"], "w") if cfg["out"] else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(text)
@@ -443,10 +438,13 @@ def cmd_overlap(config_path, **flags):
     # triangle_overlap_curve raises ValueError only for bad input, such as an odd M
     with _usage_errors():
         curve = triangle_overlap_curve(cfg["M"], cfg.scenario())
-    keys = ("n0", "crb_tau0", "singular", "regime", "crb_non")
-    rows = [{"M": cfg["M"], **{key: row[key] for key in keys}} for row in curve]
-    write_rows(rows, [{"crb_tau0": row["method"], "crb_non": METHOD_CLOSED_FORM}
-                      for row in curve], cfg)
+    values = {"M": [cfg["M"]] * len(curve), **{key: [row[key] for row in curve] for key in (
+        "n0", "crb_tau0", "singular", "regime", "crb_non")}}
+    if not 0.0 < curve[0]["crb_non"] < math.inf:  # the bound cells' null rule
+        print(_NULL_NOTE.format("crb_non"), file=sys.stderr)
+        values["crb_non"] = [None] * len(curve)
+    write_rows(values, {"crb_tau0": [row["method"] for row in curve],
+                        "crb_non": METHOD_CLOSED_FORM}, cfg)
 
 
 @_command("montecarlo")
@@ -470,11 +468,12 @@ def cmd_montecarlo(config_path, **flags):
                       tau_grid=tuple(range(max(0, n0 - span), n0 + span + 1)))
         mc.check_covers(n0, sc.f0)
     report = monte_carlo_report(sig, sc, mc)
-    keys = ("parameter", "estimator", "empirical_mse", "bound", "ratio")
-    rows = [{**{key: row[key] for key in keys}, "trials": report.trials, "seed": report.seed,
-             "singular": row["singular"]} for row in report.rows]
-    write_rows(rows, [{"empirical_mse": METHOD_MONTE_CARLO, "bound": row["method"],
-                       "ratio": METHOD_MONTE_CARLO} for row in report.rows], cfg)
+    lead = {"trials": report.trials, "seed": report.seed}
+    values = {key: [lead[key] if key in lead else row[key] for row in report.rows] for key in (
+        "parameter", "estimator", "empirical_mse", "bound", "ratio", "trials", "seed", "singular")}
+    write_rows(values, {"empirical_mse": METHOD_MONTE_CARLO,
+                        "bound": [row["method"] for row in report.rows],
+                        "ratio": METHOD_MONTE_CARLO}, cfg)
 
 
 def main(argv=None) -> int:

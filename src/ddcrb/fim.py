@@ -404,14 +404,14 @@ class PairColumns:
         if np.shape(tau0) != np.shape(f0):
             tau0, f0 = np.broadcast_arrays(tau0, f0)
         notes = np.full(np.shape(tau0), "", dtype=object)
-        singular = np.zeros(notes.shape, dtype=bool)
-        for mask, note in reversed(conditions):
-            if mask.any():
-                mask = np.broadcast_to(mask, notes.shape)
-                notes[mask] = np.broadcast_to(np.asarray(note, dtype=object), notes.shape)[mask]
-                singular |= mask
-        if not singular.any():
+        held = [(mask, note) for mask, note in conditions if mask.any()]
+        if not held:  # no row is singular: the values as given
             return cls(tau0, f0, notes, method)
+        singular = np.zeros(notes.shape, dtype=bool)
+        for mask, note in reversed(held):
+            mask = np.broadcast_to(mask, notes.shape)
+            notes[mask] = np.broadcast_to(np.asarray(note, dtype=object), notes.shape)[mask]
+            singular |= mask
         return cls(np.where(singular, np.inf, tau0), np.where(singular, np.inf, f0),
                    notes, method)
 

@@ -1,5 +1,6 @@
 """CLI tests: output schemas, encodings, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,11 +9,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddcrb import bounds, cli
-from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, SIGNAL_MAX_SAMPLES, _rows_json, main
+from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, SIGNAL_MAX_SAMPLES, main
 from ddcrb.fim import OVERFLOW_NOTE
 from ddcrb.overlap import _overlap_columns
 from ddcrb.signals import triangle_wave
@@ -311,6 +312,20 @@ class TestOverlapCommand:
                 assert row["crb_tau0"] == float(sigma2) / int(p) / s[row["n0"]], row
         assert rows[16]["crb_tau0"] == 2.0 * float(sigma2) / (int(p) * 16)
 
+    @pytest.mark.parametrize("sigma2, p", [("1.7e308", "1"), ("1e-320", "1000000")])
+    def test_reference_that_is_not_finite_and_positive_prints_as_null(self, capsys, sigma2,
+                                                                      p):
+        # 2 sigma_w2 / (P M) overflows to inf, or underflows to 0.0
+        args = ["overlap", "--M", "16", "--P", p, "--sigma2", sigma2]
+        code, out = run_cli([*args, "--format", "json"])
+        assert code == 0
+        assert "crb_non" in capsys.readouterr().err
+        rows = _strict_json(out)["rows"]
+        assert len(rows) == 17 and all(row["values"]["crb_non"] is None for row in rows)
+        code, out = run_cli([*args, "--format", "csv"])
+        assert code == 0
+        assert {row["crb_non"] for row in parse_csv(out)} == {""}
+
 
 class TestMonteCarloCommand:
     ARGS = ["montecarlo", "--np", "16", "--delta", "0.25", "--Q", "1",
@@ -435,15 +450,68 @@ _JSON_SCALARS = st.one_of(
 _JSON_DICTS = st.dictionaries(st.text(), _JSON_SCALARS, max_size=5)
 
 
+@st.composite
+def _tables(draw):
+    """(row count, value columns, method tags): at least one value key, since the
+    value columns count the rows; a tag is one for every row, or a list of one per row."""
+    n = draw(st.integers(0, 4))
+    cells = st.lists(_JSON_SCALARS, min_size=n, max_size=n)
+    values = draw(st.dictionaries(st.text(), cells, min_size=1, max_size=5))
+    return n, values, draw(st.dictionaries(st.text(), st.one_of(_JSON_SCALARS, cells),
+                                           max_size=5))
+
+
+def _written(values, methods, **settings):
+    """What write_rows prints for the columns under the settings."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.write_rows(values, methods, cli.RunConfig(settings, out=None))
+    return buf.getvalue()
+
+
+_TABLE_CASES = {
+    "zero rows": (0, {"a": [], "b": []}, {"b": "closed_form"}),
+    "single row": (1, {"L": [1], "x": [0.5]}, {"x": "closed_form"}),
+    "shared tags": (3, {"n0": [0, 1, 2], "b": [None, 2.0, 1e300]},
+                    {"b": "closed_form", "%s": "100% \"tagged\"\n"}),
+    "per-row tags": (2, {"b": [1.0, None], "r": [0.5, float("nan")]},
+                     {"b": ["closed_form", "schur_numeric"], "r": "monte_carlo"}),
+}
+
+
+def _with_cases(**arguments):
+    """Run a table test on every _TABLE_CASES table, with the other arguments given."""
+    def decorate(test):
+        for table in _TABLE_CASES.values():
+            test = example(table=table, **arguments)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=200)
-@given(config=_JSON_DICTS, rows=st.lists(st.tuples(_JSON_DICTS, _JSON_DICTS), max_size=4),
-       provenance=_JSON_DICTS)
-def test_rows_json_equals_json_dumps_indent_2(config, rows, provenance):
-    payload = {"config": config,
-               "rows": [{"values": values, "methods": tags} for values, tags in rows],
-               "provenance": provenance}
-    got = _rows_json(config, [v for v, _ in rows], [t for _, t in rows], provenance)
-    assert got == json.dumps(payload, indent=2)
+@given(config=_JSON_DICTS, seed=_JSON_SCALARS, table=_tables())
+@_with_cases(config={"out": "x.json", "%": "50%"}, seed=42)
+def test_rows_json_equals_json_dumps_indent_2(config, seed, table):
+    n, values, methods = table
+    settings = {**config, "format": "json", "seed": seed}
+    # the output path is left out of the config block
+    payload = {"config": {key: settings[key] for key in sorted(settings) if key != "out"},
+               "rows": [{"values": {key: column[i] for key, column in values.items()},
+                         "methods": {key: tag[i] if isinstance(tag, list) else tag
+                                     for key, tag in methods.items()}} for i in range(n)],
+               "provenance": {"version": cli.__version__, "seed": seed}}
+    assert _written(values, methods, **settings) == json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=100)
+@given(table=_tables())
+@_with_cases()
+def test_rows_csv_equals_csv_writer_over_the_row_lists(table):
+    n, values, methods = table
+    buf = io.StringIO()
+    rows = [[column[i] for column in values.values()] for i in range(n)]
+    csv.writer(buf).writerows([list(values), *rows] if rows else [])
+    assert _written(values, methods, format="csv") == buf.getvalue()
 
 
 # each axis with a base that keeps every sum finite; a and sigma_w2 are not dyadic

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.fim import schur_complement
+from ddcrb.fim import PairColumns, schur_complement
 
 from conftest import make_contained_train
 
@@ -76,3 +76,17 @@ def test_fim_matrix_rejects_asymmetry_and_indefiniteness():
 def test_fim_matrix_rejects_an_empty_matrix():
     with pytest.raises(ValueError, match="at least one parameter"):
         d.FimMatrix(np.zeros((0, 0)), ())
+
+
+def test_pair_columns_with_no_condition_held_keep_the_values_given():
+    tau0, f0 = np.array([1.0, np.inf, 0.0, -2.0]), np.array([3.0, 2.0, np.nan, 5.0])
+    for conditions in ((), ((np.zeros(4, dtype=bool), "never"), (np.array([False]), "never"))):
+        cols = PairColumns.flagged(tau0, f0, *conditions)
+        assert cols.tau0 is tau0 and cols.f0 is f0
+        assert cols.notes.dtype == object and cols.notes.tolist() == [""] * 4
+    # a condition that holds still flags its rows, and only those
+    cols = PairColumns.flagged(tau0, f0, (np.array([False, True, False, True]), "held"),
+                               (np.array([False, False, False, True]), "later"))
+    assert cols.notes.tolist() == ["", "held", "", "held"]
+    assert cols.tau0.tolist() == [1.0, np.inf, 0.0, np.inf]
+    assert cols.f0[0] == 3.0 and np.isnan(cols.f0[2]) and cols.f0[3] == np.inf
