@@ -8,8 +8,8 @@ from .signals import (DerivMethod, PulseTrain, SampledSignal, Scenario, eta,
                       triangle_wave)
 from .fim import (BoundPair, CrbReport, FimMatrix, SingularFimError, eliminated_pair,
                   schur_complement)
-from .bounds import (crb_separate_unknown, fim_known_signal, fim_known_signal_scale,
-                     fim_unknown_signal, jcrb_known, jcrb_unknown)
+from .bounds import (crb_separate_unknown, fim_known_signal, fim_unknown_signal, jcrb_known,
+                     jcrb_unknown)
 from .structure import (StructureQuantities, fim_known_structure,
                         jcrb_known_signal_pulse, structure_quantities,
                         support_assumption_holds)

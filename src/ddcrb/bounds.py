@@ -69,11 +69,6 @@ def _known_signal_block(sig: SampledSignal, sc: Scenario, scale_known: bool) -> 
     return block
 
 
-def fim_known_signal_scale(sig: SampledSignal, sc: Scenario) -> FimMatrix:
-    """3x3 single-look FIM for (tau0, f0, a), signal known, reflected path scale a."""
-    return FimMatrix(_known_signal_block(sig, sc, scale_known=False), ("tau0", "f0", "a"))
-
-
 def jcrb_known(sig: SampledSignal, sc: Scenario) -> BoundPair:
     """Joint delay/Doppler bounds for a known signal (single look).
 
@@ -133,13 +128,14 @@ def unknown_signal_labels(m: int) -> tuple[str, ...]:
     return ("tau0", "f0", *(f"s{part}_{k}" for k in range(m) for part in "RI"))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # eliminated_pair flags such a FIM
 def bordered_fim(sig: SampledSignal, sc: Scenario, labels: tuple[str, ...],
                  basis=None, meta=None, scale_known: bool = True) -> FimMatrix:
     """Bordered FIM of (tau0, f0[, a]) and N complex nuisance coefficients.
 
     A is P times the single-look known-signal information of the scaled
-    reflected path (fim_known_signal_scale), without its a row when the
-    scale is known. labels: those of the FIM without a. basis: (h, wt, u, v,
+    reflected path (_known_signal_block), without its a row when the scale
+    is known. labels: those of the FIM without a. basis: (h, wt, u, v,
     gram), the derivative, time-weighted (wt u) and plain signal couplings
     with each basis vector and K (a scalar g for K = g I); None means the
     raw samples (s', t + tau0, s, s, 1). Border rows -(2a^2 P/s2) h,

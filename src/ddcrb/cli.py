@@ -387,7 +387,7 @@ def _bound_columns(signals: list, pts: ScenarioColumns, tag: str = "") -> dict:
     for every row; tag suffixes all but the known-signal pattern."""
     sigs, trains = zip(*signals)
     known, joint, separate = signal_bound_columns(sigs, pts)
-    columns = {"jcrb_{}": known.scaled(1.0 / pts.scale2), f"jcrb_{{}}_s{tag}": joint,
+    columns = {"jcrb_{}": known.divided(pts.scale2), f"jcrb_{{}}_s{tag}": joint,
                f"crb_{{}}_s{tag}": separate}
     if trains[0] is not None:
         columns[f"jcrb_{{}}_b{tag}"] = structure_bound_columns(trains, pts)

@@ -202,6 +202,7 @@ class Border:
         return band_cholesky(shifted) is None
 
     @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # a block that is not finite is flagged
     def schur(self) -> np.ndarray | None:
         """Read-only A - B C^{-1} B^T, or None when C is not positive definite.
 
@@ -231,6 +232,7 @@ class Border:
         out.setflags(write=False)
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")  # eliminated_pair flags such a FIM
     def validate(self) -> None:
         """Symmetry and PSD checks, the one rule for every FIM; needs a
         positive definite C (schur not None).
@@ -345,7 +347,8 @@ def invert_bound_matrix(reduced: np.ndarray,
     if np.ndim(scale) == 1:
         if not np.all(scale > 0.0):
             return None
-        judged, ref = sym / np.sqrt(np.outer(scale, scale)), 1.0
+        # d_i d_j may underflow where sqrt(d_i) sqrt(d_j) does not
+        judged, ref = sym / np.sqrt(scale)[:, None] / np.sqrt(scale), 1.0
     elif scale is None:
         ref = float(np.max(np.abs(reduced)))
     if np.min(np.linalg.eigvalsh(judged)) <= max(ref, 1e-300) / SINGULAR_COND:
@@ -422,9 +425,10 @@ class PairColumns:
                    np.array([p.note if p.singular else "" for p in pairs], dtype=object),
                    pairs[0].method)
 
-    def scaled(self, factor) -> "PairColumns":
+    def divided(self, divisor) -> "PairColumns":
+        """Each row times 1 / divisor; a divisor that underflowed to 0 flags it."""
         with np.errstate(all="ignore"):
-            return PairColumns.flagged(self.tau0 * factor, self.f0 * factor,
+            return PairColumns.flagged(self.tau0 * (1.0 / divisor), self.f0 * (1.0 / divisor),
                                        (self.notes != "", self.notes), method=self.method)
 
     def over(self, other: "PairColumns") -> "PairColumns":

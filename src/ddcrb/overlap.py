@@ -35,28 +35,18 @@ CHAIN_NOTE = ("every chain's alternating slope sum is zero "
 
 @dataclass(frozen=True)
 class OverlapFim:
-    """Bordered FIM (e, b, D) for (tau0, s(0), ..., s((M-1)delta))."""
+    """What the delay bound at overlap offset n0 reads of the FIM of (tau0,
+    s(0), ..., s((M-1)delta)): the real derivative, the offset, the noise
+    level and the look count. The blocks themselves are never formed."""
 
-    e: float
-    b_vec: np.ndarray
-    n0: int
-    regime: str
     deriv: np.ndarray
+    n0: int
     sigma_w2: float
     looks: int
 
     @property
     def m(self) -> int:
-        return self.b_vec.size
-
-    @property
-    def d_mat(self) -> np.ndarray:
-        """Dense sample block D, built on request; the bound never reads it."""
-        c, eye = self.looks / self.sigma_w2, np.eye(self.m)
-        if self.regime == "total":
-            return 4.0 * c * eye
-        # the +-n0 band is empty for disjoint support (n0 >= M)
-        return c * (2.0 * eye + np.eye(self.m, k=self.n0) + np.eye(self.m, k=-self.n0))
+        return self.deriv.size
 
 
 def overlap_regime(n0: int, m: int) -> str:
@@ -75,29 +65,12 @@ def _check_signal(sig: SampledSignal, sc: Scenario) -> None:
 
 
 def fim_overlap(sig: SampledSignal, n0: int, sc: Scenario) -> OverlapFim:
-    """Assemble the real-noise FIM blocks for overlap offset n0.
-
-    e = (P/sigma_w2) sum s'(n*delta)^2 always. Outside overlap the coupling
-    is b_j = -(P/sigma_w2) s' and D = (2P/sigma_w2) I; at total overlap both
-    double; partial overlap adds s'((n-n0)*delta) to b on n >= n0 and a
-    P/sigma_w2 band at offset n0 in D.
-    """
+    """The FIM for overlap offset n0 as crb_overlap reads it: its blocks
+    e, b and D all follow from the real derivative (see _overlap_columns)."""
     _check_signal(sig, sc)
     if n0 < 0:
         raise ValueError("n0 must be nonnegative")
-    p = sc.looks_reflected
-    s2 = sc.sigma_w2
-    d = sig.deriv.real.copy()
-    m = sig.m
-    regime = overlap_regime(n0, m)
-    e = p / s2 * float(np.sum(d ** 2))
-    b = -(p / s2) * d
-    if regime == "total":
-        b = 2.0 * b
-    elif regime == "partial":
-        b[n0:] += -(p / s2) * d[: m - n0]
-    return OverlapFim(e=e, b_vec=b, n0=n0, regime=regime,
-                      deriv=d, sigma_w2=s2, looks=p)
+    return OverlapFim(deriv=sig.deriv.real, n0=n0, sigma_w2=sc.sigma_w2, looks=sc.looks_reflected)
 
 
 def _alternating_sums(d: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -132,8 +105,9 @@ def _alternating_sums(d: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _overlap_columns(d: np.ndarray, n0s: np.ndarray, looks: int, sigma_w2: float):
-    """Per offset n0: S, the delay bound (inf when singular) and why it is
-    singular ("" when it is not).
+    """Per offset n0: S, the delay bound (inf when singular), why it is
+    singular ("" when it is not) and the method tag: closed_form for an
+    offset with 2*n0 >= M that is not singular, schur_numeric otherwise.
 
     The chain of length l through s' carries b = -(P/sigma_w2) J s' with J
     the lower bidiagonal of ones, and its block of D is (P/sigma_w2)(J J^T +
@@ -165,26 +139,26 @@ def _overlap_columns(d: np.ndarray, n0s: np.ndarray, looks: int, sigma_w2: float
     notes[s <= sum_d2 / SINGULAR_COND] = CHAIN_NOTE
     notes[n0s == 0] = TOTAL_NOTE
     bound[notes != ""] = np.inf
-    return s, bound, notes
+    methods = np.full(n0s.size, METHOD_SCHUR_NUMERIC, dtype=object)
+    methods[(notes == "") & (2 * n0s >= m)] = METHOD_CLOSED_FORM
+    return s, bound, notes, methods
 
 
 def crb_overlap(of: OverlapFim) -> CrbReport:
     """Delay bound after eliminating the signal samples: the one-offset case
     of the overlap curve's columns, with b and D read through of.deriv."""
-    m, n0, looks, sigma_w2 = of.m, of.n0, of.looks, of.sigma_w2
-    s, bound, notes = _overlap_columns(of.deriv, np.array([n0]), looks, sigma_w2)
-    s, bound, note = float(s[0]), float(bound[0]), notes[0]
-    regime = overlap_regime(n0, m)
+    n0, looks, sigma_w2 = of.n0, of.looks, of.sigma_w2
+    s, bound, notes, methods = _overlap_columns(of.deriv, np.array([n0]), looks, sigma_w2)
+    s, note, method = float(s[0]), notes[0], methods[0]
     # S = 0 stays 0 however large P/sigma_w2 is
-    details = {"regime": regime, "n0": n0,
+    details = {"regime": overlap_regime(n0, of.m), "n0": n0,
                "information_after_elimination": looks / sigma_w2 * s if s > 0.0 else 0.0}
     if note:
-        return CrbReport(values={"tau0": bound}, method=METHOD_SCHUR_NUMERIC,
-                         singular=True, details={**details, "note": note})
-    if 2 * n0 >= m:
-        return CrbReport(values={"tau0": bound}, method=METHOD_CLOSED_FORM,
-                         details={**details, "tau0_numeric": sigma_w2 / looks / s})
-    return CrbReport(values={"tau0": bound}, method=METHOD_SCHUR_NUMERIC, details=details)
+        details["note"] = note
+    elif method == METHOD_CLOSED_FORM:
+        details["tau0_numeric"] = sigma_w2 / looks / s
+    return CrbReport(values={"tau0": float(bound[0])}, method=method, singular=bool(note),
+                     details=details)
 
 
 def triangle_overlap_curve(m: int, sc: Scenario) -> list[dict]:
@@ -199,11 +173,12 @@ def triangle_overlap_curve(m: int, sc: Scenario) -> list[dict]:
     _check_signal(sig, sc)
     crb_non = 2.0 * sc.sigma_w2 / (sc.looks_reflected * m)
     n0s = np.arange(m + 1)
-    _, bound, notes = _overlap_columns(sig.deriv.real, n0s, sc.looks_reflected, sc.sigma_w2)
-    singular = (notes != "").tolist()
+    _, bound, notes, methods = _overlap_columns(sig.deriv.real, n0s, sc.looks_reflected,
+                                                sc.sigma_w2)
     return [{"n0": n0,
-             "crb_tau0": None if flag else value,
-             "singular": flag,
-             "method": METHOD_SCHUR_NUMERIC if flag or 2 * n0 < m else METHOD_CLOSED_FORM,
+             "crb_tau0": None if note else value,
+             "singular": bool(note),
+             "method": method,
              "regime": overlap_regime(n0, m),
-             "crb_non": crb_non} for n0, value, flag in zip(n0s.tolist(), bound.tolist(), singular)]
+             "crb_non": crb_non}
+            for n0, value, note, method in zip(n0s.tolist(), bound.tolist(), notes, methods)]

@@ -133,7 +133,8 @@ class SampledSignal(_Memo):
 
     @property
     def is_real(self) -> bool:
-        return bool(np.all(self.samples.imag == 0.0) and np.all(self.deriv.imag == 0.0))
+        # np.any reads the parts in place; a == 0 test would allocate a mask
+        return not (np.any(self.samples.imag) or np.any(self.deriv.imag))
 
     def scaled(self, factor: complex) -> "SampledSignal":
         return SampledSignal(self.samples * factor, self.delta,
@@ -370,21 +371,16 @@ def pulse_train_fn(pt: PulseTrain, g_fn: Callable, dg_fn: Callable) -> tuple[Cal
     outside [0, t_p] for the continuous view to match the sampled train.
     """
 
-    def s(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for q in range(pt.n_pulses):
-            out += pt.b[q] * g_fn(t - q * pt.t_p)
-        return out
+    def train(fn):
+        def view(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros(t.shape, dtype=complex)
+            for q in range(pt.n_pulses):
+                out += pt.b[q] * fn(t - q * pt.t_p)
+            return out
+        return view
 
-    def ds(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for q in range(pt.n_pulses):
-            out += pt.b[q] * dg_fn(t - q * pt.t_p)
-        return out
-
-    return s, ds
+    return train(g_fn), train(dg_fn)
 
 
 def triangle_wave(m: int, delta: float = 1.0) -> SampledSignal:

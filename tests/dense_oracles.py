@@ -4,14 +4,14 @@ The library evaluates the covariance-model FIM through the rank-two structure
 of dC_i and the overlap bound through the alternating chain sums of the
 derivative. The forms here build every matrix densely instead: sample
 gradients by differencing stacked means, p explicit N x N covariance
-derivatives with the trace and Kronecker formulas, and the overlap block D
-with a dense symmetric solve. The Kronecker form holds an N^2 x N^2 matrix
-and the overlap solve is O(M^3), so they suit small instances only. The
-forms here that are not dense are the per-offset chain elimination of the
-overlap block, which the library's closed form matches to 1e-12 of e, and
-the per-row closed-form bounds of the crb, sweep and table1 commands, on
-Python floats one scenario at a time, which the library's column
-evaluation reproduces bit for bit.
+derivatives with the trace and Kronecker formulas, and the overlap blocks
+e, b and D with a dense symmetric solve. The Kronecker form holds an
+N^2 x N^2 matrix and the overlap solve is O(M^3), so they suit small
+instances only. The forms here that are not dense are the per-offset chain
+elimination of the overlap block, which the library's closed form matches
+to 1e-12 of e, and the per-row closed-form bounds of the crb, sweep and
+table1 commands, on Python floats one scenario at a time, which the
+library's column evaluation reproduces bit for bit.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from ddcrb import cli
 from ddcrb.bounds import TWO_PI2, fim_unknown_signal, weighted_sums
 from ddcrb.covariance import StackedModel, build_stacked
 from ddcrb.fim import SINGULAR_COND, BoundPair, FimMatrix, SingularFimError, eliminated_pair
-from ddcrb.overlap import OverlapFim
+from ddcrb.overlap import OverlapFim, overlap_regime
 from ddcrb.signals import SampledSignal
 from ddcrb.structure import _shared_quantities
 
@@ -124,15 +124,39 @@ def j_factors(model: StackedModel, dc: list[np.ndarray]) -> np.ndarray:
 
 # ---------------------------------------------------------------- overlap
 
+def overlap_blocks(of: OverlapFim) -> tuple[float, np.ndarray, np.ndarray]:
+    """The bordered FIM (e, b, D) of (tau0, s(0), ..., s((M-1)delta)) at
+    offset of.n0, built densely.
+
+    e = (P/sigma_w2) sum s'(n*delta)^2 always. Outside overlap the coupling
+    is b_j = -(P/sigma_w2) s' and D = (2P/sigma_w2) I; at total overlap both
+    double; partial overlap adds s'((n-n0)*delta) to b on n >= n0 and a
+    P/sigma_w2 band at offset n0 in D.
+    """
+    p, s2, d, n0, m = of.looks, of.sigma_w2, of.deriv, of.n0, of.m
+    regime = overlap_regime(n0, m)
+    e = p / s2 * float(np.sum(d ** 2))
+    b = -(p / s2) * d
+    c, eye = p / s2, np.eye(m)
+    if regime == "total":
+        return e, 2.0 * b, 4.0 * c * eye
+    if regime == "partial":
+        b[n0:] += -(p / s2) * d[: m - n0]
+    # the +-n0 band is empty for disjoint support (n0 >= M)
+    return e, b, c * (2.0 * eye + np.eye(m, k=n0) + np.eye(m, k=-n0))
+
+
 def overlap_information_dense(of: OverlapFim) -> float:
     """e - b^T D^{-1} b with D built densely and solved directly."""
-    if np.linalg.cond(of.d_mat) > SINGULAR_COND:
+    e, b, d_mat = overlap_blocks(of)
+    if np.linalg.cond(d_mat) > SINGULAR_COND:
         raise SingularFimError("sample block of the overlap FIM is singular")
-    return of.e - float(of.b_vec @ scipy.linalg.solve(of.d_mat, of.b_vec, assume_a="sym"))
+    return e - float(b @ scipy.linalg.solve(d_mat, b, assume_a="sym"))
 
 
 def overlap_chain_quadratic(of: OverlapFim) -> float:
-    """b^T D^{-1} b for one offset, eliminated chain by chain from of.b_vec.
+    """b^T D^{-1} b for one offset, eliminated chain by chain from the b of
+    overlap_blocks.
 
     Outside total overlap D = (P/sigma_w2) * (2I + band at +-n0), which
     splits into chains r, r + n0, r + 2 n0, ... each equal to
@@ -142,16 +166,17 @@ def overlap_chain_quadratic(of: OverlapFim) -> float:
     Q = (0, cumsum(S v)) has l + 1 entries. Disjoint support (n0 >= M) is
     the case of chains of length one.
     """
+    b = overlap_blocks(of)[1]
     c = of.looks / of.sigma_w2
-    if of.regime == "total":
-        return float(of.b_vec @ of.b_vec) / (4.0 * c)
+    if overlap_regime(of.n0, of.m) == "total":
+        return float(b @ b) / (4.0 * c)
     step = min(of.n0, of.m)
     q, rem = divmod(of.m, step)
     quad = 0.0
     # chains starting at r < rem have q + 1 entries, the rest q
     for length, starts in ((q + 1, np.arange(rem)), (q, np.arange(rem, step))):
         k = np.arange(length)[:, None]
-        cum = np.cumsum((-1.0) ** k * of.b_vec[starts + step * k], axis=0)
+        cum = np.cumsum((-1.0) ** k * b[starts + step * k], axis=0)
         cum = np.vstack([np.zeros(starts.size), cum])
         quad += float(np.sum((cum - cum.mean(axis=0)) ** 2))
     return quad / c

@@ -585,6 +585,29 @@ def test_overflowed_cells_are_null_flagged_and_noted(capsys, argv, flagged):
     assert capsys.readouterr().err == note
 
 
+# a^2 underflows to 0 (crb, sweep), P/sigma_w2 overflows or its square
+# underflows (table1 --sigma2) and the time sums overflow (table1 --tau0,
+# --delta): each step that meets a value that is not finite raises no numpy
+# warning, which the suite's error::RuntimeWarning filter would turn into an
+# exception, and every such cell is null and noted
+@pytest.mark.parametrize("argv", [
+    ["crb", "--a", "1e-170"], ["sweep", "--sweep", "a=1e-170:1e-169:1e-170"],
+    ["crb", "--signal", "triangle", "--M", "16", "--a", "1e-170"],
+    ["table1", "--sigma2", "1e-320"], ["table1", "--tau0", "1e200"],
+    ["table1", "--delta", "1e300"], ["table1", "--sigma2", "1e308"]],
+    ids=lambda argv: " ".join(argv))
+def test_extreme_inputs_raise_no_numpy_warning(capsys, argv):
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    for row in _strict_json(out)["rows"]:
+        cells = [row["values"][key] for key in row["methods"]]
+        assert None in cells
+        assert all(value is None or 0.0 < value < float("inf") for value in cells)
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("note: ") and line.endswith("printed as null")
+                       for line in err), err
+
+
 class TestCrbCommand:
     def test_single_row_with_structure_columns(self):
         code, out = run_cli(["crb", *BASE])

@@ -32,7 +32,6 @@ def test_every_fim_builder_is_symmetric_psd(l, p, a, sigma_w2, f0, seed):
     d.fim_known_signal(sig, sc)
     d.fim_unknown_signal(sig, sc_a)
     d.fim_known_structure(pt, sc_a)
-    d.fim_known_signal_scale(sig, sc_a)
     d.fim_unknown_a(sig, sc_a, structure=False)
     d.fim_unknown_a(pt, sc_a, structure=True)
 

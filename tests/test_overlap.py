@@ -17,7 +17,7 @@ from ddcrb import overlap
 from ddcrb.overlap import CHAIN_NOTE, _overlap_columns, overlap_regime
 from ddcrb.signals import central_difference
 
-from dense_oracles import overlap_chain_quadratic, overlap_information_dense
+from dense_oracles import overlap_blocks, overlap_chain_quadratic, overlap_information_dense
 
 
 def scenario(p=1, sigma_w2=1.0):
@@ -43,21 +43,20 @@ class TestFimOverlap:
 
     def test_no_overlap_blocks(self):
         sig = d.triangle_wave(8)
-        of = d.fim_overlap(sig, 9, scenario(p=2))
-        np.testing.assert_allclose(of.b_vec, -2.0 * sig.deriv.real, atol=0)
-        np.testing.assert_allclose(of.d_mat, 4.0 * np.eye(8), atol=0)
-        assert of.e == pytest.approx(2.0 * 8)
+        e, b, dm = overlap_blocks(d.fim_overlap(sig, 9, scenario(p=2)))
+        np.testing.assert_allclose(b, -2.0 * sig.deriv.real, atol=0)
+        np.testing.assert_allclose(dm, 4.0 * np.eye(8), atol=0)
+        assert e == pytest.approx(2.0 * 8)
 
     def test_total_overlap_blocks(self):
         sig = d.triangle_wave(8)
-        of = d.fim_overlap(sig, 0, scenario())
-        np.testing.assert_allclose(of.b_vec, -2.0 * sig.deriv.real, atol=0)
-        np.testing.assert_allclose(of.d_mat, 4.0 * np.eye(8), atol=0)
+        _, b, dm = overlap_blocks(d.fim_overlap(sig, 0, scenario()))
+        np.testing.assert_allclose(b, -2.0 * sig.deriv.real, atol=0)
+        np.testing.assert_allclose(dm, 4.0 * np.eye(8), atol=0)
 
     def test_partial_band_structure(self):
         sig = d.triangle_wave(16)
-        of = d.fim_overlap(sig, 8, scenario())
-        dm = of.d_mat
+        dm = overlap_blocks(d.fim_overlap(sig, 8, scenario()))[2]
         assert np.all(np.diag(dm) == 2.0)
         for n in range(8, 16):
             assert dm[n, n - 8] == 1.0
@@ -68,11 +67,25 @@ class TestFimOverlap:
 
     def test_partial_b_vector(self):
         sig = d.triangle_wave(16)
-        of = d.fim_overlap(sig, 8, scenario())
+        b = overlap_blocks(d.fim_overlap(sig, 8, scenario()))[1]
         dv = sig.deriv.real
         expected = -dv.copy()
         expected[8:] += -dv[:8]
-        np.testing.assert_allclose(of.b_vec, expected, atol=0)
+        np.testing.assert_allclose(b, expected, atol=0)
+
+    def test_keeps_only_what_the_bound_reads(self):
+        # the bound reads the derivative alone: no block is formed, and the
+        # derivative is the signal's own, not a copy
+        sig = d.triangle_wave(2 ** 20)
+        tracemalloc.start()
+        try:
+            of = d.fim_overlap(sig, 5, scenario())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(of.deriv, sig.deriv) and of.m == 2 ** 20
+        # one float64 copy of the derivative alone is 8 MB
+        assert peak < 1e6, peak
 
     def test_complex_signal_rejected(self):
         sig = d.SampledSignal(np.ones(4) * 1j, 1.0, np.zeros(4))
@@ -201,17 +214,16 @@ class TestTriangleCurve:
 
 
 class TestExtremeScales:
-    # P/sigma_w2 overflows at 1e-320 and its square underflows at 1e300
+    # P/sigma_w2 overflows at 1e-320 and its square underflows at 1e300; no
+    # warning is raised building the FIM or the bound
     @pytest.mark.parametrize("sigma_w2, p", [(1e300, 1), (1e-320, 1), (1.0, 10 ** 12)])
     def test_scale_free_information(self, sigma_w2, p):
         m = 16
         sig = d.triangle_wave(m)
         sc = scenario(p=p, sigma_w2=sigma_w2)
-        # the blocks e and b themselves overflow at 1e-320; the bound never reads them
-        with np.errstate(all="ignore"):
-            fims = [d.fim_overlap(sig, n0, sc) for n0 in range(m + 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            fims = [d.fim_overlap(sig, n0, sc) for n0 in range(m + 1)]
             rows = d.triangle_overlap_curve(m, sc)
             reports = [d.crb_overlap(of) for of in fims]
         s = _overlap_columns(sig.deriv.real, np.arange(m + 1), 1, 1.0)[0]
@@ -226,11 +238,11 @@ class TestExtremeScales:
         # sigma_w2 / P underflows to 0: no bound is positive, so every row is
         # flagged, not printed as 0
         sc = scenario(p=10 ** 6, sigma_w2=1e-320)
-        rows = d.triangle_overlap_curve(16, sc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = d.triangle_overlap_curve(16, sc)
+            rep = d.crb_overlap(d.fim_overlap(d.triangle_wave(16), 8, sc))
         assert all(r["singular"] and r["crb_tau0"] is None for r in rows)
-        with np.errstate(all="ignore"):
-            of = d.fim_overlap(d.triangle_wave(16), 8, sc)
-        rep = d.crb_overlap(of)
         assert rep.singular and rep.details["note"] == OVERFLOW_NOTE
 
     @pytest.mark.parametrize("n0", [1, 2, 4])
@@ -257,10 +269,10 @@ class TestChainElimination:
         for n0 in range(m + 1):
             of = d.fim_overlap(sig, n0, sc)
             rep = d.crb_overlap(of)
-            dense = overlap_information_dense(of)
+            dense, e = overlap_information_dense(of), overlap_blocks(of)[0]
             x = rep.details["information_after_elimination"]
-            assert abs(x - dense) <= 1e-12 * of.e, (n0, x, dense)
-            assert rep.singular == (abs(dense) <= of.e / SINGULAR_COND), n0
+            assert abs(x - dense) <= 1e-12 * e, (n0, x, dense)
+            assert rep.singular == (abs(dense) <= e / SINGULAR_COND), n0
             assert rep.details["regime"] == overlap_regime(n0, m)
 
     @settings(max_examples=40, deadline=None)
@@ -276,7 +288,8 @@ class TestChainElimination:
         for n0 in range(m + 2):
             of = d.fim_overlap(sig, n0, sc)
             x = d.crb_overlap(of).details["information_after_elimination"]
-            assert abs(x - (of.e - overlap_chain_quadratic(of))) <= 1e-12 * of.e, n0
+            e = overlap_blocks(of)[0]
+            assert abs(x - (e - overlap_chain_quadratic(of))) <= 1e-12 * e, n0
 
     @settings(max_examples=15, deadline=None)
     @given(m=st.integers(2, 256), seed=st.integers(0, 2 ** 31 - 1))
@@ -353,9 +366,9 @@ def _exact_chain_information(deriv, n0):
 
 def _exact_information(of):
     """e - b^T D^{-1} b by Gaussian elimination over the rationals."""
-    m = of.m
+    m, (e, b_vec, d_mat) = of.m, overlap_blocks(of)
     a = [[Fraction(v) for v in row] + [Fraction(bv)]
-         for row, bv in zip(of.d_mat, of.b_vec)]
+         for row, bv in zip(d_mat, b_vec)]
     for k in range(m):
         for i in range(k + 1, m):
             factor = a[i][k] / a[k][k]
@@ -364,4 +377,4 @@ def _exact_information(of):
     sol = [Fraction(0)] * m
     for k in reversed(range(m)):
         sol[k] = (a[k][m] - sum(a[k][j] * sol[j] for j in range(k + 1, m))) / a[k][k]
-    return Fraction(of.e) - sum(Fraction(bv) * s for bv, s in zip(of.b_vec, sol))
+    return Fraction(e) - sum(Fraction(bv) * s for bv, s in zip(b_vec, sol))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ddcrb as d
 from ddcrb.fim import invert_bound_matrix, schur_complement
 from ddcrb.scaled import jcrb_structure_known_a
-from ddcrb.bounds import energy_sums, fim_known_signal_scale, signal_bounds, weighted_sums
+from ddcrb.bounds import energy_sums, signal_bounds, weighted_sums
 
 from conftest import make_contained_train, rel_err
 from dense_oracles import signal_bounds as scalar_signal_bounds, structure_pair
@@ -73,7 +73,8 @@ class TestFimUnknownA:
         sc = scenario(l=2, p=1, a=1.7, sigma_w2=0.5)
         fim = d.fim_unknown_a(sig, sc, structure=False)
         reduced = schur_complement(fim, keep=3)
-        iks = fim_known_signal_scale(sig, sc).entries
+        # A is P times the single-look (tau0, f0, a) block of the scaled path
+        iks = fim.submatrix(("tau0", "f0", "a")) / sc.looks_reflected
         factor = 2 * 1 / (2 + 1.7 ** 2 * 1)
         assert rel_err(reduced, factor * iks) <= 1e-9
 
