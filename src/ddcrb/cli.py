@@ -174,7 +174,7 @@ def _rows(lead: dict, columns: dict, keys=None) -> tuple[dict, dict]:
     """Columns of the lead cells ({key: one value per row, or one for all}), the cells of
     {key pattern: PairColumns} ({} is tau0 or f0) and the singular keys, as keys (default
     all) picks them; and each bound column's tag. A bound cell that is not finite and
-    positive is None and singular; a stderr note names those of pairs not singular."""
+    positive is None and singular; a stderr note names those it returns of pairs not singular."""
     n = max(col.tau0.size for col in columns.values())
     cells = {key: value if isinstance(value, list) else [value] * n
              for key, value in lead.items()}
@@ -189,11 +189,11 @@ def _rows(lead: dict, columns: dict, keys=None) -> tuple[dict, dict]:
                 bad[key], cells[key] = mask, np.where(mask, None, values).tolist()
                 named = (col.notes == "") | (col.notes == OVERFLOW_NOTE)
                 overflowed += [key] * bool(np.any(mask & named))
-    if overflowed:
-        print(_NULL_NOTE.format(", ".join(overflowed)), file=sys.stderr)
     if keys is None:  # each row's singular keys, joined only when some cell is null
         keys, rows = [*cells, "singular"], zip(*(mask.tolist() for mask in bad.values()))
         cells["singular"] = [";".join(compress(bad, r)) for r in rows] if bad else [""] * n
+    if noted := [key for key in keys if key in overflowed]:
+        print(_NULL_NOTE.format(", ".join(noted)), file=sys.stderr)
     return {key: cells[key] for key in keys}, {key: tags[key] for key in keys if key in tags}
 
 

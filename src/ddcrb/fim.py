@@ -232,16 +232,27 @@ class Border:
         out.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def finite(self) -> bool:
+        """Whether every block is finite (no sum behind it overflowed), so that an
+        eigenvalue routine may see it; needs a positive definite C. c |K|_1 bounds
+        C, and while it is finite C^{-1} is not 0, so a nan or inf in A or B reaches
+        A - B C^{-1} B^T: two small tests stand for the whole matrix."""
+        return math.isfinite(self.c * self.gram_norm) and bool(np.isfinite(self.schur).all())
+
     @np.errstate(over="ignore", invalid="ignore")  # eliminated_pair flags such a FIM
     def validate(self) -> None:
         """Symmetry and PSD checks, the one rule for every FIM; needs a
-        positive definite C (schur not None).
+        positive definite C (schur not None). A FIM that is not finite is
+        accepted unchecked: eliminated_pair flags it as overflowed.
 
         Haynsworth inertia additivity: the matrix is PSD iff C is PD and
         A - B C^{-1} B^T is PSD. Tolerances scale with |A|_F + |B|_F + |C|_1,
         an upper bound on the full spectral norm within a small factor. C is
         symmetric by construction (K is stored as its lower band).
         """
+        if not self.finite:
+            return
         spec = max(np.linalg.norm(self.a) + np.linalg.norm(self.b)
                    + abs(self.c) * self.gram_norm, 1e-300)
         asym = np.max(np.abs(self.a - self.a.T))
@@ -320,13 +331,16 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
 
     keep is the size of the leading block of the parameters of interest
     that survives. Raises SingularFimError when the nuisance block C is not
-    invertible (condition estimate above 1e12); a singular *result* is
-    legitimate and left to the caller to detect. C goes first, then the rows
-    of A beyond keep, densely (the quotient property of Schur complements).
+    invertible (condition estimate above 1e12) or the FIM is not finite; a
+    singular *result* is legitimate and left to the caller to detect. C goes
+    first, then the rows of A beyond keep, densely (the quotient property of
+    Schur complements).
     """
     border = fim.solvable
     if not 1 <= keep <= len(border.a):
         raise ValueError("keep must be between 1 and the number of parameters of interest")
+    if not border.finite:
+        raise SingularFimError("FIM is not finite")
     if border.gram_singular:
         raise SingularFimError("nuisance block is singular")
     return _eliminate(border.schur, keep, border.c * border.gram_norm)
@@ -452,9 +466,12 @@ class PairColumns:
 def eliminated_pair(fim: FimMatrix, separate: bool = False) -> BoundPair:
     """(tau0, f0) bounds of fim's first two parameters by eliminating the
     others, tagged schur_numeric: the diagonal of the eliminated block's
-    inverse (joint), or with separate its reciprocal diagonal. A singular
-    nuisance block, or an eliminated block singular against the diagonal of
-    fim's leading one (a rule free of the time unit), flags the pair."""
+    inverse (joint), or with separate its reciprocal diagonal. A FIM that is
+    not finite flags the pair as overflowed; a singular nuisance block, or an
+    eliminated block singular against the diagonal of fim's leading one (a
+    rule free of the time unit), as singular."""
+    if not fim.solvable.finite:
+        return BoundPair.singular_pair(OVERFLOW_NOTE, METHOD_SCHUR_NUMERIC)
     try:
         reduced = schur_complement(fim)
         inv = invert_bound_matrix(reduced, np.diag(fim.submatrix(fim.labels[:2])))

@@ -13,6 +13,7 @@ search whose empirical error is compared to the bounds.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -46,6 +47,8 @@ _PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 # trial indices are hashed as one 32-bit word each
 MAX_TRIALS = 1 << 32
+# trial states derived per call, and the most a run holds (about 0.45 MB of dicts)
+_STATE_TRIALS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -90,69 +93,59 @@ class Observations:
     m: int
 
 
-def _look_means(sig: SampledSignal, sc: Scenario) -> list[tuple[int, np.ndarray | None]]:
-    """(look count, mean) of the direct path, then of the reflected path."""
-    return [(count, mean_vector(sig, sc, path) if count else None)
-            for path, count in (("direct", sc.looks_direct),
-                                ("reflected", sc.looks_reflected))]
+def _noise_block(trials: int, sc: Scenario, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Uninitialised noise block (T x 2(L+P) x N) and its direct real, direct imaginary,
+    reflected real and reflected imaginary rows: a trial fills its row with one
+    standard_normal draw, so in sequence four draws in a row of L x N and P x N normals."""
+    z = np.empty((trials, 2 * (sc.looks_direct + sc.looks_reflected), n))
+    edges = np.cumsum([0] + [sc.looks_direct] * 2 + [sc.looks_reflected] * 2)
+    return z, [z[:, a:b] for a, b in zip(edges, edges[1:])]
 
 
-def _path_looks(z: np.ndarray, looks: list, path: int, scale: float) -> np.ndarray:
-    """One path's looks (T x count x N) from the noise block z: the path's
-    mean plus iid circular complex Gaussian noise with standard deviation
-    scale in each part; path 0 is the direct path, 1 the reflected path."""
-    row = 2 * sum(count for count, _ in looks[:path])
-    count, mu = looks[path]
-    noise = np.multiply(1j, z[:, row + count:row + 2 * count])
-    np.add(z[:, row:row + count], noise, out=noise)
-    np.multiply(scale, noise, out=noise)
-    if mu is not None:
-        np.add(mu, noise, out=noise)
-    return noise
-
-
-def _noise_block(trials: int, sc: Scenario, n: int) -> np.ndarray:
-    """Uninitialised noise block (T x 2(L+P) x N). A trial fills its row with one
-    standard_normal draw, filled in sequence as four draws in a row of L x N and
-    P x N normals: direct real, direct imaginary, reflected real, reflected imaginary."""
-    return np.empty((trials, 2 * (sc.looks_direct + sc.looks_reflected), n))
+def _look_sums(re: np.ndarray, im: np.ndarray, mean: np.ndarray, scale: float) -> np.ndarray:
+    """(mean + scale (re + 1j im)).sum(axis=1) of re and im (T x looks >= 1 x W), with
+    numpy's operations in their order but part by part, so with no complex temporary;
+    every look past the first is scaled in place in re and im."""
+    total = np.empty((len(re), re.shape[2]), dtype=complex)
+    for noise, mu, out in ((re, mean.real, total.real), (im, mean.imag, total.imag)):
+        np.add(mu, np.multiply(scale, noise[:, 0], out=out), out=out)
+        for look in noise.swapaxes(0, 1)[1:]:
+            np.add(out, np.add(mu, np.multiply(scale, look, out=look), out=look), out=out)
+    return total
 
 
 def simulate_observations(sig: SampledSignal, sc: Scenario, seed) -> Observations:
     """Draw the look means plus iid circular complex Gaussian noise: variance
     sigma_w2 per sample, split evenly between the real and imaginary parts.
     Deterministic given the seed."""
-    looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
-    z = _noise_block(1, sc, sc.record_samples(sig))
+    mu_d, mu_r = (mean_vector(sig, sc, path) for path in ("direct", "reflected"))
+    z, parts = _noise_block(1, sc, sc.record_samples(sig))
     np.random.default_rng(seed).standard_normal(out=z[0])
-    direct, reflected = (_path_looks(z, looks, path, scale)[0] for path in (0, 1))
-    return Observations(direct=direct, reflected=reflected, delta=sig.delta, m=sig.m)
+    # each look a row of its own, so a sum of one look: looks x 1 x N
+    d_re, d_im, r_re, r_im = (part.swapaxes(0, 1) for part in parts)
+    scale = np.sqrt(sc.sigma_w2 / 2.0)
+    return Observations(direct=_look_sums(d_re, d_im, mu_d, scale),
+                        reflected=_look_sums(r_re, r_im, mu_r, scale), delta=sig.delta, m=sig.m)
 
 
 def _trial_bytes(sig: SampledSignal, sc: Scenario, cfg: McConfig) -> int:
     """Bytes one trial adds to a block, in 16-byte words: its noise draw ((L + P) N),
-    its larger path's complex looks, r (N), u, conj(u) and the profiled window (M
-    each), two I x F float statistics; |r|^2, a temporary and norms over the windows' span S."""
-    n, m, n_f = sc.record_samples(sig), sig.m, len(cfg.f_grid)
-    looks = sc.looks_direct + sc.looks_reflected + max(sc.looks_direct, sc.looks_reflected)
+    r (N), u, conj(u) and the profiled window (M each), two I x F float statistics;
+    |r|^2, a temporary and norms over the windows' span S."""
+    n, m, looks = sc.record_samples(sig), sig.m, sc.looks_direct + sc.looks_reflected
     span = cfg.tau_grid[-1] - cfg.tau_grid[0] + m
-    return 16 * ((looks + 1) * n + 3 * m + len(cfg.tau_grid) * n_f) + 24 * span
+    return 16 * ((looks + 1) * n + 3 * m + len(cfg.tau_grid) * len(cfg.f_grid)) + 24 * span
 
 
 def _uint32_words(n: int) -> list[int]:
     """A nonnegative n as little-endian 32-bit words; 0 is one zero word."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+    return [n >> 32 * k & _MASK32 for k in range(max(1, (n.bit_length() + 31) // 32))]
 
 
 def _running_hash(init: int, mult: int, calls: int) -> np.ndarray:
     """((calls + 1) x 1) values of SeedSequence's running hash constant,
     init and then init times mult per call, modulo 2^32."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
+    consts = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(calls + 1)]
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
@@ -174,7 +167,7 @@ def _trial_states(seed: int, trials: range) -> list[dict]:
 
     default_rng hashes the 32-bit words of seed and then of k (one word) with
     numpy's SeedSequence and seeds PCG64 with four 64-bit words of the hash.
-    Both steps are fixed, so they run for a whole block at once: the hash on
+    Both steps are fixed, so they run for many trials at once: the hash on
     uint32 arrays, one column per trial (its running constants never depend on
     the data), the PCG64 step on Python ints."""
     seed_words = _uint32_words(seed)
@@ -215,20 +208,24 @@ def _trial_blocks(sig: SampledSignal, sc: Scenario, cfg: McConfig,
     Trial k draws what simulate_observations(sig, sc, (cfg.seed, k)) draws and
     keeps u, its direct looks summed over the window (T x M), and r, its
     reflected looks summed (T x N). The means, the noise block and one generator
-    are built once; each draw starts from its _trial_states state."""
-    n, m = sc.record_samples(sig), sig.m
-    looks, scale = _look_means(sig, sc), np.sqrt(sc.sigma_w2 / 2.0)
-    z_all = _noise_block(min(block, cfg.trials), sc, n)
-    rng = np.random.Generator(np.random.PCG64(0))
+    are built once, and the states once per run, _STATE_TRIALS at a time; each draw
+    starts from its trial's state, and u and r are summed from the block's rows."""
+    n, m, scale = sc.record_samples(sig), sig.m, np.sqrt(sc.sigma_w2 / 2.0)
+    mu_d, mu_r = (mean_vector(sig, sc, path) for path in ("direct", "reflected"))
+    z, parts = _noise_block(min(block, cfg.trials), sc, n)
+    rows, bit_generator = list(z), np.random.PCG64(0)
+    normal = np.random.Generator(bit_generator).standard_normal
+    states = itertools.chain.from_iterable(
+        _trial_states(cfg.seed, range(k, min(k + _STATE_TRIALS, cfg.trials)))
+        for k in range(0, cfg.trials, _STATE_TRIALS))
     for start in range(0, cfg.trials, block):
-        trials = range(start, min(start + block, cfg.trials))
-        z = z_all[:len(trials)]
-        for t, state in enumerate(_trial_states(cfg.seed, trials)):
-            rng.bit_generator.state = state
-            rng.standard_normal(out=z[t])
-        u = _path_looks(z, looks, 0, scale)[:, :, :m].sum(axis=1)
-        r = _path_looks(z, looks, 1, scale).sum(axis=1)
-        yield slice(trials.start, trials.stop), u, r
+        stop = min(start + block, cfg.trials)
+        for row, state in zip(rows[:stop - start], states):
+            bit_generator.state = state
+            normal(out=row)
+        d_re, d_im, r_re, r_im = (part[:stop - start] for part in parts)
+        yield slice(start, stop), _look_sums(d_re[..., :m], d_im[..., :m], mu_d[:m], scale), \
+            _look_sums(r_re, r_im, mu_r, scale)
 
 
 def _phases(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
@@ -239,10 +236,11 @@ def _phases(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
 
 
 def _real_tables(tau_grid: tuple, f_grid: tuple, m: int, delta: float, s) -> np.ndarray:
-    """Rows Re, -Im per sample of p = _phases (E x I x 2M x F), then given s of q = conj(s) p."""
+    """Rows Re, -Im per sample of 2p, p = _phases (E x I x 2M x F), then given s of
+    q = conj(s) p: the profiled statistic's factor 2, exact in binary, sits in its table."""
     conj_p = np.conj(_phases(tau_grid, f_grid, m, delta))
     tables = np.empty((1 + (s is not None), len(tau_grid), 2 * m, len(f_grid)))
-    tables[0] = np.swapaxes(conj_p.view(float), -1, -2)
+    np.multiply(2.0, np.swapaxes(conj_p.view(float), -1, -2), out=tables[0])
     if s is not None:  # conj(q) = s conj(p), formed in place
         tables[1] = np.swapaxes(np.multiply(s, conj_p, out=conj_p).view(float), -1, -2)
     return tables
@@ -282,23 +280,27 @@ def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
         if n_tau * n_f * m * 16 * (1 + (s is not None)) <= PHASE_TABLE_MAX_BYTES else None
     weight, window = (None, None) if u is None else (u.conj(), np.empty_like(u))
     stats = np.empty(((u is not None) + (s is not None), len(r), n_tau, n_f))
+    # each statistic's windows as floats, from column 2 n0 of r or 0 of the buffer, and
+    # its whole products, as stacks
+    sources = [(window, 0)] * (u is not None) + [(r, 1)] * (s is not None)
+    sources = [(src.view(float), moves) for src, moves in sources]
+    stacks = [src[:rows].reshape(-1, PRODUCT_ROWS, src.shape[1]) for src, _ in sources]
+    products = stats[:, :rows].reshape(len(stats), -1, PRODUCT_ROWS, n_tau, n_f)
     for i, n0 in enumerate(cfg.tau_grid):
         tables = whole[:, i] if whole is not None \
             else _real_tables(cfg.tau_grid[i:i + 1], *grid[1:], s)[:, 0]
-        windows = [r.view(float)[:, 2 * n0:2 * (n0 + m)]] * (s is not None)
         if u is not None:
-            windows.insert(0, np.multiply(weight, r[:, n0:n0 + m], out=window).view(float))
-        for e, (w, table) in enumerate(zip(windows, tables[u is None:])):
-            np.matmul(w[:rows].reshape(-1, PRODUCT_ROWS, 2 * m), table,
-                      out=stats[e, :rows, i].reshape(-1, PRODUCT_ROWS, n_f))
+            np.multiply(weight, r[:, n0:n0 + m], out=window)
+        for e, ((src, moves), stack, table) in enumerate(zip(sources, stacks, tables[u is None:])):
+            cols = slice(2 * n0 * moves, 2 * (n0 * moves + m))
+            np.matmul(stack[:, :, cols], table, out=products[e, :, :, i])
             if tail:
-                tail_in[:tail] = w[rows:]
+                tail_in[:tail] = src[rows:, cols]
                 stats[e, rows:, i] = np.matmul(tail_in, table, out=tail_out)[:tail]
     if u is not None:
         lo, hi = cfg.tau_grid[0], cfg.tau_grid[-1] + m  # the span of the windows
         power = r.real[:, lo:hi] ** 2 + r.imag[:, lo:hi] ** 2
         norms = sliding_window_view(power, m, axis=1).sum(-1)
-        stats[0] *= 2.0
         stats[0] += norms[:, np.subtract(cfg.tau_grid, lo), None]
     return stats
 
@@ -312,30 +314,28 @@ def _parabolic_offset(y_minus: np.ndarray, y_center: np.ndarray,
     return np.where(curv >= 0.0, 0.0, offset)
 
 
-def _refine_axis(vals: np.ndarray, k0: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """vals[k0], moved by the parabolic peak offset where k0 is interior;
-    row t of lines is grid t's statistic along this axis through its peak."""
-    k = np.clip(k0, 1, len(vals) - 2)
-    rows = np.arange(len(lines))
-    step = 0.5 * (vals[k + 1] - vals[k - 1])
-    moved = vals[k] + step * _parabolic_offset(lines[rows, k - 1], lines[rows, k],
-                                               lines[rows, k + 1])
-    return np.where((0 < k0) & (k0 < len(vals) - 1), moved, vals[k0])
-
-
 def _peaks(stats: np.ndarray, cfg: McConfig, delta: float) -> np.ndarray:
     """(tau_hat, f_hat) in physical units at each grid's maximum (... x 2): the
     first largest cell, each axis moved by the offset of the parabola through it
-    and its two neighbours on that axis, at most half a step, unless on an edge."""
-    n_tau, n_f = stats.shape[-2:]
-    grids = stats.reshape(-1, n_tau, n_f)
-    i0, j0 = np.divmod(np.argmax(grids.reshape(len(grids), -1), axis=1), n_f)
-    rows = np.arange(len(grids))
-    tau_vals = np.asarray(cfg.tau_grid, dtype=float)
-    f_vals = np.asarray(cfg.f_grid, dtype=float)
-    n0_hat = _refine_axis(tau_vals, i0, grids[rows, :, j0])
-    f_hat = _refine_axis(f_vals, j0, grids[rows, i0])
-    return np.stack([n0_hat * delta, f_hat], axis=-1).reshape(stats.shape[:-2] + (2,))
+    and its two neighbours on that axis, at most half a step, unless on an edge.
+    Both axes are refined at once: k0 holds each grid's peak index on each axis."""
+    shape = stats.shape[-2:]
+    grids = stats.reshape(-1, shape[0] * shape[1])
+    peak = grids.argmax(axis=1)
+    k0 = np.stack(np.divmod(peak, shape[1]), axis=1)
+    k = np.minimum(np.maximum(k0, 1), np.subtract(shape, 2))  # each parabola's centre
+    # the flat cells of the three ordinates on each axis (grid x axis x 3)
+    strides = np.array([shape[1], 1])
+    cells = (peak[:, None] + (k - k0) * strides)[..., None] + strides[:, None] * (-1, 0, 1)
+    y = grids[np.arange(len(grids))[:, None, None], cells]
+    # both axes' grid values in one array, the f axis after the tau axis
+    vals, at = np.concatenate([cfg.tau_grid, cfg.f_grid], dtype=float), np.array([0, shape[0]])
+    k, k0 = k + at, k0 + at
+    step = 0.5 * (vals[k + 1] - vals[k - 1])
+    moved = vals[k] + step * _parabolic_offset(y[..., 0], y[..., 1], y[..., 2])
+    hats = np.where((at < k0) & (k0 < at + shape - 1), moved, vals[k0])
+    hats[:, 0] *= delta
+    return hats.reshape(stats.shape[:-2] + (2,))
 
 
 def _check_profiled(sc: Scenario) -> None:

@@ -18,8 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from ddcrb import cli
-from ddcrb.bounds import TWO_PI2, fim_unknown_signal, weighted_sums
-from ddcrb.covariance import StackedModel, build_stacked
+from ddcrb.bounds import TWO_PI2, fim_unknown_signal, unknown_signal_labels, weighted_sums
+from ddcrb.covariance import StackedModel, build_stacked, dc_list
 from ddcrb.fim import SINGULAR_COND, BoundPair, FimMatrix, SingularFimError, eliminated_pair
 from ddcrb.overlap import OverlapFim, overlap_regime
 from ddcrb.signals import SampledSignal
@@ -47,6 +47,19 @@ def sample_gradient(sig, sc, k: int, unit: complex) -> np.ndarray:
         return stacked_mean(SampledSignal(samples, sig.delta, sig.deriv), sc)
 
     return (moved(unit) - moved(-unit)) / 2.0
+
+
+def fim_path_noise_levels(sig, sc, sigma_r2: float) -> FimMatrix:
+    """Dense FIM of (tau0, f0, Re and Im of each sample) when the reflected looks
+    carry noise variance sigma_r2 and the direct looks sc.sigma_w2: 2 Re(G^H W G),
+    G the stacked mean's gradient (dc_list) and W the inverse variance of each
+    stacked entry."""
+    n = sc.record_samples(sig)
+    g = dc_list(build_stacked(sig, sc, np.eye(n * (sc.looks_direct + sc.looks_reflected))),
+                sig, sc)
+    w = np.repeat([1.0 / sc.sigma_w2] * sc.looks_direct + [1.0 / sigma_r2] * sc.looks_reflected, n)
+    fim = 2.0 * np.real((g.conj().T * w) @ g)
+    return FimMatrix(0.5 * (fim + fim.T), unknown_signal_labels(sig.m))
 
 
 def dc_dtheta(model: StackedModel, sig, sc, k: int, unit: complex) -> np.ndarray:

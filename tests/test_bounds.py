@@ -10,6 +10,7 @@ from ddcrb.bounds import weighted_sums
 from ddcrb.fim import (METHOD_CLOSED_FORM, METHOD_SCHUR_NUMERIC, OVERFLOW_NOTE, eliminated_pair,
                        invert_bound_matrix, schur_complement)
 
+import dense_oracles
 from conftest import make_contained_train
 
 
@@ -192,6 +193,27 @@ class TestEliminatedPair:
         pair = eliminated_pair(d.FimMatrix(entries, ("tau0", "f0", "x0", "x1")))
         assert pair.singular and pair.method == METHOD_SCHUR_NUMERIC
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_fim_that_is_not_finite_is_accepted_and_flagged_as_overflowed(self, bad):
+        # a nan comparison is False, so no check raises on it, and no eigenvalue
+        # routine is called on it
+        fim = d.FimMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), ("tau0", "f0"))
+        assert not fim.solvable.finite
+        pair = eliminated_pair(fim)
+        assert pair.singular and pair.note == OVERFLOW_NOTE
+        assert pair.method == METHOD_SCHUR_NUMERIC and pair.tau0 == pair.f0 == float("inf")
+        with pytest.raises(d.SingularFimError, match="not finite"):
+            schur_complement(fim)
+
+    @pytest.mark.parametrize("kw", [dict(sigma_w2=1e-320), dict(tau0=1e200)])
+    def test_overflowed_bordered_fim_is_flagged_as_overflowed(self, kw):
+        # table1 --sigma2 1e-320 and --tau0 1e200 build these: P / sigma_w2 and the
+        # time sums overflow into the border and the Schur complement
+        fim = d.fim_unknown_signal(small_signal(), scenario(**kw))
+        assert not fim.solvable.finite
+        pair = eliminated_pair(fim)
+        assert pair.singular and pair.note == OVERFLOW_NOTE
+
     def test_ratio_keeps_the_numerator_method_and_singularity(self):
         num = d.BoundPair(3.0, 1.0, method=METHOD_SCHUR_NUMERIC)
         ratio = num.over(d.BoundPair(2.0, 4.0))
@@ -343,3 +365,23 @@ class TestSeparateUnknown:
                      d.jcrb_known(sig, sc), d.jcrb_unknown(sig, sc)):
             assert pair.singular and pair.note == OVERFLOW_NOTE
             assert pair.tau0 == pair.f0 == float("inf")
+
+
+class TestPathNoiseLevels:
+    """The paper's different direct- and reflected-path SCNRs are the scale axis:
+    scaling the reflected looks by sigma_d / sigma_r is invertible, so the bound at
+    (a, sigma_d^2, sigma_r^2) is the bound at (a sigma_d / sigma_r, sigma_d^2, sigma_d^2)."""
+
+    @pytest.mark.parametrize("a,sigma_d2,sigma_r2", [
+        (1.0, 0.5, 2.0), (0.7, 3.0, 0.2), (2.5, 1.0, 1.0), (1.3, 1e-3, 40.0)])
+    def test_two_noise_levels_equal_the_scaled_path(self, a, sigma_d2, sigma_r2):
+        sig = small_signal()
+        sc = scenario(l=2, p=3, sigma_w2=sigma_d2, scale=a)
+        dense = dense_oracles.fim_path_noise_levels(sig, sc, sigma_r2)
+        mapped = scenario(l=2, p=3, sigma_w2=sigma_d2, scale=a * np.sqrt(sigma_d2 / sigma_r2))
+        fim = d.fim_unknown_signal(sig, mapped)
+        np.testing.assert_allclose(dense.entries, fim.entries, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(fim.entries)))
+        want = d.jcrb_unknown(sig, mapped)
+        for got in (eliminated_pair(dense), eliminated_pair(fim)):
+            np.testing.assert_allclose(tuple(got), tuple(want), rtol=1e-9)

@@ -608,6 +608,43 @@ def test_extreme_inputs_raise_no_numpy_warning(capsys, argv):
                        for line in err), err
 
 
+@pytest.mark.parametrize("argv,noted", [
+    # P / sigma_w2 overflows: every Doppler cell and both _schur cells are null
+    (["table1", "--sigma2", "1e-320"],
+     ["jcrb_f0_s", "jcrb_f0", "jcrb_tau0_s_schur", "jcrb_f0_s_schur", "ratio_f0"]),
+    # the time sums overflow: every bound cell is null
+    (["table1", "--tau0", "1e200"], list(cli.TABLE1_COLUMNS)),
+], ids=["sigma2 1e-320", "tau0 1e200"])
+def test_table1_note_names_exactly_its_null_cells(capsys, argv, noted):
+    # the note names only columns table1 prints, in their order, and its _schur
+    # cells (eliminated_pair of a FIM that is not finite) among them
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    rows = _strict_json(out)["rows"]
+    assert [key for key in cli.TABLE1_COLUMNS
+            if any(row["values"][key] is None for row in rows)] == noted
+    assert all(row["values"][key] is None for row in rows
+               for key in ("jcrb_tau0_s_schur", "jcrb_f0_s_schur"))
+    note = f"note: {', '.join(noted)}: {OVERFLOW_NOTE}; printed as null\n"
+    assert capsys.readouterr().err == note
+
+
+def test_doppler_bounds_assume_a_known_reflected_phase():
+    # the Doppler phase is referenced to t = 0 and the reflected carrier phase is
+    # known, so the f0 bound falls as the path grows while the delay bound stays:
+    # a longer path does not make Doppler easier, the phase reference does
+    got = {}
+    for tau0 in ("0.05", "10", "100"):
+        code, out = run_cli(["crb", "--tau0", tau0, "--format", "json"])
+        assert code == 0
+        [row] = json.loads(out)["rows"]
+        got[tau0] = row["values"]["jcrb_tau0"], row["values"]["jcrb_f0"]
+    for tau0, f0 in (("0.05", 5.33e-7), ("10", 8.73e-8), ("100", 2.02e-9)):
+        assert got[tau0][0] == pytest.approx(got["0.05"][0], rel=1e-12)
+        assert got[tau0][0] == pytest.approx(0.011971, rel=1e-4)
+        assert got[tau0][1] == pytest.approx(f0, rel=5e-3)
+
+
 class TestCrbCommand:
     def test_single_row_with_structure_columns(self):
         code, out = run_cli(["crb", *BASE])

@@ -219,7 +219,7 @@ def check_against_loop(l, p, n0, n_tau, n_f, log_sigma, seed):
     steps = np.array([sig.delta, cfg.f_grid[1] - cfg.f_grid[0]])
     for name, estimate in ESTIMATORS.items():
         # the same grid cell, so the same estimate before the refine bit for bit
-        with mock.patch.object(verify, "_refine_axis", lambda vals, k0, lines: vals[k0]), \
+        with mock.patch.object(verify, "_parabolic_offset", lambda *y: np.zeros_like(y[1])), \
                 mock.patch.object(sys.modules[__name__], "scalar_refine",
                                   lambda stat, i0, j0, tau, f: (tau[i0], f[j0])):
             assert estimate(obs, sig, sc, cfg) == LOOP_ESTIMATORS[name](obs, sig, sc, cfg), name
@@ -299,7 +299,7 @@ class TestPhaseTableSearch:
         d.profile_ml_estimate(d.simulate_observations(sig, sc, 1), sc, cfg)
         table = verify._phase_table(cfg.tau_grid, cfg.f_grid, sig.m, sig.delta)
         assert table is verify._phase_table(cfg.tau_grid, cfg.f_grid, sig.m, sig.delta)
-        # the profiled statistic's real table alone: 2M rows (Re p, -Im p) by F
+        # the profiled statistic's real table alone: 2M rows (2 Re p, -2 Im p) by F
         assert table.shape == (1, len(cfg.tau_grid), 2 * sig.m, len(cfg.f_grid))
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0, 0] = 0.0
@@ -454,6 +454,28 @@ class TestTrialDraws:
         with pytest.raises(ValueError, match="trials"):
             dataclasses.replace(cfg, trials=2 ** 32 + 1)
 
+    def test_a_run_holds_a_bounded_number_of_trial_states(self, monkeypatch):
+        # states are derived _STATE_TRIALS at a time, so a run of 10^6 trials never
+        # holds 10^6 of them: a run of six chunks and a bit peaks as one of one chunk
+        chunk = verify._STATE_TRIALS
+        sig, sc, cfg = mc_setup(trials=6 * chunk + 5)
+        calls, trial_states = [], verify._trial_states
+        monkeypatch.setattr(verify, "_trial_states", lambda seed, trials: calls.append(
+            trials) or trial_states(seed, trials))
+        list(verify._trial_blocks(sig, sc, dataclasses.replace(cfg, trials=2), 64))  # warm-up
+        peaks = []
+        for trials in (2, chunk, cfg.trials):
+            tracemalloc.start()
+            try:
+                for _ in verify._trial_blocks(sig, sc, dataclasses.replace(cfg, trials=trials), 64):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert [len(trials) for trials in calls] == [2, 2, chunk] + [chunk] * 6 + [5]
+        # one chunk of states is most of a one-chunk run's peak
+        assert peaks[1] > 4 * peaks[0] and peaks[2] < 1.25 * peaks[1]
+
     def test_block_memory_stays_bounded_at_many_looks(self):
         # 400 looks of noise per trial: the block size must count the noise
         # block, or 40 trials are drawn at once (about 9 MB here)
@@ -508,11 +530,15 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("case", [
         "workload", dict(fpoints=2001), dict(l=200, p=200), dict(n_p=2000, fpoints=5)],
         ids=["workload", "statistics", "looks", "window"])
-    def test_one_block_peak_is_its_counted_working_set(self, case):
+    def test_one_block_peak_is_its_counted_working_set(self, monkeypatch, case):
         sig, sc, cfg = workload_setup(42) if case == "workload" else mc_setup(**case)
         trial = verify._trial_bytes(sig, sc, cfg)
-        block = dataclasses.replace(cfg, trials=max(1, verify.TRIAL_BLOCK_BYTES // trial))
+        # the trials one block holds: the budget's, in whole products
+        sizes, trial_blocks = [], verify._trial_blocks
+        monkeypatch.setattr(verify, "_trial_blocks", lambda *args: sizes.append(args[3])
+                            or trial_blocks(*args))
         verify._mc_estimates(sig, sc, dataclasses.replace(cfg, trials=1))  # phase table
+        block = dataclasses.replace(cfg, trials=sizes[0])
         tracemalloc.start()
         try:
             verify._mc_estimates(sig, sc, block)
