@@ -138,21 +138,57 @@ def band_norm1(band: np.ndarray) -> float:
     return float(np.max(sums))
 
 
+def _near_singular(band, norm: float) -> bool:
+    """Whether lambda_min(K) <= norm / SINGULAR_COND for K given as its band.
+
+    By Sylvester's law of inertia K - t I is positive definite exactly when
+    lambda_min(K) > t, so one band Cholesky of the shifted K decides it."""
+    shifted = np.array(np.atleast_2d(band), dtype=float)
+    shifted[0] -= norm / SINGULAR_COND
+    return band_cholesky(shifted) is None
+
+
+@dataclass(frozen=True, eq=False)
+class GramBand:
+    """A Gram matrix K kept as its read-only lower band, (bw + 1) x N,
+    band[d, j] = K[j + d, j], zero past the end (see band_cholesky).
+
+    K depends on the pulse train alone, so one GramBand serves every FIM of a
+    train: its |K|_1 and its inertia verdict are computed on first use and
+    kept, and each Border reads them from here."""
+
+    band: np.ndarray
+
+    def __post_init__(self):
+        band = np.array(self.band, dtype=float)
+        band.setflags(write=False)
+        object.__setattr__(self, "band", band)
+
+    @functools.cached_property
+    def norm1(self) -> float:
+        """|K|_1, an upper bound on the largest eigenvalue of K."""
+        return band_norm1(self.band)
+
+    @functools.cached_property
+    def singular(self) -> bool:
+        """Whether lambda_min(K) <= |K|_1 / SINGULAR_COND."""
+        return _near_singular(self.band, self.norm1)
+
+
 @dataclass(frozen=True)
 class Border:
     """Blocks of a bordered FIM [[A, B], [B^T, C]] with C = c (K kron I_2).
 
     a is the k x k block of the parameters of interest, b the k x 2N border
     over (real, imaginary) pairs of N nuisance coefficients, and gram is K:
-    a scalar g for K = g I, or K's lower band as a (bw + 1, N) array,
-    gram[d, j] = K[j + d, j], zero past the end (see band_cholesky). No
-    N x N matrix is built or decomposed except by dense().
+    a scalar g for K = g I, or a GramBand holding K's lower band. No N x N
+    matrix is built or decomposed except by dense().
     """
 
     a: np.ndarray
     b: np.ndarray
     c: float
-    gram: float | np.ndarray = 1.0
+    gram: float | GramBand = 1.0
 
     @classmethod
     def of(cls, entries) -> "Border":
@@ -170,7 +206,7 @@ class Border:
         out[:k, :k] = self.a
         out[:k, k:] = self.b
         out[k:, :k] = self.b.T
-        band = np.full((1, n), self.gram) if np.ndim(self.gram) == 0 else self.gram
+        band = self.gram.band if isinstance(self.gram, GramBand) else np.full((1, n), self.gram)
         flat = out.reshape(-1)
         # entry (k + p + 2(j + d), k + p + 2j) of C and its mirror, for the
         # real (p = 0) and imaginary (p = 1) parts of the d-th diagonal of K
@@ -184,22 +220,21 @@ class Border:
 
     @functools.cached_property
     def gram_norm(self) -> float:
-        """|K|_1, an upper bound on the largest eigenvalue of K."""
-        return abs(float(self.gram)) if np.ndim(self.gram) == 0 else band_norm1(self.gram)
+        """|K|_1, an upper bound on the largest eigenvalue of K; a GramBand
+        keeps its own."""
+        return self.gram.norm1 if isinstance(self.gram, GramBand) else abs(float(self.gram))
 
     @functools.cached_property
     def gram_singular(self) -> bool:
         """Whether lambda_min(K) <= |K|_1 / SINGULAR_COND.
 
-        By Sylvester's law of inertia K - t I is positive definite exactly
-        when lambda_min(K) > t, so one band Cholesky of the shifted K decides
-        it. |K|_1 >= lambda_max(K), so this flags every K whose eigenvalue
-        range exceeds SINGULAR_COND. A scalar g stands for g I, whose
-        inertia is that of the 1 x 1 band [g].
+        |K|_1 >= lambda_max(K), so this flags every K whose eigenvalue range
+        exceeds SINGULAR_COND. A band's verdict is kept on its GramBand; a
+        scalar g stands for g I, whose inertia is that of the 1 x 1 band [g].
         """
-        shifted = np.array(np.atleast_2d(self.gram), dtype=float)
-        shifted[0] -= self.gram_norm / SINGULAR_COND
-        return band_cholesky(shifted) is None
+        if isinstance(self.gram, GramBand):
+            return self.gram.singular
+        return _near_singular(self.gram, self.gram_norm)
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a block that is not finite is flagged
@@ -212,7 +247,7 @@ class Border:
         """
         if not self.b.size:
             return self.a
-        if np.ndim(self.gram) == 0:
+        if not isinstance(self.gram, GramBand):
             ck = self.c * self.gram
             if not ck > 0.0:
                 return None
@@ -220,7 +255,7 @@ class Border:
             # does with a diagonal C, so both paths agree bit for bit
             out = self.a - self.b @ (self.b.T * (1.0 / ck))
         else:
-            factor = band_cholesky(self.c * self.gram)
+            factor = band_cholesky(self.c * self.gram.band)
             if factor is None:
                 return None
             k = len(self.a)

@@ -48,7 +48,8 @@ def memoised(fn: Callable) -> Callable:
 
     obj is a SampledSignal or PulseTrain; fn must return an immutable value
     (a float, a tuple of floats, or a frozen object with read-only arrays),
-    so callers can share it. The uncached fn stays reachable as __wrapped__.
+    so callers can share it. The uncached fn stays reachable as __wrapped__,
+    which a miss calls (so a test may count the misses by replacing it).
     """
 
     @functools.wraps(fn)
@@ -57,7 +58,7 @@ def memoised(fn: Callable) -> Callable:
         key = (cached, *args)
         memo = obj._memo
         if key not in memo:
-            memo[key] = fn(obj, *args)
+            memo[key] = cached.__wrapped__(obj, *args)
         return memo[key]
 
     return cached
@@ -350,17 +351,19 @@ def synthesize_pulse_train(pt: PulseTrain) -> SampledSignal:
     samples[n] = sum_q b_q * g(n*delta - (q-1)*t_p) for n = 0..M-1 with
     M = Q*n_p; derivatives are assembled from g_deriv the same way.
     Built once per train and kept (see memoised): every FIM of the train
-    shares the one frozen signal and the sums kept on it.
+    shares the one frozen signal and the sums kept on it. Copy q's first n_p
+    samples fill its period (Q x n_p, one row a period); its last sample adds
+    onto the first of period q + 1, and the last copy's falls past the end.
+    Adding +0.0 first gives the bytes of a sum into zeros (a -0.0 part turns
+    to +0.0), and a shared sample adds its two terms in the order of a sum
+    of the copies one at a time, so the bytes are that sum's.
     """
-    m = pt.m
-    samples = np.zeros(m, dtype=complex)
-    deriv = np.zeros(m, dtype=complex)
-    for q in range(pt.n_pulses):
-        start = q * pt.n_p
-        stop = min(start + pt.n_p + 1, m)
-        length = stop - start
-        samples[start:stop] += pt.b[q] * pt.g[:length]
-        deriv[start:stop] += pt.b[q] * pt.g_deriv[:length]
+    b, n_p, shapes = pt.b, pt.n_p, np.array((pt.g, pt.g_deriv))
+    parts = b[:, None] * shapes[:, None, :n_p]  # (g or g') x copy x sample
+    parts += 0.0
+    if pt.n_pulses > 1:
+        np.add(b[:-1] * shapes[:, n_p:], parts[:, 1:, 0], out=parts[:, 1:, 0])
+    samples, deriv = parts.reshape(2, -1)
     return SampledSignal(samples, pt.delta, deriv, DerivMethod.ANALYTIC)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bounds import TWO_PI2, bordered_fim, jcrb_known
-from .fim import BoundPair, FimMatrix, PairColumns
-from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
+from .fim import BoundPair, FimMatrix, GramBand, PairColumns
+from .signals import PulseTrain, Scenario, memoised, synthesize_pulse_train
 
 SUPPORT_RTOL = 1e-9
 
@@ -92,25 +92,39 @@ def structure_labels(n_pulses: int) -> tuple[str, ...]:
     return ("tau0", "f0", *(f"b{q}{part}" for q in range(1, n_pulses + 1) for part in "RI"))
 
 
-def pulse_basis(pt: PulseTrain, sig: SampledSignal, tau0: float) -> tuple[tuple, dict]:
-    """Pulse-amplitude basis and meta for bordered_fim over the synthesized
-    train sig: the simplified (rho, gamma, E_g) forms with K = E_g I for a
-    pulse contained in its period, else the exact (h, u, v) couplings and
-    the tridiagonal Gram matrix K of the shifted pulse copies, kept as its
-    2 x Q lower band (gram[0] the diagonal, gram[1, q] = K[q + 1, q])."""
+@memoised
+def _pulse_gram(pt: PulseTrain) -> GramBand:
+    """The tridiagonal Gram matrix K of the shifted pulse copies, kept as its
+    2 x Q lower band (band[0] the diagonal, band[1, q] = K[q + 1, q]), once
+    per train: every FIM of the train reads its norm and inertia verdict."""
+    g2 = pt.g ** 2
+    band = np.zeros((2, pt.n_pulses))
+    band[0] = np.sum(g2)
+    band[0, -1] = np.sum(g2[:-1])  # the last copy loses its final sample
+    band[1, :-1] = pt.g[-1] * pt.g[0]  # adjacent copies share one boundary sample
+    return GramBand(band)
+
+
+@memoised
+def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, str]:
+    """Pulse-amplitude basis for bordered_fim and the name of its form, once per
+    train and delay, read-only: the simplified (rho, gamma, E_g) forms with
+    K = E_g I for a pulse contained in its period ("simplified"), else the
+    exact (h, u, v) couplings over the synthesized train and the train's
+    GramBand K ("general")."""
     if support_assumption_holds(pt):
         sq, b = _shared_quantities(pt, tau0), pt.b
-        return (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, sq.e_g), {"blocks": "simplified"}
-    # pulse q spans samples q n_p .. (q+1) n_p, one window each; the train
-    # ends a sample early, so the last window reads a zero pad there
-    x = np.pad([sig.deriv, (sig.times + tau0) * sig.samples, sig.samples], ((0, 0), (0, 1)))
-    h, u, v = sliding_window_view(x, pt.n_p + 1, axis=1)[:, ::pt.n_p] @ pt.g
-    g2 = pt.g ** 2
-    gram = np.zeros((2, pt.n_pulses))  # K's diagonal, then its subdiagonal
-    gram[0] = np.sum(g2)
-    gram[0, -1] = np.sum(g2[:-1])  # the last copy loses its final sample
-    gram[1, :-1] = pt.g[-1] * pt.g[0]  # adjacent copies share one boundary sample
-    return (h, 1.0, u, v, gram), {"blocks": "general"}
+        basis, form = (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, sq.e_g), "simplified"
+    else:
+        sig = synthesize_pulse_train(pt)
+        # pulse q spans samples q n_p .. (q+1) n_p, one window each; the train
+        # ends a sample early, so the last window reads a zero pad there
+        x = np.pad([sig.deriv, (sig.times + tau0) * sig.samples, sig.samples], ((0, 0), (0, 1)))
+        h, u, v = sliding_window_view(x, pt.n_p + 1, axis=1)[:, ::pt.n_p] @ pt.g
+        basis, form = (h, 1.0, u, v, _pulse_gram(pt)), "general"
+    for arr in (basis[0], *basis[2:4]):  # h, u and v
+        arr.setflags(write=False)
+    return basis, form
 
 
 def fim_known_structure(pt: PulseTrain, sc: Scenario, scale_known: bool = True) -> FimMatrix:
@@ -119,9 +133,9 @@ def fim_known_structure(pt: PulseTrain, sc: Scenario, scale_known: bool = True) 
     amplitude couplings come from pulse_basis and meta records its form."""
     if sc.looks_reflected < 1:
         raise ValueError("need at least one reflected-path look")
-    sig = synthesize_pulse_train(pt)
-    return bordered_fim(sig, sc, structure_labels(pt.n_pulses), *pulse_basis(pt, sig, sc.tau0),
-                        scale_known=scale_known)
+    basis, form = pulse_basis(pt, sc.tau0)
+    return bordered_fim(synthesize_pulse_train(pt), sc, structure_labels(pt.n_pulses), basis,
+                        {"blocks": form}, scale_known=scale_known)
 
 
 def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:

@@ -235,23 +235,24 @@ def _phases(tau_grid: tuple[int, ...], f_grid: tuple[float, ...], m: int,
     return np.exp(-2j * np.pi * (np.asarray(f_grid)[None, :, None] * t[:, None, :]))
 
 
-def _real_tables(tau_grid: tuple, f_grid: tuple, m: int, delta: float, s) -> np.ndarray:
-    """Rows Re, -Im per sample of 2p, p = _phases (E x I x 2M x F), then given s of
-    q = conj(s) p: the profiled statistic's factor 2, exact in binary, sits in its table."""
+def _real_tables(tau_grid, f_grid, m: int, delta: float, s, profiled: bool) -> np.ndarray:
+    """Rows Re, -Im per sample of 2p, p = _phases, if profiled, then given s of q = conj(s) p
+    (E x I x 2M x F): the profiled statistic's factor 2, exact in binary, sits in its table."""
     conj_p = np.conj(_phases(tau_grid, f_grid, m, delta))
-    tables = np.empty((1 + (s is not None), len(tau_grid), 2 * m, len(f_grid)))
-    np.multiply(2.0, np.swapaxes(conj_p.view(float), -1, -2), out=tables[0])
+    tables = np.empty((profiled + (s is not None), len(tau_grid), 2 * m, len(f_grid)))
+    if profiled:
+        np.multiply(2.0, np.swapaxes(conj_p.view(float), -1, -2), out=tables[0])
     if s is not None:  # conj(q) = s conj(p), formed in place
-        tables[1] = np.swapaxes(np.multiply(s, conj_p, out=conj_p).view(float), -1, -2)
+        tables[-1] = np.swapaxes(np.multiply(s, conj_p, out=conj_p).view(float), -1, -2)
     return tables
 
 
 @functools.lru_cache(maxsize=4)
-def _phase_table(tau_grid: tuple, f_grid: tuple, m: int, delta: float, signal=b"") -> np.ndarray:
+def _phase_table(tau_grid, f_grid, m: int, delta: float, signal=b"", profiled=True) -> np.ndarray:
     """Read-only _real_tables of the whole grid and the signal samples (as bytes,
     or none): never data-dependent, so one table serves every trial."""
     s = np.frombuffer(signal, dtype=complex) if signal else None
-    table = _real_tables(tau_grid, f_grid, m, delta, s)
+    table = _real_tables(tau_grid, f_grid, m, delta, s, profiled)
     table.flags.writeable = False
     return table
 
@@ -266,9 +267,8 @@ def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
     (sum_m |u + p v|^2 less ||u||^2, the same in every cell of a trial); given the signal
     s (M), the last is the matched filter Re sum_m v q, q = conj(s) p. Each is a real
     product, PRODUCT_ROWS trials at a time, of the window (conj(u) v in a reused buffer, or
-    v in place) as 2M floats with the delay's 2M x F _real_tables (the cached _phase_table's,
-    or past PHASE_TABLE_MAX_BYTES for both built here); ||v||^2 of every delay is one sum
-    after the loop."""
+    v in place) as 2M floats with its own 2M x F table of the delay (the cached _phase_table's,
+    or past PHASE_TABLE_MAX_BYTES built here); ||v||^2 of every delay is one sum after the loop."""
     if any(n0 < 0 or n0 + m > r.shape[1] for n0 in cfg.tau_grid):
         raise ValueError("tau_grid candidates must keep the delayed window inside the record")
     n_tau, n_f = len(cfg.tau_grid), len(cfg.f_grid)
@@ -276,10 +276,10 @@ def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
     rows = len(r) - (tail := len(r) % PRODUCT_ROWS)
     tail_in, tail_out = np.zeros((PRODUCT_ROWS, 2 * m)), np.empty((PRODUCT_ROWS, n_f))
     grid = cfg.tau_grid, cfg.f_grid, m, delta
-    whole = _phase_table(*grid, b"" if s is None else s.tobytes()) \
-        if n_tau * n_f * m * 16 * (1 + (s is not None)) <= PHASE_TABLE_MAX_BYTES else None
-    weight, window = (None, None) if u is None else (u.conj(), np.empty_like(u))
     stats = np.empty(((u is not None) + (s is not None), len(r), n_tau, n_f))
+    whole = _phase_table(*grid, b"" if s is None else s.tobytes(), u is not None) \
+        if n_tau * n_f * m * 16 * len(stats) <= PHASE_TABLE_MAX_BYTES else None
+    weight, window = (None, None) if u is None else (u.conj(), np.empty_like(u))
     # each statistic's windows as floats, from column 2 n0 of r or 0 of the buffer, and
     # its whole products, as stacks
     sources = [(window, 0)] * (u is not None) + [(r, 1)] * (s is not None)
@@ -288,10 +288,10 @@ def _grid_statistics(r: np.ndarray, cfg: McConfig, m: int, delta: float,
     products = stats[:, :rows].reshape(len(stats), -1, PRODUCT_ROWS, n_tau, n_f)
     for i, n0 in enumerate(cfg.tau_grid):
         tables = whole[:, i] if whole is not None \
-            else _real_tables(cfg.tau_grid[i:i + 1], *grid[1:], s)[:, 0]
+            else _real_tables(cfg.tau_grid[i:i + 1], *grid[1:], s, u is not None)[:, 0]
         if u is not None:
             np.multiply(weight, r[:, n0:n0 + m], out=window)
-        for e, ((src, moves), stack, table) in enumerate(zip(sources, stacks, tables[u is None:])):
+        for e, ((src, moves), stack, table) in enumerate(zip(sources, stacks, tables)):
             cols = slice(2 * n0 * moves, 2 * (n0 * moves + m))
             np.matmul(stack[:, :, cols], table, out=products[e, :, :, i])
             if tail:

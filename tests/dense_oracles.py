@@ -328,3 +328,21 @@ def cli_rows(argv: list[str]) -> list[tuple[dict, dict, dict]]:
             values["singular"] = ";".join(flagged)
         out.append((values, methods, cells))
     return out
+
+
+# ------------------------------------------------------------- pulse trains
+
+def synthesize_pulse_train_loop(pt) -> tuple[np.ndarray, np.ndarray]:
+    """(samples, deriv) of pt as a sum of its period-shifted pulse copies,
+    added one copy at a time into zeros: signals.synthesize_pulse_train
+    must give these bytes."""
+    m = pt.m
+    samples = np.zeros(m, dtype=complex)
+    deriv = np.zeros(m, dtype=complex)
+    for q in range(pt.n_pulses):
+        start = q * pt.n_p
+        stop = min(start + pt.n_p + 1, m)
+        length = stop - start
+        samples[start:stop] += pt.b[q] * pt.g[:length]
+        deriv[start:stop] += pt.b[q] * pt.g_deriv[:length]
+    return samples, deriv

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb import fim as fim_module
-from ddcrb.fim import (SINGULAR_COND, Border, band_cholesky, band_norm1, band_solve,
-                       eliminated_pair, schur_complement)
+from ddcrb.fim import (SINGULAR_COND, Border, GramBand, band_cholesky, band_norm1,
+                       band_solve, eliminated_pair, schur_complement)
 
 
 def dense_of(band):
@@ -75,7 +75,7 @@ def test_dense_expansion_equals_the_encoded_matrix(band, kdim, c, seed):
     n = band.shape[1]
     a = rng.standard_normal((kdim, kdim))
     b = rng.standard_normal((kdim, 2 * n))
-    for gram, kmat in ((band, dense_of(band)), (1.7, 1.7 * np.eye(n))):
+    for gram, kmat in ((GramBand(band), dense_of(band)), (1.7, 1.7 * np.eye(n))):
         expected = np.block([[a, b], [b.T, np.kron(c * kmat, np.eye(2))]])
         out = Border(a, b, c, gram).dense()
         np.testing.assert_array_equal(out, expected)
@@ -94,9 +94,9 @@ def test_inertia_test_flags_exactly_the_near_singular(band, exponent, sign):
     ratio = np.linalg.eigvalsh(k)[0] / (np.linalg.norm(k, 1) / SINGULAR_COND)
     assume(ratio >= 10.0 or ratio <= 0.1)
     n = band.shape[1]
-    border = Border(np.eye(2), np.zeros((2, 2 * n)), 1.0, shifted)
+    border = Border(np.eye(2), np.zeros((2, 2 * n)), 1.0, GramBand(shifted))
     assert border.gram_singular == (ratio <= 0.1)
-    assert not Border(np.eye(2), np.zeros((2, 2 * n)), 1.0, band).gram_singular
+    assert not Border(np.eye(2), np.zeros((2, 2 * n)), 1.0, GramBand(band)).gram_singular
 
 
 def test_not_positive_definite_has_no_factor():
@@ -210,7 +210,7 @@ PINNED_PAIRS = {
 def test_truncated_train_pairs_are_pinned(train, with_a):
     pt, sc = train(with_a)
     fim = d.fim_unknown_a(pt, sc, structure=True) if with_a else d.fim_known_structure(pt, sc)
-    assert fim.border.gram.shape[0] == 2  # the b = 1 band path
+    assert fim.border.gram.band.shape[0] == 2  # the b = 1 band path
     pairs = (eliminated_pair(fim), eliminated_pair(fim, separate=True))
     assert not any(p.singular for p in pairs)
     assert tuple(float.hex(v) for p in pairs for v in p) == PINNED_PAIRS[train, with_a]
@@ -240,7 +240,7 @@ def test_long_truncated_train_never_goes_dense(monkeypatch, with_a):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fim.meta["blocks"] == "general" and fim.border.gram.shape == (2, 2000)
+    assert fim.meta["blocks"] == "general" and fim.border.gram.band.shape == (2, 2000)
     assert "entries" not in vars(fim)
     assert peak < 16e6, peak  # the Gram matrix alone would be 32 MB dense
     assert np.all(np.isfinite(reduced)) and np.all(np.linalg.eigvalsh(reduced) > 0)

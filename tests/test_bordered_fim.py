@@ -8,6 +8,8 @@ and eliminated with a dense solve. Where the closed forms hold (raw samples
 and contained pulse trains) they must agree with the eliminated FIMs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 import ddcrb.fim as fim_module
+from ddcrb import structure
 from ddcrb.fim import (METHOD_SCHUR_NUMERIC, PSD_RTOL, Border, FimMatrix, SingularFimError,
                        eliminated_pair, invert_bound_matrix, schur_complement)
 
@@ -183,13 +186,86 @@ def test_gram_schur_computed_once_per_fim(monkeypatch):
     calls = []
     factor = fim_module.band_cholesky
     monkeypatch.setattr(fim_module, "band_cholesky", lambda x: calls.append(1) or factor(x))
-    fim = build_fim("truncated", False, 2, 1, 1.0, 0.5, seed=3)
+    pt, sc = build_source("truncated", 2, 1, 1.0, 0.5, seed=3)
+    fim = d.fim_known_structure(pt, sc)
     assert len(calls) == 1  # validation
     first = schur_complement(fim, 2)
     assert len(calls) == 2  # the inertia test of K
     np.testing.assert_array_equal(schur_complement(fim, 2), first)
     assert len(calls) == 2
     assert not fim.border.schur.flags.writeable
+    # another FIM of the train factors its own c K once and reads the inertia
+    # verdict that K keeps for the train
+    other = d.fim_unknown_a(pt, dataclasses.replace(sc, looks_direct=3, sigma_w2=2.0, scale=1.4),
+                            structure=True)
+    assert len(calls) == 3 and other.border.gram is fim.border.gram
+    schur_complement(other, 2)
+    eliminated_pair(other, separate=True)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind", ("contained", "truncated"))
+def test_pulse_basis_built_once_per_train_and_delay(kind, monkeypatch):
+    built = []
+    fresh = structure.pulse_basis.__wrapped__
+    monkeypatch.setattr(structure.pulse_basis, "__wrapped__",
+                        lambda pt, tau0: built.append(tau0) or fresh(pt, tau0))
+    pt, _ = build_source(kind, 1, 1, 1.0, 1.0, seed=2)
+    fims = {}
+    for tau0 in (0.5, 1.25):
+        for l, p, a, sigma_w2 in ((0, 1, 1.0, 1.0), (2, 3, 0.5, 0.2), (5, 1, 2.0, 3.0)):
+            sc = d.Scenario(tau0=tau0, f0=0.7, looks_direct=l, looks_reflected=p,
+                            sigma_w2=sigma_w2, scale=a)
+            fims.setdefault(tau0, []).extend(
+                [d.fim_known_structure(pt, sc), d.fim_unknown_a(pt, sc, structure=True)])
+    assert built == [0.5, 1.25]
+    basis = {tau0: structure.pulse_basis(pt, tau0) for tau0 in fims}
+    assert len(built) == 2
+    # every FIM of a delay holds that delay's kept K; a Gram band is one per train
+    for tau0, group in fims.items():
+        assert {id(f.border.gram) for f in group} == {id(basis[tau0][0][4])}
+        assert {f.meta["blocks"] for f in group} == {basis[tau0][1]}
+        assert basis[tau0][1] == ("simplified" if kind == "contained" else "general")
+    assert (basis[0.5][0][4] is basis[1.25][0][4]) == (kind == "truncated")
+
+
+def _pair_bytes(pair):
+    return tuple(float.hex(v) for v in pair), pair.singular, pair.note, pair.method
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("contained", "truncated")), with_a=st.booleans(),
+       l=st.integers(0, 4), p=st.integers(1, 4), a=st.floats(0.25, 4.0),
+       sigma_w2=st.floats(0.1, 3.0), seed=st.integers(0, 2 ** 31 - 1))
+def test_kept_basis_gives_the_fresh_basis_fim_bytewise(kind, with_a, l, p, a, sigma_w2, seed):
+    """A FIM built from the kept basis and K, after other FIMs of the train have
+    filled them, against one built from a basis and a K computed afresh."""
+    pt, sc = build_source(kind, l, p, a, sigma_w2, seed)
+    warm = dataclasses.replace(sc, looks_direct=l + 1, looks_reflected=p + 1, sigma_w2=1.0,
+                               scale=1.0)
+    eliminated_pair(d.fim_known_structure(pt, warm))
+    fim = d.fim_unknown_a(pt, sc, structure=True) if with_a else d.fim_known_structure(pt, sc)
+    basis, form = structure.pulse_basis.__wrapped__(pt, sc.tau0)
+    if form == "general":
+        basis = basis[:4] + (structure._pulse_gram.__wrapped__(pt),)
+        assert basis[4] is not fim.border.gram
+    fresh = d.bounds.bordered_fim(d.synthesize_pulse_train(pt), sc,
+                                  structure.structure_labels(pt.n_pulses), basis,
+                                  {"blocks": form}, scale_known=not with_a)
+    kept, new = fim.border, fresh.border
+    assert fim.labels == fresh.labels and fim.meta == fresh.meta
+    for block in ("a", "b"):
+        assert getattr(kept, block).tobytes() == getattr(new, block).tobytes()
+    assert float.hex(kept.c) == float.hex(new.c)
+    if form == "general":
+        assert kept.gram.band.tobytes() == new.gram.band.tobytes()
+    else:
+        assert float.hex(kept.gram) == float.hex(new.gram)
+    assert (kept.gram_norm, kept.gram_singular) == (new.gram_norm, new.gram_singular)
+    assert kept.schur.tobytes() == new.schur.tobytes()
+    for separate in (False, True):
+        assert _pair_bytes(eliminated_pair(fim, separate)) == \
+            _pair_bytes(eliminated_pair(fresh, separate))
 
 
 @settings(max_examples=120)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb.bounds import signal_bounds, unknown_signal_labels, weighted_sums
+from ddcrb.fim import GramBand
 from ddcrb.scaled import energy_sums
 from ddcrb.structure import _shared_quantities, structure_labels
 
@@ -76,6 +77,8 @@ def _memo_values(obj):
 
 def test_kept_values_cannot_be_changed():
     pt = d.gaussian_pulse_train(20, 0.25, 2.5, 0.3, [1.0, 0.5j, -1.0 + 1.0j])
+    # centred near the period edge and wide: the general basis and a Gram band
+    wide = d.gaussian_pulse_train(16, 0.25, 3.0, 1.5, [1.0, 0.5j, -1.0 + 1.0j])
     sig = d.synthesize_pulse_train(pt)
     for tau0 in (0.0, 0.75):
         sc = d.Scenario(tau0=tau0, f0=0.3, looks_direct=2, looks_reflected=1, sigma_w2=0.5,
@@ -84,8 +87,12 @@ def test_kept_values_cannot_be_changed():
         d.crb_separate_unknown_a(sig, sc)
         d.jcrb_structure_known_a(pt, sc)
         d.jcrb_known_signal_pulse(pt, sc)
-    # the train keeps its synthesized signal and one StructureQuantities per delay
-    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 3
+        for train in (pt, wide):
+            d.eliminated_pair(d.fim_known_structure(train, sc))
+            d.fim_unknown_a(train, sc, structure=True)
+    # the train keeps its synthesized signal, and per delay one StructureQuantities
+    # and one pulse basis; the wide train its signal, its Gram band and its bases
+    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 5
     for value in _memo_values(sig):
         assert isinstance(value, tuple) and all(type(v) is float for v in value)
     assert d.synthesize_pulse_train(pt) is sig and _memo_values(pt)[0] is sig
@@ -97,14 +104,30 @@ def test_kept_values_cannot_be_changed():
     for arr in (sig.samples, sig.deriv):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    for sq in _memo_values(pt)[1:]:
-        assert isinstance(sq, d.StructureQuantities)
+    sqs = [v for v in _memo_values(pt) if isinstance(v, d.StructureQuantities)]
+    assert len(sqs) == 2
+    for sq in sqs:
         with pytest.raises(dataclasses.FrozenInstanceError):
             sq.w_b2 = 0.0
         for arr in (sq.gamma, sq.w):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
     assert type(pt.amp_energy) is float
+    kept_wide = _memo_values(wide)
+    assert len(kept_wide) == 4 and isinstance(kept_wide[0], d.SampledSignal)
+    [gram] = [v for v in kept_wide if isinstance(v, GramBand)]
+    # its norm and inertia verdict are kept with it
+    assert {"norm1", "singular"} <= set(vars(gram))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gram.band = np.zeros((2, 3))
+    bases = [v for v in _memo_values(pt) + kept_wide if type(v) is tuple]
+    assert [form for _, form in bases] == ["simplified"] * 2 + ["general"] * 2
+    for basis, form in bases:
+        assert len(basis) == 5 and basis[1] == 1.0
+        assert basis[4] is gram if form == "general" else type(basis[4]) is float
+        for arr in (basis[0], *basis[2:4], *([gram.band] if form == "general" else [])):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def test_labels_are_shared_tuples():
@@ -118,6 +141,10 @@ def test_signal_with_kept_sums_pickles():
     pt = d.gaussian_pulse_train(12, 0.5, 3.0, 1.0, [1.0, 1.0j])
     sig = d.synthesize_pulse_train(pt)
     sc = d.Scenario(tau0=1.0, f0=0.1, looks_direct=1, looks_reflected=2, sigma_w2=1.0)
-    first = (signal_bounds(sig, sc), d.jcrb_structure_known_a(pt, sc))
-    sig2, pt2 = pickle.loads(pickle.dumps((sig, pt)))
-    assert (signal_bounds(sig2, sc), d.jcrb_structure_known_a(pt2, sc)) == first
+    wide = d.gaussian_pulse_train(16, 0.25, 3.0, 1.5, [1.0, 0.5j, -1.0 + 1.0j])
+    first = (signal_bounds(sig, sc), d.jcrb_structure_known_a(pt, sc),
+             d.eliminated_pair(d.fim_known_structure(wide, sc)))
+    sig2, pt2, wide2 = pickle.loads(pickle.dumps((sig, pt, wide)))
+    assert len(_memo_values(wide2)) == 3  # its signal, Gram band and basis
+    assert (signal_bounds(sig2, sc), d.jcrb_structure_known_a(pt2, sc),
+            d.eliminated_pair(d.fim_known_structure(wide2, sc))) == first

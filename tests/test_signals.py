@@ -9,6 +9,7 @@ import ddcrb as d
 from ddcrb.signals import central_difference
 
 from conftest import make_contained_train
+from dense_oracles import synthesize_pulse_train_loop
 
 
 class TestGaussianPulse:
@@ -86,6 +87,24 @@ class TestSynthesizePulseTrain:
         e0 = np.sum(np.abs(d.synthesize_pulse_train(base).samples) ** 2)
         e1 = np.sum(np.abs(d.synthesize_pulse_train(rotated).samples) ** 2)
         assert e1 == pytest.approx(e0, rel=1e-12)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), n_p=st.integers(1, 12), q=st.integers(1, 6))
+    def test_equals_the_copy_by_copy_sum_bytewise(self, data, n_p, q):
+        # signed zeros and products that overflow to inf (and to nan at a
+        # shared sample) included
+        value = st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        g, g_deriv = (np.array(data.draw(st.lists(value, min_size=n_p + 1, max_size=n_p + 1)))
+                      for _ in range(2))
+        b = np.empty(q, dtype=complex)
+        b.real, b.imag = (data.draw(st.lists(value, min_size=q, max_size=q)) for _ in range(2))
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=n_p * 0.5, n_pulses=q, b=b, delta=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sig = d.synthesize_pulse_train.__wrapped__(pt)
+            samples, deriv = synthesize_pulse_train_loop(pt)
+        assert sig.samples.tobytes() == samples.tobytes()
+        assert sig.deriv.tobytes() == deriv.tobytes()
 
     def test_pulse_train_invariants(self):
         g = np.zeros(5)

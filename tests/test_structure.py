@@ -62,7 +62,7 @@ class TestStructureQuantities:
                           b=[1.0, 1.0], delta=0.01)
         fim = d.fim_known_structure(pt, scenario(tau0=0.05))
         assert fim.meta["blocks"] == "general"
-        gram = fim.border.gram
+        gram = fim.border.gram.band
         # K is kept as its lower band, gram[d, j] = K[j + d, j]; the dense
         # view mirrors it, so the nuisance block is symmetric
         c_block = fim.entries[2:, 2:]

@@ -304,6 +304,25 @@ class TestPhaseTableSearch:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0, 0] = 0.0
 
+    def test_matched_filter_search_builds_and_keeps_its_own_table_only(self):
+        sig, sc, cfg = mc_setup(sigma_w2=1e-2)
+        obs = d.simulate_observations(sig, sc, 3)
+        verify._phase_table.cache_clear()
+        estimate = d.ml_estimate_known(obs, sig, cfg)
+        assert verify._phase_table.cache_info().currsize == 1
+        table = verify._phase_table(cfg.tau_grid, cfg.f_grid, sig.m, sig.delta,
+                                    sig.samples.tobytes(), False)
+        assert verify._phase_table.cache_info().hits == 1
+        assert table.shape == (1, 9, 32, 41)
+        # recorded when the search built both tables and read the second
+        assert tuple(map(float.hex, estimate)) == ("0x1.017758e0250d6p+0", "0x1.31e4cd3d6de80p-2")
+        # the matched filter's statistic alone is the pair search's, bit for bit
+        r = obs.reflected.sum(axis=0)[None]
+        u = obs.direct[:, :obs.m].sum(axis=0)[None]
+        alone = verify._grid_statistics(r, cfg, obs.m, obs.delta, s=sig.samples)
+        both = verify._grid_statistics(r, cfg, obs.m, obs.delta, u=u, s=sig.samples)
+        assert alone.tobytes() == both[1:].tobytes()
+
     def test_fallback_builds_each_slice_once_per_block(self, monkeypatch):
         sig, sc, cfg = mc_setup(trials=20)
         monkeypatch.setattr(verify, "TRIAL_BLOCK_BYTES", 6 * verify._trial_bytes(sig, sc, cfg))
