@@ -14,7 +14,8 @@ import functools
 
 import numpy as np
 
-from .fim import OVERFLOW_NOTE, SINGULAR_COND, Border, BoundPair, FimMatrix, PairColumns
+from .fim import (OVERFLOW_NOTE, SINGULAR_COND, UNIT_GRAM, Border, BoundPair, FimMatrix,
+                  PairColumns)
 from .signals import SampledSignal, Scenario, ScenarioColumns, eta, memoised
 
 TWO_PI2 = 8.0 * np.pi ** 2
@@ -137,15 +138,16 @@ def bordered_fim(sig: SampledSignal, sc: Scenario, labels: tuple[str, ...],
     reflected path (_known_signal_block), without its a row when the scale
     is known. labels: those of the FIM without a. basis: (h, wt, u, v,
     gram), the derivative, time-weighted (wt u) and plain signal couplings
-    with each basis vector and K (a scalar g for K = g I); None means the
-    raw samples (s', t + tau0, s, s, 1). Border rows -(2a^2 P/s2) h,
+    with each basis vector and K's GramBand; None means the raw samples
+    (s', t + tau0, s, s, UNIT_GRAM). Border rows -(2a^2 P/s2) h,
     (4 pi a^2 P/s2) j wt u, (2aP/s2) v in (real, imaginary) columns;
     C = (2L + 2a^2 P)/s2 (K kron I_2).
     """
     p, l, a, s2 = sc.looks_reflected, sc.looks_direct, sc.scale, sc.sigma_w2
     known = _known_signal_block(sig, sc, scale_known)
     k_tau, k_f, k_a = -(2.0 * a * a * p / s2), 4.0 * np.pi * a * a * p / s2, 2.0 * a * p / s2
-    h, wt, u, v, gram = basis or (sig.deriv, sig.times + sc.tau0, sig.samples, sig.samples, 1.0)
+    h, wt, u, v, gram = basis or (sig.deriv, sig.times + sc.tau0, sig.samples, sig.samples,
+                                  UNIT_GRAM)
     rows = [k_tau * h, (k_f * wt) * (1j * u), k_a * v]
     # a complex row viewed as floats interleaves (real, imaginary) columns
     b_block = np.array(rows[:len(known)]).view(float)

@@ -102,7 +102,7 @@ TABLE1_COLUMNS = ("jcrb_tau0_s", "jcrb_tau0", "jcrb_f0_s", "jcrb_f0",
                   "jcrb_tau0_s_schur", "jcrb_f0_s_schur", "ratio_tau0", "ratio_f0")
 # the scenario field each single-field sweep axis sets (n0 sets tau0 = n0 delta)
 _SWEEP_FIELDS = {"P": "looks_reflected", "n0": "tau0", "a": "scale", "sigma_w2": "sigma_w2"}
-_NULL_NOTE = "note: {}: " + OVERFLOW_NOTE + "; printed as null"  # {}: the cells' keys
+_NULL_NOTE = "note: {}: {}; printed as null"  # the cells' keys, and why
 
 
 @contextlib.contextmanager
@@ -193,8 +193,16 @@ def _rows(lead: dict, columns: dict, keys=None) -> tuple[dict, dict]:
         keys, rows = [*cells, "singular"], zip(*(mask.tolist() for mask in bad.values()))
         cells["singular"] = [";".join(compress(bad, r)) for r in rows] if bad else [""] * n
     if noted := [key for key in keys if key in overflowed]:
-        print(_NULL_NOTE.format(", ".join(noted)), file=sys.stderr)
+        print(_NULL_NOTE.format(", ".join(noted), OVERFLOW_NOTE), file=sys.stderr)
     return {key: cells[key] for key in keys}, {key: tags[key] for key in keys if key in tags}
+
+
+def _null_cells(values: dict, keys, why: str, low: float = -math.inf) -> None:
+    """Cells of the columns keys not in (low, inf) become None, noted once on stderr with why."""
+    bad = {key: [v is not None and not low < v < math.inf for v in values[key]] for key in keys}
+    if noted := [key for key in keys if any(bad[key])]:
+        print(_NULL_NOTE.format(", ".join(noted), why), file=sys.stderr)
+        values.update((k, [None if b else v for v, b in zip(values[k], bad[k])]) for k in noted)
 
 
 # compact C encoders. _CELLS puts a newline between a list's items, and no JSON scalar's
@@ -440,9 +448,7 @@ def cmd_overlap(config_path, **flags):
         curve = triangle_overlap_curve(cfg["M"], cfg.scenario())
     values = {"M": [cfg["M"]] * len(curve), **{key: [row[key] for row in curve] for key in (
         "n0", "crb_tau0", "singular", "regime", "crb_non")}}
-    if not 0.0 < curve[0]["crb_non"] < math.inf:  # the bound cells' null rule
-        print(_NULL_NOTE.format("crb_non"), file=sys.stderr)
-        values["crb_non"] = [None] * len(curve)
+    _null_cells(values, ("crb_non",), OVERFLOW_NOTE, low=0.0)  # the bound cells' null rule
     write_rows(values, {"crb_tau0": [row["method"] for row in curve],
                         "crb_non": METHOD_CLOSED_FORM}, cfg)
 
@@ -463,7 +469,10 @@ def cmd_montecarlo(config_path, **flags):
         # an off-grid --tau0 is an error, not snapped to the sample grid
         n0, span = cfg.scenario().delay_samples(delta), cfg["tauspan"]
         sc = cfg.scenario(tau0=n0 * delta, record_length=n0 + span + sig.m)
-        f_grid = np.linspace(cfg["f0"] - cfg["fspan"], cfg["f0"] + cfg["fspan"], cfg["fpoints"])
+        ends = cfg["f0"] - cfg["fspan"], cfg["f0"] + cfg["fspan"]
+        if not math.isfinite(ends[1] - ends[0]):  # an end or the span overflowed
+            raise UsageError(f"Doppler grid f0 -/+ fspan = {ends}: ends and span must be finite")
+        f_grid = np.linspace(*ends, cfg["fpoints"])
         mc = McConfig(trials=cfg["trials"], seed=cfg["seed"], f_grid=tuple(f_grid),
                       tau_grid=tuple(range(max(0, n0 - span), n0 + span + 1)))
         mc.check_covers(n0, sc.f0)
@@ -471,6 +480,7 @@ def cmd_montecarlo(config_path, **flags):
     lead = {"trials": report.trials, "seed": report.seed}
     values = {key: [lead[key] if key in lead else row[key] for row in report.rows] for key in (
         "parameter", "estimator", "empirical_mse", "bound", "ratio", "trials", "seed", "singular")}
+    _null_cells(values, ("empirical_mse", "bound", "ratio"), "not finite (an overflow)")
     write_rows(values, {"empirical_mse": METHOD_MONTE_CARLO,
                         "bound": [row["method"] for row in report.rows],
                         "ratio": METHOD_MONTE_CARLO}, cfg)

@@ -4,14 +4,16 @@ Every FimMatrix is one bordered matrix [[A, B], [B^T, C]] (a Border): A over
 the parameters of interest, B its border with N nuisance coefficients and
 C = c (K kron I_2), empty (N = 0) for a matrix given densely. One rule
 validates every FIM: A symmetric and A - B C^{-1} B^T PSD, to tolerances
-relative to |A|_F + |B|_F + |c| |K|_1. submatrix, drop and the keep of
-schur_complement act on the parameters of interest only, through the blocks.
-The dense matrix is built only as FimMatrix.entries, on request, and as the
-fallback of FimMatrix.solvable when C has no Cholesky factor (L = P = 0, or
-a singular K): validation and elimination then take it as a border with C
-empty. eliminated_pair turns a FIM into delay/Doppler bounds; BoundPair,
-PairColumns and CrbReport carry bound values, a method tag and a singularity
-flag, so rank-deficient scenarios (no unbiased estimator) give flagged results.
+relative to |A|_F + |B|_F + |c| |K|_1. K is always a GramBand, which keeps
+|K|_1 and K's inertia verdict; a one-entry band [[g]] is g I at any N.
+submatrix, drop and the keep of schur_complement act on the parameters of
+interest only, through the blocks. The dense matrix is built only as
+FimMatrix.entries, on request, and as the fallback of FimMatrix.solvable when
+C has no Cholesky factor (L = P = 0, or a singular K): validation and
+elimination then take it as a border with C empty. eliminated_pair turns a
+FIM into delay/Doppler bounds; BoundPair, PairColumns and CrbReport carry
+bound values, a method tag and a singularity flag, so rank-deficient
+scenarios (no unbiased estimator) give flagged results.
 SINGULAR_COND is the one threshold of "no information" for every model.
 """
 
@@ -138,24 +140,13 @@ def band_norm1(band: np.ndarray) -> float:
     return float(np.max(sums))
 
 
-def _near_singular(band, norm: float) -> bool:
-    """Whether lambda_min(K) <= norm / SINGULAR_COND for K given as its band.
-
-    By Sylvester's law of inertia K - t I is positive definite exactly when
-    lambda_min(K) > t, so one band Cholesky of the shifted K decides it."""
-    shifted = np.array(np.atleast_2d(band), dtype=float)
-    shifted[0] -= norm / SINGULAR_COND
-    return band_cholesky(shifted) is None
-
-
 @dataclass(frozen=True, eq=False)
 class GramBand:
     """A Gram matrix K kept as its read-only lower band, (bw + 1) x N,
-    band[d, j] = K[j + d, j], zero past the end (see band_cholesky).
-
-    K depends on the pulse train alone, so one GramBand serves every FIM of a
-    train: its |K|_1 and its inertia verdict are computed on first use and
-    kept, and each Border reads them from here."""
+    band[d, j] = K[j + d, j], zero past the end (see band_cholesky); a
+    one-entry band [[g]] stands for g I at any N. K depends on the nuisance
+    basis alone, so one GramBand serves every FIM of a basis: its |K|_1 and
+    inertia verdict are computed on first use and kept for each Border."""
 
     band: np.ndarray
 
@@ -171,8 +162,17 @@ class GramBand:
 
     @functools.cached_property
     def singular(self) -> bool:
-        """Whether lambda_min(K) <= |K|_1 / SINGULAR_COND."""
-        return _near_singular(self.band, self.norm1)
+        """Whether lambda_min(K) <= |K|_1 / SINGULAR_COND, |K|_1 >= lambda_max(K):
+        flags every K whose eigenvalue range exceeds SINGULAR_COND. By Sylvester's
+        law of inertia K - t I is positive definite exactly when lambda_min(K) > t,
+        so one band Cholesky of the shifted K decides it."""
+        shifted = self.band.copy()
+        shifted[0] -= self.norm1 / SINGULAR_COND
+        return band_cholesky(shifted) is None
+
+
+# K = I of the raw samples and of a dense matrix: its verdict is taken once per process
+UNIT_GRAM = GramBand([[1.0]])
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,15 @@ class Border:
     """Blocks of a bordered FIM [[A, B], [B^T, C]] with C = c (K kron I_2).
 
     a is the k x k block of the parameters of interest, b the k x 2N border
-    over (real, imaginary) pairs of N nuisance coefficients, and gram is K:
-    a scalar g for K = g I, or a GramBand holding K's lower band. No N x N
+    over (real, imaginary) pairs of N nuisance coefficients, and gram is K,
+    always a GramBand holding K's lower band ([[g]] for K = g I). No N x N
     matrix is built or decomposed except by dense().
     """
 
     a: np.ndarray
     b: np.ndarray
     c: float
-    gram: float | GramBand = 1.0
+    gram: GramBand
 
     @classmethod
     def of(cls, entries) -> "Border":
@@ -197,7 +197,7 @@ class Border:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
             raise ValueError("FIM must be square with at least one parameter")
         a.setflags(write=False)
-        return cls(a, np.zeros((len(a), 0)), 0.0)
+        return cls(a, np.zeros((len(a), 0)), 0.0, UNIT_GRAM)
 
     def dense(self) -> np.ndarray:
         k, n = len(self.a), self.b.shape[1] // 2
@@ -206,35 +206,16 @@ class Border:
         out[:k, :k] = self.a
         out[:k, k:] = self.b
         out[k:, :k] = self.b.T
-        band = self.gram.band if isinstance(self.gram, GramBand) else np.full((1, n), self.gram)
         flat = out.reshape(-1)
         # entry (k + p + 2(j + d), k + p + 2j) of C and its mirror, for the
-        # real (p = 0) and imaginary (p = 1) parts of the d-th diagonal of K
-        for d, diag in enumerate(band[:n]):
+        # real (p = 0) and imaginary (p = 1) parts of the d-th diagonal of K ([[g]]: all g)
+        for d, diag in enumerate(self.gram.band[:n]):
             ck = self.c * diag[:n - d]
             for p in (k, k + 1):
                 flat[p * (size + 1) + 2 * d * size::2 * (size + 1)][:n - d] = ck
                 flat[p * (size + 1) + 2 * d::2 * (size + 1)][:n - d] = ck
         out.setflags(write=False)
         return out
-
-    @functools.cached_property
-    def gram_norm(self) -> float:
-        """|K|_1, an upper bound on the largest eigenvalue of K; a GramBand
-        keeps its own."""
-        return self.gram.norm1 if isinstance(self.gram, GramBand) else abs(float(self.gram))
-
-    @functools.cached_property
-    def gram_singular(self) -> bool:
-        """Whether lambda_min(K) <= |K|_1 / SINGULAR_COND.
-
-        |K|_1 >= lambda_max(K), so this flags every K whose eigenvalue range
-        exceeds SINGULAR_COND. A band's verdict is kept on its GramBand; a
-        scalar g stands for g I, whose inertia is that of the 1 x 1 band [g].
-        """
-        if isinstance(self.gram, GramBand):
-            return self.gram.singular
-        return _near_singular(self.gram, self.gram_norm)
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a block that is not finite is flagged
@@ -247,8 +228,8 @@ class Border:
         """
         if not self.b.size:
             return self.a
-        if not isinstance(self.gram, GramBand):
-            ck = self.c * self.gram
+        if self.gram.band.size == 1:  # K = g I
+            ck = self.c * self.gram.band.item()
             if not ck > 0.0:
                 return None
             # the reciprocal scaling is what the LU solve of the dense path
@@ -273,7 +254,7 @@ class Border:
         eigenvalue routine may see it; needs a positive definite C. c |K|_1 bounds
         C, and while it is finite C^{-1} is not 0, so a nan or inf in A or B reaches
         A - B C^{-1} B^T: two small tests stand for the whole matrix."""
-        return math.isfinite(self.c * self.gram_norm) and bool(np.isfinite(self.schur).all())
+        return math.isfinite(self.c * self.gram.norm1) and bool(np.isfinite(self.schur).all())
 
     @np.errstate(over="ignore", invalid="ignore")  # eliminated_pair flags such a FIM
     def validate(self) -> None:
@@ -289,7 +270,7 @@ class Border:
         if not self.finite:
             return
         spec = max(np.linalg.norm(self.a) + np.linalg.norm(self.b)
-                   + abs(self.c) * self.gram_norm, 1e-300)
+                   + abs(self.c) * self.gram.norm1, 1e-300)
         asym = np.max(np.abs(self.a - self.a.T))
         if asym > SYMMETRY_RTOL * spec:
             raise ValueError(f"FIM not symmetric: |A - A^T| = {asym:.3e}")
@@ -376,9 +357,9 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
         raise ValueError("keep must be between 1 and the number of parameters of interest")
     if not border.finite:
         raise SingularFimError("FIM is not finite")
-    if border.gram_singular:
+    if border.gram.singular:
         raise SingularFimError("nuisance block is singular")
-    return _eliminate(border.schur, keep, border.c * border.gram_norm)
+    return _eliminate(border.schur, keep, border.c * border.gram.norm1)
 
 
 def invert_bound_matrix(reduced: np.ndarray,

@@ -108,13 +108,14 @@ def _pulse_gram(pt: PulseTrain) -> GramBand:
 @memoised
 def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, str]:
     """Pulse-amplitude basis for bordered_fim and the name of its form, once per
-    train and delay, read-only: the simplified (rho, gamma, E_g) forms with
-    K = E_g I for a pulse contained in its period ("simplified"), else the
-    exact (h, u, v) couplings over the synthesized train and the train's
-    GramBand K ("general")."""
+    train and delay, read-only: the simplified (rho, gamma, E_g) forms with K =
+    E_g I, the band [[E_g]], for a pulse contained in its period ("simplified"),
+    else the exact (h, u, v) couplings over the synthesized train and the train's
+    Gram band ("general"). K keeps its norm and inertia verdict for every FIM."""
     if support_assumption_holds(pt):
         sq, b = _shared_quantities(pt, tau0), pt.b
-        basis, form = (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, sq.e_g), "simplified"
+        basis = (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, GramBand([[sq.e_g]]))
+        form = "simplified"
     else:
         sig = synthesize_pulse_train(pt)
         # pulse q spans samples q n_p .. (q+1) n_p, one window each; the train

@@ -75,11 +75,28 @@ def test_dense_expansion_equals_the_encoded_matrix(band, kdim, c, seed):
     n = band.shape[1]
     a = rng.standard_normal((kdim, kdim))
     b = rng.standard_normal((kdim, 2 * n))
-    for gram, kmat in ((GramBand(band), dense_of(band)), (1.7, 1.7 * np.eye(n))):
+    for gram, kmat in ((GramBand(band), dense_of(band)), (GramBand([[1.7]]), 1.7 * np.eye(n))):
         expected = np.block([[a, b], [b.T, np.kron(c * kmat, np.eye(2))]])
         out = Border(a, b, c, gram).dense()
         np.testing.assert_array_equal(out, expected)
         assert not out.flags.writeable
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 40), g=st.floats(0.1, 10.0), c=st.floats(0.1, 5.0),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_one_entry_band_is_g_times_identity_at_any_n(n, g, c, seed):
+    # [[g]] is g I for every N: its dense matrix, Schur complement, norm and
+    # verdict are those of the N x N matrix g I
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((2, 2 * n))
+    a = b @ b.T / (c * g) + np.eye(2)
+    border = Border(a, b, c, GramBand([[g]]))
+    dense = np.block([[a, b], [b.T, c * g * np.eye(2 * n)]])
+    np.testing.assert_array_equal(border.dense(), dense)
+    oracle = a - b @ np.linalg.solve(dense[2:, 2:], b.T)
+    np.testing.assert_allclose(border.schur, oracle, rtol=1e-12, atol=1e-12 * np.max(np.abs(a)))
+    assert border.gram.norm1 == g and not border.gram.singular
 
 
 @settings(max_examples=200)
@@ -95,15 +112,15 @@ def test_inertia_test_flags_exactly_the_near_singular(band, exponent, sign):
     assume(ratio >= 10.0 or ratio <= 0.1)
     n = band.shape[1]
     border = Border(np.eye(2), np.zeros((2, 2 * n)), 1.0, GramBand(shifted))
-    assert border.gram_singular == (ratio <= 0.1)
-    assert not Border(np.eye(2), np.zeros((2, 2 * n)), 1.0, GramBand(band)).gram_singular
+    assert border.gram.singular == (ratio <= 0.1)
+    assert not Border(np.eye(2), np.zeros((2, 2 * n)), 1.0, GramBand(band)).gram.singular
 
 
 def test_not_positive_definite_has_no_factor():
     assert band_cholesky(np.array([[1.0, 1.0], [2.0, 0.0]])) is None  # [[1, 2], [2, 1]]
     assert band_cholesky(np.array([[0.0]])) is None
-    assert Border(np.eye(2), np.zeros((2, 2)), 1.0, 0.0).gram_singular
-    assert not Border(np.eye(2), np.zeros((2, 2)), 1.0, 3.0).gram_singular
+    assert Border(np.eye(2), np.zeros((2, 2)), 1.0, GramBand([[0.0]])).gram.singular
+    assert not Border(np.eye(2), np.zeros((2, 2)), 1.0, GramBand([[3.0]])).gram.singular
 
 
 @st.composite

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import ddcrb as d
 import ddcrb.fim as fim_module
 from ddcrb import structure
-from ddcrb.fim import (METHOD_SCHUR_NUMERIC, PSD_RTOL, Border, FimMatrix, SingularFimError,
-                       eliminated_pair, invert_bound_matrix, schur_complement)
+from ddcrb.fim import (METHOD_SCHUR_NUMERIC, PSD_RTOL, UNIT_GRAM, Border, FimMatrix, GramBand,
+                       SingularFimError, eliminated_pair, invert_bound_matrix,
+                       schur_complement)
 
 from conftest import make_contained_train
 
@@ -182,10 +183,15 @@ def test_cuts_outside_the_parameters_of_interest_rejected():
     assert "entries" not in vars(fim)
 
 
-def test_gram_schur_computed_once_per_fim(monkeypatch):
+def _counted_choleskies(monkeypatch) -> list:
     calls = []
     factor = fim_module.band_cholesky
     monkeypatch.setattr(fim_module, "band_cholesky", lambda x: calls.append(1) or factor(x))
+    return calls
+
+
+def test_gram_schur_computed_once_per_fim(monkeypatch):
+    calls = _counted_choleskies(monkeypatch)
     pt, sc = build_source("truncated", 2, 1, 1.0, 0.5, seed=3)
     fim = d.fim_known_structure(pt, sc)
     assert len(calls) == 1  # validation
@@ -202,6 +208,47 @@ def test_gram_schur_computed_once_per_fim(monkeypatch):
     schur_complement(other, 2)
     eliminated_pair(other, separate=True)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("with_a", (False, True))
+def test_every_builder_keeps_k_as_a_gram_band(kind, with_a):
+    # one K type: the unit band for raw samples, [[E_g]] for a contained
+    # train, the train's Gram band past containment
+    fim = build_fim(kind, with_a, 2, 1, 1.3, 0.5, seed=5)
+    gram = fim.border.gram
+    assert isinstance(gram, GramBand)
+    if kind == "samples":
+        assert gram is UNIT_GRAM
+    else:
+        pt, _ = build_source(kind, 2, 1, 1.3, 0.5, seed=5)
+        expected = (1, 1) if kind == "contained" else (2, pt.n_pulses)
+        assert gram.band.shape == expected
+
+
+def test_unit_gram_verdict_taken_once_per_process(monkeypatch):
+    # the raw samples' K = I is one band for every signal: its shifted
+    # Cholesky runs once, not once per eliminated FIM
+    monkeypatch.delitem(vars(UNIT_GRAM), "singular", raising=False)
+    calls = _counted_choleskies(monkeypatch)
+    for seed in range(4):
+        source, sc = build_source("samples", 1 + seed, 1, 1.0, 0.5, seed)
+        assert not eliminated_pair(d.fim_unknown_signal(source, sc)).singular
+    assert len(calls) == 1
+    assert not eliminated_pair(d.fim_unknown_a(source, sc)).singular
+    assert len(calls) == 1 and vars(UNIT_GRAM)["singular"] is False
+
+
+def test_contained_train_verdict_kept_with_its_basis(monkeypatch):
+    # a second FIM of the same contained train and delay reads the verdict
+    # its kept [[E_g]] holds: no inertia Cholesky runs
+    pt, sc = build_source("contained", 2, 1, 1.0, 0.5, seed=4)
+    eliminated_pair(d.fim_known_structure(pt, sc))
+    calls = _counted_choleskies(monkeypatch)
+    other = dataclasses.replace(sc, looks_direct=3, sigma_w2=2.0, scale=1.4)
+    eliminated_pair(d.fim_known_structure(pt, other))
+    eliminated_pair(d.fim_unknown_a(pt, other, structure=True), separate=True)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ("contained", "truncated"))
@@ -248,7 +295,7 @@ def test_kept_basis_gives_the_fresh_basis_fim_bytewise(kind, with_a, l, p, a, si
     basis, form = structure.pulse_basis.__wrapped__(pt, sc.tau0)
     if form == "general":
         basis = basis[:4] + (structure._pulse_gram.__wrapped__(pt),)
-        assert basis[4] is not fim.border.gram
+    assert basis[4] is not fim.border.gram
     fresh = d.bounds.bordered_fim(d.synthesize_pulse_train(pt), sc,
                                   structure.structure_labels(pt.n_pulses), basis,
                                   {"blocks": form}, scale_known=not with_a)
@@ -257,11 +304,9 @@ def test_kept_basis_gives_the_fresh_basis_fim_bytewise(kind, with_a, l, p, a, si
     for block in ("a", "b"):
         assert getattr(kept, block).tobytes() == getattr(new, block).tobytes()
     assert float.hex(kept.c) == float.hex(new.c)
-    if form == "general":
-        assert kept.gram.band.tobytes() == new.gram.band.tobytes()
-    else:
-        assert float.hex(kept.gram) == float.hex(new.gram)
-    assert (kept.gram_norm, kept.gram_singular) == (new.gram_norm, new.gram_singular)
+    assert kept.gram.band.shape == ((2, pt.n_pulses) if form == "general" else (1, 1))
+    assert kept.gram.band.tobytes() == new.gram.band.tobytes()
+    assert (kept.gram.norm1, kept.gram.singular) == (new.gram.norm1, new.gram.singular)
     assert kept.schur.tobytes() == new.schur.tobytes()
     for separate in (False, True):
         assert _pair_bytes(eliminated_pair(fim, separate)) == \

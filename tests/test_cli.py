@@ -369,6 +369,24 @@ class TestMonteCarloCommand:
         for r in rows:
             assert float(r["ratio"]) > 0
 
+    def test_overflowed_cells_print_as_null(self, capsys):
+        # the f0 rows' squared errors overflow on a grid about 1e300 wide; the
+        # bound stays finite and the row is not singular
+        args = [*self.ARGS, "--f0", "1e300", "--fspan", "1e300", "--trials", "2"]
+        note = "note: empirical_mse, ratio: not finite (an overflow); printed as null\n"
+        code, out = run_cli([*args, "--format", "json"])
+        assert code == 0 and capsys.readouterr().err == note
+        rows = {row["values"]["parameter"]: row["values"] for row in _strict_json(out)["rows"]}
+        for name in ("f0", "f0_known"):
+            assert rows[name]["empirical_mse"] is None and rows[name]["ratio"] is None
+            assert 0.0 < rows[name]["bound"] < float("inf") and not rows[name]["singular"]
+        assert rows["tau0"]["empirical_mse"] > 0.0
+        code, out = run_cli([*args, "--format", "csv"])
+        assert code == 0 and capsys.readouterr().err == note
+        rows = {row["parameter"]: row for row in parse_csv(out)}
+        assert [rows[n][k] for n in ("f0", "f0_known") for k in ("empirical_mse", "ratio")] \
+            == [""] * 4
+
 
 def _strict_json(text):
     """json.loads that rejects Infinity, -Infinity and NaN."""
@@ -720,6 +738,9 @@ class TestConfigAndErrors:
         ["montecarlo", "--tauspan", str(MONTECARLO_MAX["tauspan"] + 1)],
         ["overlap", "--M", "1000000"], ["overlap", "--M", str(OVERLAP_MAX_M + 2)],
         ["montecarlo", "--seed", "-1"],
+        # a Doppler grid whose ends, or whose span 2 fspan, overflow
+        ["montecarlo", "--f0", "1e308", "--fspan", "1e308"],
+        ["montecarlo", "--f0", "0", "--fspan", "1e308"],
         *ZERO_NP_WITH_TP,
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, args):
