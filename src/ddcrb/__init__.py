@@ -2,10 +2,9 @@
 with unknown transmitted signals, plus the verification machinery (dual
 formula paths, finite-difference oracles, Monte Carlo achievability)."""
 
-from .signals import (DerivMethod, PulseTrain, SampledSignal, Scenario, eta,
-                      gaussian_fn, gaussian_pulse, gaussian_pulse_train,
-                      mean_vector, pulse_train_fn, synthesize_pulse_train,
-                      triangle_wave)
+from .signals import (PulseTrain, SampledSignal, Scenario, eta, gaussian_fn,
+                      gaussian_pulse, gaussian_pulse_train, mean_vector,
+                      pulse_train_fn, synthesize_pulse_train, triangle_wave)
 from .fim import (BoundPair, CrbReport, FimMatrix, SingularFimError, eliminated_pair,
                   schur_complement)
 from .bounds import (crb_separate_unknown, fim_known_signal, fim_unknown_signal, jcrb_known,

@@ -50,7 +50,9 @@ def _convert(kind, text: str, where: str):
 
 
 # the subcommands that read each setting: table1 fixes the pulse train, its
-# looks and its scale, and the overlap curve reads only M, P and sigma2
+# looks and its scale, and its bounds do not read f0; the overlap curve reads
+# only M, P and sigma2; montecarlo profiles the signal at a = 1. sweep takes
+# --f0, which none of its bounds reads, because existing runs pass it
 _SCENARIO = ("crb", "sweep", "montecarlo")
 _PULSE, _CURVE = ("table1", *_SCENARIO), ("overlap", *_SCENARIO)
 _ALL = ("overlap", *_PULSE)
@@ -65,10 +67,10 @@ OPTIONS = (
     ("--Q", "Q", int, 2, "pulse count", _PULSE),
     ("--Tp", "Tp", float, None, "pulse period; sets delta = Tp/np", _PULSE),
     ("--tau0", "tau0", float, 0.05, "reflected-path delay", _PULSE),
-    ("--f0", "f0", float, 20.0, "Doppler shift", _PULSE),
+    ("--f0", "f0", float, 20.0, "Doppler shift", _SCENARIO),
     ("--L", "L", int, 1, "direct-path looks", _SCENARIO),
     ("--P", "P", int, 1, "reflected-path looks", _CURVE),
-    ("--a", "a", float, 1.0, "reflected-path amplitude scale", _SCENARIO),
+    ("--a", "a", float, 1.0, "reflected-path amplitude scale", ("crb", "sweep")),
     ("--sigma2", "sigma2", float, 1.0, "clutter-plus-noise variance", _ALL),
     ("--amp-convention", "amp_convention", ("unit", "sqrt2", "both"),
      "unit", "|b_q|^2 = 1, 2, or emit both (crb and table1 only)", _PULSE),
@@ -459,8 +461,6 @@ def cmd_montecarlo(config_path, **flags):
     cfg, given = merge_config(config_path, **flags)
     for key, cap in MONTECARLO_MAX.items():
         _check_cap(key, cfg[key], cap)
-    if cfg["a"] != 1.0:
-        raise UsageError("montecarlo profiles the signal with a = 1; --a must be 1")
     delta = _resolve_delta(cfg, given)
     sig, _ = build_signal(cfg, delta)
     _check_cap("look record n0 + tauspan + M",  # tau0/delta may be inf

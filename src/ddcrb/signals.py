@@ -14,23 +14,27 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 from typing import Callable, Literal
 
 import numpy as np
-
-
-class DerivMethod(str, Enum):
-    """How the derivative samples of a signal were obtained."""
-
-    ANALYTIC = "analytic"
-    CENTRAL_DIFFERENCE = "central_difference"
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _check_finite(delta: float, n: int, *arrays: tuple[str, np.ndarray]) -> None:
+    """ValueError unless delta > 0, the last of n sample times (n - 1) delta and each
+    (name, array) are finite: one test per array, before any arithmetic could warn."""
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
+    if not (n - 1) * float(delta) < math.inf:  # a Python float product is inf, no warning
+        raise ValueError(f"the last sample time {n - 1} * {delta} is not finite")
+    for name, arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
 
 
 class _Memo:
@@ -101,28 +105,24 @@ def central_difference(samples: np.ndarray, delta: float) -> np.ndarray:
 class SampledSignal(_Memo):
     """Complex baseband samples s(n*delta) with derivative samples ds/dt.
 
-    samples and deriv have equal length M; delta is the sampling interval in
-    normalized time units. deriv_method records whether the derivatives came
-    from a closed-form pulse expression or from differencing the samples.
+    samples and deriv have equal length M, all finite; delta is the sampling
+    interval in normalized time units, the last sample time (M - 1) * delta
+    finite.
     """
 
     samples: np.ndarray
     delta: float
     deriv: np.ndarray
-    deriv_method: DerivMethod = DerivMethod.ANALYTIC
 
     def __post_init__(self):
-        samples = _frozen_array(self.samples, complex)
-        deriv = _frozen_array(self.deriv, complex)
-        if samples.ndim != 1 or samples.size < 1:
-            raise ValueError("samples must be a nonempty 1-D array")
-        if deriv.shape != samples.shape:
+        if np.shape(self.deriv) != np.shape(self.samples):
             raise ValueError("deriv must have the same length as samples")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "deriv", deriv)
-        object.__setattr__(self, "deriv_method", DerivMethod(self.deriv_method))
+        both = _frozen_array((self.samples, self.deriv), complex)  # one copy, one test
+        if both.ndim != 2 or both.shape[1] < 1:
+            raise ValueError("samples must be a nonempty 1-D array")
+        _check_finite(self.delta, both.shape[1], ("samples and deriv", both))
+        object.__setattr__(self, "samples", both[0])
+        object.__setattr__(self, "deriv", both[1])
 
     @property
     def m(self) -> int:
@@ -138,15 +138,16 @@ class SampledSignal(_Memo):
         return not (np.any(self.samples.imag) or np.any(self.deriv.imag))
 
     def scaled(self, factor: complex) -> "SampledSignal":
-        return SampledSignal(self.samples * factor, self.delta,
-                             self.deriv * factor, self.deriv_method)
+        return SampledSignal(self.samples * factor, self.delta, self.deriv * factor)
 
     @classmethod
     def from_samples(cls, samples, delta: float) -> "SampledSignal":
         """Build a signal from bare samples, differencing to get derivatives."""
         samples = np.asarray(samples, dtype=complex)
-        return cls(samples, delta, central_difference(samples, delta),
-                   DerivMethod.CENTRAL_DIFFERENCE)
+        _check_finite(delta, samples.size, ("samples", samples))
+        with np.errstate(over="ignore", invalid="ignore"):  # cls rejects a deriv that overflowed
+            deriv = central_difference(samples, delta)
+        return cls(samples, delta, deriv)
 
 
 @dataclass(frozen=True)
@@ -155,40 +156,41 @@ class PulseTrain(_Memo):
 
     g holds pulse-shape samples g(n*delta) for n = 0..n_p, so the pulse
     occupies exactly one period t_p = n_p*delta and adjacent pulses share at
-    most the boundary sample. b holds the Q complex pulse amplitudes.
+    most the boundary sample. b holds the Q = n_pulses complex pulse
+    amplitudes. The samples, the amplitudes and the train's end Q t_p are finite.
     """
 
     g: np.ndarray
     g_deriv: np.ndarray
-    t_p: float
-    n_pulses: int
     b: np.ndarray
     delta: float
 
     def __post_init__(self):
-        g = _frozen_array(self.g, float)
-        g_deriv = _frozen_array(self.g_deriv, float)
-        b = _frozen_array(self.b, complex)
-        if g.ndim != 1 or g.size < 2:
-            raise ValueError("g must hold at least n_p + 1 = 2 samples")
-        if g_deriv.shape != g.shape:
+        if np.shape(self.g_deriv) != np.shape(self.g):
             raise ValueError("g_deriv must have the same length as g")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.n_pulses < 1:
-            raise ValueError("need at least one pulse")
-        if b.size != self.n_pulses:
-            raise ValueError("b must hold one amplitude per pulse")
-        n_p = g.size - 1
-        if abs(n_p * self.delta - self.t_p) > 1e-9 * max(self.t_p, self.delta):
-            raise ValueError("pulse period t_p must equal n_p * delta")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g_deriv", g_deriv)
+        shapes = _frozen_array((self.g, self.g_deriv), float)  # one copy, one test
+        b = _frozen_array(self.b, complex)
+        if shapes.ndim != 2 or shapes.shape[1] < 2:
+            raise ValueError("g must hold at least n_p + 1 = 2 samples")
+        if b.ndim != 1 or b.size < 1:
+            raise ValueError("b must be a nonempty 1-D array, one amplitude per pulse")
+        _check_finite(self.delta, b.size * (shapes.shape[1] - 1) + 1,
+                      ("g and g_deriv", shapes), ("b", b))
+        object.__setattr__(self, "g", shapes[0])
+        object.__setattr__(self, "g_deriv", shapes[1])
         object.__setattr__(self, "b", b)
 
     @property
     def n_p(self) -> int:
         return self.g.size - 1
+
+    @property
+    def n_pulses(self) -> int:
+        return self.b.size
+
+    @property
+    def t_p(self) -> float:
+        return self.n_p * self.delta
 
     @property
     def m(self) -> int:
@@ -305,43 +307,38 @@ class ScenarioColumns:
 
 def gaussian_pulse(n_p: int, delta: float, center: float,
                    width2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated Gaussian pulse-shape samples and their analytic derivative.
-
-    g[n] = exp(-(n*delta - center)^2 / width2) for n = 0..n_p, not
+    """Truncated Gaussian pulse-shape samples and their analytic derivative:
+    gaussian_fn's pulse and derivative at t = n*delta for n = 0..n_p, not
     renormalized after truncation to [0, n_p*delta].
     """
     if n_p < 1:
         raise ValueError("n_p must be at least 1")
-    if not (delta > 0 and width2 > 0):
-        raise ValueError("delta and width2 must be positive")
-    t = np.arange(n_p + 1) * delta
-    with np.errstate(over="ignore"):  # a far sample's square is inf, its g the exact 0
-        g = np.exp(-((t - center) ** 2) / width2)
-    g_deriv = -2.0 * (t - center) / width2 * g
-    return g, g_deriv
+    if not width2 > 0:
+        raise ValueError("width2 must be positive")
+    _check_finite(delta, n_p + 1)
+    # a far sample's square is inf, its g the exact 0; PulseTrain rejects a g' that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gaussian(np.arange(n_p + 1) * delta, center, width2)
+
+
+def _gaussian(t, center: float, width2: float) -> tuple[np.ndarray, np.ndarray]:
+    """g(t) = exp(-(t - center)^2 / width2) and its derivative, from one exp."""
+    t = np.asarray(t, dtype=float)
+    g = np.exp(-((t - center) ** 2) / width2)
+    return g, -2.0 * (t - center) / width2 * g
 
 
 def gaussian_fn(center: float, width2: float) -> tuple[Callable, Callable]:
     """Smooth (untruncated) Gaussian pulse and derivative as callables of t."""
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-((t - center) ** 2) / width2)
-
-    def dg(t):
-        t = np.asarray(t, dtype=float)
-        return -2.0 * (t - center) / width2 * g(t)
-
-    return g, dg
+    return (lambda t: _gaussian(t, center, width2)[0],
+            lambda t: _gaussian(t, center, width2)[1])
 
 
 def gaussian_pulse_train(n_p: int, delta: float, center: float, width2: float,
                          b) -> PulseTrain:
     """Assemble a PulseTrain with a truncated Gaussian pulse shape."""
     g, g_deriv = gaussian_pulse(n_p, delta, center, width2)
-    b = np.atleast_1d(np.asarray(b, dtype=complex))
-    return PulseTrain(g=g, g_deriv=g_deriv, t_p=n_p * delta,
-                      n_pulses=b.size, b=b, delta=delta)
+    return PulseTrain(g=g, g_deriv=g_deriv, b=np.atleast_1d(b), delta=delta)
 
 
 @memoised
@@ -364,7 +361,7 @@ def synthesize_pulse_train(pt: PulseTrain) -> SampledSignal:
     if pt.n_pulses > 1:
         np.add(b[:-1] * shapes[:, n_p:], parts[:, 1:, 0], out=parts[:, 1:, 0])
     samples, deriv = parts.reshape(2, -1)
-    return SampledSignal(samples, pt.delta, deriv, DerivMethod.ANALYTIC)
+    return SampledSignal(samples, pt.delta, deriv)
 
 
 def pulse_train_fn(pt: PulseTrain, g_fn: Callable, dg_fn: Callable) -> tuple[Callable, Callable]:
@@ -394,11 +391,11 @@ def triangle_wave(m: int, delta: float = 1.0) -> SampledSignal:
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
+    _check_finite(delta, m)  # the peak (M/2) * delta is below the last sample time
     n = np.arange(m)
     samples = np.minimum(n, m - n).astype(float) * delta
     deriv = np.where(n < m // 2, 1.0, -1.0)
-    return SampledSignal(samples.astype(complex), delta, deriv.astype(complex),
-                         DerivMethod.ANALYTIC)
+    return SampledSignal(samples.astype(complex), delta, deriv.astype(complex))
 
 
 def load_signal_file(path: str) -> SampledSignal:
@@ -424,9 +421,9 @@ def load_signal_file(path: str) -> SampledSignal:
             arr = np.asarray(data[key], dtype)
         except (TypeError, ValueError):
             arr = None
-        if arr is None or arr.ndim != ndim:
+        if arr is None or arr.ndim != ndim or not np.isfinite(arr).all():  # before 1j * inf warns
             shape = "a number" if ndim == 0 else "a 1-D array of numbers"
-            raise ValueError(f"signal file {path}: {key!r} must be {shape}")
+            raise ValueError(f"signal file {path}: {key!r} must be {shape}, not inf or nan")
         return arr
 
     def values(name):
@@ -473,7 +470,5 @@ def eta(sig: SampledSignal, tau0: float) -> float:
     t = n*delta. Identically zero for real signals and for signals whose
     imaginary part is a fixed multiple of the real part.
     """
-    w = sig.times + tau0
-    s = sig.samples
-    d = sig.deriv
+    w, s, d = sig.times + tau0, sig.samples, sig.deriv
     return float(np.sum(w * (s.imag * d.real - s.real * d.imag)))

@@ -20,8 +20,10 @@ from ddcrb.signals import triangle_wave
 
 from dense_oracles import cli_rows
 
-BASE = ["--np", "60", "--delta", "0.05", "--Q", "2", "--center", "1.5",
-        "--width2", "0.09", "--tau0", "0.1", "--f0", "2.0"]
+# table1 takes every setting of BASE but --f0, which none of its bounds reads
+TABLE1_BASE = ["--np", "60", "--delta", "0.05", "--Q", "2", "--center", "1.5",
+               "--width2", "0.09", "--tau0", "0.1"]
+BASE = [*TABLE1_BASE, "--f0", "2.0"]
 
 
 def run_cli(args, tmp_path=None):
@@ -47,7 +49,7 @@ ZERO_NP_WITH_TP = [["crb", "--np", "0", "--Tp", "4"], ["table1", "--np", "0", "-
 
 class TestTable1:
     def test_ratio_column(self, tmp_path):
-        code, out = run_cli(["table1", *BASE, "--format", "csv"])
+        code, out = run_cli(["table1", *TABLE1_BASE, "--format", "csv"])
         assert code == 0
         rows = parse_csv(out)
         assert [int(r["L"]) for r in rows] == [1, 2, 100]
@@ -57,7 +59,7 @@ class TestTable1:
                                    [2.0, 1.5, 1.01], rtol=1e-12)
 
     def test_dual_path_agreement(self):
-        code, out = run_cli(["table1", *BASE, "--format", "csv"])
+        code, out = run_cli(["table1", *TABLE1_BASE, "--format", "csv"])
         rows = parse_csv(out)
         for row in rows:
             closed = float(row["jcrb_tau0_s"])
@@ -76,7 +78,7 @@ class TestTable1:
                 assert schur and float(schur) == pytest.approx(closed, rel=1e-9)
 
     def test_both_conventions(self):
-        code, out = run_cli(["table1", *BASE, "--amp-convention", "both"])
+        code, out = run_cli(["table1", *TABLE1_BASE, "--amp-convention", "both"])
         rows = parse_csv(out)
         assert {r["amp_convention"] for r in rows} == {"unit", "sqrt2"}
         assert len(rows) == 6
@@ -89,8 +91,8 @@ class TestTable1:
     def test_csv_and_json_values_identical(self, tmp_path):
         csv_path = tmp_path / "t.csv"
         json_path = tmp_path / "t.json"
-        assert run_cli(["table1", *BASE, "--format", "csv", "--out", str(csv_path)])[0] == 0
-        assert run_cli(["table1", *BASE, "--format", "json", "--out", str(json_path)])[0] == 0
+        for fmt, path in (("csv", csv_path), ("json", json_path)):
+            assert run_cli(["table1", *TABLE1_BASE, "--format", fmt, "--out", str(path)])[0] == 0
         csv_rows = parse_csv(csv_path.read_text())
         payload = json.loads(json_path.read_text())
         assert len(payload["rows"]) == len(csv_rows)
@@ -275,9 +277,9 @@ def test_table1_builds_sample_labels_once_per_m():
     from ddcrb.bounds import unknown_signal_labels
     unknown_signal_labels.cache_clear()
     # two conventions times three look counts, one M = 2 * 60
-    assert run_cli(["table1", *BASE, "--amp-convention", "both"])[0] == 0
+    assert run_cli(["table1", *TABLE1_BASE, "--amp-convention", "both"])[0] == 0
     assert unknown_signal_labels.cache_info()[:2] == (5, 1)
-    assert run_cli(["table1", *BASE, "--np", "30"])[0] == 0
+    assert run_cli(["table1", *TABLE1_BASE, "--np", "30"])[0] == 0
     assert unknown_signal_labels.cache_info()[:2] == (7, 2)
 
 
@@ -412,7 +414,7 @@ def _record_pairs(monkeypatch) -> list[dict]:
 DEGENERATE_COMMANDS = {
     "crb": ["crb", *BASE],
     "sweep": ["sweep", "--sweep", "a=1:2", *BASE],
-    "table1": ["table1", *BASE],
+    "table1": ["table1", *TABLE1_BASE],
     "montecarlo": [*TestMonteCarloCommand.ARGS, "--trials", "3"],
 }
 
@@ -612,7 +614,9 @@ def test_overflowed_cells_are_null_flagged_and_noted(capsys, argv, flagged):
     ["crb", "--a", "1e-170"], ["sweep", "--sweep", "a=1e-170:1e-169:1e-170"],
     ["crb", "--signal", "triangle", "--M", "16", "--a", "1e-170"],
     ["table1", "--sigma2", "1e-320"], ["table1", "--tau0", "1e200"],
-    ["table1", "--delta", "1e300"], ["table1", "--sigma2", "1e308"]],
+    ["table1", "--delta", "1e300"], ["table1", "--sigma2", "1e308"],
+    # finite signals whose sums overflow, beside the grids that are not finite
+    ["crb", "--delta", "1e200"], ["crb", "--tau0", "1e200"]],
     ids=lambda argv: " ".join(argv))
 def test_extreme_inputs_raise_no_numpy_warning(capsys, argv):
     code, out = run_cli([*argv, "--format", "json"])
@@ -741,6 +745,13 @@ class TestConfigAndErrors:
         # a Doppler grid whose ends, or whose span 2 fspan, overflow
         ["montecarlo", "--f0", "1e308", "--fspan", "1e308"],
         ["montecarlo", "--f0", "0", "--fspan", "1e308"],
+        # a pulse grid, a triangle's samples or a pulse derivative that is not
+        # finite, rejected with no numpy warning on the way
+        ["crb", "--delta", "1e308"], ["table1", "--delta", "1e308"],
+        ["sweep", "--sweep", "n0=1:2", "--delta", "1e308"],
+        ["montecarlo", "--tau0", "0", "--trials", "2", "--delta", "1e308"],
+        ["crb", "--Tp", "1e308"], ["crb", "--center", "1e308", "--delta", "1"],
+        ["crb", "--width2", "1e-320"], ["crb", "--signal", "triangle", "--delta", "1e308"],
         *ZERO_NP_WITH_TP,
     ], ids=" ".join)
     def test_out_of_range_flag_is_usage_error(self, args):
@@ -887,6 +898,35 @@ class TestConfigAndErrors:
         assert code == 1
         assert repr(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,content,message", [
+        ("sig.json", {"samples_real": [0, 1, 0, 0], "delta": np.nan},
+         "'delta' must be a number, not inf or nan"),
+        ("sig.json", {"samples_real": [0, 1, 0, 0], "delta": np.inf}, "'delta' must be"),
+        ("sig.json", {"samples_real": [0, np.nan, 0, 0], "delta": 0.5},
+         "'samples_real' must be a 1-D array of numbers, not inf or nan"),
+        ("sig.json", {"samples_real": [0, 1, 0, 0], "samples_imag": [0, np.inf, 0, 0],
+                      "delta": 0.5}, "'samples_imag' must be"),
+        ("sig.json", {"samples_real": [0, 1, 0, 0], "deriv_real": [0, -np.inf, 0, 0],
+                      "delta": 0.5}, "'deriv_real' must be"),
+        ("sig.npz", {"samples": [0, complex(0, np.nan), 0], "delta": 0.5}, "'samples' must be"),
+        # finite samples whose differences overflow, and a last sample time 2e308
+        ("sig.json", {"samples_real": [0, 1e300, 2e300, 1, 0], "delta": 1e-300},
+         "deriv must be finite"),
+        ("sig.json", {"samples_real": [0, 1, 0], "delta": 1e308}, "last sample time 2 * 1e+308"),
+    ], ids=["nan-delta", "inf-delta", "nan-samples", "inf-imag", "inf-deriv", "npz-nan-samples",
+            "overflowed-differences", "overflowed-time"])
+    def test_signal_file_not_finite_is_usage_error(self, tmp_path, capsys, name, content,
+                                                   message):
+        sig_path = tmp_path / name
+        if name.endswith(".npz"):
+            np.savez(sig_path, **content)
+        else:
+            sig_path.write_text(json.dumps(content))
+        code, out = run_cli(["crb", "--signal", str(sig_path), "--tau0", "0"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("Error: ") and message in err, err
+
     @pytest.mark.parametrize("text,message", [
         ("7", "must hold one JSON object"),
         ('{"samples_real": 5, "delta": 0.1}', "'samples_real' must be a 1-D array"),
@@ -949,10 +989,10 @@ _SCENARIO_SETTINGS = {"config_path", "signal", "delta", "np", "Q", "Tp", "tau0",
                       "format", "out"}
 COMMAND_SETTINGS = {
     "crb": _SCENARIO_SETTINGS,
-    "table1": _SCENARIO_SETTINGS - {"signal", "L", "P", "a", "M"},
+    "table1": _SCENARIO_SETTINGS - {"signal", "L", "P", "a", "M", "f0"},
     "sweep": _SCENARIO_SETTINGS | {"sweep"},
     "overlap": {"config_path", "M", "P", "sigma2", "format", "out"},
-    "montecarlo": _SCENARIO_SETTINGS | {"seed", "trials", "fspan", "fpoints", "tauspan"},
+    "montecarlo": _SCENARIO_SETTINGS - {"a"} | {"seed", "trials", "fspan", "fpoints", "tauspan"},
 }
 
 
@@ -961,7 +1001,7 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     taken = {name: set(command.parse([])) for name, command in cli.COMMANDS.items()}
     assert taken == COMMAND_SETTINGS
     assert {name: len(keys) for name, keys in taken.items()} == {
-        "crb": 18, "table1": 13, "sweep": 19, "overlap": 6, "montecarlo": 23}
+        "crb": 18, "table1": 12, "sweep": 19, "overlap": 6, "montecarlo": 22}
 
 
 # (argv, exit code, stdout empty, text stderr holds) of the argument contract;

@@ -1,5 +1,7 @@
 """Signal model tests: pulse synthesis, means, eta, channel filtering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,20 @@ class TestGaussianPulse:
         with pytest.raises(ValueError):
             d.gaussian_pulse(4, -0.1, 1.0, 1.0)
 
+    @settings(max_examples=300)
+    @given(n_p=st.integers(1, 300), delta=st.floats(1e-3, 10.0),
+           center=st.one_of(st.floats(-50.0, 50.0), st.floats(-1e200, 1e200)),
+           width2=st.floats(1e-300, 1e3))
+    def test_is_the_smooth_pulse_on_the_sample_grid(self, n_p, delta, center, width2):
+        # byte for byte, far samples (whose square overflows, or whose g is
+        # the exact 0) included
+        g, g_deriv = d.gaussian_pulse(n_p, delta, center, width2)
+        g_fn, dg_fn = d.gaussian_fn(center, width2)
+        t = np.arange(n_p + 1) * delta
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert g.tobytes() == g_fn(t).tobytes()
+            assert g_deriv.tobytes() == dg_fn(t).tobytes()
+
     def test_central_difference_converges_quadratically(self):
         # halving delta must shrink the difference error by >= 3.9x
         errors = []
@@ -48,8 +64,7 @@ class TestGaussianPulse:
 class TestSynthesizePulseTrain:
     def test_single_unit_pulse_reproduces_shape(self):
         g, g_deriv = d.gaussian_pulse(12, 0.25, 1.5, 0.2)
-        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=3.0, n_pulses=1,
-                          b=[1.0 + 0.0j], delta=0.25)
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=[1.0 + 0.0j], delta=0.25)
         sig = d.synthesize_pulse_train(pt)
         assert sig.m == 12
         np.testing.assert_array_equal(sig.samples, g[:-1].astype(complex))
@@ -59,8 +74,7 @@ class TestSynthesizePulseTrain:
         # hard-zero boundary samples so pulse supports are exactly disjoint
         g = np.array([0.0, 0.3, 1.0, 0.3, 0.0])
         g_deriv = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
-        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=2.0, n_pulses=2,
-                          b=[1 + 1j, 1 + 1j], delta=0.5)
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=[1 + 1j, 1 + 1j], delta=0.5)
         sig = d.synthesize_pulse_train(pt)
         expected = np.concatenate([g[:4], g[:4]]) ** 2 * 2.0
         np.testing.assert_allclose(np.abs(sig.samples) ** 2, expected, atol=1e-15)
@@ -70,8 +84,7 @@ class TestSynthesizePulseTrain:
         g_deriv = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
         energies = []
         for b in ([1 + 1j, 1 + 1j], [1 + 1j, -1 - 1j]):
-            pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=2.0, n_pulses=2,
-                              b=b, delta=0.5)
+            pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=b, delta=0.5)
             energies.append(np.sum(np.abs(d.synthesize_pulse_train(pt).samples) ** 2))
         assert energies[0] == pytest.approx(energies[1], rel=1e-14)
 
@@ -80,9 +93,8 @@ class TestSynthesizePulseTrain:
     def test_energy_invariant_under_pulse_phase_rotation(self, phases):
         g = np.array([0.0, 0.3, 1.0, 0.3, 0.0])
         g_deriv = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
-        base = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=2.0, n_pulses=2,
-                            b=[0.7 + 0.2j, -1.1 + 0.4j], delta=0.5)
-        rotated = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=2.0, n_pulses=2,
+        base = d.PulseTrain(g=g, g_deriv=g_deriv, b=[0.7 + 0.2j, -1.1 + 0.4j], delta=0.5)
+        rotated = d.PulseTrain(g=g, g_deriv=g_deriv,
                                b=base.b * np.exp(1j * np.asarray(phases)), delta=0.5)
         e0 = np.sum(np.abs(d.synthesize_pulse_train(base).samples) ** 2)
         e1 = np.sum(np.abs(d.synthesize_pulse_train(rotated).samples) ** 2)
@@ -91,27 +103,67 @@ class TestSynthesizePulseTrain:
     @settings(max_examples=200)
     @given(data=st.data(), n_p=st.integers(1, 12), q=st.integers(1, 6))
     def test_equals_the_copy_by_copy_sum_bytewise(self, data, n_p, q):
-        # signed zeros and products that overflow to inf (and to nan at a
-        # shared sample) included
+        # signed zeros included; a product that overflows to inf (or to nan at
+        # a shared sample) makes a signal that is not finite, which is rejected
         value = st.one_of(st.sampled_from([0.0, -0.0]),
                           st.floats(allow_nan=False, allow_infinity=False))
         g, g_deriv = (np.array(data.draw(st.lists(value, min_size=n_p + 1, max_size=n_p + 1)))
                       for _ in range(2))
         b = np.empty(q, dtype=complex)
         b.real, b.imag = (data.draw(st.lists(value, min_size=q, max_size=q)) for _ in range(2))
-        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=n_p * 0.5, n_pulses=q, b=b, delta=0.5)
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=b, delta=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
-            sig = d.synthesize_pulse_train.__wrapped__(pt)
             samples, deriv = synthesize_pulse_train_loop(pt)
+            if not (np.isfinite(samples).all() and np.isfinite(deriv).all()):
+                with pytest.raises(ValueError, match="must be finite"):
+                    d.synthesize_pulse_train.__wrapped__(pt)
+                return
+            sig = d.synthesize_pulse_train.__wrapped__(pt)
         assert sig.samples.tobytes() == samples.tobytes()
         assert sig.deriv.tobytes() == deriv.tobytes()
 
     def test_pulse_train_invariants(self):
         g = np.zeros(5)
         with pytest.raises(ValueError):
-            d.PulseTrain(g=g, g_deriv=g, t_p=1.0, n_pulses=2, b=[1, 1], delta=0.5)
+            d.PulseTrain(g=g, g_deriv=g, b=[], delta=0.5)
+
+    @pytest.mark.parametrize("n_p,delta,q", [(4, 0.5, 2), (3, 0.1, 1), (7, 0.3, 5)])
+    def test_period_and_pulse_count_are_derived(self, n_p, delta, q):
+        # stored: the pulse, its derivative, the amplitudes and delta; the period
+        # and the pulse count are read from them (3 * 0.1 is not 0.3)
+        g = np.linspace(0.0, 1.0, n_p + 1)
+        pt = d.PulseTrain(g=g, g_deriv=g, b=np.ones(q), delta=delta)
+        assert [f.name for f in dataclasses.fields(pt)] == ["g", "g_deriv", "b", "delta"]
+        assert pt.t_p == n_p * delta and pt.n_pulses == q
+        assert d.gaussian_pulse_train(n_p, delta, 1.0, 1.0, np.ones(q)).t_p == n_p * delta
+
+    @pytest.mark.parametrize("kwargs", [
+        {"g": [0.0, np.inf, 0.0]}, {"g_deriv": [0.0, np.nan, 0.0]},
+        {"b": [1.0, complex(0.0, np.inf)]}, {"delta": np.inf}, {"delta": np.nan},
+        {"delta": 0.0}, {"delta": 1e308},  # the train ends at 2 * 2 * 1e308
+        {"b": [[1.0, 1.0]]}, {"b": 1.0},
+    ], ids=repr)
+    def test_pulse_train_rejects_what_is_not_finite(self, kwargs):
+        train = {"g": [0.0, 1.0, 0.0], "g_deriv": [0.0, 0.0, 0.0], "b": [1.0, 1.0],
+                 "delta": 0.5, **kwargs}
         with pytest.raises(ValueError):
-            d.PulseTrain(g=g, g_deriv=g, t_p=2.0, n_pulses=0, b=[], delta=0.5)
+            d.PulseTrain(**train)
+
+    @pytest.mark.parametrize("samples,delta,deriv", [
+        ([0.0, np.nan], 0.5, [0.0, 0.0]), ([0.0, 1.0], 0.5, [np.inf, 0.0]),
+        ([0.0, 1.0], np.nan, [0.0, 0.0]), ([0.0, 1.0], np.inf, [0.0, 0.0]),
+        ([0.0, 1.0, 0.0], 1e308, [0.0, 0.0, 0.0]),  # the last sample time 2e308
+    ], ids=repr)
+    def test_sampled_signal_rejects_what_is_not_finite(self, samples, delta, deriv):
+        with pytest.raises(ValueError):
+            d.SampledSignal(samples, delta, deriv)
+        if np.isfinite(deriv).all():  # the samples or delta, checked before differencing
+            with pytest.raises(ValueError):
+                d.SampledSignal.from_samples(samples, delta)
+
+    def test_differences_that_overflow_are_rejected(self):
+        with pytest.raises(ValueError, match="deriv must be finite"):
+            d.SampledSignal.from_samples([0.0, 1e300, 2e300, 1.0, 0.0], 1e-300)
 
 
 class TestTriangleWave:

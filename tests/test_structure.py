@@ -20,8 +20,7 @@ def scenario(l=1, p=1, tau0=0.5, f0=0.4, sigma_w2=0.7):
 def impulse_train(q=1, tau0_irrelevant=None):
     """Single-sample pulse: no derivative information at all."""
     b = np.ones(q, dtype=complex)
-    return d.PulseTrain(g=[1.0, 0.0], g_deriv=[0.0, 0.0], t_p=0.5,
-                        n_pulses=q, b=b, delta=0.5)
+    return d.PulseTrain(g=[1.0, 0.0], g_deriv=[0.0, 0.0], b=b, delta=0.5)
 
 
 class TestStructureQuantities:
@@ -58,8 +57,7 @@ class TestStructureQuantities:
 
     def test_gram_matrix_symmetric_with_boundary_overlap(self):
         g, g_deriv = d.gaussian_pulse(500, 0.01, center=4.0, width2=9.0)
-        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=5.0, n_pulses=2,
-                          b=[1.0, 1.0], delta=0.01)
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=[1.0, 1.0], delta=0.01)
         fim = d.fim_known_structure(pt, scenario(tau0=0.05))
         assert fim.meta["blocks"] == "general"
         gram = fim.border.gram.band
@@ -74,8 +72,7 @@ class TestStructureQuantities:
         contained, _, _ = make_contained_train()
         assert d.support_assumption_holds(contained)
         g, g_deriv = d.gaussian_pulse(500, 0.01, center=4.0, width2=9.0)
-        wide = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=5.0, n_pulses=2,
-                            b=[1.0, 1.0], delta=0.01)
+        wide = d.PulseTrain(g=g, g_deriv=g_deriv, b=[1.0, 1.0], delta=0.01)
         assert not d.support_assumption_holds(wide)
 
 
@@ -83,7 +80,7 @@ class TestFimKnownStructure:
     def test_simplified_c_block_value(self):
         # E_g = 2 with hard-zero boundaries: diagonal (2L+2P) E_g / sigma_w2 = 8
         pt = d.PulseTrain(g=[0.0, 1.0, 1.0, 0.0], g_deriv=[0.0, 1.0, -1.0, 0.0],
-                          t_p=1.5, n_pulses=2, b=[1 + 0j, 1 + 0j], delta=0.5)
+                          b=[1 + 0j, 1 + 0j], delta=0.5)
         fim = d.fim_known_structure(pt, scenario(l=1, p=1, sigma_w2=1.0))
         assert fim.meta["blocks"] == "simplified"
         np.testing.assert_allclose(np.diag(fim.entries[2:, 2:]), 8.0, rtol=1e-14)
@@ -97,8 +94,7 @@ class TestFimKnownStructure:
 
     def test_general_fallback_on_wide_pulse(self):
         g, g_deriv = d.gaussian_pulse(100, 0.05, center=4.0, width2=9.0)
-        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=5.0, n_pulses=2,
-                          b=[1.0, 1.0j], delta=0.05)
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=[1.0, 1.0j], delta=0.05)
         fim = d.fim_known_structure(pt, scenario())
         assert fim.meta["blocks"] == "general"
         # general square block carries the full Gram structure (b1R-b2R coupling)
@@ -195,8 +191,8 @@ class TestGeneralBlocksOracle:
         # coupling forms are in play; rebuild the whole FIM from the stacked
         # mean gradients, parameter by parameter, and compare entrywise
         g, g_deriv = d.gaussian_pulse(40, 0.1, center=4.0, width2=9.0)
-        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=4.0, n_pulses=3,
-                          b=[0.7 + 0.4j, -1.1 + 0.2j, 0.3 - 0.9j], delta=0.1)
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=[0.7 + 0.4j, -1.1 + 0.2j, 0.3 - 0.9j],
+                          delta=0.1)
         l, p = 2, 3
         sc = d.Scenario(tau0=0.3, f0=0.6, looks_direct=l, looks_reflected=p,
                         sigma_w2=0.8)
@@ -240,8 +236,7 @@ class TestGeneralBlocksOracle:
 
     def test_scaled_general_blocks_match_mean_gradient_assembly(self):
         g, g_deriv = d.gaussian_pulse(40, 0.1, center=4.0, width2=9.0)
-        pt = d.PulseTrain(g=g, g_deriv=g_deriv, t_p=4.0, n_pulses=2,
-                          b=[0.7 + 0.4j, -1.1 + 0.2j], delta=0.1)
+        pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=[0.7 + 0.4j, -1.1 + 0.2j], delta=0.1)
         l, p, a = 2, 3, 1.4
         sc = d.Scenario(tau0=0.3, f0=0.6, looks_direct=l, looks_reflected=p,
                         sigma_w2=0.8, scale=a)
@@ -299,8 +294,7 @@ class TestKnownSignalPulseForm:
 
     def test_amplitude_scaling(self, contained_train):
         pt, _, _ = contained_train
-        doubled = d.PulseTrain(g=pt.g, g_deriv=pt.g_deriv, t_p=pt.t_p,
-                               n_pulses=pt.n_pulses, b=2.0 * pt.b, delta=pt.delta)
+        doubled = d.PulseTrain(g=pt.g, g_deriv=pt.g_deriv, b=2.0 * pt.b, delta=pt.delta)
         sc = scenario()
         base = d.jcrb_known_signal_pulse(pt, sc)
         quad = d.jcrb_known_signal_pulse(doubled, sc)
