@@ -475,7 +475,6 @@ def cmd_montecarlo(config_path, **flags):
         f_grid = np.linspace(*ends, cfg["fpoints"])
         mc = McConfig(trials=cfg["trials"], seed=cfg["seed"], f_grid=tuple(f_grid),
                       tau_grid=tuple(range(max(0, n0 - span), n0 + span + 1)))
-        mc.check_covers(n0, sc.f0)
     report = monte_carlo_report(sig, sc, mc)
     lead = {"trials": report.trials, "seed": report.seed}
     values = {key: [lead[key] if key in lead else row[key] for row in report.rows] for key in (

@@ -155,8 +155,6 @@ def crb_overlap(of: OverlapFim) -> CrbReport:
                "information_after_elimination": looks / sigma_w2 * s if s > 0.0 else 0.0}
     if note:
         details["note"] = note
-    elif method == METHOD_CLOSED_FORM:
-        details["tau0_numeric"] = sigma_w2 / looks / s
     return CrbReport(values={"tau0": float(bound[0])}, method=method, singular=bool(note),
                      details=details)
 

@@ -17,8 +17,8 @@ import numpy as np
 from .bounds import (TWO_PI2, energy_sums, fim_unknown_signal, signal_bound_columns,
                      signal_bounds, weighted_sums)
 from .fim import SINGULAR_COND, BoundPair, FimMatrix, PairColumns, eliminated_pair
-from .signals import PulseTrain, SampledSignal, Scenario, ScenarioColumns, squares
-from .structure import _shared_quantities, fim_known_structure, support_assumption_holds
+from .signals import PulseTrain, SampledSignal, Scenario, ScenarioColumns
+from .structure import fim_known_structure, structure_quantities, support_assumption_holds
 
 
 def jcrb_scaled_known_a(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPair]:
@@ -58,13 +58,13 @@ def structure_bound_columns(trains: list[PulseTrain], pts: ScenarioColumns,
     to its lead / SINGULAR_COND. Python's operations in the scalar form's
     order, so each row is that form's value bit for bit.
     """
-    sqs = [(_shared_quantities(pt, t), pt.amp_energy) for pt in trains for t in pts.tau0.tolist()]
+    sqs = [(structure_quantities(pt, t), pt.amp_energy) for pt in trains for t in pts.tau0.tolist()]
     rho, e_g, dg2, w_b2, gamma2_b2, amp_energy = np.array(
         [(sq.rho, sq.e_g, sq.dg2, sq.w_b2, sq.gamma2_b2, amp) for sq, amp in sqs]).T
     l, p, s2, a2 = pts.looks_direct, pts.looks_reflected, pts.sigma_w2, pts.scale2
     with np.errstate(all="ignore"):
         pfrac = a2 * p / (l + a2 * p)
-        d11 = dg2 - (pfrac if scale_known else 1.0) * squares(rho) / e_g
+        d11 = dg2 - (pfrac if scale_known else 1.0) * (rho * rho) / e_g
         d22 = w_b2 - pfrac * gamma2_b2 / e_g
         v11 = (2.0 * a2 * p / s2) * amp_energy * d11
         v22 = (TWO_PI2 * a2 * p / s2) * d22

@@ -51,7 +51,7 @@ def memoised(fn: Callable) -> Callable:
     """fn(obj, *args) computed once per obj and args, kept in obj._memo.
 
     obj is a SampledSignal or PulseTrain; fn must return an immutable value
-    (a float, a tuple of floats, or a frozen object with read-only arrays),
+    (a bool, a float, a tuple of floats, or a frozen object with read-only arrays),
     so callers can share it. The uncached fn stays reachable as __wrapped__,
     which a miss calls (so a test may count the misses by replacing it).
     """
@@ -137,6 +137,7 @@ class SampledSignal(_Memo):
         # np.any reads the parts in place; a == 0 test would allocate a mask
         return not (np.any(self.samples.imag) or np.any(self.deriv.imag))
 
+    @np.errstate(over="ignore", invalid="ignore")  # the constructor rejects an overflow
     def scaled(self, factor: complex) -> "SampledSignal":
         return SampledSignal(self.samples * factor, self.delta, self.deriv * factor)
 
@@ -261,20 +262,6 @@ class Scenario:
         return n
 
 
-def squares(x) -> np.ndarray:
-    """x ** 2 of each element as Python squares a float (libm pow), inf where
-    that overflows. numpy's x ** 2 is x * x, which differs from pow in the
-    last bit for about one double in a thousand; the column forms square
-    this way so that they equal the scalar forms bit for bit."""
-    out = []
-    for v in np.asarray(x, dtype=float).tolist():
-        try:
-            out.append(v ** 2)
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out)
-
-
 @dataclass(frozen=True)
 class ScenarioColumns:
     """The numbers the closed-form bounds read from many scenarios, one float
@@ -301,8 +288,9 @@ class ScenarioColumns:
 
     @functools.cached_property
     def scale2(self) -> np.ndarray:
-        """a^2 of each row, squared as the scalar forms square it."""
-        return squares(self.scale)
+        """a^2 of each row, inf where it overflows (the bounds flag such rows)."""
+        with np.errstate(over="ignore"):
+            return self.scale * self.scale
 
 
 def gaussian_pulse(n_p: int, delta: float, center: float,
@@ -342,6 +330,7 @@ def gaussian_pulse_train(n_p: int, delta: float, center: float, width2: float,
 
 
 @memoised
+@np.errstate(over="ignore", invalid="ignore")  # SampledSignal rejects a copy that overflowed
 def synthesize_pulse_train(pt: PulseTrain) -> SampledSignal:
     """Sum of amplitude-scaled, period-shifted pulse copies.
 
@@ -437,9 +426,13 @@ def load_signal_file(path: str) -> SampledSignal:
         return real + 1j * imag
 
     samples, delta = values("samples"), float(array("delta", float, 0))
-    if "deriv" + part in data:
-        return SampledSignal(samples, delta, values("deriv"))
-    return SampledSignal.from_samples(samples, delta)
+    deriv = values("deriv") if "deriv" + part in data else None
+    try:  # a sample time or a differenced derivative may still overflow
+        if deriv is None:
+            return SampledSignal.from_samples(samples, delta)
+        return SampledSignal(samples, delta, deriv)
+    except ValueError as exc:
+        raise ValueError(f"signal file {path}: {exc}") from exc
 
 
 def mean_vector(sig: SampledSignal, sc: Scenario,

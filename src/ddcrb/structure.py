@@ -47,13 +47,18 @@ class StructureQuantities:
     gamma2_b2: float
 
 
+@memoised
 @np.errstate(over="ignore", invalid="ignore")  # the bounds flag such sums
 def structure_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
-    """The pulse sums, taken from g, g', the period and b alone (no synthesis)."""
+    """The pulse sums, taken from g, g', the period and b alone (no synthesis),
+    once per train and delay and read-only: every point of a sweep over looks
+    or scale asks for the same."""
     g2, b2 = pt.g ** 2, np.abs(pt.b) ** 2
     # row q: the pulse's sample times shifted by tau0 + (q-1) t_p
     t = np.arange(pt.n_p + 1) * pt.delta + tau0 + np.arange(pt.n_pulses)[:, None] * pt.t_p
     gamma, w = np.sum(t * g2, axis=1), np.sum(t ** 2 * g2, axis=1)
+    gamma.setflags(write=False)
+    w.setflags(write=False)
     return StructureQuantities(rho=float(np.sum(pt.g_deriv * pt.g)), gamma=gamma,
                                e_g=float(np.sum(g2)), dg2=float(np.sum(pt.g_deriv ** 2)),
                                w=w, w_b2=float(np.sum(w * b2)),
@@ -61,17 +66,9 @@ def structure_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
 
 
 @memoised
-def _shared_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
-    """structure_quantities(pt, tau0), computed once per train and delay and
-    read-only: every point of a sweep over looks or scale asks for the same."""
-    sq = structure_quantities(pt, tau0)
-    sq.gamma.setflags(write=False)
-    sq.w.setflags(write=False)
-    return sq
-
-
 def support_assumption_holds(pt: PulseTrain) -> bool:
-    """Whether the pulse is effectively contained in one period.
+    """Whether the pulse is effectively contained in one period, decided once
+    per train.
 
     The simplified (rho, gamma, E_g) forms are exact only when the pulse
     boundary samples and their derivatives are negligible, so that adjacent
@@ -84,7 +81,7 @@ def support_assumption_holds(pt: PulseTrain) -> bool:
         return False
     left = max(abs(pt.g[0]), pt.delta * abs(pt.g_deriv[0]))
     right = max(abs(pt.g[-1]), pt.delta * abs(pt.g_deriv[-1]))
-    return right * max(left, right) <= SUPPORT_RTOL * e_g
+    return bool(right * max(left, right) <= SUPPORT_RTOL * e_g)
 
 
 @functools.lru_cache
@@ -94,10 +91,13 @@ def structure_labels(n_pulses: int) -> tuple[str, ...]:
 
 @memoised
 def _pulse_gram(pt: PulseTrain) -> GramBand:
-    """The tridiagonal Gram matrix K of the shifted pulse copies, kept as its
-    2 x Q lower band (band[0] the diagonal, band[1, q] = K[q + 1, q]), once
-    per train: every FIM of the train reads its norm and inertia verdict."""
+    """The Gram matrix K of the shifted pulse copies, once per train: every FIM
+    of the train reads its norm and inertia verdict. E_g I, the band [[E_g]],
+    for a pulse contained in its period; else tridiagonal, kept as its 2 x Q
+    lower band (band[0] the diagonal, band[1, q] = K[q + 1, q])."""
     g2 = pt.g ** 2
+    if support_assumption_holds(pt):
+        return GramBand([[np.sum(g2)]])
     band = np.zeros((2, pt.n_pulses))
     band[0] = np.sum(g2)
     band[0, -1] = np.sum(g2[:-1])  # the last copy loses its final sample
@@ -107,25 +107,23 @@ def _pulse_gram(pt: PulseTrain) -> GramBand:
 
 @memoised
 def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, str]:
-    """Pulse-amplitude basis for bordered_fim and the name of its form, once per
-    train and delay, read-only: the simplified (rho, gamma, E_g) forms with K =
-    E_g I, the band [[E_g]], for a pulse contained in its period ("simplified"),
-    else the exact (h, u, v) couplings over the synthesized train and the train's
-    Gram band ("general"). K keeps its norm and inertia verdict for every FIM."""
+    """Pulse-amplitude basis (h, 1.0, u, v, K) for bordered_fim and the name of
+    its form, once per train and delay, read-only: the simplified (rho b,
+    gamma b, E_g b) for a pulse contained in its period ("simplified"), else
+    the exact couplings over the synthesized train ("general"); K is the
+    train's _pulse_gram either way."""
     if support_assumption_holds(pt):
-        sq, b = _shared_quantities(pt, tau0), pt.b
-        basis = (sq.rho * b, 1.0, sq.gamma * b, sq.e_g * b, GramBand([[sq.e_g]]))
-        form = "simplified"
+        sq, b = structure_quantities(pt, tau0), pt.b
+        (h, u, v), form = (sq.rho * b, sq.gamma * b, sq.e_g * b), "simplified"
     else:
         sig = synthesize_pulse_train(pt)
         # pulse q spans samples q n_p .. (q+1) n_p, one window each; the train
         # ends a sample early, so the last window reads a zero pad there
         x = np.pad([sig.deriv, (sig.times + tau0) * sig.samples, sig.samples], ((0, 0), (0, 1)))
-        h, u, v = sliding_window_view(x, pt.n_p + 1, axis=1)[:, ::pt.n_p] @ pt.g
-        basis, form = (h, 1.0, u, v, _pulse_gram(pt)), "general"
-    for arr in (basis[0], *basis[2:4]):  # h, u and v
+        (h, u, v), form = sliding_window_view(x, pt.n_p + 1, axis=1)[:, ::pt.n_p] @ pt.g, "general"
+    for arr in (h, u, v):
         arr.setflags(write=False)
-    return basis, form
+    return (h, 1.0, u, v, _pulse_gram(pt)), form
 
 
 def fim_known_structure(pt: PulseTrain, sc: Scenario, scale_known: bool = True) -> FimMatrix:
@@ -150,7 +148,7 @@ def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:
     """
     if not support_assumption_holds(pt):
         return jcrb_known(synthesize_pulse_train(pt), sc)
-    sq = _shared_quantities(pt, sc.tau0)
+    sq = structure_quantities(pt, sc.tau0)
     den_tau, den_f = np.array([[2.0 * pt.amp_energy * sq.dg2], [TWO_PI2 * sq.w_b2]])
     with np.errstate(divide="ignore"):
         return PairColumns.flagged(sc.sigma_w2 / den_tau, sc.sigma_w2 / den_f,

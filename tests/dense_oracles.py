@@ -23,7 +23,7 @@ from ddcrb.covariance import StackedModel, build_stacked, dc_list
 from ddcrb.fim import SINGULAR_COND, BoundPair, FimMatrix, SingularFimError, eliminated_pair
 from ddcrb.overlap import OverlapFim, overlap_regime
 from ddcrb.signals import SampledSignal
-from ddcrb.structure import _shared_quantities
+from ddcrb.structure import structure_quantities
 
 EIG_FLOOR = 1e-12
 
@@ -211,8 +211,8 @@ def signal_bounds(sig, sc) -> tuple[BoundPair, BoundPair, BoundPair]:
         return (known,
                 BoundPair.singular_pair("L = 0 or P = 0: no unbiased joint estimator"),
                 BoundPair.singular_pair("L = 0 or P = 0: no unbiased estimator"))
-    factor = (l + sc.scale ** 2 * p) / (l * p)
-    a2 = sc.scale ** 2
+    a2 = sc.scale * sc.scale
+    factor = (l + a2 * p) / (l * p)
     if s_dd <= 0.0 or s_ww <= 0.0:
         separate = BoundPair.singular_pair("degenerate signal: zero information")
     else:
@@ -224,12 +224,12 @@ def signal_bounds(sig, sc) -> tuple[BoundPair, BoundPair, BoundPair]:
 def structure_pair(pt, sc, scale_known: bool = True) -> BoundPair:
     """The structured closed-form pair of one scenario on Python floats."""
     l, p = sc.looks_direct, sc.looks_reflected
-    sq = _shared_quantities(pt, sc.tau0)
+    sq = structure_quantities(pt, sc.tau0)
     if p == 0 or sq.e_g <= 0.0:
         return BoundPair.singular_pair("P = 0 or zero pulse: no delay/Doppler information")
-    a2 = sc.scale ** 2
+    a2 = sc.scale * sc.scale
     pfrac = a2 * p / (l + a2 * p)
-    d11 = sq.dg2 - (pfrac if scale_known else 1.0) * sq.rho ** 2 / sq.e_g
+    d11 = sq.dg2 - (pfrac if scale_known else 1.0) * (sq.rho * sq.rho) / sq.e_g
     d22 = sq.w_b2 - pfrac * sq.gamma2_b2 / sq.e_g
     if d11 <= sq.dg2 / SINGULAR_COND or d22 <= sq.w_b2 / SINGULAR_COND:
         return BoundPair.singular_pair(
@@ -243,7 +243,7 @@ def bound_pairs(sig, pt, sc, tag: str = "") -> dict:
     """{column pattern: BoundPair} of one crb or sweep row."""
     known, joint, separate = signal_bounds(sig, sc)
     structured = {} if pt is None else {f"jcrb_{{}}_b{tag}": structure_pair(pt, sc)}
-    return {"jcrb_{}": known.scaled(1.0 / sc.scale ** 2), f"jcrb_{{}}_s{tag}": joint,
+    return {"jcrb_{}": known.scaled(1.0 / (sc.scale * sc.scale)), f"jcrb_{{}}_s{tag}": joint,
             f"crb_{{}}_s{tag}": separate, **structured}
 
 

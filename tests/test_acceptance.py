@@ -14,7 +14,7 @@ from ddcrb.cli import main as cli_main
 from ddcrb.fim import invert_bound_matrix, schur_complement
 
 from conftest import make_contained_train, rel_err
-from dense_oracles import dense_dc, fim_kron_form
+from dense_oracles import dense_dc, fim_kron_form, overlap_information_dense
 
 
 def report(number, name, ok, detail=""):
@@ -194,10 +194,11 @@ def test_criterion_5_overlap_closed_forms():
     sig = d.triangle_wave(m)
     for n0 in range(8, 16):
         expected = 0.7 / 2 * 6 / (5 * m - 2 * n0)
-        rep = d.crb_overlap(d.fim_overlap(sig, n0, sc))
+        of = d.fim_overlap(sig, n0, sc)
+        rep = d.crb_overlap(of)
         worst_closed = max(worst_closed,
                            abs(rep.values["tau0"] / expected - 1),
-                           abs(rep.details["tau0_numeric"] / expected - 1))
+                           abs(1.0 / overlap_information_dense(of) / expected - 1))
         closed_ok &= rep.method == "closed_form"
     vals = [rows[n0]["crb_tau0"] for n0 in range(8, 16)]
     increasing = bool(np.all(np.diff(vals) > 0))

@@ -251,6 +251,26 @@ def test_contained_train_verdict_kept_with_its_basis(monkeypatch):
     assert calls == []
 
 
+def test_contained_train_keeps_one_gram_and_verdict_for_all_delays(monkeypatch):
+    # K = E_g I and the containment verdict depend on the train alone: over
+    # three delays each is computed once, and the inertia Cholesky runs once
+    misses = []
+    for fn in (structure._pulse_gram, structure.support_assumption_holds):
+        monkeypatch.setattr(fn, "__wrapped__",
+                            lambda pt, _fresh=fn.__wrapped__: misses.append(_fresh) or _fresh(pt))
+    calls = _counted_choleskies(monkeypatch)
+    pt, sc = build_source("contained", 2, 1, 1.0, 0.5, seed=4)
+    fims = [build(pt, dataclasses.replace(sc, tau0=tau0))
+            for tau0 in (0.0, 0.5, 1.75) for build in (
+                d.fim_known_structure, lambda pt, sc: d.fim_unknown_a(pt, sc, structure=True))]
+    for fim in fims:
+        eliminated_pair(fim)
+        assert fim.border.gram is fims[0].border.gram
+    assert fims[0].border.gram.band.shape == (1, 1)
+    assert sorted(f.__name__ for f in misses) == ["_pulse_gram", "support_assumption_holds"]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("kind", ("contained", "truncated"))
 def test_pulse_basis_built_once_per_train_and_delay(kind, monkeypatch):
     built = []
@@ -268,12 +288,12 @@ def test_pulse_basis_built_once_per_train_and_delay(kind, monkeypatch):
     assert built == [0.5, 1.25]
     basis = {tau0: structure.pulse_basis(pt, tau0) for tau0 in fims}
     assert len(built) == 2
-    # every FIM of a delay holds that delay's kept K; a Gram band is one per train
+    # every FIM of a delay holds that delay's kept basis, and K is one per train
     for tau0, group in fims.items():
         assert {id(f.border.gram) for f in group} == {id(basis[tau0][0][4])}
         assert {f.meta["blocks"] for f in group} == {basis[tau0][1]}
         assert basis[tau0][1] == ("simplified" if kind == "contained" else "general")
-    assert (basis[0.5][0][4] is basis[1.25][0][4]) == (kind == "truncated")
+    assert basis[0.5][0][4] is basis[1.25][0][4] is structure._pulse_gram(pt)
 
 
 def _pair_bytes(pair):
@@ -293,8 +313,7 @@ def test_kept_basis_gives_the_fresh_basis_fim_bytewise(kind, with_a, l, p, a, si
     eliminated_pair(d.fim_known_structure(pt, warm))
     fim = d.fim_unknown_a(pt, sc, structure=True) if with_a else d.fim_known_structure(pt, sc)
     basis, form = structure.pulse_basis.__wrapped__(pt, sc.tau0)
-    if form == "general":
-        basis = basis[:4] + (structure._pulse_gram.__wrapped__(pt),)
+    basis = basis[:4] + (structure._pulse_gram.__wrapped__(pt),)
     assert basis[4] is not fim.border.gram
     fresh = d.bounds.bordered_fim(d.synthesize_pulse_train(pt), sc,
                                   structure.structure_labels(pt.n_pulses), basis,

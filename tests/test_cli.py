@@ -16,7 +16,7 @@ from ddcrb import bounds, cli
 from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, SIGNAL_MAX_SAMPLES, main
 from ddcrb.fim import OVERFLOW_NOTE
 from ddcrb.overlap import _overlap_columns
-from ddcrb.signals import triangle_wave
+from ddcrb.signals import Scenario, ScenarioColumns, triangle_wave
 
 from dense_oracles import cli_rows
 
@@ -131,9 +131,13 @@ class TestSweep:
     def test_pulse_sums_computed_once_per_pulse(self, monkeypatch, spec, pulses, scenarios):
         from ddcrb import bounds, scaled, structure
         calls, sums, evaluations = [], [], []
-        quantities, eta = structure.structure_quantities, bounds.eta
-        monkeypatch.setattr(structure, "structure_quantities",
-                            lambda pt, tau0: calls.append(tau0) or quantities(pt, tau0))
+        quantities, eta = structure.structure_quantities.__wrapped__, bounds.eta
+
+        def counted_sums(pt, tau0):
+            calls.append(tau0)
+            return quantities(pt, tau0)
+        # a miss of the memo calls __wrapped__
+        monkeypatch.setattr(structure.structure_quantities, "__wrapped__", counted_sums)
         # eta runs once per computation of the weighted sums
         monkeypatch.setattr(bounds, "eta", lambda sig, tau0: sums.append(tau0) or eta(sig, tau0))
         code, out = run_cli(["sweep", "--sweep", spec, *BASE])
@@ -150,7 +154,7 @@ class TestSweep:
         # once per scenario, to the same bytes
         fresh = bounds.weighted_sums.__wrapped__
         for module in (structure, scaled):
-            monkeypatch.setattr(module, "_shared_quantities", structure.structure_quantities)
+            monkeypatch.setattr(module, "structure_quantities", counted_sums)
         for module in (bounds, scaled):
             monkeypatch.setattr(module, "weighted_sums", fresh)
         calls.clear()
@@ -572,12 +576,18 @@ def test_sweep_rows_equal_the_per_row_oracle(case, n_p, q, delta, center, width,
     ["sweep", "--sweep", "a=1.1819892991055851:3.653940296573571:2.472950997467986"],
     ["sweep", "--sweep", "L=0:3", "--a", "2.6120266406451877"],
     ["crb", "--a", "3.3215893189776295"]], ids=["a-axis", "L-axis", "crb"])
-def test_scale_is_squared_as_python_squares_it(argv):
+def test_scale_is_squared_as_a_product(argv):
     argv = [*argv, *BASE]
     code, out = run_cli([*argv, "--format", "json"])
     assert code == 0
-    got = [(row["values"], row["methods"]) for row in json.loads(out)["rows"]]
+    doc = json.loads(out)
+    got = [(row["values"], row["methods"]) for row in doc["rows"]]
     assert json.dumps(got) == json.dumps([(v, m) for v, m, _ in cli_rows(argv)])
+    # the columns, as the per-row oracle, square a as a * a, where a ** 2 differs
+    scales = [row["values"].get("a", doc["config"]["a"]) for row in doc["rows"]]
+    assert any(a ** 2 != a * a for a in scales)
+    pts = ScenarioColumns.of(Scenario(0.0, 0.0, 1, 1, 1.0), scale=scales)
+    assert pts.scale2.tolist() == [a * a for a in scales]
 
 
 @pytest.mark.parametrize("argv,flagged", [
@@ -909,12 +919,15 @@ class TestConfigAndErrors:
         ("sig.json", {"samples_real": [0, 1, 0, 0], "deriv_real": [0, -np.inf, 0, 0],
                       "delta": 0.5}, "'deriv_real' must be"),
         ("sig.npz", {"samples": [0, complex(0, np.nan), 0], "delta": 0.5}, "'samples' must be"),
-        # finite samples whose differences overflow, and a last sample time 2e308
+        # finite samples whose differences overflow, a last sample time 2e308 and
+        # a negative delta: checked by the signal model, and the file still named
         ("sig.json", {"samples_real": [0, 1e300, 2e300, 1, 0], "delta": 1e-300},
          "deriv must be finite"),
         ("sig.json", {"samples_real": [0, 1, 0], "delta": 1e308}, "last sample time 2 * 1e+308"),
+        ("sig.json", {"samples_real": [0, 1, 0], "deriv_real": [1, 0, -1], "delta": -1.0},
+         "delta must be finite and positive"),
     ], ids=["nan-delta", "inf-delta", "nan-samples", "inf-imag", "inf-deriv", "npz-nan-samples",
-            "overflowed-differences", "overflowed-time"])
+            "overflowed-differences", "overflowed-time", "negative-delta"])
     def test_signal_file_not_finite_is_usage_error(self, tmp_path, capsys, name, content,
                                                    message):
         sig_path = tmp_path / name
@@ -925,7 +938,7 @@ class TestConfigAndErrors:
         code, out = run_cli(["crb", "--signal", str(sig_path), "--tau0", "0"])
         assert (code, out) == (1, "")
         err = capsys.readouterr().err
-        assert err.startswith("Error: ") and message in err, err
+        assert err.startswith(f"Error: signal file {sig_path}") and message in err, err
 
     @pytest.mark.parametrize("text,message", [
         ("7", "must hold one JSON object"),

@@ -12,7 +12,7 @@ import ddcrb as d
 from ddcrb.bounds import signal_bounds, unknown_signal_labels, weighted_sums
 from ddcrb.fim import GramBand
 from ddcrb.scaled import energy_sums
-from ddcrb.structure import _shared_quantities, structure_labels
+from ddcrb.structure import structure_labels, structure_quantities
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 delays = st.lists(st.floats(0.0, 50.0), min_size=2, max_size=4, unique=True)
@@ -61,11 +61,11 @@ def test_kept_signal_sums_equal_fresh_ones(sig, taus):
 @settings(max_examples=60)
 @given(pt=pulse_trains(), taus=delays)
 def test_kept_pulse_sums_equal_fresh_ones(pt, taus):
-    kept = [_shared_quantities(pt, tau0) for tau0 in taus]
+    kept = [structure_quantities(pt, tau0) for tau0 in taus]
     sig = d.synthesize_pulse_train(pt)
     for tau0, sq in zip(taus, kept):
-        assert _shared_quantities(pt, tau0) is sq
-        assert_same_quantities(sq, d.structure_quantities(pt, tau0))
+        assert structure_quantities(pt, tau0) is sq
+        assert_same_quantities(sq, structure_quantities.__wrapped__(pt, tau0))
         assert weighted_sums(sig, tau0) == weighted_sums.__wrapped__(sig, tau0)
     assert pt.amp_energy == float(np.sum(np.abs(pt.b) ** 2))
     assert "amp_energy" in vars(pt)
@@ -90,12 +90,14 @@ def test_kept_values_cannot_be_changed():
         for train in (pt, wide):
             d.eliminated_pair(d.fim_known_structure(train, sc))
             d.fim_unknown_a(train, sc, structure=True)
-    # the train keeps its synthesized signal, and per delay one StructureQuantities
-    # and one pulse basis; the wide train its signal, its Gram band and its bases
-    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 5
+    # each train keeps its synthesized signal, its containment verdict, its Gram
+    # band and per delay one pulse basis; the contained train per delay one
+    # StructureQuantities too
+    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 7
     for value in _memo_values(sig):
         assert isinstance(value, tuple) and all(type(v) is float for v in value)
     assert d.synthesize_pulse_train(pt) is sig and _memo_values(pt)[0] is sig
+    assert [v for v in _memo_values(pt) if type(v) is bool] == [True]
     fresh = d.synthesize_pulse_train.__wrapped__(pt)
     assert fresh is not sig
     for field in dataclasses.fields(sig):
@@ -114,17 +116,21 @@ def test_kept_values_cannot_be_changed():
                 arr[0] = 0.0
     assert type(pt.amp_energy) is float
     kept_wide = _memo_values(wide)
-    assert len(kept_wide) == 4 and isinstance(kept_wide[0], d.SampledSignal)
-    [gram] = [v for v in kept_wide if isinstance(v, GramBand)]
-    # its norm and inertia verdict are kept with it
-    assert {"norm1", "singular"} <= set(vars(gram))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        gram.band = np.zeros((2, 3))
+    assert len(kept_wide) == 5 and [v for v in kept_wide if type(v) is bool] == [False]
+    assert d.synthesize_pulse_train(wide) in kept_wide
+    [gram], [wide_gram] = ([v for v in kept if isinstance(v, GramBand)]
+                           for kept in (_memo_values(pt), kept_wide))
+    assert gram.band.shape == (1, 1) and wide_gram.band.shape == (2, 3)
+    for band in (gram, wide_gram):
+        # its norm and inertia verdict are kept with it
+        assert {"norm1", "singular"} <= set(vars(band))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            band.band = np.zeros((2, 3))
     bases = [v for v in _memo_values(pt) + kept_wide if type(v) is tuple]
     assert [form for _, form in bases] == ["simplified"] * 2 + ["general"] * 2
     for basis, form in bases:
         assert len(basis) == 5 and basis[1] == 1.0
-        assert basis[4] is gram if form == "general" else basis[4].band.shape == (1, 1)
+        assert basis[4] is (gram if form == "simplified" else wide_gram)
         for arr in (basis[0], *basis[2:4], basis[4].band):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -145,6 +151,6 @@ def test_signal_with_kept_sums_pickles():
     first = (signal_bounds(sig, sc), d.jcrb_structure_known_a(pt, sc),
              d.eliminated_pair(d.fim_known_structure(wide, sc)))
     sig2, pt2, wide2 = pickle.loads(pickle.dumps((sig, pt, wide)))
-    assert len(_memo_values(wide2)) == 3  # its signal, Gram band and basis
+    assert len(_memo_values(wide2)) == 4  # its verdict, signal, Gram band and basis
     assert (signal_bounds(sig2, sc), d.jcrb_structure_known_a(pt2, sc),
             d.eliminated_pair(d.fim_known_structure(wide2, sc))) == first

@@ -99,7 +99,6 @@ class TestCrbOverlap:
         rep = d.crb_overlap(d.fim_overlap(sig, 16, scenario(p=3, sigma_w2=0.5)))
         assert rep.values["tau0"] == pytest.approx(0.5 / 3 * 2 / 16, rel=1e-14)
         assert rep.method == "closed_form"
-        assert rep.details["tau0_numeric"] == pytest.approx(rep.values["tau0"], rel=1e-12)
 
     def test_no_overlap_matches_separated_model_up_to_noise_convention(self):
         # the separated complex-noise model at L=P (delay-only estimation)
@@ -129,28 +128,22 @@ class TestCrbOverlap:
             sig = d.triangle_wave(m)
             for n0 in range(m // 2, m):
                 of = d.fim_overlap(sig, n0, scenario(p=2))
-                rep = d.crb_overlap(of)
-                closed = rep.values["tau0"]
-                for numeric in (rep.details["tau0_numeric"],
-                                1.0 / overlap_information_dense(of)):
-                    assert abs(closed - numeric) <= 1e-10 * closed, (m, n0)
+                closed = d.crb_overlap(of).values["tau0"]
+                numeric = 1.0 / overlap_information_dense(of)
+                assert abs(closed - numeric) <= 1e-10 * closed, (m, n0)
 
     def test_closed_form_matches_dense_for_general_signal(self):
         sig = asym_signal(m=20)
         for n0 in range(10, 20):
             of = d.fim_overlap(sig, n0, scenario())
-            rep = d.crb_overlap(of)
-            assert rep.values["tau0"] == pytest.approx(
-                rep.details["tau0_numeric"], rel=1e-10)
-            assert rep.values["tau0"] == pytest.approx(
+            assert d.crb_overlap(of).values["tau0"] == pytest.approx(
                 1.0 / overlap_information_dense(of), rel=1e-10)
 
     def test_deep_partial_is_numeric_only(self):
         sig = d.triangle_wave(16)
         rep = d.crb_overlap(d.fim_overlap(sig, 3, scenario()))
-        # no closed form exists below half the support, so none is attached
+        # no closed form exists below half the support
         assert rep.method == "schur_numeric"
-        assert "tau0_numeric" not in rep.details
         assert rep.values["tau0"] == pytest.approx(21.0 / 19.0, rel=1e-10)
 
 

@@ -114,13 +114,23 @@ class TestSynthesizePulseTrain:
         pt = d.PulseTrain(g=g, g_deriv=g_deriv, b=b, delta=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             samples, deriv = synthesize_pulse_train_loop(pt)
-            if not (np.isfinite(samples).all() and np.isfinite(deriv).all()):
-                with pytest.raises(ValueError, match="must be finite"):
-                    d.synthesize_pulse_train.__wrapped__(pt)
-                return
-            sig = d.synthesize_pulse_train.__wrapped__(pt)
+        # the library itself raises no numpy warning before it rejects them
+        if not (np.isfinite(samples).all() and np.isfinite(deriv).all()):
+            with pytest.raises(ValueError, match="must be finite"):
+                d.synthesize_pulse_train.__wrapped__(pt)
+            return
+        sig = d.synthesize_pulse_train.__wrapped__(pt)
         assert sig.samples.tobytes() == samples.tobytes()
         assert sig.deriv.tobytes() == deriv.tobytes()
+
+    def test_overflowed_copy_is_rejected_without_warning(self):
+        # |b| |g| passes the largest double: a ValueError, not numpy's RuntimeWarning
+        pt = d.PulseTrain(g=[1e300, 1e300], g_deriv=[0, 0], b=[1e10, 1], delta=1)
+        with pytest.raises(ValueError, match="must be finite"):
+            d.synthesize_pulse_train(pt)
+        sig = d.SampledSignal([1e300, 1.0], 1.0, [0.0, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            sig.scaled(1e10)
 
     def test_pulse_train_invariants(self):
         g = np.zeros(5)
@@ -275,3 +285,36 @@ class TestEta:
         sig = d.SampledSignal(samples, 0.05, deriv)
         expected = -beta * np.sum(t * g ** 2)
         assert d.eta(sig, 0.0) == pytest.approx(expected, rel=1e-12)
+
+
+def bandlimited_derivative(samples, delta):
+    """s' of the samples as a bandlimited signal in a record of zeros: the
+    derivative of the 2M-point zero-padded FFT, read on the M samples."""
+    n = 2 * samples.size
+    spectrum = np.fft.fft(samples, n) * (2j * np.pi * np.fft.fftfreq(n, delta))
+    return np.fft.ifft(spectrum)[:samples.size]
+
+
+def derivative_consistency(n_p, delta, center, width2, q):
+    """sum |g'|^2 of the analytic derivative the bounds read over sum |s'|^2
+    of the bandlimited derivative of the same train's samples."""
+    pt = d.gaussian_pulse_train(n_p, delta, center, width2, np.full(q, (1 + 1j) / np.sqrt(2)))
+    sig = d.synthesize_pulse_train(pt)
+    s_bl = bandlimited_derivative(sig.samples, delta)
+    return float(np.sum(np.abs(sig.deriv) ** 2) / np.sum(np.abs(s_bl) ** 2))
+
+
+class TestAnalyticDerivative:
+    """The delay bounds read g' of the whole Gaussian and ignore where the
+    pulse is cut off at its period's ends (README, "Conventions worth knowing")."""
+
+    def test_cut_off_default_train_reads_a_fraction_of_the_sample_derivative(self):
+        # the CLI default train, cut off at 0.17 and 0.89 of its peak, reads 0.0023
+        assert derivative_consistency(500, 0.01, 4.0, 9.0, 2) < 0.01
+
+    @pytest.mark.parametrize("n_p,delta,center,width2,q", [
+        (500, 0.01, 2.5, 0.09, 2), (64, 0.25, 8.0, 9.0, 1)], ids=["contained", "montecarlo"])
+    def test_contained_pulse_reads_the_sample_derivative(self, n_p, delta, center, width2, q):
+        # the results/montecarlo pulse, 8e-4 of its peak at both ends, reads 1 - 1.4e-5
+        ratio = derivative_consistency(n_p, delta, center, width2, q)
+        assert abs(ratio - 1.0) <= 2e-5

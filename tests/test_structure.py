@@ -32,7 +32,7 @@ class TestStructureQuantities:
 
     def test_impulse_pulse_quantities(self):
         pt = impulse_train(q=3)
-        sq = d.structure_quantities(pt, tau0=0.7)
+        sq = d.structure_quantities(pt, 0.7)
         assert sq.e_g == pytest.approx(1.0)
         np.testing.assert_allclose(sq.gamma, [0.7 + q * 0.5 for q in range(3)],
                                    rtol=1e-14)
