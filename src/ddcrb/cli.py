@@ -148,7 +148,7 @@ def _resolve_delta(cfg: RunConfig, given: dict) -> float:
         return cfg["delta"]
     if cfg["np"] < 1:
         raise UsageError("n_p must be at least 1")
-    derived = cfg["Tp"] / cfg["np"]
+    cfg["delta"] = derived = cfg["Tp"] / cfg["np"]  # the config block records the delta used
     if "delta" in given and abs(given["delta"] - derived) > 1e-12:
         raise UsageError("--delta conflicts with --Tp/--np; give only one")
     return derived

@@ -440,11 +440,10 @@ class PairColumns:
         held = [(mask, note) for mask, note in conditions if mask.any()]
         if not held:  # no row is singular: the values as given
             return cls(tau0, f0, notes, method)
-        singular = np.zeros(notes.shape, dtype=bool)
-        for mask, note in reversed(held):
-            mask = np.broadcast_to(mask, notes.shape)
+        for mask, note in held:  # only rows no earlier condition flagged
+            mask = np.broadcast_to(mask, notes.shape) & (notes == "")
             notes[mask] = np.broadcast_to(np.asarray(note, dtype=object), notes.shape)[mask]
-            singular |= mask
+        singular = notes != ""
         return cls(np.where(singular, np.inf, tau0), np.where(singular, np.inf, f0),
                    notes, method)
 
@@ -463,10 +462,10 @@ class PairColumns:
 
     def over(self, other: "PairColumns") -> "PairColumns":
         """self / other per coordinate, with self's method; singular when either is."""
-        notes = np.where(self.notes != "", self.notes, other.notes)
         with np.errstate(all="ignore"):
             return PairColumns.flagged(self.tau0 / other.tau0, self.f0 / other.f0,
-                                       (notes != "", notes), method=self.method)
+                                       (self.notes != "", self.notes),
+                                       (other.notes != "", other.notes), method=self.method)
 
     def pair(self, i: int = 0) -> BoundPair:
         """Row i as a BoundPair, singular also when a value is not finite and
@@ -496,8 +495,10 @@ def eliminated_pair(fim: FimMatrix, separate: bool = False) -> BoundPair:
     if inv is None:
         return BoundPair.singular_pair("eliminated delay/Doppler block is singular",
                                        METHOD_SCHUR_NUMERIC)
-    pair = 1.0 / np.diag(reduced) if separate else np.diag(inv)
-    return BoundPair(float(pair[0]), float(pair[1]), method=METHOD_SCHUR_NUMERIC)
+    with np.errstate(over="ignore"):  # .pair() flags a value that overflowed
+        pair = 1.0 / np.diag(reduced) if separate else np.diag(inv)
+    return PairColumns(pair[:1], pair[1:], np.array([""], dtype=object),
+                       METHOD_SCHUR_NUMERIC).pair()
 
 
 @dataclass(frozen=True)

@@ -75,11 +75,6 @@ def structure_bound_columns(trains: list[PulseTrain], pts: ScenarioColumns,
              "degenerate pulse: amplitude block absorbs all delay/Doppler information"))
 
 
-def _structure_pair(pt: PulseTrain, sc: Scenario, scale_known: bool) -> BoundPair:
-    """The one-point case of structure_bound_columns."""
-    return structure_bound_columns([pt], ScenarioColumns.of(sc), scale_known).pair()
-
-
 def jcrb_structure_known_a(pt: PulseTrain, sc: Scenario) -> BoundPair:
     """Structured joint bounds (known pulse shape, unknown amplitudes) with a
     known reflected-path scale.
@@ -90,7 +85,7 @@ def jcrb_structure_known_a(pt: PulseTrain, sc: Scenario) -> BoundPair:
     separate. Flagged singular for P = 0 and when the amplitude block
     absorbs all information (pulse proportional to its derivative).
     """
-    return _structure_pair(pt, sc, scale_known=True)
+    return structure_bound_columns([pt], ScenarioColumns.of(sc)).pair()
 
 
 def jcrb_unknown_a_structure(pt: PulseTrain, sc: Scenario) -> tuple[BoundPair, BoundPair]:
@@ -109,7 +104,7 @@ def jcrb_unknown_a_structure(pt: PulseTrain, sc: Scenario) -> tuple[BoundPair, B
             "L = 0 or P = 0: scale and amplitudes are not jointly identifiable")
         return sing, sing
     if support_assumption_holds(pt):
-        joint = _structure_pair(pt, sc, scale_known=False)
+        joint = structure_bound_columns([pt], ScenarioColumns.of(sc), scale_known=False).pair()
         return joint, joint
     fim = fim_unknown_a(pt, sc, structure=True)
     return eliminated_pair(fim), eliminated_pair(fim, separate=True)

@@ -145,9 +145,10 @@ class SampledSignal(_Memo):
     def from_samples(cls, samples, delta: float) -> "SampledSignal":
         """Build a signal from bare samples, differencing to get derivatives."""
         samples = np.asarray(samples, dtype=complex)
-        _check_finite(delta, samples.size, ("samples", samples))
-        with np.errstate(over="ignore", invalid="ignore"):  # cls rejects a deriv that overflowed
+        with np.errstate(all="ignore"):  # _check_finite rejects a bad delta or an overflow
             deriv = central_difference(samples, delta)
+        _check_finite(delta, samples.size, ("samples", samples),
+                      ("the derivative differenced from the samples", deriv))
         return cls(samples, delta, deriv)
 
 

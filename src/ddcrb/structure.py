@@ -119,7 +119,8 @@ def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, str]:
         sig = synthesize_pulse_train(pt)
         # pulse q spans samples q n_p .. (q+1) n_p, one window each; the train
         # ends a sample early, so the last window reads a zero pad there
-        x = np.pad([sig.deriv, (sig.times + tau0) * sig.samples, sig.samples], ((0, 0), (0, 1)))
+        x = np.zeros((3, sig.m + 1), dtype=complex)
+        x[:, :-1] = sig.deriv, (sig.times + tau0) * sig.samples, sig.samples
         (h, u, v), form = sliding_window_view(x, pt.n_p + 1, axis=1)[:, ::pt.n_p] @ pt.g, "general"
     for arr in (h, u, v):
         arr.setflags(write=False)

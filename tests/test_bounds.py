@@ -1,5 +1,7 @@
 """Core bound tests: known-signal FIM, unknown-signal FIM, factor law."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,20 @@ class TestEliminatedPair:
         assert not fim.solvable.finite
         pair = eliminated_pair(fim)
         assert pair.singular and pair.note == OVERFLOW_NOTE
+
+    def test_a_finite_fim_whose_bound_overflows_is_flagged_as_overflowed(self, table1_signal):
+        # a^2 near the subnormals: the FIM is finite, the eliminated diagonal is not
+        pt = d.gaussian_pulse_train(500, 0.01, 4.0, 9.0, np.full(2, (1.0 + 1.0j) / np.sqrt(2.0)))
+        sc = d.Scenario(tau0=0.05, f0=20.0, looks_direct=1, looks_reflected=1, sigma_w2=1.0,
+                        scale=1e-158)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fim = d.fim_unknown_signal(table1_signal, sc)
+            pairs = [eliminated_pair(fim), *d.jcrb_unknown_a_structure(pt, sc)]
+        assert fim.solvable.finite
+        for pair in pairs:
+            assert pair.singular and pair.note == OVERFLOW_NOTE
+            assert pair.method == METHOD_SCHUR_NUMERIC and pair.tau0 == pair.f0 == float("inf")
 
     def test_ratio_keeps_the_numerator_method_and_singularity(self):
         num = d.BoundPair(3.0, 1.0, method=METHOD_SCHUR_NUMERIC)

@@ -891,6 +891,27 @@ class TestConfigAndErrors:
             args = [*args, "--config", str(path)]
         assert run_cli(args)[0] == 1
 
+    @pytest.mark.parametrize("args", [
+        ["crb", *BASE], ["table1", *TABLE1_BASE], ["sweep", "--sweep", "a=1:2", *BASE],
+        TestMonteCarloCommand.ARGS], ids=["crb", "table1", "sweep", "montecarlo"])
+    def test_config_delta_is_the_delta_the_rows_used(self, args):
+        # --np n --Tp n x computes every row at delta x, as --np n --delta x does
+        at = args.index("--delta")
+        delta, period = float(args[at + 1]), int(args[args.index("--np") + 1]) * float(args[at + 1])
+        given = json.loads(run_cli([*args, "--format", "json"])[1])
+        derived = json.loads(run_cli([*args[:at], *args[at + 2:], "--Tp", repr(period),
+                                      "--format", "json"])[1])
+        assert derived["config"]["delta"] == delta
+        assert (derived["config"].pop("Tp"), given["config"].pop("Tp")) == (period, None)
+        assert derived == given
+
+    def test_np_sweep_config_keeps_the_given_delta(self):
+        # each row has its own delta, in its delta column
+        out = json.loads(run_cli(["sweep", "--sweep", "n_p=10:12", "--Tp", "4", "--Q", "1",
+                                  "--tau0", "0.5", "--format", "json"])[1])
+        assert out["config"]["delta"] == cli.DEFAULTS["delta"]
+        assert [row["values"]["delta"] for row in out["rows"]] == [4 / 10, 4 / 11, 4 / 12]
+
     @pytest.mark.parametrize("name,content,missing", [
         ("sig.json", {"delta": 0.5, "samples_imag": [0.0] * 6}, "samples_real"),
         ("sig.json", {"samples_real": [0.0, 1.0, 0.0, 0.0]}, "delta"),
@@ -922,7 +943,7 @@ class TestConfigAndErrors:
         # finite samples whose differences overflow, a last sample time 2e308 and
         # a negative delta: checked by the signal model, and the file still named
         ("sig.json", {"samples_real": [0, 1e300, 2e300, 1, 0], "delta": 1e-300},
-         "deriv must be finite"),
+         ": the derivative differenced from the samples must be finite"),
         ("sig.json", {"samples_real": [0, 1, 0], "delta": 1e308}, "last sample time 2 * 1e+308"),
         ("sig.json", {"samples_real": [0, 1, 0], "deriv_real": [1, 0, -1], "delta": -1.0},
          "delta must be finite and positive"),

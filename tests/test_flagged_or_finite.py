@@ -1,6 +1,7 @@
-"""Every scalar closed form comes back as a flagged pair or as finite positive
-values: never an exception, a warning, or an unflagged value that is not
-finite and positive, however far the delay or the scale sends its sums."""
+"""Every scalar bound, closed form or elimination, comes back as a flagged pair
+or as finite positive values: never an exception, a warning, or an unflagged
+value that is not finite and positive, however far the delay or the scale
+sends its sums."""
 
 import math
 import warnings
@@ -42,6 +43,7 @@ def assert_flagged_or_finite(name, pair):
 @example(contained=True, tau0=0.5, a=1e170, l=1, p=1, sigma_w2=1.0)
 @example(contained=True, tau0=0.5, a=1e-160, l=1, p=1, sigma_w2=1.0)
 @example(contained=True, tau0=1e200, a=1.0, l=1, p=1, sigma_w2=1.0)
+@example(contained=False, tau0=0.5, a=1e-158, l=1, p=1, sigma_w2=1.0)
 def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, p, sigma_w2):
     pt = train(contained)
     sig = d.synthesize_pulse_train(pt)
@@ -53,8 +55,8 @@ def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, 
             d.jcrb_known, d.jcrb_unknown, d.crb_separate_unknown, d.crb_separate_unknown_a)}
         pairs.update((fn.__name__, fn(pt, sc)) for fn in (
             d.jcrb_known_signal_pulse, d.jcrb_structure_known_a))
-        if contained:  # past containment it is an elimination, not a closed form
-            pairs.update(zip(("unknown_a_structure", "unknown_a_structure_separate"),
-                             d.jcrb_unknown_a_structure(pt, sc)))
+        # past containment an elimination, read through the same one-point rule
+        pairs.update(zip(("unknown_a_structure", "unknown_a_structure_separate"),
+                         d.jcrb_unknown_a_structure(pt, sc)))
     for name, pair in pairs.items():
         assert_flagged_or_finite(name, pair)

@@ -172,7 +172,8 @@ class TestSynthesizePulseTrain:
                 d.SampledSignal.from_samples(samples, delta)
 
     def test_differences_that_overflow_are_rejected(self):
-        with pytest.raises(ValueError, match="deriv must be finite"):
+        with pytest.raises(ValueError, match="^the derivative differenced from the samples "
+                                             "must be finite$"):
             d.SampledSignal.from_samples([0.0, 1e300, 2e300, 1.0, 0.0], 1e-300)
 
 
