@@ -145,13 +145,14 @@ def bordered_fim(sig: SampledSignal, sc: Scenario, labels: tuple[str, ...],
     """
     p, l, a, s2 = sc.looks_reflected, sc.looks_direct, sc.scale, sc.sigma_w2
     known = _known_signal_block(sig, sc, scale_known)
-    k_tau, k_f, k_a = -(2.0 * a * a * p / s2), 4.0 * np.pi * a * a * p / s2, 2.0 * a * p / s2
+    a2 = a * a  # A's factor too, so where it underflows A, C and the (tau0, f0) rows all vanish
+    k_tau, k_f, k_a = -(2.0 * a2 * p / s2), 4.0 * np.pi * a2 * p / s2, 2.0 * a * p / s2
     h, wt, u, v, gram = basis or (sig.deriv, sig.times + sc.tau0, sig.samples, sig.samples,
                                   UNIT_GRAM)
     rows = [k_tau * h, (k_f * wt) * (1j * u), k_a * v]
     # a complex row viewed as floats interleaves (real, imaginary) columns
     b_block = np.array(rows[:len(known)]).view(float)
-    border = Border(known * p, b_block, (2.0 * l + 2.0 * a * a * p) / s2, gram)
+    border = Border(known * p, b_block, (2.0 * l + 2.0 * a2 * p) / s2, gram)
     return FimMatrix(None, ("tau0", "f0", "a")[:len(known)] + tuple(labels[2:]), meta or {},
                      border)
 

@@ -68,37 +68,17 @@ def memoised(fn: Callable) -> Callable:
     return cached
 
 
-def central_difference(samples: np.ndarray, delta: float) -> np.ndarray:
-    """Fourth-order finite-difference derivative, one-sided at the edges.
-
-    The high order matters for truncated pulses: with nonzero boundary
-    samples the summed error of a low-order scheme is dominated by O(delta)
-    boundary terms, which would spoil derivative-weighted sums.
-    """
-    samples = np.asarray(samples)
-    n = samples.size
-    if n < 2:
-        return np.zeros_like(samples)
-    deriv = np.empty_like(samples)
-    if n < 5:
-        deriv[1:-1] = (samples[2:] - samples[:-2]) / (2.0 * delta)
-        if n == 2:
-            deriv[0] = deriv[-1] = (samples[1] - samples[0]) / delta
-        else:
-            deriv[0] = (-3.0 * samples[0] + 4.0 * samples[1] - samples[2]) / (2.0 * delta)
-            deriv[-1] = (3.0 * samples[-1] - 4.0 * samples[-2] + samples[-3]) / (2.0 * delta)
-        return deriv
-    deriv[2:-2] = (samples[:-4] - 8.0 * samples[1:-3]
-                   + 8.0 * samples[3:-1] - samples[4:]) / (12.0 * delta)
-    deriv[0] = (-25.0 * samples[0] + 48.0 * samples[1] - 36.0 * samples[2]
-                + 16.0 * samples[3] - 3.0 * samples[4]) / (12.0 * delta)
-    deriv[1] = (-3.0 * samples[0] - 10.0 * samples[1] + 18.0 * samples[2]
-                - 6.0 * samples[3] + samples[4]) / (12.0 * delta)
-    deriv[-1] = (25.0 * samples[-1] - 48.0 * samples[-2] + 36.0 * samples[-3]
-                 - 16.0 * samples[-4] + 3.0 * samples[-5]) / (12.0 * delta)
-    deriv[-2] = (3.0 * samples[-1] + 10.0 * samples[-2] - 18.0 * samples[-3]
-                 + 6.0 * samples[-4] - samples[-5]) / (12.0 * delta)
-    return deriv
+def bandlimited_derivative(samples, delta: float) -> np.ndarray:
+    """ds/dt of the samples s(n delta) as a bandlimited record followed by M
+    zeros: the derivative of its 2M-point FFT, Nyquist term zeroed, read on
+    the M samples. A real record goes through rfft, so its derivative is real."""
+    samples, fft = np.asarray(samples), np.fft  # numpy loads np.fft lazily: not at import
+    m = samples.size
+    omega = 2j * np.pi * fft.fftfreq(2 * m, delta)
+    omega[m] = 0.0
+    if np.any(np.imag(samples)):
+        return fft.ifft(fft.fft(samples, 2 * m) * omega)[:m]
+    return fft.irfft(fft.rfft(np.real(samples), 2 * m) * omega[:m + 1], 2 * m)[:m]
 
 
 @dataclass(frozen=True)
@@ -143,12 +123,12 @@ class SampledSignal(_Memo):
 
     @classmethod
     def from_samples(cls, samples, delta: float) -> "SampledSignal":
-        """Build a signal from bare samples, differencing to get derivatives."""
+        """Build a signal from bare samples and their bandlimited derivative."""
         samples = np.asarray(samples, dtype=complex)
-        with np.errstate(all="ignore"):  # _check_finite rejects a bad delta or an overflow
-            deriv = central_difference(samples, delta)
-        _check_finite(delta, samples.size, ("samples", samples),
-                      ("the derivative differenced from the samples", deriv))
+        _check_finite(delta, samples.size, ("samples", samples))  # before the FFT reads delta
+        with np.errstate(all="ignore"):  # an overflow fails below, an empty record in cls
+            deriv = bandlimited_derivative(samples, delta) if samples.size else samples
+        _check_finite(delta, samples.size, ("the bandlimited derivative of the samples", deriv))
         return cls(samples, delta, deriv)
 
 
@@ -428,7 +408,7 @@ def load_signal_file(path: str) -> SampledSignal:
 
     samples, delta = values("samples"), float(array("delta", float, 0))
     deriv = values("deriv") if "deriv" + part in data else None
-    try:  # a sample time or a differenced derivative may still overflow
+    try:  # a sample time or a bandlimited derivative may still overflow
         if deriv is None:
             return SampledSignal.from_samples(samples, delta)
         return SampledSignal(samples, delta, deriv)

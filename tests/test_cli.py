@@ -16,7 +16,7 @@ from ddcrb import bounds, cli
 from ddcrb.cli import MONTECARLO_MAX, OVERLAP_MAX_M, SIGNAL_MAX_SAMPLES, main
 from ddcrb.fim import OVERFLOW_NOTE
 from ddcrb.overlap import _overlap_columns
-from ddcrb.signals import Scenario, ScenarioColumns, triangle_wave
+from ddcrb.signals import Scenario, ScenarioColumns, bandlimited_derivative, triangle_wave
 
 from dense_oracles import cli_rows
 
@@ -185,9 +185,10 @@ class TestSweep:
         assert np.all(np.diff(vals) < 0)
 
     def test_singular_known_pair_is_flagged(self, tmp_path):
-        # constant samples: zero derivative energy, no finite known-signal bound
+        # constant samples with zero derivative: no finite known-signal bound
         sig_path = tmp_path / "const.json"
-        sig_path.write_text(json.dumps({"delta": 0.5, "samples_real": [1.0] * 8}))
+        sig_path.write_text(json.dumps({"delta": 0.5, "samples_real": [1.0] * 8,
+                                        "deriv_real": [0.0] * 8}))
         code, out = run_cli(["sweep", "--sweep", "P=1:2", "--signal", str(sig_path),
                              "--tau0", "1.0"])
         assert code == 0
@@ -852,6 +853,18 @@ class TestConfigAndErrors:
         assert code == 0
         assert float(parse_csv(out)[0]["jcrb_tau0"]) > 0
 
+    def test_signal_file_without_deriv_takes_the_bandlimited_derivative(self, tmp_path):
+        sig_path = tmp_path / "sig.json"
+        samples = np.random.default_rng(5).standard_normal(16)
+        args = ["crb", "--signal", str(sig_path), "--tau0", "1.0", "--format", "json"]
+        content = {"delta": 0.5, "samples_real": samples.tolist()}
+        sig_path.write_text(json.dumps(content))
+        code, bare = run_cli(args)
+        assert code == 0 and json.loads(bare)["rows"][0]["values"]["jcrb_tau0"] > 0
+        deriv = bandlimited_derivative(samples, 0.5)
+        sig_path.write_text(json.dumps({**content, "deriv_real": deriv.tolist()}))
+        assert run_cli(args) == (0, bare)
+
     @pytest.mark.parametrize("text,flags,message", [
         ('{"format": "xml"}', None, "'format'"),
         ('{"L": "x"}', None, "'L'"),
@@ -940,10 +953,10 @@ class TestConfigAndErrors:
         ("sig.json", {"samples_real": [0, 1, 0, 0], "deriv_real": [0, -np.inf, 0, 0],
                       "delta": 0.5}, "'deriv_real' must be"),
         ("sig.npz", {"samples": [0, complex(0, np.nan), 0], "delta": 0.5}, "'samples' must be"),
-        # finite samples whose differences overflow, a last sample time 2e308 and
+        # finite samples whose derivative overflows, a last sample time 2e308 and
         # a negative delta: checked by the signal model, and the file still named
         ("sig.json", {"samples_real": [0, 1e300, 2e300, 1, 0], "delta": 1e-300},
-         ": the derivative differenced from the samples must be finite"),
+         ": the bandlimited derivative of the samples must be finite"),
         ("sig.json", {"samples_real": [0, 1, 0], "delta": 1e308}, "last sample time 2 * 1e+308"),
         ("sig.json", {"samples_real": [0, 1, 0], "deriv_real": [1, 0, -1], "delta": -1.0},
          "delta must be finite and positive"),

@@ -7,10 +7,12 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
+from ddcrb.fim import eliminated_pair
 
 from conftest import make_contained_train
 
@@ -60,3 +62,20 @@ def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, 
                          d.jcrb_unknown_a_structure(pt, sc)))
     for name, pair in pairs.items():
         assert_flagged_or_finite(name, pair)
+
+
+@pytest.mark.parametrize("builder", ["fim_unknown_signal", "fim_known_structure"])
+@pytest.mark.parametrize("a", [1e-150, 1e-162])
+@pytest.mark.parametrize("name", ["cli_default", "truncated"])
+def test_tiny_scale_fims_build_and_eliminate_flagged_or_finite(name, a, builder):
+    # at L = 0 every block is a^2 times a sum: the PSD check measures them without
+    # underflow, and one a^2 makes A, C and the (tau0, f0) border vanish together
+    pt = train(False) if name == "truncated" else d.gaussian_pulse_train(
+        500, 0.01, 4.0, 9.0, np.full(2, (1.0 + 1.0j) / np.sqrt(2.0)))
+    arg = d.synthesize_pulse_train(pt) if builder == "fim_unknown_signal" else pt
+    sc = d.Scenario(tau0=1e50, f0=0.3, looks_direct=0, looks_reflected=1, sigma_w2=1.0,
+                    scale=a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = eliminated_pair(getattr(d, builder)(arg, sc))
+    assert_flagged_or_finite(builder, pair)

@@ -15,7 +15,6 @@ import ddcrb as d
 from ddcrb.fim import OVERFLOW_NOTE, SINGULAR_COND
 from ddcrb import overlap
 from ddcrb.overlap import CHAIN_NOTE, _overlap_columns, overlap_regime
-from ddcrb.signals import central_difference
 
 from dense_oracles import overlap_blocks, overlap_chain_quadratic, overlap_information_dense
 
@@ -29,10 +28,12 @@ def asym_signal(m=20, seed=9):
     """Smooth random real signal (no exact slope symmetries)."""
     rng = np.random.default_rng(seed)
     t = np.arange(m) * 0.5
-    samples = np.zeros(m)
+    samples, deriv = np.zeros(m), np.zeros(m)
     for k in range(1, 4):
-        samples += rng.standard_normal() * np.sin(2 * np.pi * k * t / (m * 0.5))
-    return d.SampledSignal(samples, 0.5, central_difference(samples, 0.5))
+        c, w = rng.standard_normal(), 2 * np.pi * k / (m * 0.5)
+        samples += c * np.sin(w * t)
+        deriv += c * w * np.cos(w * t)
+    return d.SampledSignal(samples, 0.5, deriv)
 
 
 class TestFimOverlap:

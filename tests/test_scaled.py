@@ -310,7 +310,7 @@ def test_one_point_bounds_equal_the_scalar_forms(l, p, tau0, a, sigma_w2, n_p, f
     pt, _, _ = make_contained_train(n_p=n_p)
     sig = d.synthesize_pulse_train(pt)
     if flat:
-        sig = d.SampledSignal.from_samples(np.ones(n_p), 0.25)
+        sig = d.SampledSignal(np.ones(n_p), 0.25, np.zeros(n_p))
     sc = scenario(l=l, p=p, a=a, tau0=tau0, sigma_w2=sigma_w2)
     assert signal_bounds(sig, sc) == scalar_signal_bounds(sig, sc)
     assert jcrb_structure_known_a(pt, sc) == structure_pair(pt, sc)

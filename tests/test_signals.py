@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb.signals import central_difference
+from ddcrb.signals import bandlimited_derivative
 
 from conftest import make_contained_train
 from dense_oracles import synthesize_pulse_train_loop
@@ -49,16 +49,6 @@ class TestGaussianPulse:
         with np.errstate(over="ignore", invalid="ignore"):
             assert g.tobytes() == g_fn(t).tobytes()
             assert g_deriv.tobytes() == dg_fn(t).tobytes()
-
-    def test_central_difference_converges_quadratically(self):
-        # halving delta must shrink the difference error by >= 3.9x
-        errors = []
-        for delta in (0.02, 0.01):
-            n_p = int(round(8.0 / delta))
-            g, g_deriv = d.gaussian_pulse(n_p, delta, center=4.0, width2=9.0)
-            fd = central_difference(g, delta)
-            errors.append(np.max(np.abs(fd[1:-1] - g_deriv[1:-1])))
-        assert errors[0] / errors[1] >= 3.9
 
 
 class TestSynthesizePulseTrain:
@@ -167,12 +157,12 @@ class TestSynthesizePulseTrain:
     def test_sampled_signal_rejects_what_is_not_finite(self, samples, delta, deriv):
         with pytest.raises(ValueError):
             d.SampledSignal(samples, delta, deriv)
-        if np.isfinite(deriv).all():  # the samples or delta, checked before differencing
+        if np.isfinite(deriv).all():  # the samples or delta, checked before the derivative
             with pytest.raises(ValueError):
                 d.SampledSignal.from_samples(samples, delta)
 
     def test_differences_that_overflow_are_rejected(self):
-        with pytest.raises(ValueError, match="^the derivative differenced from the samples "
+        with pytest.raises(ValueError, match="^the bandlimited derivative of the samples "
                                              "must be finite$"):
             d.SampledSignal.from_samples([0.0, 1e300, 2e300, 1.0, 0.0], 1e-300)
 
@@ -288,14 +278,6 @@ class TestEta:
         assert d.eta(sig, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
-def bandlimited_derivative(samples, delta):
-    """s' of the samples as a bandlimited signal in a record of zeros: the
-    derivative of the 2M-point zero-padded FFT, read on the M samples."""
-    n = 2 * samples.size
-    spectrum = np.fft.fft(samples, n) * (2j * np.pi * np.fft.fftfreq(n, delta))
-    return np.fft.ifft(spectrum)[:samples.size]
-
-
 def derivative_consistency(n_p, delta, center, width2, q):
     """sum |g'|^2 of the analytic derivative the bounds read over sum |s'|^2
     of the bandlimited derivative of the same train's samples."""
@@ -307,7 +289,23 @@ def derivative_consistency(n_p, delta, center, width2, q):
 
 class TestAnalyticDerivative:
     """The delay bounds read g' of the whole Gaussian and ignore where the
-    pulse is cut off at its period's ends (README, "Conventions worth knowing")."""
+    pulse is cut off at its period's ends (README, "Conventions worth knowing");
+    a signal file without deriv takes the bandlimited derivative."""
+
+    def test_contained_gaussian_reads_the_analytic_derivative(self):
+        # exp(-32) of its peak at both ends: the record is bandlimited to rounding
+        g, g_deriv = d.gaussian_pulse(400, 0.02, center=4.0, width2=0.5)
+        for samples, deriv in ((g, g_deriv), (g * (1 - 2j), g_deriv * (1 - 2j))):
+            err = np.max(np.abs(bandlimited_derivative(samples, 0.02) - deriv))
+            assert err <= 1e-9 * np.max(np.abs(deriv))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_real_record_has_a_real_derivative(self, m):
+        samples = np.random.default_rng(m).standard_normal(m)
+        for record in (samples, samples.astype(complex)):
+            deriv = bandlimited_derivative(record, 0.5)
+            assert deriv.dtype == float and deriv.shape == (m,)
+        assert d.SampledSignal.from_samples(samples, 0.5).is_real
 
     def test_cut_off_default_train_reads_a_fraction_of_the_sample_derivative(self):
         # the CLI default train, cut off at 0.17 and 0.89 of its peak, reads 0.0023

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import ddcrb as d
 from ddcrb.fim import schur_complement
-from ddcrb.signals import central_difference
 
 from conftest import make_contained_train, rel_err
 
@@ -48,12 +47,6 @@ class TestStructureQuantities:
             assert sq.gamma[q] == float(np.sum((t + tau0 + q * pt.t_p) * g2))
             assert sq.w[q] == float(np.sum((t + tau0 + q * pt.t_p) ** 2 * g2))
         assert sq.dg2 == float(np.sum(pt.g_deriv ** 2))
-
-    def test_rho_dual_method_agreement(self):
-        g, g_deriv = d.gaussian_pulse(500, 0.01, center=4.0, width2=9.0)
-        rho_analytic = float(np.sum(g_deriv * g))
-        rho_fd = float(np.sum(central_difference(g, 0.01) * g))
-        assert rho_fd == pytest.approx(rho_analytic, rel=1e-6)
 
     def test_gram_matrix_symmetric_with_boundary_overlap(self):
         g, g_deriv = d.gaussian_pulse(500, 0.01, center=4.0, width2=9.0)
