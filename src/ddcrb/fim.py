@@ -269,10 +269,9 @@ class Border:
         """
         if not self.finite:
             return
-        spec = np.linalg.norm(self.a) + np.linalg.norm(self.b)
-        if spec < 1e-150:  # squares that lose bits or underflow: in units of the largest entry
-            spec = sum(top * np.linalg.norm(x / top) for x in (self.a, self.b)
-                       if (top := np.max(np.abs(x), initial=0.0)) > 0.0)
+        # |x|_F in units of the largest entry: its squares neither underflow nor overflow
+        spec = sum(top * np.linalg.norm(x / top) for x in (self.a, self.b)
+                   if (top := np.max(np.abs(x), initial=0.0)) > 0.0)
         spec = max(spec + abs(self.c) * self.gram.norm1, 1e-300)
         asym = np.max(np.abs(self.a - self.a.T))
         if asym > SYMMETRY_RTOL * spec:

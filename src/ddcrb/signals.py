@@ -71,14 +71,16 @@ def memoised(fn: Callable) -> Callable:
 def bandlimited_derivative(samples, delta: float) -> np.ndarray:
     """ds/dt of the samples s(n delta) as a bandlimited record followed by M
     zeros: the derivative of its 2M-point FFT, Nyquist term zeroed, read on
-    the M samples. A real record goes through rfft, so its derivative is real."""
+    the M samples. A real record goes through rfft, so its derivative is real.
+    It is taken in units of the largest sample, so only a derivative that
+    itself overflows is not finite."""
     samples, fft = np.asarray(samples), np.fft  # numpy loads np.fft lazily: not at import
-    m = samples.size
+    m, top = samples.size, np.max(np.abs(samples), initial=0.0) or 1.0
     omega = 2j * np.pi * fft.fftfreq(2 * m, delta)
     omega[m] = 0.0
     if np.any(np.imag(samples)):
-        return fft.ifft(fft.fft(samples, 2 * m) * omega)[:m]
-    return fft.irfft(fft.rfft(np.real(samples), 2 * m) * omega[:m + 1], 2 * m)[:m]
+        return top * fft.ifft(fft.fft(samples / top, 2 * m) * omega)[:m]
+    return top * fft.irfft(fft.rfft(np.real(samples) / top, 2 * m) * omega[:m + 1], 2 * m)[:m]
 
 
 @dataclass(frozen=True)

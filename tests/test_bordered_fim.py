@@ -123,6 +123,16 @@ def test_validation_errors_match_dense(kind, with_a):
                     build()
 
 
+@pytest.mark.parametrize("scale", (1e-200, 1.0, 1e200))
+def test_validation_is_scale_free(scale):
+    # |A|_F squares underflow at 1e-200 and overflow at 1e200: the verdicts must not move
+    FimMatrix(scale * np.array([[2.0, 1.0], [1.0, 2.0]]), ("x", "y"))
+    for entries, message in (([[2.0, 1.0], [1.001, 2.0]], "symmetric"),
+                             ([[1.0, 0.0], [0.0, -0.1]], "semidefinite")):
+        with pytest.raises(ValueError, match=message):
+            FimMatrix(scale * np.array(entries), ("x", "y"))
+
+
 def test_entries_built_lazily_and_read_only():
     sig = d.triangle_wave(8, delta=0.4)
     fim = d.fim_unknown_signal(sig, d.Scenario(tau0=0.4, f0=0.1, looks_direct=1,

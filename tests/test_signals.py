@@ -166,6 +166,12 @@ class TestSynthesizePulseTrain:
                                              "must be finite$"):
             d.SampledSignal.from_samples([0.0, 1e300, 2e300, 1.0, 0.0], 1e-300)
 
+    def test_samples_whose_sum_overflows_keep_a_finite_derivative(self):
+        # the FFT's DC term 2e308 overflows; the derivative, about 1e298, does not
+        deriv = d.SampledSignal.from_samples([1e308, 1e308], 1e10).deriv
+        np.testing.assert_allclose(deriv, 1e308 * bandlimited_derivative([1.0, 1.0], 1e10),
+                                   rtol=1e-15)
+
 
 class TestTriangleWave:
     def test_m16_slopes(self):
