@@ -70,6 +70,38 @@ def _known_signal_block(sig: SampledSignal, sc: Scenario, scale_known: bool) -> 
     return block
 
 
+def unit_information(sig: SampledSignal, tau0: float) -> np.ndarray:
+    """A0, the 3 x 3 _known_signal_block with the a row at a = 1 and
+    sigma_w2 = 1: [[2 S_dd, 4 pi eta, -2 S_x], [4 pi eta, 8 pi^2 S_ww, 0],
+    [-2 S_x, 0, 2 S_e]] from weighted_sums and energy_sums."""
+    s_dd, s_ww, e = weighted_sums(sig, tau0)
+    s_e, s_x = energy_sums(sig)
+    return np.array([[2.0 * s_dd, 4.0 * np.pi * e, -2.0 * s_x],
+                     [4.0 * np.pi * e, TWO_PI2 * s_ww, 0.0],
+                     [-2.0 * s_x, 0.0, 2.0 * s_e]])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # finiteness tests flag such a block
+def eliminated_block(a0: np.ndarray, w: np.ndarray, l, p, s2, a) -> np.ndarray:
+    """A - B C^{-1} B^T of bordered_fim from the unit-scale projection (A0, W)
+    of its basis: (P/s2) Lam [A0 - pfrac W] Lam, Lam = diag(a, a[, 1]) and
+    pfrac = a^2 P/(L + a^2 P), k x k as A0 and W are. B = (P/s2) a Lam R with
+    R the unit rows (-2 h, 4 pi j wt u, 2 v) and C = 2 (L + a^2 P)/s2 (K kron
+    I_2) give it with W = Re(R K^-1 R^H)/2. The scale enters only after the
+    unit-scale subtraction: B C^-1 B^T from the FIM's own rows squares
+    k_f = 4 pi a^2 P/s2, which underflows first at tiny a and leaves
+    information that is not there. (l, p, s2, a) may be columns of n rows,
+    (A0, W) then n x k x k: each row is its own scalar form's value bit for
+    bit. Needs L + a^2 P > 0."""
+    k = np.shape(a0)[-1]
+    a = np.asarray(a, dtype=float)
+    lam = np.ones(a.shape + (k,))
+    lam[..., :2] = a[..., None]
+    a2, l, p, s2 = (np.asarray(x, dtype=float)[..., None, None] for x in (a * a, l, p, s2))
+    pfrac = a2 * p / (l + a2 * p)
+    return (p / s2) * (lam[..., :, None] * (a0 - pfrac * w) * lam[..., None, :])
+
+
 def jcrb_known(sig: SampledSignal, sc: Scenario) -> BoundPair:
     """Joint delay/Doppler bounds for a known signal (single look).
 
@@ -131,7 +163,8 @@ def unknown_signal_labels(m: int) -> tuple[str, ...]:
 
 @np.errstate(over="ignore", invalid="ignore")  # eliminated_pair flags such a FIM
 def bordered_fim(sig: SampledSignal, sc: Scenario, labels: tuple[str, ...],
-                 basis=None, meta=None, scale_known: bool = True) -> FimMatrix:
+                 basis=None, meta=None, scale_known: bool = True,
+                 projection=None) -> FimMatrix:
     """Bordered FIM of (tau0, f0[, a]) and N complex nuisance coefficients.
 
     A is P times the single-look known-signal information of the scaled
@@ -141,7 +174,9 @@ def bordered_fim(sig: SampledSignal, sc: Scenario, labels: tuple[str, ...],
     with each basis vector and K's GramBand; None means the raw samples
     (s', t + tau0, s, s, UNIT_GRAM). Border rows -(2a^2 P/s2) h,
     (4 pi a^2 P/s2) j wt u, (2aP/s2) v in (real, imaginary) columns;
-    C = (2L + 2a^2 P)/s2 (K kron I_2).
+    C = (2L + 2a^2 P)/s2 (K kron I_2). projection: the basis's unit-scale
+    (A0, W) (structure.nuisance_projection); with it and c > 0 the Border
+    holds its eliminated_block, so C is never factored for this FIM.
     """
     p, l, a, s2 = sc.looks_reflected, sc.looks_direct, sc.scale, sc.sigma_w2
     known = _known_signal_block(sig, sc, scale_known)
@@ -152,7 +187,14 @@ def bordered_fim(sig: SampledSignal, sc: Scenario, labels: tuple[str, ...],
     rows = [k_tau * h, (k_f * wt) * (1j * u), k_a * v]
     # a complex row viewed as floats interleaves (real, imaginary) columns
     b_block = np.array(rows[:len(known)]).view(float)
-    border = Border(known * p, b_block, (2.0 * l + 2.0 * a2 * p) / s2, gram)
+    c, k = (2.0 * l + 2.0 * a2 * p) / s2, len(known)
+    # c = 0 (L = 0 and a^2 underflowed) leaves pfrac 0/0: C is then not
+    # positive definite, and the FIM goes dense as without a projection
+    red = None if projection is None or not c > 0.0 else eliminated_block(
+        *(x[:k, :k] for x in projection), l, p, s2, a)
+    if red is not None:
+        red.setflags(write=False)
+    border = Border(known * p, b_block, c, gram, red)
     return FimMatrix(None, ("tau0", "f0", "a")[:len(known)] + tuple(labels[2:]), meta or {},
                      border)
 

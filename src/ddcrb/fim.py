@@ -5,15 +5,21 @@ the parameters of interest, B its border with N nuisance coefficients and
 C = c (K kron I_2), empty (N = 0) for a matrix given densely. One rule
 validates every FIM: A symmetric and A - B C^{-1} B^T PSD, to tolerances
 relative to |A|_F + |B|_F + |c| |K|_1. K is always a GramBand, which keeps
-|K|_1 and K's inertia verdict; a one-entry band [[g]] is g I at any N.
-submatrix, drop and the keep of schur_complement act on the parameters of
-interest only, through the blocks. The dense matrix is built only as
-FimMatrix.entries, on request, and as the fallback of FimMatrix.solvable when
-C has no Cholesky factor (L = P = 0, or a singular K): validation and
+|K|_1, its band Cholesky factor and its inertia verdict; a one-entry band
+[[g]] is g I at any N. A Border's Schur complement A - B C^{-1} B^T is
+either given by its builder (a pulse-basis FIM forms it from the
+projection its train keeps per delay, so no FIM factors c K) or, for
+K = g I, computed from the blocks on first use. submatrix, drop and the
+keep of schur_complement act on the parameters of interest only, through
+the blocks. The dense matrix is built only as FimMatrix.entries, on
+request, and as the fallback of FimMatrix.solvable when the Schur
+complement is not known (C not positive definite: L = P = 0, a^2 that
+underflowed at L = 0, or a K with no Cholesky factor): validation and
 elimination then take it as a border with C empty. eliminated_pair turns a
-FIM into delay/Doppler bounds; BoundPair, PairColumns and CrbReport carry
-bound values, a method tag and a singularity flag, so rank-deficient
-scenarios (no unbiased estimator) give flagged results.
+FIM into delay/Doppler bounds, and inverted_blocks judges and inverts many
+eliminated blocks at once as it judges one; BoundPair, PairColumns and
+CrbReport carry bound values, a method tag and a singularity flag, so
+rank-deficient scenarios (no unbiased estimator) give flagged results.
 SINGULAR_COND is the one threshold of "no information" for every model.
 """
 
@@ -161,6 +167,12 @@ class GramBand:
         return band_norm1(self.band)
 
     @functools.cached_property
+    def factor(self) -> np.ndarray | None:
+        """K's band_cholesky factor (None when K is not positive definite),
+        taken once per Gram band: every projection of a train solves with it."""
+        return band_cholesky(self.band)
+
+    @functools.cached_property
     def singular(self) -> bool:
         """Whether lambda_min(K) <= |K|_1 / SINGULAR_COND, |K|_1 >= lambda_max(K):
         flags every K whose eigenvalue range exceeds SINGULAR_COND. By Sylvester's
@@ -181,14 +193,18 @@ class Border:
 
     a is the k x k block of the parameters of interest, b the k x 2N border
     over (real, imaginary) pairs of N nuisance coefficients, and gram is K,
-    always a GramBand holding K's lower band ([[g]] for K = g I). No N x N
-    matrix is built or decomposed except by dense().
+    always a GramBand holding K's lower band ([[g]] for K = g I). eliminated,
+    when a builder gives it, is A - B C^{-1} B^T already formed from a
+    projection kept per basis (bounds.eliminated_block), so that C is never
+    factored for this matrix. No N x N matrix is built or decomposed except
+    by dense().
     """
 
     a: np.ndarray
     b: np.ndarray
     c: float
     gram: GramBand
+    eliminated: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, entries) -> "Border":
@@ -220,30 +236,27 @@ class Border:
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a block that is not finite is flagged
     def schur(self) -> np.ndarray | None:
-        """Read-only A - B C^{-1} B^T, or None when C is not positive definite.
+        """Read-only A - B C^{-1} B^T, shared by validation and elimination;
+        None when it is not known here, and FimMatrix.solvable then takes the
+        dense matrix.
 
-        Computed on first use and shared by validation and elimination. With
-        no nuisance columns it is A as given, not symmetrised, so a dense
-        matrix is eliminated exactly as it was built.
+        The eliminated block when one was given (every Gram band that
+        bordered_fim builds with a positive definite C comes with one). With
+        no nuisance columns, A as given, not symmetrised, so a dense matrix is
+        eliminated exactly as it was built. For K = g I it is computed on
+        first use, None when c g is not positive; a Gram band given without
+        its block is None.
         """
+        if self.eliminated is not None:
+            return self.eliminated
         if not self.b.size:
             return self.a
-        if self.gram.band.size == 1:  # K = g I
-            ck = self.c * self.gram.band.item()
-            if not ck > 0.0:
-                return None
-            # the reciprocal scaling is what the LU solve of the dense path
-            # does with a diagonal C, so both paths agree bit for bit
-            out = self.a - self.b @ (self.b.T * (1.0 / ck))
-        else:
-            factor = band_cholesky(self.c * self.gram.band)
-            if factor is None:
-                return None
-            k = len(self.a)
-            y = band_solve(factor, np.hstack([self.b[:, 0::2].T, self.b[:, 1::2].T]))
-            # as written, on a C-ordered y: numpy may send another layout or
-            # product form to another BLAS routine, which can move the last bits
-            out = self.a - (y[:, :k].T @ y[:, :k] + y[:, k:].T @ y[:, k:])
+        ck = self.c * self.gram.band.item() if self.gram.band.size == 1 else 0.0
+        if not ck > 0.0:
+            return None
+        # the reciprocal scaling is what the LU solve of the dense path does
+        # with a diagonal C, so both paths agree bit for bit
+        out = self.a - self.b @ (self.b.T * (1.0 / ck))
         out = 0.5 * (out + out.T)
         out.setflags(write=False)
         return out
@@ -251,21 +264,24 @@ class Border:
     @functools.cached_property
     def finite(self) -> bool:
         """Whether every block is finite (no sum behind it overflowed), so that an
-        eigenvalue routine may see it; needs a positive definite C. c |K|_1 bounds
+        eigenvalue routine may see it; needs the Schur complement. c |K|_1 bounds
         C, and while it is finite C^{-1} is not 0, so a nan or inf in A or B reaches
-        A - B C^{-1} B^T: two small tests stand for the whole matrix."""
+        A - B C^{-1} B^T (a given eliminated block is formed from A's sums and B's
+        rows at unit scale, so it too): two small tests stand for the whole matrix."""
         return math.isfinite(self.c * self.gram.norm1) and bool(np.isfinite(self.schur).all())
 
     @np.errstate(over="ignore", invalid="ignore")  # eliminated_pair flags such a FIM
     def validate(self) -> None:
         """Symmetry and PSD checks, the one rule for every FIM; needs a
-        positive definite C (schur not None). A FIM that is not finite is
+        Schur complement (schur not None). A FIM that is not finite is
         accepted unchecked: eliminated_pair flags it as overflowed.
 
         Haynsworth inertia additivity: the matrix is PSD iff C is PD and
-        A - B C^{-1} B^T is PSD. Tolerances scale with |A|_F + |B|_F + |C|_1,
-        an upper bound on the full spectral norm within a small factor. C is
-        symmetric by construction (K is stored as its lower band).
+        A - B C^{-1} B^T is PSD; a Schur complement is known only with C PD
+        (c g > 0, or c > 0 and the factor of K a given block solved with).
+        Tolerances scale with |A|_F + |B|_F + |C|_1, an upper bound on the
+        full spectral norm within a small factor. C is symmetric by
+        construction (K is stored as its lower band).
         """
         if not self.finite:
             return
@@ -305,7 +321,8 @@ class FimMatrix:
 
     @functools.cached_property
     def solvable(self) -> Border:
-        """Its own border while C is positive definite, else the dense matrix's."""
+        """Its own border while its Schur complement is known, else the dense
+        matrix's."""
         return self.border if self.border.schur is not None else Border.of(self.entries)
 
     @property
@@ -323,11 +340,13 @@ class FimMatrix:
 
     def drop(self, label: str) -> "FimMatrix":
         """FIM with one parameter of interest removed (treated as known, not
-        eliminated): A loses its row and column (kept read-only), B its row."""
+        eliminated): A and a given eliminated block lose its row and column
+        (kept read-only), B its row."""
         i, bd = self._index(label), self.border
-        a = Border.of(np.delete(np.delete(bd.a, i, 0), i, 1)).a
+        a, red = (None if x is None else Border.of(np.delete(np.delete(x, i, 0), i, 1)).a
+                  for x in (bd.a, bd.eliminated))
         return FimMatrix(None, self.labels[:i] + self.labels[i + 1:], dict(self.meta),
-                         Border(a, np.delete(bd.b, i, 0), bd.c, bd.gram))
+                         Border(a, np.delete(bd.b, i, 0), bd.c, bd.gram, red))
 
 
 def _eliminate(e: np.ndarray, keep: int, outer: float = 0.0) -> np.ndarray:
@@ -370,22 +389,42 @@ def invert_bound_matrix(reduced: np.ndarray,
     lambda_min at most 1/SINGULAR_COND of a reference. A float scale is the
     reference (the parent FIM's leading-block norm recognises an exactly
     eliminated block left as rounding noise), by default R's own norm. An
-    array scale is the parent's leading diagonal d: D^-1/2 R D^-1/2 is judged
-    against 1, free of the parameters' units, and d <= 0 is no information."""
+    array scale is the parent's leading diagonal d: the one-block case of
+    inverted_blocks."""
+    if np.ndim(scale) == 1:
+        inv, singular = inverted_blocks(reduced[None], np.asarray(scale)[None])
+        return None if singular[0] else inv[0]
     if not np.all(np.isfinite(reduced)):
         return None
     sym = 0.5 * (reduced + reduced.T)
-    judged, ref = sym, scale
-    if np.ndim(scale) == 1:
-        if not np.all(scale > 0.0):
-            return None
-        # d_i d_j may underflow where sqrt(d_i) sqrt(d_j) does not
-        judged, ref = sym / np.sqrt(scale)[:, None] / np.sqrt(scale), 1.0
-    elif scale is None:
-        ref = float(np.max(np.abs(reduced)))
-    if np.min(np.linalg.eigvalsh(judged)) <= max(ref, 1e-300) / SINGULAR_COND:
+    ref = float(np.max(np.abs(reduced))) if scale is None else scale
+    if np.min(np.linalg.eigvalsh(sym)) <= max(ref, 1e-300) / SINGULAR_COND:
         return None
     return np.linalg.inv(sym)
+
+
+def inverted_blocks(reduced: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of eliminated blocks R (n x k x k) and which are
+    singular, each judged against its parent FIM's leading diagonal d (a row
+    of diag): D^-1/2 R D^-1/2 against 1, free of the parameters' units. A
+    block that is not finite, or d <= 0, is no information; a singular
+    block's inverse is nan. numpy's stacked eigvalsh and inv take each block
+    as they take it alone."""
+    with np.errstate(all="ignore"):
+        sym = 0.5 * (reduced + np.swapaxes(reduced, 1, 2))
+        root = np.sqrt(diag)
+        # d_i d_j may underflow where sqrt(d_i) sqrt(d_j) does not
+        judged = sym / root[:, :, None] / root[:, None, :]
+    # a block that is not finite, or d <= 0 (sqrt(d) nan or 0), leaves judged not finite
+    ok = np.isfinite(judged).all(axis=(1, 2))
+    if not ok.all():  # the others' routines see I in their place
+        judged = np.where(ok[:, None, None], judged, np.eye(judged.shape[-1]))
+    ok &= np.linalg.eigvalsh(judged)[:, 0] > 1.0 / SINGULAR_COND
+    if ok.all():
+        return np.linalg.inv(sym), ~ok
+    inv = np.linalg.inv(np.where(ok[:, None, None], sym, np.eye(sym.shape[-1])))
+    inv[~ok] = np.nan
+    return inv, ~ok
 
 
 @dataclass(frozen=True)
@@ -418,6 +457,8 @@ class BoundPair:
 
 # why a value a closed form computed from finite inputs is flagged anyway
 OVERFLOW_NOTE = "no finite positive bound: the sums or the bound overflowed"
+# why an eliminated pair is flagged when its FIM is finite
+SINGULAR_NOTE = "eliminated delay/Doppler block is singular"
 
 
 @dataclass(frozen=True)
@@ -495,8 +536,7 @@ def eliminated_pair(fim: FimMatrix, separate: bool = False) -> BoundPair:
     except SingularFimError:
         inv = None
     if inv is None:
-        return BoundPair.singular_pair("eliminated delay/Doppler block is singular",
-                                       METHOD_SCHUR_NUMERIC)
+        return BoundPair.singular_pair(SINGULAR_NOTE, METHOD_SCHUR_NUMERIC)
     with np.errstate(over="ignore"):  # .pair() flags a value that overflowed
         pair = 1.0 / np.diag(reduced) if separate else np.diag(inv)
     return PairColumns(pair[:1], pair[1:], np.array([""], dtype=object),

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import (TWO_PI2, energy_sums, fim_unknown_signal, signal_bound_columns,
-                     signal_bounds, weighted_sums)
-from .fim import SINGULAR_COND, BoundPair, FimMatrix, PairColumns, eliminated_pair
+from .bounds import (TWO_PI2, eliminated_block, energy_sums, fim_unknown_signal,
+                     signal_bound_columns, signal_bounds, weighted_sums)
+from .fim import (METHOD_SCHUR_NUMERIC, OVERFLOW_NOTE, SINGULAR_COND, SINGULAR_NOTE, BoundPair,
+                  FimMatrix, PairColumns, inverted_blocks)
 from .signals import PulseTrain, SampledSignal, Scenario, ScenarioColumns
-from .structure import fim_known_structure, structure_quantities, support_assumption_holds
+from .structure import (fim_known_structure, nuisance_projection, pulse_basis,
+                        structure_quantities, support_assumption_holds)
+
+ZERO_PULSE_NOTE = "P = 0 or zero pulse: no delay/Doppler information"
 
 
 def jcrb_scaled_known_a(sig: SampledSignal, sc: Scenario) -> tuple[BoundPair, BoundPair]:
@@ -70,9 +74,66 @@ def structure_bound_columns(trains: list[PulseTrain], pts: ScenarioColumns,
         v22 = (TWO_PI2 * a2 * p / s2) * d22
         return PairColumns.flagged(
             1.0 / v11, 1.0 / v22,
-            ((p == 0) | (e_g <= 0.0), "P = 0 or zero pulse: no delay/Doppler information"),
+            ((p == 0) | (e_g <= 0.0), ZERO_PULSE_NOTE),
             ((d11 <= dg2 / SINGULAR_COND) | (d22 <= w_b2 / SINGULAR_COND),
              "degenerate pulse: amplitude block absorbs all delay/Doppler information"))
+
+
+def eliminated_structure_columns(trains: list[PulseTrain], pts: ScenarioColumns,
+                                 scale_known: bool = True) -> tuple[PairColumns, PairColumns]:
+    """(joint, separate) structured bounds at every row of pts by numeric
+    elimination, tagged schur_numeric, for trains past containment (any
+    train): trains holds one train per row and pts one delay, or one train
+    for every row.
+
+    Row i is eliminated_pair of fim_known_structure (fim_unknown_a with
+    structure=True when the scale is unknown) at that row, joint and
+    separate, and judged by the same rules, without building the FIM: the
+    eliminated block is bounds.eliminated_block of the kept
+    nuisance_projection, the a row is eliminated as schur_complement does,
+    and inverted_blocks judges the (tau0, f0) block against the FIM's
+    leading diagonal. P = 0 and a zero pulse are flagged first, by
+    structure_bound_columns's rule, before any projection is built.
+    """
+    keys = [(pt, t) for pt in trains for t in pts.tau0.tolist()]
+    # one row per key, or per scenario when one key serves every row
+    l, p, s2, a = np.broadcast_arrays(pts.looks_direct, pts.looks_reflected, pts.sigma_w2,
+                                      pts.scale, np.zeros(len(keys)))[:4]
+    row, k = np.arange(len(l)) % len(keys), 2 if scale_known else 3  # each row's key
+    no_info = (p == 0) | np.array([not np.sum(pt.g ** 2) > 0.0 for pt, _ in keys])[row]
+    # a (train, delay) is projected only for a row that has information
+    wanted = np.bincount(row[~no_info], minlength=len(keys)) > 0
+    projections = [nuisance_projection(pt, t) if want else None
+                   for (pt, t), want in zip(keys, wanted)]
+    grams = [None if proj is None else pulse_basis(pt, t)[0][4]
+             for (pt, t), proj in zip(keys, projections)]
+    no_factor = np.array([proj is None for proj in projections])[row] & ~no_info
+    # a key without a projection takes I as a stand-in: its rows are flagged
+    a0, w = (np.array([np.eye(3) if proj is None else proj[j]
+                       for proj in projections])[row, :k, :k] for j in (0, 1))
+    norm1 = np.array([1.0 if g is None else g.norm1 for g in grams])[row]
+    singular = np.array([g is not None and g.singular for g in grams])[row]
+    with np.errstate(all="ignore"):
+        a2 = a * a
+        c = (2.0 * l + 2.0 * a2 * p) / s2
+        red = eliminated_block(a0, w, l, p, s2, a)
+        outer = c * norm1
+        finite = np.isfinite(outer) & np.isfinite(red).all(axis=(1, 2))
+        if k == 3:  # a goes first, as schur_complement eliminates it
+            r_aa = red[:, 2, 2]
+            singular |= r_aa <= np.maximum(np.abs(r_aa), outer) / SINGULAR_COND
+            red = np.where((finite & ~singular)[:, None, None], red, np.eye(3))
+            out = red[:, :2, :2] - red[:, :2, 2:] @ np.linalg.solve(red[:, 2:, 2:], red[:, 2:, :2])
+            red = 0.5 * (out + np.swapaxes(out, 1, 2))
+        # the FIM's leading diagonal, as bordered_fim forms A
+        diag = a2[:, None] * (np.diagonal(a0, axis1=1, axis2=2)[:, :2] / s2[:, None]) * p[:, None]
+        inv, inv_singular = inverted_blocks(red, diag)
+        values = (np.diagonal(inv, axis1=1, axis2=2), 1.0 / np.diagonal(red, axis1=1, axis2=2))
+    # c = 0 (L = 0 and a^2 underflowed): C is not positive definite
+    conditions = ((no_info, ZERO_PULSE_NOTE), (no_factor | ~(c > 0.0), SINGULAR_NOTE),
+                  (~finite, OVERFLOW_NOTE), (singular | inv_singular, SINGULAR_NOTE))
+    return tuple(PairColumns.flagged(v[:, 0], v[:, 1], *conditions, method=METHOD_SCHUR_NUMERIC)
+                 for v in values)
 
 
 def jcrb_structure_known_a(pt: PulseTrain, sc: Scenario) -> BoundPair:
@@ -83,9 +144,14 @@ def jcrb_structure_known_a(pt: PulseTrain, sc: Scenario) -> BoundPair:
     assumption, with amplitude weight a^2 P/(L + a^2 P) and an overall a^2;
     a = 1 gives the unscaled structured bounds, weight P/(L+P). Joint equals
     separate. Flagged singular for P = 0 and when the amplitude block
-    absorbs all information (pulse proportional to its derivative).
+    absorbs all information (pulse proportional to its derivative). Past
+    containment the joint pair of eliminated_structure_columns, tagged
+    schur_numeric.
     """
-    return structure_bound_columns([pt], ScenarioColumns.of(sc)).pair()
+    pts = ScenarioColumns.of(sc)
+    if support_assumption_holds(pt):
+        return structure_bound_columns([pt], pts).pair()
+    return eliminated_structure_columns([pt], pts)[0].pair()
 
 
 def jcrb_unknown_a_structure(pt: PulseTrain, sc: Scenario) -> tuple[BoundPair, BoundPair]:
@@ -97,17 +163,18 @@ def jcrb_unknown_a_structure(pt: PulseTrain, sc: Scenario) -> tuple[BoundPair, B
     separate equals joint for both coordinates. These forms need the pulse
     contained in its period; otherwise joint is eliminated_pair of
     fim_unknown_a(pt, sc, structure=True) and separate the reciprocal
-    diagonal of the same eliminated block, both tagged schur_numeric.
+    diagonal of the same eliminated block (eliminated_structure_columns),
+    both tagged schur_numeric.
     """
     if sc.looks_direct == 0 or sc.looks_reflected == 0:
         sing = BoundPair.singular_pair(
             "L = 0 or P = 0: scale and amplitudes are not jointly identifiable")
         return sing, sing
+    pts = ScenarioColumns.of(sc)
     if support_assumption_holds(pt):
-        joint = structure_bound_columns([pt], ScenarioColumns.of(sc), scale_known=False).pair()
+        joint = structure_bound_columns([pt], pts, scale_known=False).pair()
         return joint, joint
-    fim = fim_unknown_a(pt, sc, structure=True)
-    return eliminated_pair(fim), eliminated_pair(fim, separate=True)
+    return tuple(col.pair() for col in eliminated_structure_columns([pt], pts, scale_known=False))
 
 
 def crb_separate_unknown_a(sig: SampledSignal, sc: Scenario) -> BoundPair:

@@ -8,6 +8,14 @@ eliminated FIM becomes exactly diagonal, and the joint bounds drop strictly
 below the totally-unknown-signal bounds whenever the pulse shape is not a
 scalar multiple of its own derivative. Those bounds are the a = 1 case of
 ddcrb.scaled.jcrb_structure_known_a.
+
+Past containment the bounds are numeric. The nuisance block's Gram matrix K
+depends on the train alone, so for one train and delay the amplitudes'
+share of the delay/Doppler information is one unit-scale matrix W, kept as
+nuisance_projection with one band solve through K's factor; every FIM of
+that delay, at any looks, scale and noise, reads its eliminated block from
+it, and scaled.eliminated_structure_columns evaluates it at many scenarios
+without building a FIM.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bounds import TWO_PI2, bordered_fim, jcrb_known
-from .fim import BoundPair, FimMatrix, GramBand, PairColumns
-from .signals import PulseTrain, Scenario, memoised, synthesize_pulse_train
+from .bounds import TWO_PI2, bordered_fim, jcrb_known, unit_information
+from .fim import BoundPair, FimMatrix, GramBand, PairColumns, band_solve
+from .signals import PulseTrain, SampledSignal, Scenario, memoised, synthesize_pulse_train
 
 SUPPORT_RTOL = 1e-9
 
@@ -127,15 +135,49 @@ def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, str]:
     return (h, 1.0, u, v, _pulse_gram(pt)), form
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Border.finite flags such a projection
+def basis_projection(sig: SampledSignal, tau0: float, basis: tuple) -> tuple | None:
+    """(A0, W) of a bordered_fim basis at a = 1 and sigma_w2 = 1, 3 x 3 with
+    the a row and read-only, or None when K has no Cholesky factor: A0 is
+    bounds.unit_information and W = Re(R K^-1 R^H)/2 over the unit border
+    rows R = (-2 h, 4 pi j wt u, 2 v). One solve through K's kept factor;
+    K = g I needs neither factor nor solve."""
+    h, wt, u, v, gram = basis
+    x = np.array([-2.0 * h, (4.0 * np.pi * wt) * (1j * u), 2.0 * v]).view(float)
+    if gram.band.size == 1:
+        if not gram.band.item() > 0.0:
+            return None
+        w = (x @ x.T) / (2.0 * gram.band.item())
+    else:
+        if gram.factor is None:
+            return None
+        y = band_solve(gram.factor, np.hstack([x[:, 0::2].T, x[:, 1::2].T]))
+        w = 0.5 * (y[:, :3].T @ y[:, :3] + y[:, 3:].T @ y[:, 3:])
+    out = unit_information(sig, tau0), 0.5 * (w + w.T)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@memoised
+def nuisance_projection(pt: PulseTrain, tau0: float) -> tuple | None:
+    """basis_projection of the train's pulse_basis, once per train and delay:
+    every FIM of the delay, at any looks, scale and noise, reads its
+    eliminated block from it (bounds.eliminated_block)."""
+    return basis_projection(synthesize_pulse_train(pt), tau0, pulse_basis(pt, tau0)[0])
+
+
 def fim_known_structure(pt: PulseTrain, sc: Scenario, scale_known: bool = True) -> FimMatrix:
     """(2+2Q) FIM for (tau0, f0, b_1R, b_1I, ..., b_QR, b_QI) at the scale
     sc.scale; scale_known=False adds a as the third parameter. The
-    amplitude couplings come from pulse_basis and meta records its form."""
+    amplitude couplings come from pulse_basis and meta records its form;
+    the eliminated block from nuisance_projection."""
     if sc.looks_reflected < 1:
         raise ValueError("need at least one reflected-path look")
     basis, form = pulse_basis(pt, sc.tau0)
     return bordered_fim(synthesize_pulse_train(pt), sc, structure_labels(pt.n_pulses), basis,
-                        {"blocks": form}, scale_known=scale_known)
+                        {"blocks": form}, scale_known=scale_known,
+                        projection=nuisance_projection(pt, sc.tau0))
 
 
 def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:

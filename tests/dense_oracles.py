@@ -7,11 +7,12 @@ gradients by differencing stacked means, p explicit N x N covariance
 derivatives with the trace and Kronecker formulas, and the overlap blocks
 e, b and D with a dense symmetric solve. The Kronecker form holds an
 N^2 x N^2 matrix and the overlap solve is O(M^3), so they suit small
-instances only. The forms here that are not dense are the per-offset chain
-elimination of the overlap block, which the library's closed form matches
-to 1e-12 of e, and the per-row closed-form bounds of the crb, sweep and
-table1 commands, on Python floats one scenario at a time, which the
-library's column evaluation reproduces bit for bit.
+instances only, as does the inversion of a whole bordered FIM. The forms
+here that are not dense are the per-offset chain elimination of the overlap
+block, which the library's closed form matches to 1e-12 of e, and the
+per-row closed-form bounds of the crb, sweep and table1 commands, on Python
+floats one scenario at a time, which the library's column evaluation
+reproduces bit for bit.
 """
 
 import numpy as np
@@ -219,6 +220,15 @@ def signal_bounds(sig, sc) -> tuple[BoundPair, BoundPair, BoundPair]:
         separate = BoundPair(tau0=factor * sc.sigma_w2 / (2.0 * a2 * s_dd),
                              f0=factor * sc.sigma_w2 / (TWO_PI2 * a2 * s_ww))
     return known, known.scaled(factor / a2), separate
+
+
+def dense_inverse_pairs(fim: FimMatrix) -> tuple[tuple, tuple]:
+    """(joint, separate) (tau0, f0) bounds of a bordered FIM by inverting its
+    whole dense matrix (Border.dense(), nuisance block included) with numpy:
+    joint is the leading diagonal of F^-1, separate the reciprocal diagonal of
+    the eliminated block, the inverse of F^-1's leading 2 x 2."""
+    lead = np.linalg.inv(fim.border.dense())[:2, :2]
+    return tuple(np.diag(lead)), tuple(1.0 / np.diag(np.linalg.inv(lead)))
 
 
 def structure_pair(pt, sc, scale_known: bool = True) -> BoundPair:

@@ -154,7 +154,7 @@ def test_tridiagonal_recurrences_equal_the_general_loop_bytewise(band, r, seed):
     y = band_solve(factor, rhs)
     expected = fim_module._solve_loop(reference.tolist(), rhs)
     assert y.shape == expected.shape == rhs.shape
-    assert y.flags.c_contiguous  # the layout the Schur product was measured with
+    assert y.flags.c_contiguous  # the layout the projection's product was recorded with
     assert y.tobytes() == expected.tobytes()
 
 
@@ -205,13 +205,16 @@ def nuisance_bases_train(with_a):
     return pt, sc
 
 
-# (tau0, f0) of eliminated_pair, joint then separate, as float.hex, recorded
-# with the general band loop before the b = 1 recurrences replaced it. No
-# file under results/ and no perfbench cell reads a banded K, and the
-# perfbench check at rel 1e-9 cannot see the last bit, so these hold the
-# band path bit for bit. Like results/, they rest on numpy's LAPACK
-# (eigvalsh and inv of the 2 x 2 block).
-PINNED_PAIRS = {
+# (tau0, f0) of eliminated_pair, joint then separate, as float.hex. No file
+# under results/ reads a banded K; the perfbench nuisance_bases cells of its
+# truncated train do, but at rel 1e-9 they cannot see the last bit, so these
+# hold the band path bit for bit. Like results/, they rest on numpy's LAPACK
+# (eigvalsh and inv of the 2 x 2 block). RECORDED_WITH_SCHUR_OF_CK holds the
+# pairs of the elimination that factored c K for every FIM (recorded with the
+# general band loop before the b = 1 recurrences replaced it); PINNED_PAIRS
+# those of the eliminated block from the train's kept projection, which moved
+# some pairs by one unit in the last place.
+RECORDED_WITH_SCHUR_OF_CK = {
     (nuisance_bases_train, False): ("0x1.2fb045c57fd40p-13", "0x1.41dd8cc3a8d4dp-40",
                                     "0x1.2fb045c579f52p-13", "0x1.41dd8cc3a29c0p-40"),
     (nuisance_bases_train, True): ("0x1.1dfae05f2251dp-14", "0x1.954fd3a397138p-41",
@@ -220,6 +223,16 @@ PINNED_PAIRS = {
                                     "0x1.128db32f755e1p-15", "0x1.2b5204972a8f0p-45"),
     (long_truncated_train, True): ("0x1.465c958ddc285p-16", "0x1.b3b285438fc6ep-46",
                                    "0x1.465c8a978bf44p-16", "0x1.b3b276a1182a4p-46"),
+}
+PINNED_PAIRS = {
+    (nuisance_bases_train, False): ("0x1.2fb045c57fd40p-13", "0x1.41dd8cc3a8d4dp-40",
+                                    "0x1.2fb045c579f52p-13", "0x1.41dd8cc3a29c0p-40"),
+    (nuisance_bases_train, True): ("0x1.1dfae05f2251dp-14", "0x1.954fd3a39713ap-41",
+                                   "0x1.1dfae05f1e2f8p-14", "0x1.954fd3a39137bp-41"),
+    (long_truncated_train, False): ("0x1.128dbe7a68f67p-15", "0x1.2b5210e6e7768p-45",
+                                    "0x1.128db32f755e1p-15", "0x1.2b5204972a8f1p-45"),
+    (long_truncated_train, True): ("0x1.465c958ddc284p-16", "0x1.b3b285438fc70p-46",
+                                   "0x1.465c8a978bf43p-16", "0x1.b3b276a1182a6p-46"),
 }
 
 
@@ -231,6 +244,8 @@ def test_truncated_train_pairs_are_pinned(train, with_a):
     pairs = (eliminated_pair(fim), eliminated_pair(fim, separate=True))
     assert not any(p.singular for p in pairs)
     assert tuple(float.hex(v) for p in pairs for v in p) == PINNED_PAIRS[train, with_a]
+    for new, old in zip(PINNED_PAIRS[train, with_a], RECORDED_WITH_SCHUR_OF_CK[train, with_a]):
+        assert float.fromhex(new) == pytest.approx(float.fromhex(old), rel=1e-13, abs=0.0)
 
 
 def small_only(fn):

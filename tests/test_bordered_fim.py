@@ -100,7 +100,9 @@ def test_validation_errors_match_dense(kind, with_a):
     skew[0, 1] = 1e-6 * np.max(np.abs(border.a))
     for a_block, message in ((border.a - shift, "semidefinite"),
                              (border.a + skew, "symmetric")):
-        bad = Border(a_block, border.b, border.c, border.gram)
+        # a structured FIM's given eliminated block moves with A
+        red = None if border.eliminated is None else border.eliminated + (a_block - border.a)
+        bad = Border(a_block, border.b, border.c, border.gram, red)
         with pytest.raises(ValueError, match=message):
             FimMatrix(None, fim.labels, border=bad)
         with pytest.raises(ValueError, match=message):
@@ -113,7 +115,8 @@ def test_validation_errors_match_dense(kind, with_a):
     spec = np.linalg.norm(border.a - lam * eye)
     for theta, accepted in ((0.99, True), (1.01, False)):
         a_block = border.a - (lam + theta * PSD_RTOL * spec) * eye
-        flat = Border(a_block, np.zeros_like(border.b), border.c, border.gram)
+        flat = Border(a_block, np.zeros_like(border.b), border.c, border.gram,
+                      None if border.eliminated is None else a_block)
         for build in (lambda: FimMatrix(None, fim.labels, border=flat),
                       lambda: FimMatrix(flat.dense(), fim.labels)):
             if accepted:
@@ -204,20 +207,21 @@ def test_gram_schur_computed_once_per_fim(monkeypatch):
     calls = _counted_choleskies(monkeypatch)
     pt, sc = build_source("truncated", 2, 1, 1.0, 0.5, seed=3)
     fim = d.fim_known_structure(pt, sc)
-    assert len(calls) == 1  # validation
+    assert len(calls) == 1  # K's factor, for the train's projection
     first = schur_complement(fim, 2)
     assert len(calls) == 2  # the inertia test of K
     np.testing.assert_array_equal(schur_complement(fim, 2), first)
     assert len(calls) == 2
     assert not fim.border.schur.flags.writeable
-    # another FIM of the train factors its own c K once and reads the inertia
-    # verdict that K keeps for the train
-    other = d.fim_unknown_a(pt, dataclasses.replace(sc, looks_direct=3, sigma_w2=2.0, scale=1.4),
-                            structure=True)
-    assert len(calls) == 3 and other.border.gram is fim.border.gram
+    # another FIM of the train, at another delay, looks, noise and scale,
+    # solves with K's kept factor and reads the inertia verdict K keeps: it
+    # factors nothing
+    other = d.fim_unknown_a(pt, dataclasses.replace(sc, tau0=1.25, looks_direct=3,
+                                                    sigma_w2=2.0, scale=1.4), structure=True)
+    assert other.border.gram is fim.border.gram
     schur_complement(other, 2)
     eliminated_pair(other, separate=True)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -325,9 +329,13 @@ def test_kept_basis_gives_the_fresh_basis_fim_bytewise(kind, with_a, l, p, a, si
     basis, form = structure.pulse_basis.__wrapped__(pt, sc.tau0)
     basis = basis[:4] + (structure._pulse_gram.__wrapped__(pt),)
     assert basis[4] is not fim.border.gram
-    fresh = d.bounds.bordered_fim(d.synthesize_pulse_train(pt), sc,
-                                  structure.structure_labels(pt.n_pulses), basis,
-                                  {"blocks": form}, scale_known=not with_a)
+    sig = d.synthesize_pulse_train(pt)
+    # the fresh side's projection solves with its own K's factor
+    fresh = d.bounds.bordered_fim(sig, sc, structure.structure_labels(pt.n_pulses), basis,
+                                  {"blocks": form}, scale_known=not with_a,
+                                  projection=structure.basis_projection(sig, sc.tau0, basis))
+    assert ("factor" in vars(basis[4])) is (form == "general")
+    assert fim.border.eliminated is not None and fresh.border.eliminated is not None
     kept, new = fim.border, fresh.border
     assert fim.labels == fresh.labels and fim.meta == fresh.meta
     for block in ("a", "b"):

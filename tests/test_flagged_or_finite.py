@@ -46,6 +46,9 @@ def assert_flagged_or_finite(name, pair):
 @example(contained=True, tau0=0.5, a=1e-160, l=1, p=1, sigma_w2=1.0)
 @example(contained=True, tau0=1e200, a=1.0, l=1, p=1, sigma_w2=1.0)
 @example(contained=False, tau0=0.5, a=1e-158, l=1, p=1, sigma_w2=1.0)
+# the unit-scale projection's sums overflow (a RuntimeWarning if not flagged)
+@example(contained=False, tau0=3.8e153, a=1.0, l=1, p=1, sigma_w2=1.0)
+@example(contained=False, tau0=4.2e152, a=1.0, l=1, p=1, sigma_w2=1.0)
 def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, p, sigma_w2):
     pt = train(contained)
     sig = d.synthesize_pulse_train(pt)
@@ -64,18 +67,31 @@ def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, 
         assert_flagged_or_finite(name, pair)
 
 
-@pytest.mark.parametrize("builder", ["fim_unknown_signal", "fim_known_structure"])
-@pytest.mark.parametrize("a", [1e-150, 1e-162])
+BUILDERS = {
+    "fim_unknown_signal": lambda pt, sc: d.fim_unknown_signal(d.synthesize_pulse_train(pt), sc),
+    "fim_known_structure": d.fim_known_structure,
+    "fim_unknown_a_structure": lambda pt, sc: d.fim_unknown_a(pt, sc, structure=True),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("a", [1e-150, 1e-158, 1e-160, 1e-162])
 @pytest.mark.parametrize("name", ["cli_default", "truncated"])
 def test_tiny_scale_fims_build_and_eliminate_flagged_or_finite(name, a, builder):
     # at L = 0 every block is a^2 times a sum: the PSD check measures them without
-    # underflow, and one a^2 makes A, C and the (tau0, f0) border vanish together
+    # underflow, and one a^2 makes A, C and the (tau0, f0) border vanish together.
+    # A structured FIM's eliminated block is a^2 times a unit-scale difference, so
+    # a subnormal a^2 (1e-158, 1e-160) costs it no sign; at 1e-162 a^2 and C are 0
+    # and it goes dense. At tau0 = 1e50 the Doppler information is lost to
+    # cancellation, so every pair is flagged
     pt = train(False) if name == "truncated" else d.gaussian_pulse_train(
         500, 0.01, 4.0, 9.0, np.full(2, (1.0 + 1.0j) / np.sqrt(2.0)))
-    arg = d.synthesize_pulse_train(pt) if builder == "fim_unknown_signal" else pt
     sc = d.Scenario(tau0=1e50, f0=0.3, looks_direct=0, looks_reflected=1, sigma_w2=1.0,
                     scale=a)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pair = eliminated_pair(getattr(d, builder)(arg, sc))
+        fim = BUILDERS[builder](pt, sc)
+        pair = eliminated_pair(fim)
     assert_flagged_or_finite(builder, pair)
+    assert pair.singular
+    assert (fim.border.eliminated is not None) is (builder != "fim_unknown_signal" and a > 1e-162)

@@ -91,9 +91,9 @@ def test_kept_values_cannot_be_changed():
             d.eliminated_pair(d.fim_known_structure(train, sc))
             d.fim_unknown_a(train, sc, structure=True)
     # each train keeps its synthesized signal, its containment verdict, its Gram
-    # band and per delay one pulse basis; the contained train per delay one
-    # StructureQuantities too
-    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 7
+    # band and per delay one pulse basis and one nuisance projection; the
+    # contained train per delay one StructureQuantities too
+    assert len(_memo_values(sig)) == 3 and len(_memo_values(pt)) == 9
     for value in _memo_values(sig):
         assert isinstance(value, tuple) and all(type(v) is float for v in value)
     assert d.synthesize_pulse_train(pt) is sig and _memo_values(pt)[0] is sig
@@ -116,17 +116,20 @@ def test_kept_values_cannot_be_changed():
                 arr[0] = 0.0
     assert type(pt.amp_energy) is float
     kept_wide = _memo_values(wide)
-    assert len(kept_wide) == 5 and [v for v in kept_wide if type(v) is bool] == [False]
+    assert len(kept_wide) == 7 and [v for v in kept_wide if type(v) is bool] == [False]
     assert d.synthesize_pulse_train(wide) in kept_wide
     [gram], [wide_gram] = ([v for v in kept if isinstance(v, GramBand)]
                            for kept in (_memo_values(pt), kept_wide))
     assert gram.band.shape == (1, 1) and wide_gram.band.shape == (2, 3)
     for band in (gram, wide_gram):
-        # its norm and inertia verdict are kept with it
+        # its norm and inertia verdict are kept with it, and the truncated
+        # train's band factor too
         assert {"norm1", "singular"} <= set(vars(band))
+        assert ("factor" in vars(band)) is (band is wide_gram)
         with pytest.raises(dataclasses.FrozenInstanceError):
             band.band = np.zeros((2, 3))
-    bases = [v for v in _memo_values(pt) + kept_wide if type(v) is tuple]
+    kept = [v for v in _memo_values(pt) + kept_wide if type(v) is tuple]
+    bases = [v for v in kept if isinstance(v[1], str)]
     assert [form for _, form in bases] == ["simplified"] * 2 + ["general"] * 2
     for basis, form in bases:
         assert len(basis) == 5 and basis[1] == 1.0
@@ -134,6 +137,13 @@ def test_kept_values_cannot_be_changed():
         for arr in (basis[0], *basis[2:4], basis[4].band):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+    projections = [v for v in kept if not isinstance(v[1], str)]
+    assert len(projections) == 4
+    for projection in projections:  # (A0, W), 3 x 3 with the a row
+        for arr in projection:
+            assert arr.shape == (3, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
 
 
 def test_labels_are_shared_tuples():
@@ -151,6 +161,7 @@ def test_signal_with_kept_sums_pickles():
     first = (signal_bounds(sig, sc), d.jcrb_structure_known_a(pt, sc),
              d.eliminated_pair(d.fim_known_structure(wide, sc)))
     sig2, pt2, wide2 = pickle.loads(pickle.dumps((sig, pt, wide)))
-    assert len(_memo_values(wide2)) == 4  # its verdict, signal, Gram band and basis
+    # its verdict, signal, Gram band, basis and projection
+    assert len(_memo_values(wide2)) == 5
     assert (signal_bounds(sig2, sc), d.jcrb_structure_known_a(pt2, sc),
             d.eliminated_pair(d.fim_known_structure(wide2, sc))) == first

@@ -3,8 +3,9 @@
 Measuring time in a unit s times smaller multiplies delta, tau0 and the
 pulse times by s and divides f0 and every time derivative by s. A delay
 variance then scales by s^2 and a Doppler variance by s^-2, whichever path
-computed it: the closed forms, or the eliminated pairs of the three bordered
-models (unknown samples, known structure, unknown scale with either basis).
+computed it: the closed forms, the eliminated pairs of the three bordered
+models (unknown samples, known structure, unknown scale with either basis),
+or the structured columns form that eliminates without building the FIM.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 import ddcrb as d
 from ddcrb.bounds import signal_bounds
 from ddcrb.fim import eliminated_pair
+from ddcrb.scaled import eliminated_structure_columns
+from ddcrb.signals import ScenarioColumns
 
 from conftest import make_contained_train
 
@@ -43,10 +46,13 @@ def bounds_at(kind, s, l, p, a):
     pairs.update(zip(("unknown_a_structure", "unknown_a_structure_separate"),
                      d.jcrb_unknown_a_structure(pt, sc)),
                  known_signal_pulse=d.jcrb_known_signal_pulse(pt, sc),
-                 separate_unknown_a=d.crb_separate_unknown_a(sig, sc))
-    if kind == "contained":
-        # its truncated-train form is still the closed form (ROADMAP item 1)
-        pairs.update(structure_known_a=d.jcrb_structure_known_a(pt, sc))
+                 separate_unknown_a=d.crb_separate_unknown_a(sig, sc),
+                 structure_known_a=d.jcrb_structure_known_a(pt, sc))
+    # the numeric columns form on either train, known and unknown scale
+    for scale_known in (True, False):
+        joint, separate = eliminated_structure_columns([pt], ScenarioColumns.of(sc), scale_known)
+        pairs[f"columns_{scale_known}"] = joint.pair()
+        pairs[f"columns_{scale_known}_separate"] = separate.pair()
     return {name: (pair.tau0, pair.f0, pair.singular) for name, pair in pairs.items()}
 
 
