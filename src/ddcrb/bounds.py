@@ -48,6 +48,7 @@ def _known_signal_info(sig: SampledSignal, sc: Scenario) -> np.ndarray:
 
 
 @memoised
+@np.errstate(over="ignore", invalid="ignore")  # the bounds flag such sums
 def energy_sums(sig: SampledSignal) -> tuple[float, float]:
     """(sum |s|^2, sum (s_R s_R' + s_I s_I')) over the sample grid, computed
     once per signal."""

@@ -53,18 +53,9 @@ def band_cholesky(band: np.ndarray) -> np.ndarray | None:
     main one, zero past the end (LAPACK pbtrf 'L' layout); the factor L
     comes back in the same layout. Column by column, each column updated by
     the b before it (Golub and Van Loan, Matrix Computations, band Cholesky
-    in 4.3): O(N b^2), on Python floats. A tridiagonal K (b = 1, the pulse
-    Gram matrix) takes the written-out recurrence c0 = K[j, j] - l^2,
-    piv = sqrt(c0), l = K[j + 1, j] / piv: the general loop's operations in
-    its order, so the factor is the same bit for bit (tests/test_band.py
-    compares the bytes of both paths).
+    in 4.3): O(N b^2), on Python floats.
     """
     f = np.asarray(band, dtype=float).tolist()
-    return _cholesky_tridiagonal(*f) if len(f) == 2 else _cholesky_loop(f)
-
-
-def _cholesky_loop(f: list) -> np.ndarray | None:
-    """band_cholesky of the band rows f (lists, overwritten), any b."""
     nb, n = len(f), len(f[0])
     for j in range(n):
         top = min(nb, n - j)  # rows j .. j + top - 1 of column j
@@ -82,37 +73,12 @@ def _cholesky_loop(f: list) -> np.ndarray | None:
     return np.array(f)
 
 
-def _cholesky_tridiagonal(diag: list, sub: list) -> np.ndarray | None:
-    """band_cholesky of the b = 1 band rows (diag, sub)."""
-    pivs, low, l = [], [], 0.0
-    for dj, ej in zip(diag, sub):
-        c0 = dj - l * l  # dj - 0.0 is dj in the first column
-        if not c0 > 0.0:
-            return None
-        piv = math.sqrt(c0)
-        l = ej / piv
-        pivs.append(piv)
-        low.append(l)
-    if low:
-        low[-1] = sub[-1]  # no row below the last column: kept as given
-    return np.array([pivs, low])
-
-
 def band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Y with L Y = rhs by forward substitution, L a band_cholesky factor
-    and rhs N x r: O(N b r). For b = 1 each column of rhs runs the
-    recurrence y[i] = (rhs[i] - L[i, i - 1] y[i - 1]) / L[i, i], the general
-    loop's operations in its order, so Y is the same bit for bit (and
-    C-ordered, as the general loop returns it)."""
+    and rhs N x r: O(N b r), one row of Y at a time; Y is C-ordered."""
     f = factor.tolist()
-    rhs = np.asarray(rhs, dtype=float)
-    return _solve_tridiagonal(*f, rhs) if len(f) == 2 else _solve_loop(f, rhs)
-
-
-def _solve_loop(f: list, rhs: np.ndarray) -> np.ndarray:
-    """band_solve by the factor's band rows f, any b: one row of Y at a time."""
     nb, n = len(f), len(f[0])
-    y = rhs.tolist()
+    y = np.asarray(rhs, dtype=float).tolist()
     for i in range(n):
         row = y[i]
         for m in range(1, min(nb, i + 1)):
@@ -121,19 +87,6 @@ def _solve_loop(f: list, rhs: np.ndarray) -> np.ndarray:
         piv = f[0][i]
         y[i] = [a / piv for a in row]
     return np.array(y)
-
-
-def _solve_tridiagonal(pivs: list, sub: list, rhs: np.ndarray) -> np.ndarray:
-    """band_solve by the b = 1 factor rows (pivs, sub): one column at a time."""
-    out = []
-    for r in rhs.T.tolist():
-        yi = r[0] / pivs[0]
-        col = [yi]
-        for ri, li, piv in zip(r[1:], sub, pivs[1:]):
-            yi = (ri - li * yi) / piv
-            col.append(yi)
-        out.append(col)
-    return np.array(out).T.copy()
 
 
 def band_norm1(band: np.ndarray) -> float:
@@ -349,18 +302,23 @@ class FimMatrix:
                          Border(a, np.delete(bd.b, i, 0), bd.c, bd.gram, red))
 
 
-def _eliminate(e: np.ndarray, keep: int, outer: float = 0.0) -> np.ndarray:
-    """Dense A - B C^{-1} B^T of e; outer joins C's eigenvalue range."""
-    a = e[:keep, :keep]
-    if keep == e.shape[0]:
-        return a.copy()
-    b = e[:keep, keep:]
-    c = e[keep:, keep:]
-    c_eigs = np.linalg.eigvalsh(c)
-    if c_eigs[0] <= max(abs(c_eigs[-1]), outer) / SINGULAR_COND:
-        raise SingularFimError("nuisance block is singular")
-    out = a - b @ np.linalg.solve(c, b.T)
-    return 0.5 * (out + out.T)
+def _eliminate(e: np.ndarray, keep: int, outer) -> tuple[np.ndarray, np.ndarray]:
+    """Dense A - B C^{-1} B^T of each matrix of the stack e (n x k x k), and
+    which C are singular: lambda_min(C) <= max(|lambda_max(C)|, outer) /
+    SINGULAR_COND, outer (one per matrix or one for all) joining C's
+    eigenvalue range. A matrix whose C is singular is eliminated as I.
+    numpy's stacked eigvalsh and solve take each matrix as they take it alone."""
+    if keep == e.shape[-1]:
+        return e.copy(), np.zeros(len(e), dtype=bool)
+    c_eigs = np.linalg.eigvalsh(e[:, keep:, keep:])
+    singular = c_eigs[:, 0] <= np.maximum(np.abs(c_eigs[:, -1]), outer) / SINGULAR_COND
+    if singular.any():
+        e = np.where(singular[:, None, None], np.eye(e.shape[-1]), e)
+    a = e[:, :keep, :keep]
+    b = e[:, :keep, keep:]
+    c = e[:, keep:, keep:]
+    out = a - b @ np.linalg.solve(c, b.transpose(0, 2, 1))
+    return 0.5 * (out + out.transpose(0, 2, 1)), singular
 
 
 def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
@@ -371,29 +329,25 @@ def schur_complement(fim: FimMatrix, keep: int = 2) -> np.ndarray:
     invertible (condition estimate above 1e12) or the FIM is not finite; a
     singular *result* is legitimate and left to the caller to detect. C goes
     first, then the rows of A beyond keep, densely (the quotient property of
-    Schur complements).
+    Schur complements): the one-matrix case of _eliminate.
     """
     border = fim.solvable
     if not 1 <= keep <= len(border.a):
         raise ValueError("keep must be between 1 and the number of parameters of interest")
     if not border.finite:
         raise SingularFimError("FIM is not finite")
-    if border.gram.singular:
+    out, singular = _eliminate(border.schur[None], keep, border.c * border.gram.norm1)
+    if border.gram.singular or singular[0]:
         raise SingularFimError("nuisance block is singular")
-    return _eliminate(border.schur, keep, border.c * border.gram.norm1)
+    return out[0]
 
 
-def invert_bound_matrix(reduced: np.ndarray,
-                        scale: float | np.ndarray | None = None) -> np.ndarray | None:
+def invert_bound_matrix(reduced: np.ndarray, scale: float | None = None) -> np.ndarray | None:
     """Invert an eliminated parameter block R; None when it is singular:
-    lambda_min at most 1/SINGULAR_COND of a reference. A float scale is the
-    reference (the parent FIM's leading-block norm recognises an exactly
-    eliminated block left as rounding noise), by default R's own norm. An
-    array scale is the parent's leading diagonal d: the one-block case of
-    inverted_blocks."""
-    if np.ndim(scale) == 1:
-        inv, singular = inverted_blocks(reduced[None], np.asarray(scale)[None])
-        return None if singular[0] else inv[0]
+    lambda_min at most 1/SINGULAR_COND of scale (the parent FIM's
+    leading-block norm recognises an exactly eliminated block left as
+    rounding noise), by default R's own norm. eliminated_pair judges by
+    inverted_blocks instead."""
     if not np.all(np.isfinite(reduced)):
         return None
     sym = 0.5 * (reduced + reduced.T)
@@ -530,15 +484,17 @@ def eliminated_pair(fim: FimMatrix, separate: bool = False) -> BoundPair:
     rule free of the time unit), as singular."""
     if not fim.solvable.finite:
         return BoundPair.singular_pair(OVERFLOW_NOTE, METHOD_SCHUR_NUMERIC)
-    try:
-        reduced = schur_complement(fim)
-        inv = invert_bound_matrix(reduced, np.diag(fim.submatrix(fim.labels[:2])))
-    except SingularFimError:
-        inv = None
-    if inv is None:
-        return BoundPair.singular_pair(SINGULAR_NOTE, METHOD_SCHUR_NUMERIC)
-    with np.errstate(over="ignore"):  # .pair() flags a value that overflowed
-        pair = 1.0 / np.diag(reduced) if separate else np.diag(inv)
+    # a block that overflowed is judged singular, a value that overflowed flagged by .pair()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            reduced = schur_complement(fim)
+        except SingularFimError:
+            return BoundPair.singular_pair(SINGULAR_NOTE, METHOD_SCHUR_NUMERIC)
+        diag = np.diag(fim.submatrix(fim.labels[:2]))
+        inv, singular = inverted_blocks(reduced[None], diag[None])
+        if singular[0]:
+            return BoundPair.singular_pair(SINGULAR_NOTE, METHOD_SCHUR_NUMERIC)
+        pair = 1.0 / np.diag(reduced) if separate else np.diag(inv[0])
     return PairColumns(pair[:1], pair[1:], np.array([""], dtype=object),
                        METHOD_SCHUR_NUMERIC).pair()
 

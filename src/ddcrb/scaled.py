@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import (TWO_PI2, eliminated_block, energy_sums, fim_unknown_signal,
                      signal_bound_columns, signal_bounds, weighted_sums)
 from .fim import (METHOD_SCHUR_NUMERIC, OVERFLOW_NOTE, SINGULAR_COND, SINGULAR_NOTE, BoundPair,
-                  FimMatrix, PairColumns, inverted_blocks)
+                  FimMatrix, PairColumns, _eliminate, inverted_blocks)
 from .signals import PulseTrain, SampledSignal, Scenario, ScenarioColumns
 from .structure import (fim_known_structure, nuisance_projection, pulse_basis,
                         structure_quantities, support_assumption_holds)
@@ -79,6 +79,7 @@ def structure_bound_columns(trains: list[PulseTrain], pts: ScenarioColumns,
              "degenerate pulse: amplitude block absorbs all delay/Doppler information"))
 
 
+@np.errstate(all="ignore")  # rows whose sums overflowed or vanished are flagged
 def eliminated_structure_columns(trains: list[PulseTrain], pts: ScenarioColumns,
                                  scale_known: bool = True) -> tuple[PairColumns, PairColumns]:
     """(joint, separate) structured bounds at every row of pts by numeric
@@ -90,7 +91,7 @@ def eliminated_structure_columns(trains: list[PulseTrain], pts: ScenarioColumns,
     structure=True when the scale is unknown) at that row, joint and
     separate, and judged by the same rules, without building the FIM: the
     eliminated block is bounds.eliminated_block of the kept
-    nuisance_projection, the a row is eliminated as schur_complement does,
+    nuisance_projection, the a row is eliminated by schur_complement's rule,
     and inverted_blocks judges the (tau0, f0) block against the FIM's
     leading diagonal. P = 0 and a zero pulse are flagged first, by
     structure_bound_columns's rule, before any projection is built.
@@ -113,25 +114,20 @@ def eliminated_structure_columns(trains: list[PulseTrain], pts: ScenarioColumns,
                        for proj in projections])[row, :k, :k] for j in (0, 1))
     norm1 = np.array([1.0 if g is None else g.norm1 for g in grams])[row]
     singular = np.array([g is not None and g.singular for g in grams])[row]
-    with np.errstate(all="ignore"):
-        a2 = a * a
-        c = (2.0 * l + 2.0 * a2 * p) / s2
-        red = eliminated_block(a0, w, l, p, s2, a)
-        outer = c * norm1
-        finite = np.isfinite(outer) & np.isfinite(red).all(axis=(1, 2))
-        if k == 3:  # a goes first, as schur_complement eliminates it
-            r_aa = red[:, 2, 2]
-            singular |= r_aa <= np.maximum(np.abs(r_aa), outer) / SINGULAR_COND
-            red = np.where((finite & ~singular)[:, None, None], red, np.eye(3))
-            out = red[:, :2, :2] - red[:, :2, 2:] @ np.linalg.solve(red[:, 2:, 2:], red[:, 2:, :2])
-            red = 0.5 * (out + np.swapaxes(out, 1, 2))
-        # the FIM's leading diagonal, as bordered_fim forms A
-        diag = a2[:, None] * (np.diagonal(a0, axis1=1, axis2=2)[:, :2] / s2[:, None]) * p[:, None]
-        inv, inv_singular = inverted_blocks(red, diag)
-        values = (np.diagonal(inv, axis1=1, axis2=2), 1.0 / np.diagonal(red, axis1=1, axis2=2))
+    a2 = a * a
+    c = (2.0 * l + 2.0 * a2 * p) / s2
+    red = eliminated_block(a0, w, l, p, s2, a)
+    outer = c * norm1
+    finite = np.isfinite(outer) & np.isfinite(red).all(axis=(1, 2))
+    # a goes first, as schur_complement eliminates it; a row that is not finite takes I
+    red, c_singular = _eliminate(np.where(finite[:, None, None], red, np.eye(k)), 2, outer)
+    # the FIM's leading diagonal, as bordered_fim forms A
+    diag = a2[:, None] * (np.diagonal(a0, axis1=1, axis2=2)[:, :2] / s2[:, None]) * p[:, None]
+    inv, inv_singular = inverted_blocks(red, diag)
+    values = (np.diagonal(inv, axis1=1, axis2=2), 1.0 / np.diagonal(red, axis1=1, axis2=2))
     # c = 0 (L = 0 and a^2 underflowed): C is not positive definite
     conditions = ((no_info, ZERO_PULSE_NOTE), (no_factor | ~(c > 0.0), SINGULAR_NOTE),
-                  (~finite, OVERFLOW_NOTE), (singular | inv_singular, SINGULAR_NOTE))
+                  (~finite, OVERFLOW_NOTE), (singular | c_singular | inv_singular, SINGULAR_NOTE))
     return tuple(PairColumns.flagged(v[:, 0], v[:, 1], *conditions, method=METHOD_SCHUR_NUMERIC)
                  for v in values)
 

@@ -182,6 +182,7 @@ class PulseTrain(_Memo):
         return self.n_pulses * self.n_p
 
     @functools.cached_property
+    @np.errstate(over="ignore")  # the bounds flag a sum that overflowed
     def amp_energy(self) -> float:
         """Sum of |b_q|^2 over the pulses."""
         return float(np.sum(np.abs(self.b) ** 2))

@@ -74,6 +74,7 @@ def structure_quantities(pt: PulseTrain, tau0: float) -> StructureQuantities:
 
 
 @memoised
+@np.errstate(over="ignore")  # the bounds flag a pulse whose energy overflowed
 def support_assumption_holds(pt: PulseTrain) -> bool:
     """Whether the pulse is effectively contained in one period, decided once
     per train.
@@ -98,22 +99,30 @@ def structure_labels(n_pulses: int) -> tuple[str, ...]:
 
 
 @memoised
+@np.errstate(over="ignore")  # Border.finite flags a K that overflowed
 def _pulse_gram(pt: PulseTrain) -> GramBand:
     """The Gram matrix K of the shifted pulse copies, once per train: every FIM
     of the train reads its norm and inertia verdict. E_g I, the band [[E_g]],
     for a pulse contained in its period; else tridiagonal, kept as its 2 x Q
-    lower band (band[0] the diagonal, band[1, q] = K[q + 1, q])."""
+    lower band (band[0] the diagonal, band[1, q] = K[q + 1, q]). A pulse
+    whose E_g is below the smallest normal float is a zero pulse, K = 0: its
+    squares underflowed, so no sum over them keeps the precision that
+    validation assumes."""
     g2 = pt.g ** 2
+    e_g = np.sum(g2)
+    if not e_g >= np.finfo(float).tiny:
+        return GramBand([[0.0]])
     if support_assumption_holds(pt):
-        return GramBand([[np.sum(g2)]])
+        return GramBand([[e_g]])
     band = np.zeros((2, pt.n_pulses))
-    band[0] = np.sum(g2)
+    band[0] = e_g
     band[0, -1] = np.sum(g2[:-1])  # the last copy loses its final sample
     band[1, :-1] = pt.g[-1] * pt.g[0]  # adjacent copies share one boundary sample
     return GramBand(band)
 
 
 @memoised
+@np.errstate(over="ignore", invalid="ignore")  # Border.finite flags such couplings
 def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, str]:
     """Pulse-amplitude basis (h, 1.0, u, v, K) for bordered_fim and the name of
     its form, once per train and delay, read-only: the simplified (rho b,
@@ -130,6 +139,8 @@ def pulse_basis(pt: PulseTrain, tau0: float) -> tuple[tuple, str]:
         x = np.zeros((3, sig.m + 1), dtype=complex)
         x[:, :-1] = sig.deriv, (sig.times + tau0) * sig.samples, sig.samples
         (h, u, v), form = sliding_window_view(x, pt.n_p + 1, axis=1)[:, ::pt.n_p] @ pt.g, "general"
+    if not _pulse_gram(pt).band.any():  # a zero pulse couples nothing
+        h = u = v = np.zeros(pt.n_pulses, dtype=complex)
     for arr in (h, u, v):
         arr.setflags(write=False)
     return (h, 1.0, u, v, _pulse_gram(pt)), form
@@ -193,7 +204,7 @@ def jcrb_known_signal_pulse(pt: PulseTrain, sc: Scenario) -> BoundPair:
         return jcrb_known(synthesize_pulse_train(pt), sc)
     sq = structure_quantities(pt, sc.tau0)
     den_tau, den_f = np.array([[2.0 * pt.amp_energy * sq.dg2], [TWO_PI2 * sq.w_b2]])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # .pair() flags such a bound
         return PairColumns.flagged(sc.sigma_w2 / den_tau, sc.sigma_w2 / den_f,
                                    ((den_tau <= 0.0) | (den_f <= 0.0),
                                     "degenerate pulse: zero information")).pair()

@@ -2,9 +2,9 @@
 
 The nuisance block C = c (K kron I_2) keeps K as its lower band,
 band[d, j] = K[j + d, j]. Factor, solve, dense expansion and the inertia
-test of K are checked here against the N x N matrix the band encodes, and
-the written-out b = 1 recurrences against the general band loop, byte for
-byte.
+test of K are checked here against the N x N matrix the band encodes. One
+column loop per kernel serves every bandwidth, the tridiagonal pulse Gram
+band (b = 1) among them.
 """
 
 import tracemalloc
@@ -15,8 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ddcrb as d
-from ddcrb import fim as fim_module
-from ddcrb.fim import (SINGULAR_COND, Border, GramBand, band_cholesky, band_norm1,
+from ddcrb.fim import (SINGULAR_COND, Border, GramBand, _eliminate, band_cholesky, band_norm1,
                        band_solve, eliminated_pair, schur_complement)
 
 
@@ -51,8 +50,23 @@ def lower_of(factor):
     return np.tril(dense_of(factor))[:n, :n]
 
 
+@st.composite
+def tridiagonal_bands(draw):
+    """A b = 1 band (the pulse Gram matrix's), zero past the end, positive
+    definite by diagonal dominance, its columns scaled by powers of ten from
+    1e-3 to 1e3."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    sub = rng.uniform(-1.0, 1.0, n)
+    sub[-1] = 0.0
+    diag = np.abs(sub) + np.abs(np.concatenate(([0.0], sub[:-1]))) + rng.uniform(0.05, 2.0, n)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)  # K -> S K S keeps it positive definite
+    return np.vstack([diag * scale * scale, sub * scale * np.concatenate((scale[1:], [1.0]))])
+
+
 @settings(max_examples=200)
-@given(band=dominant_bands(), r=st.integers(1, 6), seed=st.integers(0, 2 ** 31 - 1))
+@given(band=st.one_of(dominant_bands(), tridiagonal_bands()), r=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 31 - 1))
 def test_factor_and_solve_match_dense(band, r, seed):
     k = dense_of(band)
     factor = band_cholesky(band)
@@ -62,6 +76,8 @@ def test_factor_and_solve_match_dense(band, r, seed):
     np.testing.assert_allclose(lower, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
     rhs = np.random.default_rng(seed).standard_normal((band.shape[1], r))
     y = band_solve(factor, rhs)
+    assert y.shape == rhs.shape
+    assert y.flags.c_contiguous  # the layout the projection's product was recorded with
     oracle = np.linalg.solve(expected, rhs)
     np.testing.assert_allclose(y, oracle, rtol=1e-12, atol=1e-12 * np.max(np.abs(oracle)))
     assert band_norm1(band) == pytest.approx(np.linalg.norm(k, 1), rel=1e-14)
@@ -123,46 +139,11 @@ def test_not_positive_definite_has_no_factor():
     assert not Border(np.eye(2), np.zeros((2, 2)), 1.0, GramBand([[3.0]])).gram.singular
 
 
-@st.composite
-def tridiagonal_bands(draw):
-    """A b = 1 band, zero past the end, positive definite by diagonal
-    dominance, its columns scaled by powers of ten so that the factor's
-    divisions and square roots round differently from column to column."""
-    n = draw(st.integers(1, 400))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
-    sub = rng.uniform(-1.0, 1.0, n)
-    sub[-1] = 0.0
-    diag = np.abs(sub) + np.abs(np.concatenate(([0.0], sub[:-1]))) + rng.uniform(0.05, 2.0, n)
-    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)  # K -> S K S keeps it positive definite
-    return np.vstack([diag * scale * scale, sub * scale * np.concatenate((scale[1:], [1.0]))])
-
-
-def general_loop_factor(band):
-    return fim_module._cholesky_loop(np.asarray(band, dtype=float).tolist())
-
-
-@settings(max_examples=150)
-@given(band=tridiagonal_bands(), r=st.integers(1, 6), seed=st.integers(0, 2 ** 31 - 1))
-def test_tridiagonal_recurrences_equal_the_general_loop_bytewise(band, r, seed):
-    factor = band_cholesky(band)
-    reference = general_loop_factor(band)
-    assert factor is not None and reference is not None
-    assert factor.shape == reference.shape == band.shape
-    assert factor.tobytes() == reference.tobytes()
-    rhs = np.random.default_rng(seed).standard_normal((band.shape[1], r))
-    rhs *= 10.0 ** np.random.default_rng(seed + 1).uniform(-3.0, 3.0, rhs.shape)
-    y = band_solve(factor, rhs)
-    expected = fim_module._solve_loop(reference.tolist(), rhs)
-    assert y.shape == expected.shape == rhs.shape
-    assert y.flags.c_contiguous  # the layout the projection's product was recorded with
-    assert y.tobytes() == expected.tobytes()
-
-
 @settings(max_examples=150)
 @given(band=tridiagonal_bands(), fault=st.sampled_from(("first", "zero", "later", "nan_diag",
                                                          "nan_sub")),
        at=st.floats(0.0, 1.0))
-def test_tridiagonal_factor_fails_where_the_general_loop_fails(band, fault, at):
+def test_no_factor_where_a_pivot_is_not_positive(band, fault, at):
     n = band.shape[1]
     bad = band.copy()
     j = min(int(at * n), n - 1)
@@ -172,7 +153,7 @@ def test_tridiagonal_factor_fails_where_the_general_loop_fails(band, fault, at):
         # c0 = K[j, j] - l^2 with l from column j - 1: exactly 0, or negative
         j = max(j, 1)
         assume(n > 1)
-        ell = general_loop_factor(band)[1, j - 1]
+        ell = band_cholesky(band)[1, j - 1]
         assume(ell != 0.0)
         bad[0, j] = ell * ell if fault == "zero" else 0.5 * ell * ell
     elif fault == "nan_diag":
@@ -180,7 +161,6 @@ def test_tridiagonal_factor_fails_where_the_general_loop_fails(band, fault, at):
     else:  # the last entry of the lower diagonal lies past the end and is never read
         assume(n > 1)
         bad[1, min(j, n - 2)] = np.nan
-    assert general_loop_factor(bad) is None
     assert band_cholesky(bad) is None
 
 
@@ -211,7 +191,7 @@ def nuisance_bases_train(with_a):
 # hold the band path bit for bit. Like results/, they rest on numpy's LAPACK
 # (eigvalsh and inv of the 2 x 2 block). RECORDED_WITH_SCHUR_OF_CK holds the
 # pairs of the elimination that factored c K for every FIM (recorded with the
-# general band loop before the b = 1 recurrences replaced it); PINNED_PAIRS
+# band loop that still factors K once per train); PINNED_PAIRS
 # those of the eliminated block from the train's kept projection, which moved
 # some pairs by one unit in the last place.
 RECORDED_WITH_SCHUR_OF_CK = {
@@ -240,12 +220,44 @@ PINNED_PAIRS = {
 def test_truncated_train_pairs_are_pinned(train, with_a):
     pt, sc = train(with_a)
     fim = d.fim_unknown_a(pt, sc, structure=True) if with_a else d.fim_known_structure(pt, sc)
-    assert fim.border.gram.band.shape[0] == 2  # the b = 1 band path
+    assert fim.border.gram.band.shape[0] == 2  # a tridiagonal K
     pairs = (eliminated_pair(fim), eliminated_pair(fim, separate=True))
     assert not any(p.singular for p in pairs)
     assert tuple(float.hex(v) for p in pairs for v in p) == PINNED_PAIRS[train, with_a]
     for new, old in zip(PINNED_PAIRS[train, with_a], RECORDED_WITH_SCHUR_OF_CK[train, with_a]):
         assert float.fromhex(new) == pytest.approx(float.fromhex(old), rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 6), k=st.integers(2, 4), keep=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1), per_matrix_outer=st.booleans())
+def test_stacked_elimination_is_each_matrix_alone(n, k, keep, seed, per_matrix_outer):
+    # a stack of symmetric positive definite matrices, each scaled by its own
+    # power of ten, some with C made singular by a zeroed nuisance row
+    assume(keep < k)
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, k, k))
+    e = (m @ m.transpose(0, 2, 1) + 0.1 * np.eye(k)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1, 1))
+    zeroed = rng.random(n) < 0.3
+    e[zeroed, keep, :] = e[zeroed, :, keep] = 0.0
+    outer = rng.uniform(0.0, 2.0, n) if per_matrix_outer else 1.0
+    out, singular = _eliminate(e, keep, outer)
+    assert out.shape == (n, keep, keep) and singular.shape == (n,)
+    for i in range(n):
+        outer_i = outer[i] if per_matrix_outer else outer
+        alone, alone_singular = _eliminate(e[i:i + 1], keep, outer_i)
+        assert out[i].tobytes() == alone[0].tobytes() and singular[i] == alone_singular[0]
+        c_eigs = np.linalg.eigvalsh(e[i, keep:, keep:])
+        assert singular[i] == (c_eigs[0] <= max(abs(c_eigs[-1]), outer_i) / SINGULAR_COND)
+        if zeroed[i]:
+            assert singular[i]
+        if singular[i]:  # eliminated as I
+            assert np.array_equal(out[i], np.eye(keep))
+        else:
+            a, b, c = e[i, :keep, :keep], e[i, :keep, keep:], e[i, keep:, keep:]
+            dense = a - b @ np.linalg.inv(c) @ b.T
+            np.testing.assert_allclose(out[i], dense, rtol=1e-9, atol=1e-9 * np.max(np.abs(a)))
+            np.testing.assert_array_equal(out[i], out[i].T)
 
 
 def small_only(fn):

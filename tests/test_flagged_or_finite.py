@@ -1,7 +1,8 @@
 """Every scalar bound, closed form or elimination, comes back as a flagged pair
 or as finite positive values: never an exception, a warning, or an unflagged
-value that is not finite and positive, however far the delay or the scale
-sends its sums."""
+value that is not finite and positive, however far the delay, the scale or the
+pulse amplitudes and samples send its sums. Past the closed forms, each FIM
+builder's eliminated pair is held to the same rule on the same trains."""
 
 import math
 import warnings
@@ -19,11 +20,16 @@ from conftest import make_contained_train
 B = (0.8 + 0.5j, -0.3 + 1.1j)
 
 
-def train(contained: bool):
+def train(contained: bool, factor: str = "b", amplitude: float = 1.0):
+    """One of the two trains, with b, or g and g', times amplitude: one factor
+    at a time, so the synthesized samples stay finite."""
     if contained:
-        return make_contained_train(n_p=12, delta=0.4, b=B)[0]
-    # wide and centred near the period edge: adjacent copies overlap
-    return d.gaussian_pulse_train(16, 0.25, 3.0, 1.5, np.array(B))
+        pt = make_contained_train(n_p=12, delta=0.4, b=B)[0]
+    else:  # wide and centred near the period edge: adjacent copies overlap
+        pt = d.gaussian_pulse_train(16, 0.25, 3.0, 1.5, np.array(B))
+    if factor == "b":
+        return d.PulseTrain(pt.g, pt.g_deriv, pt.b * amplitude, pt.delta)
+    return d.PulseTrain(pt.g * amplitude, pt.g_deriv * amplitude, pt.b, pt.delta)
 
 
 def assert_flagged_or_finite(name, pair):
@@ -34,23 +40,52 @@ def assert_flagged_or_finite(name, pair):
         assert 0.0 < pair.tau0 < math.inf and 0.0 < pair.f0 < math.inf, (name, pair)
 
 
+BUILDERS = {
+    "fim_unknown_signal": lambda pt, sc: d.fim_unknown_signal(d.synthesize_pulse_train(pt), sc),
+    "fim_known_structure": d.fim_known_structure,
+    "fim_unknown_a_structure": lambda pt, sc: d.fim_unknown_a(pt, sc, structure=True),
+}
+DEFAULTS = dict(factor="b", amplitude=1.0)
+
+
 @settings(max_examples=80)
 @given(contained=st.booleans(),
        tau0=st.one_of(st.floats(0.0, 1e200), st.sampled_from([0.0, 1e150, 1e200])),
        a=st.one_of(st.floats(-170.0, 170.0).map(lambda e: 10.0 ** e),
                    st.sampled_from([1e-170, 1e-160, 1e170])),
-       l=st.integers(0, 3), p=st.integers(0, 3), sigma_w2=st.floats(1e-3, 1e3))
+       l=st.integers(0, 3), p=st.integers(0, 3), sigma_w2=st.floats(1e-3, 1e3),
+       factor=st.sampled_from(("b", "g")),
+       amplitude=st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e))
 # each of these raised or returned an unflagged value that is not finite and positive
-@example(contained=True, tau0=0.5, a=1e-170, l=1, p=1, sigma_w2=1.0)
-@example(contained=True, tau0=0.5, a=1e170, l=1, p=1, sigma_w2=1.0)
-@example(contained=True, tau0=0.5, a=1e-160, l=1, p=1, sigma_w2=1.0)
-@example(contained=True, tau0=1e200, a=1.0, l=1, p=1, sigma_w2=1.0)
-@example(contained=False, tau0=0.5, a=1e-158, l=1, p=1, sigma_w2=1.0)
+@example(contained=True, tau0=0.5, a=1e-170, l=1, p=1, sigma_w2=1.0, **DEFAULTS)
+@example(contained=True, tau0=0.5, a=1e170, l=1, p=1, sigma_w2=1.0, **DEFAULTS)
+@example(contained=True, tau0=0.5, a=1e-160, l=1, p=1, sigma_w2=1.0, **DEFAULTS)
+@example(contained=True, tau0=1e200, a=1.0, l=1, p=1, sigma_w2=1.0, **DEFAULTS)
+@example(contained=False, tau0=0.5, a=1e-158, l=1, p=1, sigma_w2=1.0, **DEFAULTS)
 # the unit-scale projection's sums overflow (a RuntimeWarning if not flagged)
-@example(contained=False, tau0=3.8e153, a=1.0, l=1, p=1, sigma_w2=1.0)
-@example(contained=False, tau0=4.2e152, a=1.0, l=1, p=1, sigma_w2=1.0)
-def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, p, sigma_w2):
-    pt = train(contained)
+@example(contained=False, tau0=3.8e153, a=1.0, l=1, p=1, sigma_w2=1.0, **DEFAULTS)
+@example(contained=False, tau0=4.2e152, a=1.0, l=1, p=1, sigma_w2=1.0, **DEFAULTS)
+# squares of finite amplitudes or pulse samples overflow (a RuntimeWarning if not flagged)
+@example(contained=True, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="b", amplitude=1e154)
+@example(contained=True, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="b", amplitude=1e200)
+@example(contained=True, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="g", amplitude=1e154)
+@example(contained=True, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="g", amplitude=1e200)
+@example(contained=False, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="b", amplitude=1e154)
+@example(contained=False, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="b", amplitude=1e200)
+@example(contained=False, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="g", amplitude=1e154)
+@example(contained=False, tau0=0.5, a=1.0, l=1, p=1, sigma_w2=1.0, factor="g", amplitude=1e200)
+@example(contained=True, tau0=0.0, a=1.0, l=0, p=0, sigma_w2=51.0, factor="b", amplitude=1e-154)
+# a pulse whose squares underflow: K = 0 while the time-weighted couplings are not
+# (FIM not positive semidefinite), its energy subnormal (the same), and a subnormal
+# a row eliminated (overflow and invalid values in the product)
+@example(contained=True, tau0=1e150, a=1.0, l=0, p=1, sigma_w2=1.0, factor="g", amplitude=1e-176)
+@example(contained=True, tau0=1e150, a=1.4984076502169026e-17, l=0, p=1, sigma_w2=1e-3,
+         factor="g", amplitude=1.859377546948174e-156)
+@example(contained=False, tau0=1e150, a=2.4e-16, l=1, p=1, sigma_w2=1.0, factor="g",
+         amplitude=9.5e-160)
+def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, p, sigma_w2,
+                                                        factor, amplitude):
+    pt = train(contained, factor, amplitude)
     sig = d.synthesize_pulse_train(pt)
     sc = d.Scenario(tau0=tau0, f0=0.3, looks_direct=l, looks_reflected=p,
                     sigma_w2=sigma_w2, scale=a)
@@ -63,15 +98,10 @@ def test_every_closed_form_is_flagged_or_finite_positive(contained, tau0, a, l, 
         # past containment an elimination, read through the same one-point rule
         pairs.update(zip(("unknown_a_structure", "unknown_a_structure_separate"),
                          d.jcrb_unknown_a_structure(pt, sc)))
+        if p:  # the builders need a reflected look
+            pairs.update((name, eliminated_pair(build(pt, sc))) for name, build in BUILDERS.items())
     for name, pair in pairs.items():
         assert_flagged_or_finite(name, pair)
-
-
-BUILDERS = {
-    "fim_unknown_signal": lambda pt, sc: d.fim_unknown_signal(d.synthesize_pulse_train(pt), sc),
-    "fim_known_structure": d.fim_known_structure,
-    "fim_unknown_a_structure": lambda pt, sc: d.fim_unknown_a(pt, sc, structure=True),
-}
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
